@@ -347,12 +347,14 @@ func BenchmarkDecodeSymbolsPerSec(b *testing.B) {
 	}
 }
 
-// BenchmarkApproxDecode measures the approximate search modes against the
-// exact beam search on the same observations: a full from-scratch decode at
-// the mid-SNR operating point, per (search mode, beam width). The nodes/s
-// metric shows the work rate; the headline is symbols/s, where gap pruning
-// and lookahead narrowing buy their throughput by expanding fewer children
-// per level. CI's bench-smoke job diffs this benchmark against the committed
+// BenchmarkApproxDecode measures the approximate search against the exact
+// beam search on the same observations: a full from-scratch decode at the
+// mid-SNR operating point, per (search mode, beam width). Every level is
+// observed here, so the bubble cap never fires and the approx rows must
+// match the exact rows: the benchmark guards against the approximate mode
+// taxing the decodes it cannot help. (Its savings come on the attempts made
+// while levels are still unobserved — see the frontier scenario.) CI's
+// bench-smoke job diffs this benchmark against the committed
 // BENCH_baseline.json with benchstat.
 func BenchmarkApproxDecode(b *testing.B) {
 	params := core.Params{K: 8, C: 10, MessageBits: 128, Seed: core.DefaultSeed}
@@ -381,11 +383,11 @@ func BenchmarkApproxDecode(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	for _, search := range []string{"exact", "gap", "lookahead", "approx"} {
+	for _, search := range []string{"exact", "approx"} {
 		for _, beam := range []int{32, 64} {
 			search, beam := search, beam
 			b.Run(fmt.Sprintf("search=%s/B=%d", search, beam), func(b *testing.B) {
-				sc, err := core.ParseSearchConfig(search)
+				mode, err := core.ParseSearchMode(search)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -394,7 +396,7 @@ func BenchmarkApproxDecode(b *testing.B) {
 					b.Fatal(err)
 				}
 				defer dec.Close()
-				if err := dec.SetSearchConfig(sc); err != nil {
+				if err := dec.SetSearchMode(mode); err != nil {
 					b.Fatal(err)
 				}
 				dec.SetParallelism(1)

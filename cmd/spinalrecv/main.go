@@ -64,7 +64,7 @@ func main() {
 	metric := flag.String("metric", "",
 		"decoder cost metric: float64|int32 (empty = float64)")
 	search := flag.String("search", "",
-		"decoder search strategy: exact|gap[:G]|lookahead[:M]|approx (empty = exact)")
+		"decoder search strategy: exact|approx (empty = exact)")
 	adaptive := flag.Bool("adaptive-search", false,
 		"pick each flow's search strategy from its decode-budget pressure (requires -budget); -search sets the unpressured base")
 	impairSpec := flag.String("impair", "",
@@ -89,7 +89,7 @@ func serve(listen string, snr float64, adc, beam, workers, decWorkers, count int
 	if err != nil {
 		return err
 	}
-	searchCfg, err := core.ParseSearchConfig(search)
+	searchMode, err := core.ParseSearchMode(search)
 	if err != nil {
 		return err
 	}
@@ -161,7 +161,7 @@ func serve(listen string, snr float64, adc, beam, workers, decWorkers, count int
 		IdleExpiry:         idleExpiry,
 		FlowDecodeBudget:   budget,
 		CostMetric:         costMetric,
-		Search:             searchCfg,
+		Search:             searchMode,
 		AdaptiveSearch:     adaptive,
 	}, radio)
 	if err != nil {

@@ -93,7 +93,7 @@ func run(args []string, out io.Writer) error {
 	fs.StringVar(&opt.metric, "metric", "",
 		"decoder cost metric: float64|int32 (empty = float64); scenarios that do not declare it ignore it")
 	fs.StringVar(&opt.search, "search", "",
-		"decoder search strategy: exact|gap[:G]|lookahead[:M]|approx (empty = exact); scenarios that do not declare it ignore it")
+		"decoder search strategy: exact|approx (empty = exact); scenarios that do not declare it ignore it")
 	fs.StringVar(&opt.impair, "impair", "",
 		"impairment-pipeline spec, e.g. \"ge(good=16,bad=3)|spike(prob=0.02)|erase(p=0.01)\" or its JSON form; scenarios that do not declare it ignore it")
 	fs.StringVar(&opt.cpuProfile, "cpuprofile", "", "write a CPU profile of the scenario run to this file")

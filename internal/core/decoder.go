@@ -60,9 +60,9 @@ type BeamDecoder struct {
 	incremental bool
 	workers     int
 	metric      CostMetric
-	// search is the normalized approximate-search strategy (see search.go);
-	// the zero value is the exact search.
-	search SearchConfig
+	// search is the tree-search strategy (see search.go); the zero value is
+	// the exact search.
+	search SearchMode
 	// quantTab is dimTab snapped onto the int32 metric's fixed-point grid,
 	// built lazily the first time the quantized metric is selected.
 	quantTab []int32
@@ -247,11 +247,9 @@ func (d *BeamDecoder) NodesExpanded() int { return d.nodesExpanded }
 func (d *BeamDecoder) NodesRefreshed() int { return d.nodesRefreshed }
 
 // NodesSaved reports the estimated number of child expansions the most
-// recent Decode call avoided through approximate search: each frontier node
-// dropped by gap pruning or lookahead narrowing would have spawned a full
-// block of children at the next level, and each node pruned by a prefix
-// commit would have kept being refreshed on later attempts. Always zero
-// under the exact search.
+// recent Decode call avoided through approximate search: each node the
+// bubble cap dropped from an unobserved level would have spawned a full
+// block of children at the next level. Always zero under the exact search.
 func (d *BeamDecoder) NodesSaved() int { return d.nodesSaved }
 
 // DecodeResult is the outcome of one decode attempt.
@@ -353,10 +351,6 @@ type awgnCoster struct {
 
 func (c *awgnCoster) numObs(level int) int { return len(c.obs.spines[level]) }
 
-// unitCost: path costs are squared Euclidean distances, already in the exact
-// metric's natural unit.
-func (c *awgnCoster) unitCost() float64 { return 1 }
-
 func (c *awgnCoster) prepareLevel(level int) {
 	obs := c.obs.spines[level]
 	n := len(obs)
@@ -375,11 +369,11 @@ func (c *awgnCoster) prepareLevel(level int) {
 func (c *awgnCoster) costTail(local float64, spine uint64, level, from int) float64 {
 	loc := [1]float64{local}
 	sp := [1]uint64{spine}
-	c.costTailMany(loc[:], sp[:], level, from)
+	c.costTailMany(loc[:], sp[:], level, from, nil)
 	return loc[0]
 }
 
-func (c *awgnCoster) costTailMany(locals []float64, spines []uint64, level, from int) {
+func (c *awgnCoster) costTailMany(locals []float64, spines []uint64, level, from int, _ *foldScratch) {
 	n := len(c.starts)
 	if from >= n {
 		if from == 0 {
@@ -472,7 +466,7 @@ type awgnQuantCoster struct {
 	obs *Observations
 	tab []int32
 
-	// Per-level scratch, rebuilt by prepareLevel.
+	// Per-level tables, rebuilt by prepareLevel and only read by the folds.
 	starts []uint32
 	// dI2/dQ2 are the per-observation squared-distance LUTs: row i (2^c
 	// entries at offset i*dim) maps a dimension's c-bit value to the squared
@@ -482,16 +476,9 @@ type awgnQuantCoster struct {
 	// differences are at most 2*costQuantMax = 2^16-2, squared below 2^32.
 	dI2 []uint32
 	dQ2 []uint32
-	// words/acc are batch scratch for the interchanged fold.
-	words []uint64
-	acc   []int64
 }
 
 func (c *awgnQuantCoster) numObs(level int) int { return len(c.obs.spines[level]) }
-
-// unitCost: quantized squared distances count in grid² steps, so one unit of
-// exact squared Euclidean distance is costQuantScale² carrier units.
-func (c *awgnQuantCoster) unitCost() float64 { return costQuantScale * costQuantScale }
 
 func (c *awgnQuantCoster) prepareLevel(level int) {
 	obs := c.obs.spines[level]
@@ -517,11 +504,12 @@ func (c *awgnQuantCoster) prepareLevel(level int) {
 }
 
 // quantFoldChunk bounds the batch slice the interchanged fold processes per
-// outer pass, keeping its word/accumulator scratch inside the L1/L2 caches
-// even when a refresh folds a whole cached level at once.
+// outer pass, keeping its word/accumulator scratch (the caller's
+// foldScratch) inside the L1/L2 caches even when a refresh folds a whole
+// cached level at once.
 const quantFoldChunk = 1024
 
-func (c *awgnQuantCoster) costTailMany(locals []int32, spines []uint64, level, from int) {
+func (c *awgnQuantCoster) costTailMany(locals []int32, spines []uint64, level, from int, scr *foldScratch) {
 	n := len(c.starts)
 	if from >= n {
 		if from == 0 {
@@ -530,14 +518,14 @@ func (c *awgnQuantCoster) costTailMany(locals []int32, spines []uint64, level, f
 		return
 	}
 	for len(spines) > quantFoldChunk {
-		c.costChunk(locals[:quantFoldChunk], spines[:quantFoldChunk], from)
+		c.costChunk(locals[:quantFoldChunk], spines[:quantFoldChunk], from, scr)
 		locals = locals[quantFoldChunk:]
 		spines = spines[quantFoldChunk:]
 	}
-	c.costChunk(locals, spines, from)
+	c.costChunk(locals, spines, from, scr)
 }
 
-func (c *awgnQuantCoster) costChunk(locals []int32, spines []uint64, from int) {
+func (c *awgnQuantCoster) costChunk(locals []int32, spines []uint64, from int, scr *foldScratch) {
 	n := len(c.starts)
 	cc := uint(c.d.p.C)
 	dim := 1 << cc
@@ -546,10 +534,10 @@ func (c *awgnQuantCoster) costChunk(locals []int32, spines []uint64, from int) {
 	wmask := uint32(uint64(1)<<width - 1)
 	fam := c.d.family
 	m := len(spines)
-	c.words = sized(c.words, m)
-	c.acc = sized(c.acc, m)
-	words := c.words[:m]
-	acc := c.acc[:m:m]
+	scr.words = sized(scr.words, m)
+	scr.acc = sized(scr.acc, m)
+	words := scr.words[:m]
+	acc := scr.acc[:m:m]
 	if from == 0 {
 		clear(acc)
 	} else {
@@ -612,12 +600,9 @@ type bscCoster struct {
 
 func (c *bscCoster) numObs(level int) int { return len(c.obs.spines[level]) }
 
-// unitCost: Hamming costs count bit flips directly.
-func (c *bscCoster) unitCost() float64 { return 1 }
-
 func (c *bscCoster) prepareLevel(level int) {}
 
-func (c *bscCoster) costTailMany(locals []float64, spines []uint64, level, from int) {
+func (c *bscCoster) costTailMany(locals []float64, spines []uint64, level, from int, _ *foldScratch) {
 	obs := c.obs.spines[level]
 	if from >= len(obs) {
 		if from == 0 {
@@ -660,12 +645,9 @@ type bscQuantCoster struct {
 
 func (c *bscQuantCoster) numObs(level int) int { return len(c.obs.spines[level]) }
 
-// unitCost: the int32 Hamming metric counts bit flips directly (no grid).
-func (c *bscQuantCoster) unitCost() float64 { return 1 }
-
 func (c *bscQuantCoster) prepareLevel(level int) {}
 
-func (c *bscQuantCoster) costTailMany(locals []int32, spines []uint64, level, from int) {
+func (c *bscQuantCoster) costTailMany(locals []int32, spines []uint64, level, from int, _ *foldScratch) {
 	obs := c.obs.spines[level]
 	if from >= len(obs) {
 		if from == 0 {

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"math"
-	"slices"
-)
+import "slices"
 
 // This file is the beam decoder's generic search engine, instantiated once
 // per cost metric (float64 and int32). The data layout is structure-of-
@@ -328,34 +325,14 @@ type workspace[C costValue] struct {
 	// MaxCandidates entries), used to match persisting parents between
 	// attempts so their children blocks can be reused wholesale.
 	pidx spineIndex
-	// committed is the number of leading tree levels frozen by the
-	// approximate search's prefix commit: attempts never resume above it,
-	// and the frontiers of committed levels are pruned to the single
-	// converged chain node. Always zero under the exact search.
-	committed int
-	// commitFresh is set when a commit has just raised the floor: the first
-	// uncommitted level's retained frontier still holds parent indices into
-	// the pre-prune frontier below it, so the next attempt must resume at
-	// the floor (re-selecting every level from there) before those indices
-	// may be walked again by a backtrack.
-	commitFresh bool
-	// laScore/laKeep are lookahead-narrowing scratch: per-candidate probe
-	// scores and the retained-set marks.
-	laScore []C
-	laKeep  []bool
-	// ancA/ancB/chain are prefix-commit scratch: ancestor index sets of the
-	// final frontier and the converged chain's per-level indices.
-	ancA  []int32
-	ancB  []int32
-	chain []int32
+	// fold is the serial path's cost-fold scratch (see foldScratch).
+	fold foldScratch
 }
 
 // invalidate discards all cached state (the buffers are kept for reuse).
 func (ws *workspace[C]) invalidate() {
 	ws.obs = nil
 	ws.complete = false
-	ws.committed = 0
-	ws.commitFresh = false
 	for i := range ws.levels {
 		ws.levels[i].valid = false
 		ws.levels[i].front.clear()
@@ -388,24 +365,6 @@ func (ws *workspace[C]) prepare(obs any, epoch, cleanGen uint64, dirty, nseg int
 	if dirty > nseg {
 		dirty = nseg
 	}
-	if dirty < ws.committed {
-		// Committed levels are frozen: observations that arrive above the
-		// commit floor are never folded. Every surviving path runs through
-		// the whole committed chain, so the missing terms shift all compared
-		// costs by the same constant and the search order is unchanged —
-		// forgoing prefix revision is the approximation.
-		dirty = ws.committed
-	}
-	if ws.commitFresh {
-		// A commit just pruned the frontiers above the floor; resume at the
-		// floor once so every frontier from there down is re-selected
-		// against the pruned parent before a backtrack walks its parent
-		// indices again.
-		if dirty > ws.committed {
-			dirty = ws.committed
-		}
-		ws.commitFresh = false
-	}
 	return dirty
 }
 
@@ -420,20 +379,26 @@ func (ws *workspace[C]) prepare(obs any, epoch, cleanGen uint64, dirty, nseg int
 // irrelevant: each spine's fold is independent.) Batching keeps the
 // engine-to-coster interface dispatch off the per-child path: the engine
 // issues one call per contiguous block of children, and the coster keeps its
-// per-level state in registers across the block. prepareLevel runs
-// single-threaded before a level is expanded, so costers can stage per-level
-// scratch (flattened observation arrays; the quantized costers also snap the
-// level's observations onto the integer grid) that the sharded cost folds
-// then read concurrently.
+// per-level state in registers across the block.
+//
+// The concurrency contract: prepareLevel runs single-threaded before a level
+// is expanded, and may stage per-level scratch on the coster (flattened
+// observation arrays; the quantized costers also snap the level's
+// observations onto the integer grid). After prepareLevel, costTailMany only
+// reads the coster — the sharded folds call it concurrently — and keeps any
+// batch scratch in the caller-owned scr, of which every shard has its own.
 type levelCoster[C costValue] interface {
 	numObs(level int) int
 	prepareLevel(level int)
-	costTailMany(locals []C, spines []uint64, level, from int)
-	// unitCost is the carrier magnitude of one unit of the exact metric's
-	// natural cost scale (1 squared-Euclidean unit for AWGN, 1 bit flip for
-	// BSC). The approximate search uses it to convert a metric-agnostic
-	// cost gap into this engine's carrier.
-	unitCost() float64
+	costTailMany(locals []C, spines []uint64, level, from int, scr *foldScratch)
+}
+
+// foldScratch is batch scratch for a coster's fold, owned by the caller so
+// concurrent folds never share it: the engine keeps one per shard and one
+// for its serial path.
+type foldScratch struct {
+	words []uint64
+	acc   []int64
 }
 
 // Region kinds mirror the three expansion paths of engine.run.
@@ -472,6 +437,7 @@ type parShard[C costValue] struct {
 	// streaming path.
 	blockSpine []uint64
 	blockLocal []C
+	fold       foldScratch
 }
 
 // block returns the shard's reusable n-sized child block buffers.
@@ -530,20 +496,10 @@ func (e *engine[C, O]) run(coster levelCoster[C], obs any, gen, epoch, cleanGen 
 	d.nodesRefreshed = 0
 	d.nodesSaved = 0
 
-	// Approximate search: all narrowing happens post-selection in the
+	// The bubble cap of the approximate search is decided per level in the
 	// single-threaded section of the level loop, so approximate decodes
 	// remain bit-identical at every worker count, exactly like exact ones.
-	// obsTotal counts the observations folded into path costs through the
-	// current level; the gap filter uses it to turn the level's best cost
-	// into an implicit per-observation noise estimate.
-	sc := d.search
-	approx := sc.Mode != SearchExact
-	obsTotal := 0
-	if approx {
-		for t := 0; t < start; t++ {
-			obsTotal += coster.numObs(t)
-		}
-	}
+	approx := d.search == SearchApprox
 
 	// parentOK tracks whether the previous level's frontier is structurally
 	// identical (same spine/parent/seg in the same order) to the one the
@@ -573,18 +529,19 @@ func (e *engine[C, O]) run(coster levelCoster[C], obs any, gen, epoch, cleanGen 
 			// every candidate (maxCand), because with no local evidence any
 			// child might win once observations arrive — and with sparse
 			// schedules that breadth, times 2^k children each, dominates the
-			// whole session's expansion count. The approximate modes keep only
-			// the children of the cheapest few parents instead. Children of a
+			// whole session's expansion count. The approximate mode keeps only
+			// the children of the W cheapest parents instead. Children of a
 			// parent all inherit its path cost, so top-(W*nSeg) selection is
-			// exactly "children of the W cheapest parents". No decode can
-			// succeed while any level is unobserved (its segment would be a
-			// blind guess), and once the level's first observation arrives the
-			// resume re-selects it and everything above from evidence — so
-			// the cap trades no delivered rate for the bulk of the savings.
+			// exactly "children of the W cheapest parents". The cap is
+			// lossless on every attempt that can succeed: no decode can pass
+			// the CRC while a level is unobserved (its segment would be a
+			// blind guess) except by chance, and a level's first observation
+			// makes it dirty, so the resume re-selects it and everything
+			// below it. Once every level is observed no capped frontier
+			// survives, and the decode equals the exact one. The last level
+			// is left alone: nothing is expanded from it.
 			if approx && t < nseg-1 {
-				if k := bubbleParents(sc.ExpandTop) * nSeg; k < keep {
-					keep = k
-				}
+				keep = min(keep, bubbleParents(d.b)*nSeg)
 			}
 		}
 		ws.sel.reset(keep)
@@ -601,7 +558,7 @@ func (e *engine[C, O]) run(coster levelCoster[C], obs any, gen, epoch, cleanGen 
 					units: len(lv.childSpine), keep: keep})
 			} else {
 				_, cb := ws.block(nSeg)
-				d.nodesRefreshed += e.refreshRange(coster, lv, parent, t, nObs, nSeg, 0, len(lv.childSpine), &ws.sel, cb)
+				d.nodesRefreshed += e.refreshRange(coster, lv, parent, t, nObs, nSeg, 0, len(lv.childSpine), &ws.sel, &ws.fold, cb)
 			}
 			lv.childObs = nObs
 
@@ -631,7 +588,7 @@ func (e *engine[C, O]) run(coster levelCoster[C], obs any, gen, epoch, cleanGen 
 					outSpine: outSpine, outLocal: outLocal, units: parent.len(), keep: keep})
 			} else {
 				_, cb := ws.block(nSeg)
-				x, r := e.rebuildRange(coster, lv, parent, t, nObs, nSeg, reuse, 0, parent.len(), outSpine, outLocal, &ws.sel, cb)
+				x, r := e.rebuildRange(coster, lv, parent, t, nObs, nSeg, reuse, 0, parent.len(), outSpine, outLocal, &ws.sel, &ws.fold, cb)
 				d.nodesExpanded += x
 				d.nodesRefreshed += r
 			}
@@ -652,7 +609,7 @@ func (e *engine[C, O]) run(coster levelCoster[C], obs any, gen, epoch, cleanGen 
 					parent: parent, t: t, nSeg: nSeg, units: parent.len(), keep: keep})
 			} else {
 				bs, bl := ws.block(nSeg)
-				d.nodesExpanded += e.streamRange(coster, parent, t, nSeg, 0, parent.len(), &ws.sel, bs, bl)
+				d.nodesExpanded += e.streamRange(coster, parent, t, nSeg, 0, parent.len(), &ws.sel, &ws.fold, bs, bl)
 			}
 			lv.childObs = nObs
 		}
@@ -665,26 +622,12 @@ func (e *engine[C, O]) run(coster levelCoster[C], obs any, gen, epoch, cleanGen 
 		// still agree exactly.
 		newNodes := ws.sel.canonical()
 
-		// Approximate narrowing runs between selection and installation, so
-		// the stored frontier IS the narrowed one — parent indices stay
-		// valid and the next level expands only the survivors. Unobserved
-		// (punctured) levels keep their full maxCand breadth: their costs
-		// carry no local evidence to prune on. The last level is left alone
-		// too — the backtrack already picks the single best leaf.
-		if approx {
-			obsTotal += nObs
-			if nObs > 0 && t < nseg-1 && len(newNodes) > 1 {
-				newNodes = e.approxNarrow(coster, newNodes, t, nObs, obsTotal, sc)
-			} else if nObs == 0 && t < nseg-1 {
-				// Account the bubble cap's savings against what the exact
-				// search would have retained (and the next level expanded).
-				full := parent.len() * nSeg
-				if full > d.maxCand {
-					full = d.maxCand
-				}
-				if extra := full - len(newNodes); extra > 0 {
-					d.nodesSaved += extra * (1 << uint(d.p.SegmentBits(t+1)))
-				}
+		if approx && nObs == 0 && t < nseg-1 {
+			// Account the bubble cap's savings against what the exact search
+			// would have retained (and the next level expanded).
+			full := min(parent.len()*nSeg, d.maxCand)
+			if extra := full - len(newNodes); extra > 0 {
+				d.nodesSaved += extra * (1 << uint(d.p.SegmentBits(t+1)))
 			}
 		}
 
@@ -719,13 +662,6 @@ func (e *engine[C, O]) run(coster levelCoster[C], obs any, gen, epoch, cleanGen 
 	}
 	msg := packSegments(d.p, segs)
 
-	// Freeze converged prefixes after the backtrack (the walk above needs
-	// the un-pruned parent indexing). Only worthwhile when the workspace
-	// persists to the next attempt.
-	if approx && d.incremental && sc.commitEnabled() {
-		e.commitPrefix(coster, nseg, sc)
-	}
-
 	ws.gen = gen
 	ws.epoch = epoch
 	ws.complete = true
@@ -746,12 +682,12 @@ func (e *engine[C, O]) run(coster levelCoster[C], obs any, gen, epoch, cleanGen 
 // depend on how the range was sharded. The two phases are separate flat
 // loops over the parallel child arrays. Returns the number of cached nodes
 // reused.
-func (e *engine[C, O]) refreshRange(coster levelCoster[C], lv *cachedLevel[C], parent *frontier[C], t, nObs, nSeg, lo, hi int, sel *selector[C], costBuf []C) int {
+func (e *engine[C, O]) refreshRange(coster levelCoster[C], lv *cachedLevel[C], parent *frontier[C], t, nObs, nSeg, lo, hi int, sel *selector[C], scr *foldScratch, costBuf []C) int {
 	if lo >= hi {
 		return 0
 	}
 	if lv.childObs < nObs {
-		coster.costTailMany(lv.childLocal[lo:hi], lv.childSpine[lo:hi], t, lv.childObs)
+		coster.costTailMany(lv.childLocal[lo:hi], lv.childSpine[lo:hi], t, lv.childObs, scr)
 	}
 	// Offer path costs parent block by parent block: the layout is
 	// parent-major, so (parent, seg) identity is derived from the index. The
@@ -792,7 +728,7 @@ func (e *engine[C, O]) refreshRange(coster levelCoster[C], lv *cachedLevel[C], p
 // their cached children blocks reused with a term-by-term cost extension;
 // new parents are expanded by hash replay with a full cost fold. Returns
 // (freshly expanded, refreshed) node counts.
-func (e *engine[C, O]) rebuildRange(coster levelCoster[C], lv *cachedLevel[C], parent *frontier[C], t, nObs, nSeg int, reuse bool, lo, hi int, outSpine []uint64, outLocal []C, sel *selector[C], costBuf []C) (expanded, refreshed int) {
+func (e *engine[C, O]) rebuildRange(coster levelCoster[C], lv *cachedLevel[C], parent *frontier[C], t, nObs, nSeg int, reuse bool, lo, hi int, outSpine []uint64, outLocal []C, sel *selector[C], scr *foldScratch, costBuf []C) (expanded, refreshed int) {
 	d := e.d
 	costBuf = costBuf[:nSeg]
 	for pi := lo; pi < hi; pi++ {
@@ -814,13 +750,13 @@ func (e *engine[C, O]) rebuildRange(coster levelCoster[C], lv *cachedLevel[C], p
 		if block >= 0 {
 			copy(outS, lv.childSpine[block:block+nSeg])
 			copy(outL, lv.childLocal[block:block+nSeg])
-			coster.costTailMany(outL, outS, t, lv.childObs)
+			coster.costTailMany(outL, outS, t, lv.childObs, scr)
 			refreshed += nSeg
 		} else {
 			for seg := 0; seg < nSeg; seg++ {
 				outS[seg] = d.family.Next(ps, uint64(seg))
 			}
-			coster.costTailMany(outL, outS, t, 0) // from = 0 overwrites
+			coster.costTailMany(outL, outS, t, 0, scr) // from = 0 overwrites
 			expanded += nSeg
 		}
 		// outL is retained as this level's cache, so the path costs are
@@ -843,7 +779,7 @@ func (e *engine[C, O]) rebuildRange(coster levelCoster[C], lv *cachedLevel[C], p
 // passed block buffers (at least nSeg long) and the selector, without
 // retaining the children — the over-budget and non-incremental path. Returns
 // the number of nodes expanded.
-func (e *engine[C, O]) streamRange(coster levelCoster[C], parent *frontier[C], t, nSeg, lo, hi int, sel *selector[C], blockSpine []uint64, blockLocal []C) int {
+func (e *engine[C, O]) streamRange(coster levelCoster[C], parent *frontier[C], t, nSeg, lo, hi int, sel *selector[C], scr *foldScratch, blockSpine []uint64, blockLocal []C) int {
 	d := e.d
 	blockSpine = blockSpine[:nSeg]
 	blockLocal = blockLocal[:nSeg]
@@ -857,8 +793,8 @@ func (e *engine[C, O]) streamRange(coster levelCoster[C], parent *frontier[C], t
 		for seg := 0; seg < nSeg; seg++ {
 			blockSpine[seg] = d.family.Next(ps, uint64(seg))
 		}
-		coster.costTailMany(blockLocal, blockSpine, t, 0) // from = 0 overwrites
-		e.ops.AddTo(blockLocal, base)                     // children are not retained, so add in place
+		coster.costTailMany(blockLocal, blockSpine, t, 0, scr) // from = 0 overwrites
+		e.ops.AddTo(blockLocal, base)                          // children are not retained, so add in place
 		for seg := 0; seg < nSeg; seg++ {
 			cost := blockLocal[seg]
 			key := keyBase | int64(seg)
@@ -902,279 +838,6 @@ func (e *engine[C, O]) runRegion(w int, region parRegion[C]) {
 	}
 }
 
-// costLimit converts an exact-unit gap above a best cost into the engine's
-// carrier, saturating the int32 carrier so an over-wide gap prunes nothing
-// instead of wrapping.
-func costLimit[C costValue](best C, gap float64) C {
-	v := float64(best) + gap
-	var out C
-	switch p := any(&out).(type) {
-	case *float64:
-		*p = v
-	case *int32:
-		if v >= math.MaxInt32 {
-			*p = math.MaxInt32
-		} else {
-			*p = int32(v)
-		}
-	}
-	return out
-}
-
-// approxNarrow applies the approximate search's post-selection filters to a
-// level's canonical selection: cost-gap pruning first (drop candidates the
-// running best already dominates by more than the gap), then lookahead
-// narrowing (keep only the top-M candidates ranked by a half-level probe of
-// each one's cheapest child). Both preserve the canonical key order, so the
-// narrowed set installs as a frontier exactly like an unfiltered one, and
-// both run in the level loop's single-threaded section, so results do not
-// depend on the worker count.
-//
-// The per-level gap is self-scaling: best/obsTotal — the best path's average
-// cost per observation — is an implicit estimate of the channel's noise
-// energy (the true path's cost is almost entirely noise), and a candidate is
-// discarded when its excess over the best exceeds CostGap such units per
-// observation of the narrowed level (paths that differ at the current
-// segment accrue one excess term per observation of it). Working in units of
-// the observed best cost keeps one default meaningful across SNRs, channels
-// and cost carriers, where any fixed absolute gap would prune everything at
-// one operating point and nothing at another.
-func (e *engine[C, O]) approxNarrow(coster levelCoster[C], nodes []cand[C], t, nObs, obsTotal int, sc SearchConfig) []cand[C] {
-	d := e.d
-	// Saved-work accounting: every dropped survivor would have expanded a
-	// full child block at the next level.
-	nSegNext := 1 << uint(d.p.SegmentBits(t+1))
-	if sc.gapEnabled() {
-		best := nodes[0].cost
-		for i := 1; i < len(nodes); i++ {
-			if nodes[i].cost < best {
-				best = nodes[i].cost
-			}
-		}
-		gap := sc.CostGap * coster.unitCost() // absolute, in exact-metric units
-		if sc.PerLevel {
-			gap = sc.CostGap * float64(nObs) * float64(best) / float64(obsTotal)
-		}
-		limit := costLimit(best, gap)
-		out := nodes[:0]
-		for _, n := range nodes {
-			if n.cost > limit {
-				continue
-			}
-			out = append(out, n)
-		}
-		d.nodesSaved += (len(nodes) - len(out)) * nSegNext
-		nodes = out
-	}
-	if sc.lookaheadEnabled() && len(nodes) > sc.ExpandTop {
-		nodes = e.lookaheadNarrow(coster, nodes, t, nSegNext, sc)
-	}
-	return nodes
-}
-
-// lookaheadNarrow keeps sc.ExpandTop candidates of a selection: half by
-// path cost, half ranked by path cost plus a lookahead probe, where the
-// probe expands a stride-subsampled slice of each candidate's children at
-// the next level (hash replay plus a full cost fold — counted as expanded
-// nodes) and adds the cheapest probed child's local cost to the candidate's
-// own. When the next level
-// has no observations the probe carries no information, and the frontier is
-// left untouched rather than truncated blind — punctured levels keep their
-// breadth. The kept set is returned in canonical key order.
-func (e *engine[C, O]) lookaheadNarrow(coster levelCoster[C], nodes []cand[C], t, nSegNext int, sc SearchConfig) []cand[C] {
-	d := e.d
-	ws := &e.ws
-	next := t + 1
-	if coster.numObs(next) == 0 {
-		return nodes
-	}
-	probes := sc.Lookahead
-	if probes <= 0 {
-		// Half a level of branching: 2^ceil(k/2) of the 2^k children.
-		probes = 1 << uint((d.p.SegmentBits(next)+1)/2)
-	}
-	if probes > nSegNext {
-		probes = nSegNext
-	}
-	stride := nSegNext / probes
-
-	coster.prepareLevel(next) // restaged for level next by the loop's next iteration
-	bs, bl := ws.block(probes)
-	bs, bl = bs[:probes], bl[:probes]
-	ws.laScore = sized(ws.laScore, len(nodes))
-	scores := ws.laScore
-	for i := range nodes {
-		ps := nodes[i].spine
-		for j := 0; j < probes; j++ {
-			bs[j] = d.family.Next(ps, uint64(j*stride))
-		}
-		coster.costTailMany(bl, bs, next, 0)
-		minLocal := bl[0]
-		for j := 1; j < probes; j++ {
-			if bl[j] < minLocal {
-				minLocal = bl[j]
-			}
-		}
-		scores[i] = e.ops.Add(nodes[i].cost, minLocal)
-	}
-	d.nodesExpanded += len(nodes) * probes
-
-	// Retain sc.ExpandTop candidates: the top half by (cost, key) — the
-	// probe min is a stride subsample, so it almost never contains a
-	// candidate's true continuation, and ranking by probe alone would let
-	// that sampling noise evict the current best path (in the noiseless
-	// limit the zero-cost true path must survive every level) — and the
-	// rest by (score, key), which is where the lookahead earns its keep by
-	// promoting a middling prefix whose continuations look strong. Both
-	// orders are strict (key breaks ties), so the kept set is unique;
-	// compaction preserves the canonical key order.
-	m := sc.ExpandTop
-	byCost := (m + 1) / 2
-	ws.laKeep = sized(ws.laKeep, len(nodes))
-	keep := ws.laKeep
-	for i := range keep {
-		keep[i] = false
-	}
-	for r := 0; r < m; r++ {
-		bi := -1
-		for i := range nodes {
-			if keep[i] {
-				continue
-			}
-			if bi < 0 {
-				bi = i
-				continue
-			}
-			if r < byCost {
-				if nodes[i].cost < nodes[bi].cost ||
-					(nodes[i].cost == nodes[bi].cost && nodes[i].key < nodes[bi].key) {
-					bi = i
-				}
-			} else if scores[i] < scores[bi] ||
-				(scores[i] == scores[bi] && nodes[i].key < nodes[bi].key) {
-				bi = i
-			}
-		}
-		keep[bi] = true
-	}
-	out := nodes[:0]
-	for i := range nodes {
-		if keep[i] {
-			out = append(out, nodes[i])
-		}
-	}
-	d.nodesSaved += (len(keep) - len(out)) * nSegNext
-	return out
-}
-
-// minCommitObs is the least number of folded observations a level must have
-// before prefix commit may freeze it. Sparse schedules (striping) plus the
-// per-symbol early attempts leave whole levels with zero or one observation;
-// their children tie on cost, the (cost, key) tie-break keeps only children
-// of the lowest-indexed parent, and the leaf ancestor set "converges" onto an
-// arbitrary chain that has nothing to do with the message. Committing such a
-// level is irreversible and kills the session, so commit waits for evidence.
-// Four observations (not one or two): with the frontier narrowed to ExpandTop
-// nodes, ancestor sets converge far more readily than under the full beam,
-// and sessions that would have succeeded within a pass or two of the commit
-// were observed to freeze a wrong prefix at two observations per level.
-const minCommitObs = 4
-
-// commitPrefix freezes the spine prefix every surviving path agrees on.
-// Ancestor sets of the final frontier only shrink toward the root (each node
-// has one parent), so there is a deepest level u whose ancestor set is a
-// single node; every level at or above u is fully converged. The commit
-// floor keeps sc.CommitLevels converged levels revisable as a safety margin
-// and freezes everything above: committed levels' frontiers are pruned to
-// the single chain node (re-keyed to parent index 0 so later backtracks walk
-// the chain), their caches are dropped, and prepare never resumes above the
-// floor again. The first uncommitted level's cache is dropped too — it was
-// expanded from the frontier just pruned — which makes the next attempt
-// rebuild it from the one-node parent; block reuse via the spine index keeps
-// that cheap.
-func (e *engine[C, O]) commitPrefix(coster levelCoster[C], nseg int, sc SearchConfig) {
-	ws := &e.ws
-	leaves := &ws.levels[nseg-1].front
-	cur, nxt := ws.ancA[:0], ws.ancB[:0]
-	for i := 0; i < leaves.len(); i++ {
-		cur = append(cur, int32(i))
-	}
-	u := -1
-	for t := nseg - 1; t >= 0; t-- {
-		if len(cur) == 1 {
-			u = t
-			break
-		}
-		if t == 0 {
-			break
-		}
-		// Frontiers are in (parent, seg) key order, so parents of ascending
-		// child indices are non-decreasing and adjacent dedup suffices.
-		f := &ws.levels[t].front
-		nxt = nxt[:0]
-		for _, i := range cur {
-			p := f.parent(int(i))
-			if len(nxt) == 0 || nxt[len(nxt)-1] != p {
-				nxt = append(nxt, p)
-			}
-		}
-		cur, nxt = nxt, cur
-	}
-	ws.ancA, ws.ancB = cur[:0], nxt[:0] // retain grown capacity, unaliased
-	if u < 0 {
-		return
-	}
-	c := u + 1 - sc.CommitLevels
-	if c > nseg-1 {
-		c = nseg - 1 // the leaf level always stays live
-	}
-	// Never freeze past a level whose convergence could be a tie-break
-	// artifact rather than evidence (see minCommitObs).
-	for t := ws.committed; t < c; t++ {
-		if coster.numObs(t) < minCommitObs {
-			c = t
-			break
-		}
-	}
-	if c <= ws.committed {
-		return
-	}
-
-	// Walk the converged chain from u to the root, then prune the frontiers
-	// of the newly committed levels down to it.
-	ws.chain = sized(ws.chain, u+1)
-	chain := ws.chain
-	chain[u] = cur[0]
-	for t := u; t > 0; t-- {
-		chain[t-1] = ws.levels[t].front.parent(int(chain[t]))
-	}
-	for t := ws.committed; t < c; t++ {
-		lv := &ws.levels[t]
-		i := int(chain[t])
-		seg := lv.front.seg(i)
-		spine, cost := lv.front.spine[i], lv.front.cost[i]
-		e.d.nodesSaved += lv.front.len() - 1
-		lv.front.spine = lv.front.spine[:1]
-		lv.front.cost = lv.front.cost[:1]
-		lv.front.key = lv.front.key[:1]
-		lv.front.spine[0], lv.front.cost[0] = spine, cost
-		lv.front.key[0] = packKey(0, seg)
-		lv.prev.clear()
-		lv.valid = false
-		lv.childSpine = lv.childSpine[:0]
-		lv.childLocal = lv.childLocal[:0]
-	}
-	lvc := &ws.levels[c]
-	lvc.valid = false
-	lvc.childSpine = lvc.childSpine[:0]
-	lvc.childLocal = lvc.childLocal[:0]
-	ws.committed = c
-	// Level c's retained frontier still references pre-prune parent indices
-	// at level c-1; prepare forces the next attempt to resume at the floor,
-	// which re-selects it (and everything below) against the pruned chain.
-	ws.commitFresh = true
-}
-
 // runShard is the body every worker executes: carve this shard's chunk out
 // of the region and run the matching range expansion into the shard-private
 // selector and counters.
@@ -1188,12 +851,12 @@ func (e *engine[C, O]) runShard(shard int) {
 	switch rg.kind {
 	case regionRefresh:
 		_, cb := sh.block(rg.nSeg)
-		sh.refreshed = e.refreshRange(rg.coster, rg.lv, rg.parent, rg.t, rg.nObs, rg.nSeg, lo, hi, &sh.sel, cb)
+		sh.refreshed = e.refreshRange(rg.coster, rg.lv, rg.parent, rg.t, rg.nObs, rg.nSeg, lo, hi, &sh.sel, &sh.fold, cb)
 	case regionRebuild:
 		_, cb := sh.block(rg.nSeg)
-		sh.expanded, sh.refreshed = e.rebuildRange(rg.coster, rg.lv, rg.parent, rg.t, rg.nObs, rg.nSeg, rg.reuse, lo, hi, rg.outSpine, rg.outLocal, &sh.sel, cb)
+		sh.expanded, sh.refreshed = e.rebuildRange(rg.coster, rg.lv, rg.parent, rg.t, rg.nObs, rg.nSeg, rg.reuse, lo, hi, rg.outSpine, rg.outLocal, &sh.sel, &sh.fold, cb)
 	case regionStream:
 		bs, bl := sh.block(rg.nSeg)
-		sh.expanded = e.streamRange(rg.coster, rg.parent, rg.t, rg.nSeg, lo, hi, &sh.sel, bs, bl)
+		sh.expanded = e.streamRange(rg.coster, rg.parent, rg.t, rg.nSeg, lo, hi, &sh.sel, &sh.fold, bs, bl)
 	}
 }

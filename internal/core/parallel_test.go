@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -12,8 +13,9 @@ import (
 // Tests for the parallel decode engine. The contract under test is strict:
 // a decode sharded across any number of worker goroutines must produce a
 // DecodeResult that is byte-identical to the serial decode — same message,
-// same cost, same NodesExpanded/NodesRefreshed accounting — with incremental
-// reuse on or off, over both channel kinds.
+// same cost, same NodesExpanded/NodesRefreshed/NodesSaved accounting — with
+// incremental reuse on or off, over both channel kinds, both cost metrics
+// and both search modes.
 
 // forceParallel lowers the sharding thresholds so that even the small trees
 // used by tests exercise the multi-worker paths, restoring them afterwards.
@@ -35,7 +37,8 @@ func parallelisms() []int {
 }
 
 // decodeVariant is one (parallelism, incremental) decoder configuration fed
-// the same symbol stream as the serial reference.
+// the same symbol stream as the serial reference; every variant of a set
+// shares one (metric, search mode).
 type decodeVariant struct {
 	workers     int
 	incremental bool
@@ -43,13 +46,19 @@ type decodeVariant struct {
 	last        *DecodeResult
 }
 
-func newVariants(t *testing.T, p Params, beam int) []*decodeVariant {
+func newVariants(t *testing.T, p Params, beam int, metric CostMetric, mode SearchMode) []*decodeVariant {
 	t.Helper()
 	var vs []*decodeVariant
 	for _, inc := range []bool{true, false} {
 		for _, w := range parallelisms() {
 			dec, err := NewBeamDecoder(p, beam)
 			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dec.SetCostMetric(metric); err != nil {
+				t.Fatal(err)
+			}
+			if err := dec.SetSearchMode(mode); err != nil {
 				t.Fatal(err)
 			}
 			dec.SetIncremental(inc)
@@ -73,69 +82,84 @@ func checkVariants(t *testing.T, p Params, vs []*decodeVariant, attempt int) {
 			t.Fatalf("attempt %d: workers=%d incremental=%v decoded (%x, %v), reference (%x, %v)",
 				attempt, v.workers, v.incremental, got.Message, got.Cost, ref.Message, ref.Cost)
 		}
-		if v.incremental == vs[0].incremental &&
-			(got.NodesExpanded != ref.NodesExpanded || got.NodesRefreshed != ref.NodesRefreshed) {
-			t.Fatalf("attempt %d: workers=%d accounting (%d expanded, %d refreshed) differs from serial (%d, %d)",
-				attempt, v.workers, got.NodesExpanded, got.NodesRefreshed, ref.NodesExpanded, ref.NodesRefreshed)
+		if v.incremental == vs[0].incremental && (got.NodesExpanded != ref.NodesExpanded ||
+			got.NodesRefreshed != ref.NodesRefreshed || got.NodesSaved != ref.NodesSaved) {
+			t.Fatalf("attempt %d: workers=%d accounting (%d expanded, %d refreshed, %d saved) differs from serial (%d, %d, %d)",
+				attempt, v.workers, got.NodesExpanded, got.NodesRefreshed, got.NodesSaved,
+				ref.NodesExpanded, ref.NodesRefreshed, ref.NodesSaved)
+		}
+	}
+}
+
+// forMetricsAndModes runs body as one subtest per (cost metric, search
+// mode).
+func forMetricsAndModes(t *testing.T, body func(t *testing.T, metric CostMetric, mode SearchMode)) {
+	t.Helper()
+	for _, metric := range costMetrics {
+		for _, mode := range searchModes {
+			t.Run(fmt.Sprintf("%v/%v", metric, mode), func(t *testing.T) { body(t, metric, mode) })
 		}
 	}
 }
 
 // TestParallelMatchesSerialAWGN interleaves Observe and Decode over an AWGN
-// channel for every (parallelism, incremental) combination and checks each
-// attempt against the serial incremental reference.
+// channel for every (parallelism, incremental) combination, under every
+// (metric, search mode), and checks each attempt against the serial
+// incremental reference.
 func TestParallelMatchesSerialAWGN(t *testing.T) {
 	forceParallel(t)
 	for _, tc := range incrementalCases() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			p := tc.params
-			sched := caseSchedule(t, tc)
-			msg := RandomMessage(rng.New(p.Seed^0x5eed), p.MessageBits)
-			enc, err := NewEncoder(p, msg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			vs := newVariants(t, p, 8)
-			type stream struct {
-				ch  *channel.AWGN
-				obs *Observations
-			}
-			streams := make([]*stream, len(vs))
-			for i := range vs {
-				// Each variant replays an identical noisy symbol stream from
-				// its own channel instance and observation container.
-				ch, err := channel.NewAWGNdB(6, rng.New(p.Seed^0xbeef))
+			forMetricsAndModes(t, func(t *testing.T, metric CostMetric, mode SearchMode) {
+				p := tc.params
+				sched := caseSchedule(t, tc)
+				msg := RandomMessage(rng.New(p.Seed^0x5eed), p.MessageBits)
+				enc, err := NewEncoder(p, msg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				obs, err := NewObservations(p.NumSegments())
-				if err != nil {
-					t.Fatal(err)
+				vs := newVariants(t, p, 8, metric, mode)
+				type stream struct {
+					ch  *channel.AWGN
+					obs *Observations
 				}
-				streams[i] = &stream{ch: ch, obs: obs}
-			}
-			total := tc.passes * p.NumSegments()
-			for i := 0; i < total; i++ {
-				pos := sched.Pos(i)
-				clean := enc.SymbolAt(pos)
-				for s := range streams {
-					if err := streams[s].obs.Add(pos, streams[s].ch.Corrupt(clean)); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if (i+1)%tc.attemptEvery != 0 {
-					continue
-				}
-				for v := range vs {
-					out, err := vs[v].dec.Decode(streams[v].obs)
+				streams := make([]*stream, len(vs))
+				for i := range vs {
+					// Each variant replays an identical noisy symbol stream from
+					// its own channel instance and observation container.
+					ch, err := channel.NewAWGNdB(6, rng.New(p.Seed^0xbeef))
 					if err != nil {
 						t.Fatal(err)
 					}
-					vs[v].last = out
+					obs, err := NewObservations(p.NumSegments())
+					if err != nil {
+						t.Fatal(err)
+					}
+					streams[i] = &stream{ch: ch, obs: obs}
 				}
-				checkVariants(t, p, vs, i+1)
-			}
+				total := tc.passes * p.NumSegments()
+				for i := 0; i < total; i++ {
+					pos := sched.Pos(i)
+					clean := enc.SymbolAt(pos)
+					for s := range streams {
+						if err := streams[s].obs.Add(pos, streams[s].ch.Corrupt(clean)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if (i+1)%tc.attemptEvery != 0 {
+						continue
+					}
+					for v := range vs {
+						out, err := vs[v].dec.Decode(streams[v].obs)
+						if err != nil {
+							t.Fatal(err)
+						}
+						vs[v].last = out
+					}
+					checkVariants(t, p, vs, i+1)
+				}
+			})
 		})
 	}
 }
@@ -146,64 +170,67 @@ func TestParallelMatchesSerialBSC(t *testing.T) {
 	for _, tc := range incrementalCases() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			p := tc.params
-			sched := caseSchedule(t, tc)
-			msg := RandomMessage(rng.New(p.Seed^0xcafe), p.MessageBits)
-			enc, err := NewEncoder(p, msg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			vs := newVariants(t, p, 8)
-			type stream struct {
-				bsc *channel.BSC
-				obs *BitObservations
-			}
-			streams := make([]*stream, len(vs))
-			for i := range vs {
-				bsc, err := channel.NewBSC(0.08, rng.New(p.Seed^0x7777))
+			forMetricsAndModes(t, func(t *testing.T, metric CostMetric, mode SearchMode) {
+				p := tc.params
+				sched := caseSchedule(t, tc)
+				msg := RandomMessage(rng.New(p.Seed^0xcafe), p.MessageBits)
+				enc, err := NewEncoder(p, msg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				obs, err := NewBitObservations(p.NumSegments())
-				if err != nil {
-					t.Fatal(err)
+				vs := newVariants(t, p, 8, metric, mode)
+				type stream struct {
+					bsc *channel.BSC
+					obs *BitObservations
 				}
-				streams[i] = &stream{bsc: bsc, obs: obs}
-			}
-			// The BSC's Hamming metric produces constant integer costs, so
-			// cost ties are everywhere — exactly the regime where the total
-			// order has to keep shards in agreement.
-			total := (tc.passes + 6) * p.NumSegments()
-			for i := 0; i < total; i++ {
-				pos := sched.Pos(i)
-				clean := enc.CodedBit(pos.Spine, pos.Pass)
-				for s := range streams {
-					if err := streams[s].obs.Add(pos, streams[s].bsc.CorruptBit(clean)); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if (i+1)%tc.attemptEvery != 0 {
-					continue
-				}
-				for v := range vs {
-					out, err := vs[v].dec.DecodeBits(streams[v].obs)
+				streams := make([]*stream, len(vs))
+				for i := range vs {
+					bsc, err := channel.NewBSC(0.08, rng.New(p.Seed^0x7777))
 					if err != nil {
 						t.Fatal(err)
 					}
-					vs[v].last = out
+					obs, err := NewBitObservations(p.NumSegments())
+					if err != nil {
+						t.Fatal(err)
+					}
+					streams[i] = &stream{bsc: bsc, obs: obs}
 				}
-				checkVariants(t, p, vs, i+1)
-			}
+				// The BSC's Hamming metric produces constant integer costs, so
+				// cost ties are everywhere — exactly the regime where the total
+				// order has to keep shards in agreement.
+				total := (tc.passes + 6) * p.NumSegments()
+				for i := 0; i < total; i++ {
+					pos := sched.Pos(i)
+					clean := enc.CodedBit(pos.Spine, pos.Pass)
+					for s := range streams {
+						if err := streams[s].obs.Add(pos, streams[s].bsc.CorruptBit(clean)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if (i+1)%tc.attemptEvery != 0 {
+						continue
+					}
+					for v := range vs {
+						out, err := vs[v].dec.DecodeBits(streams[v].obs)
+						if err != nil {
+							t.Fatal(err)
+						}
+						vs[v].last = out
+					}
+					checkVariants(t, p, vs, i+1)
+				}
+			})
 		})
 	}
 }
 
 // TestParallelDecodeProperty is the quick-check form of the equivalence
-// claim: for arbitrary parameters, messages and observation counts, a
-// 3-worker decode equals the serial decode bit for bit.
+// claim: for arbitrary parameters, messages, observation counts, cost
+// metrics and search modes, a 3-worker decode equals the serial decode bit
+// for bit.
 func TestParallelDecodeProperty(t *testing.T) {
 	forceParallel(t)
-	prop := func(seed uint64, kRaw, bitsRaw, obsCount uint8) bool {
+	prop := func(seed uint64, kRaw, bitsRaw, obsCount uint8, int32Metric, approx bool) bool {
 		k := int(kRaw%6) + 2
 		bits := int(bitsRaw%48) + 8
 		p := Params{K: k, C: 8, MessageBits: bits, Seed: seed | 1}
@@ -212,22 +239,33 @@ func TestParallelDecodeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		serial, err := NewBeamDecoder(p, 8)
-		if err != nil {
+		metric, mode := CostFloat64, SearchExact
+		if int32Metric {
+			metric = CostInt32
+		}
+		if approx {
+			mode = SearchApprox
+		}
+		newDec := func(workers int) *BeamDecoder {
+			dec, err := NewBeamDecoder(p, 8)
+			if err != nil || dec.SetCostMetric(metric) != nil || dec.SetSearchMode(mode) != nil {
+				return nil
+			}
+			dec.SetParallelism(workers)
+			return dec
+		}
+		serial, sharded := newDec(1), newDec(3)
+		if serial == nil || sharded == nil {
 			return false
 		}
-		serial.SetParallelism(1)
-		sharded, err := NewBeamDecoder(p, 8)
-		if err != nil {
-			return false
-		}
-		sharded.SetParallelism(3)
 		defer sharded.Close()
 		mkObs := func() *Observations {
 			obs, _ := NewObservations(p.NumSegments())
 			ch, _ := channel.NewAWGNdB(4, rng.New(seed^0x99))
 			sched, _ := NewSequentialSchedule(p.NumSegments())
-			n := int(obsCount%64) + p.NumSegments()
+			// Fewer symbols than spine values leaves levels unobserved, where
+			// the approximate mode's cap applies.
+			n := int(obsCount%64) + p.NumSegments()/2
 			for i := 0; i < n; i++ {
 				pos := sched.Pos(i)
 				if obs.Add(pos, ch.Corrupt(enc.SymbolAt(pos))) != nil {
@@ -251,7 +289,8 @@ func TestParallelDecodeProperty(t *testing.T) {
 		return EqualMessages(outA.Message, outB.Message, bits) &&
 			outA.Cost == outB.Cost &&
 			outA.NodesExpanded == outB.NodesExpanded &&
-			outA.NodesRefreshed == outB.NodesRefreshed
+			outA.NodesRefreshed == outB.NodesRefreshed &&
+			outA.NodesSaved == outB.NodesSaved
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -107,8 +107,8 @@ func (l *LeasedDecoder) Reset() {
 		l.bitObs.Reset()
 	}
 	l.Dec.SetIncremental(true)
-	l.Dec.SetCostMetric(CostFloat64)      // cannot fail: float64 is always valid
-	l.Dec.SetSearchConfig(SearchConfig{}) // cannot fail: exact is always valid
+	l.Dec.SetCostMetric(CostFloat64) // cannot fail: float64 is always valid
+	l.Dec.SetSearchMode(SearchExact) // cannot fail: exact is always valid
 	def := DefaultMaxCandidates(l.Dec.p, l.Dec.b)
 	if l.Dec.maxCand != def {
 		l.Dec.maxCand = def

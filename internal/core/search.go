@@ -1,21 +1,21 @@
 package core
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "fmt"
 
-// This file is the knob surface of the approximate search modes (engine.go
-// holds the mechanics). The modes descend from Perry et al.'s SIGCOMM'12
-// follow-up to the HotNets'11 paper: the beam decoder recovers almost all of
-// the ML decoder's rate while expanding a fraction of the tree if it (a)
-// prunes candidates whose path cost trails the running best by more than a
-// gap no plausible true path would show, (b) fully expands only the top-M
-// frontier nodes, choosing the M by probing each survivor's children half a
-// level ahead, and (c) freezes the spine prefix once every surviving path
-// agrees on it for several consecutive levels, shrinking what later
-// incremental attempts re-search.
+// This file is the knob surface of the approximate search (engine.go holds
+// the mechanics). There is one approximation, the bubble cap: a level with
+// no observations yet keeps only the children of the W cheapest parents
+// instead of every candidate up to MaxCandidates. Because the code is
+// rateless the receiver decodes many times before every spine value has a
+// symbol, and at those attempts the unobserved levels' full breadth — times
+// 2^k children each — dominates the expansion count.
+//
+// The cap cannot cost a decode that could succeed. A level that gains its
+// first observation is dirty, so the incremental resume re-selects it, and
+// every level below it, from evidence with no cap applied: once every level
+// has at least one observation an approximate decode returns exactly what
+// the exact search returns. Before that, some segment of the decoded message
+// is a blind guess, which the CRC rejects except by chance.
 
 // SearchMode selects the decoder's tree-search strategy.
 type SearchMode uint8
@@ -25,18 +25,8 @@ const (
 	// bit-identical to the decoder as it existed before approximate modes,
 	// at every worker count and cost metric.
 	SearchExact SearchMode = iota
-	// SearchGap keeps the full beam but discards surviving candidates whose
-	// path cost exceeds the level's best by more than the configured gap,
-	// and commits converged prefixes. The mildest approximation: it only
-	// drops paths that are already badly losing.
-	SearchGap
-	// SearchLookahead narrows each observed level's frontier to ExpandTop
-	// nodes — half retained by path cost, half ranked by a half-level
-	// lookahead probe of each node's cheapest child — and commits
-	// converged prefixes.
-	SearchLookahead
-	// SearchApprox stacks gap pruning, lookahead narrowing and prefix
-	// commit — the most aggressive mode.
+	// SearchApprox is the exact search plus the bubble cap: an unobserved
+	// level keeps only the children of its W = max(2, B/8) cheapest parents.
 	SearchApprox
 )
 
@@ -45,10 +35,6 @@ func (m SearchMode) String() string {
 	switch m {
 	case SearchExact:
 		return "exact"
-	case SearchGap:
-		return "gap"
-	case SearchLookahead:
-		return "lookahead"
 	case SearchApprox:
 		return "approx"
 	default:
@@ -56,224 +42,45 @@ func (m SearchMode) String() string {
 	}
 }
 
-// SearchConfig configures the approximate search. The zero value is the
-// exact search. Fields other than Mode are advisory refinements: zero means
-// "use the default for this decoder's beam width" (see normalized).
-type SearchConfig struct {
-	// Mode selects the strategy; fields below refine non-exact modes.
-	Mode SearchMode
-	// ExpandTop is M, the number of frontier nodes lookahead narrowing
-	// retains per observed level. Zero means max(2, B/2).
-	ExpandTop int
-	// Lookahead is the number of child segments probed per retained
-	// candidate when ranking the frontier (a stride-subsampled slice of the
-	// 2^k children). Zero means 2^ceil(k/2) — the "half level" of the
-	// SIGCOMM'12 lookahead, resolved at decode time from the code's k.
-	Lookahead int
-	// CostGap is the pruning gap G: a candidate whose path cost exceeds the
-	// level's best by more than the gap is discarded. With PerLevel set
-	// (the default), G is in units of the best path's average cost per
-	// observation — an implicit noise estimate, so one value is meaningful
-	// across SNRs and channels — applied once per observation of the
-	// narrowed level. With PerLevel clear, G is an absolute gap in the
-	// exact metric's natural cost unit (squared Euclidean distance for
-	// AWGN, bit flips for BSC); the quantized metric converts internally.
-	// Zero means the default per-level gap.
-	CostGap float64
-	// PerLevel selects the self-scaling per-observation gap described on
-	// CostGap. Set via normalized defaults for non-exact modes; an explicit
-	// absolute gap can be requested with PerLevel=false and a non-zero
-	// CostGap.
-	PerLevel bool
-	// CommitLevels is how many consecutive levels the surviving paths must
-	// agree on a spine prefix before the prefix is frozen. Zero means 8;
-	// negative disables prefix commit.
-	CommitLevels int
-}
-
-// DefaultCommitLevels is the prefix-commit agreement window used when
-// SearchConfig.CommitLevels is zero.
-const DefaultCommitLevels = 8
-
-// DefaultCostGap is the per-observation pruning gap used when
-// SearchConfig.CostGap is zero, in units of the best path's average
-// per-observation cost (see SearchConfig.CostGap). Chosen empirically: at 4
-// the gap filter never changed a session outcome across the 10-13 dB
-// operating points swept while cutting 20-60% of expansions; at 3 and below
-// it begins to cost successes at tight pass budgets.
-const DefaultCostGap = 4.0
-
-// DefaultExpandTop returns the lookahead retention M used when
-// SearchConfig.ExpandTop is zero, for a beam width b. Half the beam: at B/2
-// the narrowing preserved every session outcome in the operating-point
-// sweeps (B/4 costs real rate whenever the beam is not overprovisioned),
-// while the next level still expands half as many blocks.
-func DefaultExpandTop(b int) int {
-	m := b / 2
-	if m < 2 {
-		m = 2
+// ParseSearchMode resolves a CLI spelling of a search mode: "exact" or
+// "approx". The empty string is the exact default.
+func ParseSearchMode(s string) (SearchMode, error) {
+	switch s {
+	case "", "exact":
+		return SearchExact, nil
+	case "approx":
+		return SearchApprox, nil
+	default:
+		return SearchExact, fmt.Errorf("core: unknown search mode %q (want exact or approx)", s)
 	}
-	return m
 }
 
 // bubbleParents is W, the number of cheapest parents whose children an
-// unobserved level retains under the approximate modes (the "bubble" of
-// still-plausible prefixes carried across punctured levels; engine.run
-// documents why this cannot cost delivered rate). Tied to ExpandTop so the
-// one knob scales both narrowings: a quarter of M, floored at 2 so at least
-// two competing prefixes always survive a punctured stretch.
-func bubbleParents(expandTop int) int {
-	w := expandTop / 4
-	if w < 2 {
-		w = 2
-	}
-	return w
+// unobserved level retains under SearchApprox, for a beam width b: an eighth
+// of the beam, floored at 2 so at least two competing prefixes always
+// survive a punctured stretch.
+func bubbleParents(b int) int {
+	return max(2, b/8)
 }
 
-// normalized validates the config and resolves zero fields to the defaults
-// for a beam width b. Exact mode normalizes to the zero struct so configs
-// compare cleanly; ParseSearchConfig and SetSearchConfig both go through
-// here, so a stored config is always in normal form.
-func (c SearchConfig) normalized(b int) (SearchConfig, error) {
-	switch c.Mode {
-	case SearchExact:
-		return SearchConfig{}, nil
-	case SearchGap, SearchLookahead, SearchApprox:
+// SetSearchMode installs a search strategy on the decoder. Switching
+// strategies invalidates the incremental workspace — frontiers capped under
+// one strategy do not describe another — so the next Decode rebuilds from
+// the root. SearchExact restores the exact search, which is bit-identical to
+// a decoder that never had the approximate mode installed.
+func (d *BeamDecoder) SetSearchMode(m SearchMode) error {
+	switch m {
+	case SearchExact, SearchApprox:
 	default:
-		return c, fmt.Errorf("core: unknown search mode %d", uint8(c.Mode))
+		return fmt.Errorf("core: unknown search mode %d", uint8(m))
 	}
-	if c.ExpandTop < 0 || c.Lookahead < 0 || c.CostGap < 0 {
-		return c, fmt.Errorf("core: negative search parameter in %+v", c)
-	}
-	if c.ExpandTop == 0 {
-		c.ExpandTop = DefaultExpandTop(b)
-	}
-	if c.ExpandTop > b {
-		c.ExpandTop = b
-	}
-	if c.CostGap == 0 {
-		c.CostGap = DefaultCostGap
-		c.PerLevel = true
-	}
-	if c.CommitLevels == 0 {
-		c.CommitLevels = DefaultCommitLevels
-	}
-	if c.CommitLevels < 0 {
-		c.CommitLevels = -1 // canonical "disabled"
-	}
-	// Lookahead == 0 stays 0: the engine resolves it to 2^ceil(k/2) from
-	// the code parameters at decode time.
-	return c, nil
-}
-
-// gapEnabled reports whether cost-gap pruning applies under this config.
-func (c SearchConfig) gapEnabled() bool {
-	return c.Mode == SearchGap || c.Mode == SearchApprox
-}
-
-// lookaheadEnabled reports whether lookahead narrowing applies.
-func (c SearchConfig) lookaheadEnabled() bool {
-	return c.Mode == SearchLookahead || c.Mode == SearchApprox
-}
-
-// commitEnabled reports whether converged prefixes are frozen.
-func (c SearchConfig) commitEnabled() bool {
-	return c.Mode != SearchExact && c.CommitLevels > 0
-}
-
-// String renders the config in the spelling ParseSearchConfig accepts.
-func (c SearchConfig) String() string {
-	switch c.Mode {
-	case SearchExact:
-		return "exact"
-	case SearchGap:
-		if c.CostGap > 0 && !(c.CostGap == DefaultCostGap && c.PerLevel) {
-			return fmt.Sprintf("gap:%g", c.CostGap)
-		}
-		return "gap"
-	case SearchLookahead:
-		if c.ExpandTop > 0 {
-			return fmt.Sprintf("lookahead:%d", c.ExpandTop)
-		}
-		return "lookahead"
-	case SearchApprox:
-		return "approx"
-	default:
-		return c.Mode.String()
-	}
-}
-
-// ParseSearchConfig resolves a CLI spelling of a search mode:
-//
-//	""            exact search (the default)
-//	"exact"       exact search
-//	"gap"         cost-gap pruning at the default per-level gap
-//	"gap:G"       cost-gap pruning with per-level gap G (a float)
-//	"lookahead"   lookahead narrowing at the default top-M
-//	"lookahead:M" lookahead narrowing retaining the top M nodes
-//	"approx"      gap pruning + lookahead + prefix commit
-//
-// The returned config is not yet normalized — zero refinements resolve
-// against the decoder's beam width when the config is installed.
-func ParseSearchConfig(s string) (SearchConfig, error) {
-	base, arg, hasArg := strings.Cut(s, ":")
-	var cfg SearchConfig
-	switch base {
-	case "", "exact":
-		if hasArg {
-			return cfg, fmt.Errorf("core: search mode %q takes no argument", base)
-		}
-		return SearchConfig{}, nil
-	case "gap":
-		cfg.Mode = SearchGap
-		if hasArg {
-			g, err := strconv.ParseFloat(arg, 64)
-			if err != nil || g <= 0 {
-				return cfg, fmt.Errorf("core: bad cost gap %q (want a positive float)", arg)
-			}
-			cfg.CostGap = g
-			cfg.PerLevel = true
-		}
-		return cfg, nil
-	case "lookahead":
-		cfg.Mode = SearchLookahead
-		if hasArg {
-			m, err := strconv.Atoi(arg)
-			if err != nil || m < 1 {
-				return cfg, fmt.Errorf("core: bad lookahead width %q (want a positive integer)", arg)
-			}
-			cfg.ExpandTop = m
-		}
-		return cfg, nil
-	case "approx":
-		if hasArg {
-			return cfg, fmt.Errorf("core: search mode %q takes no argument", base)
-		}
-		return SearchConfig{Mode: SearchApprox}, nil
-	default:
-		return cfg, fmt.Errorf("core: unknown search mode %q (want exact, gap[:G], lookahead[:M] or approx)", s)
-	}
-}
-
-// SetSearchConfig installs a search strategy on the decoder. The config is
-// normalized against the decoder's beam width (zero refinements become
-// defaults); switching strategies invalidates the incremental workspace —
-// frontiers pruned under one strategy do not describe another — so the next
-// Decode rebuilds from the root. The zero SearchConfig restores the exact
-// search, which is bit-identical to a decoder that never had an approximate
-// mode installed.
-func (d *BeamDecoder) SetSearchConfig(sc SearchConfig) error {
-	norm, err := sc.normalized(d.b)
-	if err != nil {
-		return err
-	}
-	if norm == d.search {
+	if m == d.search {
 		return nil
 	}
-	d.search = norm
+	d.search = m
 	d.invalidateWorkspaces()
 	return nil
 }
 
-// SearchConfig reports the installed (normalized) search strategy.
-func (d *BeamDecoder) SearchConfig() SearchConfig { return d.search }
+// SearchMode reports the installed search strategy.
+func (d *BeamDecoder) SearchMode() SearchMode { return d.search }

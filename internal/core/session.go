@@ -164,9 +164,9 @@ type SessionConfig struct {
 	// default, or the quantized CostInt32 metric (see BeamDecoder.SetCostMetric).
 	CostMetric CostMetric
 	// Search selects the decoder's tree-search strategy: the exact beam
-	// search (the zero value) or an approximate mode (see
-	// BeamDecoder.SetSearchConfig).
-	Search SearchConfig
+	// search (the zero value) or the approximate mode (see
+	// BeamDecoder.SetSearchMode).
+	Search SearchMode
 	// Pool, when non-nil, supplies the session's decoder and observation
 	// containers as a DecoderPool lease (released when the session returns)
 	// instead of constructing them, so callers running many sessions — the
@@ -350,7 +350,7 @@ func sessionDecoder(cfg SessionConfig) (dec *BeamDecoder, lease *LeasedDecoder, 
 		release()
 		return nil, nil, nil, err
 	}
-	if err := dec.SetSearchConfig(cfg.Search); err != nil {
+	if err := dec.SetSearchMode(cfg.Search); err != nil {
 		release()
 		return nil, nil, nil, err
 	}

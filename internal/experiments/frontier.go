@@ -7,22 +7,17 @@ import (
 	"spinal/internal/sim"
 )
 
-// This file measures the rate/work trade of the approximate search modes:
-// the same rateless transmissions run once per mode — exact, gap pruning,
-// lookahead narrowing and the stacked approx mode — on identical per-trial
-// message and noise streams, so any rate difference is attributable to the
-// search strategy alone. The headline claim (the frontier scenario's gate)
-// is that an approximate mode reaches >=95% of the exact rate while
-// expanding <=40% of the exact node count at the default operating point.
+// This file measures the rate/work trade of the approximate search: the
+// same rateless transmissions run once per mode — exact and approx — on
+// identical per-trial message and noise streams, so any rate difference is
+// attributable to the search strategy alone. The headline claim (the
+// frontier scenario's gate) is that approx delivers exactly the messages
+// exact delivers while expanding <=40% of the exact node count at the
+// default operating point.
 
 // frontierModes are the search strategies the comparison sweeps, exact
-// first (the other points report ratios against it).
-var frontierModes = []core.SearchConfig{
-	{},
-	{Mode: core.SearchGap},
-	{Mode: core.SearchLookahead},
-	{Mode: core.SearchApprox},
-}
+// first (the approx points report ratios against it).
+var frontierModes = []core.SearchMode{core.SearchExact, core.SearchApprox}
 
 // FrontierPoint is one (SNR, search mode) cell of the comparison.
 type FrontierPoint struct {
@@ -100,7 +95,7 @@ func FrontierComparison(cfg SpinalConfig, snrsDB []float64) ([]FrontierPoint, er
 }
 
 // frontierAtSNR runs one (SNR, mode) cell over the sharded trial runner.
-func frontierAtSNR(cfg SpinalConfig, params core.Params, sched core.Schedule, snrDB float64, sc core.SearchConfig) (FrontierPoint, error) {
+func frontierAtSNR(cfg SpinalConfig, params core.Params, sched core.Schedule, snrDB float64, sc core.SearchMode) (FrontierPoint, error) {
 	results, err := sim.Run(cfg.runner(), cfg.Trials, func(w *sim.Worker, trial int) (frontierTrial, error) {
 		msg := core.RandomMessage(rng.New(cfg.Seed^(0x9e3779b97f4a7c15*uint64(trial+1))), cfg.MessageBits)
 		radio, err := channel.NewQuantizedAWGN(snrDB, cfg.ADCBits, rng.New(cfg.Seed^(0xbb67ae8584caa73b*uint64(trial+1))))

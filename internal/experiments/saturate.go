@@ -12,8 +12,8 @@ import (
 // flows stream pre-corrupted frames into one receiver whose decode capacity
 // is deliberately scarce (few workers, a tight per-flow decode budget), once
 // with every attempt running the exact search and once with AdaptiveSearch
-// letting budget pressure pick approximate modes per flow. Both runs replay
-// byte-identical frames. The gate the scenario's notes state: the adaptive
+// letting budget pressure switch flows to the approximate mode. Both runs
+// replay byte-identical frames. The gate the scenario's notes state: the adaptive
 // receiver should beat the all-exact aggregate goodput while keeping Jain
 // fairness within 5% of it.
 
@@ -241,8 +241,6 @@ func SaturateColumns() []sim.Column {
 		sim.VolatileCol("deferrals", "%d"),
 		sim.VolatileCol("nodes_saved", "%d"),
 		sim.VolatileCol("attempts_exact", "%d"),
-		sim.VolatileCol("attempts_gap", "%d"),
-		sim.VolatileCol("attempts_lookahead", "%d"),
 		sim.VolatileCol("attempts_approx", "%d"),
 	}
 }
@@ -254,8 +252,7 @@ func FormatSaturate(pts []SaturatePoint) *sim.Table {
 		t.AddRow(p.Mode, p.Flows, p.Flows*p.MessagesPerFlow, p.Budget,
 			p.Delivered, float64(p.Elapsed.Microseconds())/1000,
 			p.GoodputBitsPerSec, p.Fairness, p.Deferrals, p.NodesSaved,
-			p.SearchAttempts["exact"], p.SearchAttempts["gap"],
-			p.SearchAttempts["lookahead"], p.SearchAttempts["approx"])
+			p.SearchAttempts["exact"], p.SearchAttempts["approx"])
 	}
 	return t
 }

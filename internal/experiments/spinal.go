@@ -55,9 +55,9 @@ type SpinalConfig struct {
 	// tariff the quantcost scenario measures).
 	Metric core.CostMetric
 	// Search is the decoder's tree-search strategy (the zero value is the
-	// exact beam search; see core.SearchConfig). The frontier scenario
-	// measures the rate/work trade of the approximate modes.
-	Search core.SearchConfig
+	// exact beam search; see core.SearchMode). The frontier scenario
+	// measures the work the approximate mode saves.
+	Search core.SearchMode
 	// Pool optionally shares a decoder pool across calls (e.g. across the
 	// points of a sweep); nil lets each call pool privately.
 	Pool *core.DecoderPool
@@ -211,7 +211,7 @@ func SpinalRateAtSNR(cfg SpinalConfig, snrDB float64) (RatePoint, error) {
 		if err := lease.Dec.SetCostMetric(cfg.Metric); err != nil {
 			return genieTrial{}, err
 		}
-		if err := lease.Dec.SetSearchConfig(cfg.Search); err != nil {
+		if err := lease.Dec.SetSearchMode(cfg.Search); err != nil {
 			return genieTrial{}, err
 		}
 		// Trials already fan out across the runner's workers, so the
@@ -305,7 +305,7 @@ func runGenieTrialOver(cfg SpinalConfig, params core.Params, sched core.Schedule
 		if lease.Dec.SetCostMetric(cfg.Metric) != nil {
 			return false
 		}
-		if lease.Dec.SetSearchConfig(cfg.Search) != nil {
+		if lease.Dec.SetSearchMode(cfg.Search) != nil {
 			return false
 		}
 		if lease.Obs.AddBatch(positions[:prefix], received[:prefix]) != nil {

@@ -563,7 +563,7 @@ func (r *Receiver) stateFor(v *FrameView) (*msgState, error) {
 	// Likewise for the search strategy: leases come back exact, so the
 	// configured base strategy is installed here. Under AdaptiveSearch the
 	// engine may override it per attempt from budget pressure.
-	if err := lease.Dec.SetSearchConfig(r.cfg.Search); err != nil {
+	if err := lease.Dec.SetSearchMode(r.cfg.Search); err != nil {
 		lease.Release()
 		return nil, err
 	}
@@ -806,8 +806,8 @@ type EngineStats struct {
 	// over-budget flow.
 	BudgetDeferrals uint64 `json:"budget_deferrals"`
 	// SearchAttempts counts executed decode attempts by the search mode
-	// they ran under (keys are the -search spellings: exact, gap,
-	// lookahead, approx). Modes that never ran are omitted.
+	// they ran under (keys are the -search spellings: exact, approx).
+	// Modes that never ran are omitted.
 	SearchAttempts map[string]uint64 `json:"search_attempts,omitempty"`
 	// NodesSaved is the decoders' running estimate of tree expansions
 	// avoided by approximate search; zero on an all-exact receiver.
@@ -855,7 +855,7 @@ type flowEngine struct {
 	// base is Config.Search, the strategy every attempt runs under when
 	// adaptive selection is off (it is installed on each lease by stateFor)
 	// and the strategy unpressured flows relax back to when it is on.
-	base core.SearchConfig
+	base core.SearchMode
 	// adaptive is Config.AdaptiveSearch: pick each flow's search strategy
 	// from its budget-deferral pressure instead of using base everywhere.
 	adaptive bool
@@ -874,14 +874,14 @@ type flowEngine struct {
 	deferrals uint64
 	// pressure is the adaptive-search signal: one count per scheduling
 	// decision that deferred the flow, halved each time one of its attempts
-	// actually runs. Flows under sustained deferral climb the mode ladder
-	// (gap, lookahead, approx); flows the scheduler serves promptly decay
-	// back to the base strategy. Nil unless adaptive.
+	// actually runs. Pressured flows decode under the approximate mode;
+	// flows the scheduler serves promptly decay back to the base strategy.
+	// Nil unless adaptive.
 	pressure map[uint32]uint64
 	// modeAttempts counts executed decode attempts by the search mode they
 	// ran under (indexed by core.SearchMode); nodesSaved folds the
 	// decoders' estimates of expansions avoided by approximate search.
-	modeAttempts [4]uint64
+	modeAttempts [2]uint64
 	nodesSaved   int64
 	// outstanding counts attempt tokens submitted but not yet fully
 	// processed (result recorded); while it is zero, Receive can block for
@@ -901,7 +901,7 @@ type flowQueue struct {
 	inRing bool
 }
 
-func newFlowEngine(tr Transport, workers int, budget int64, base core.SearchConfig, adaptive bool) *flowEngine {
+func newFlowEngine(tr Transport, workers int, budget int64, base core.SearchMode, adaptive bool) *flowEngine {
 	if workers < 1 {
 		workers = 1
 	}
@@ -1030,27 +1030,21 @@ func (e *flowEngine) decayPressureLocked(flow uint32) {
 }
 
 // searchFor picks the search strategy for one attempt of a flow. Without
-// adaptive selection it is always the base strategy; with it, sustained
-// budget deferral climbs a ladder of progressively more aggressive
-// approximate modes — decode cheaper when the receiver cannot keep up —
-// and drained pressure falls back to the base.
-func (e *flowEngine) searchFor(flow uint32) core.SearchConfig {
+// adaptive selection it is always the base strategy; with it, a flow under
+// any budget-deferral pressure decodes with the approximate mode — cheaper
+// when the receiver cannot keep up, at no cost in delivered rate — and
+// drained pressure falls back to the base.
+func (e *flowEngine) searchFor(flow uint32) core.SearchMode {
 	if !e.adaptive {
 		return e.base
 	}
 	e.mu.Lock()
 	p := e.pressure[flow]
 	e.mu.Unlock()
-	switch {
-	case p == 0:
+	if p == 0 {
 		return e.base
-	case p < 4:
-		return core.SearchConfig{Mode: core.SearchGap}
-	case p < 8:
-		return core.SearchConfig{Mode: core.SearchLookahead}
-	default:
-		return core.SearchConfig{Mode: core.SearchApprox}
 	}
+	return core.SearchApprox
 }
 
 // noteSearch records one executed attempt's search mode and saved work.
@@ -1194,15 +1188,15 @@ func (e *flowEngine) attempt(st *msgState) (*Delivered, error) {
 		}
 		if e.adaptive {
 			// Load-adaptive mode selection: re-pick from this flow's budget
-			// pressure on every attempt. SetSearchConfig is a no-op when the
+			// pressure on every attempt. SetSearchMode is a no-op when the
 			// mode is unchanged; a genuine switch invalidates the incremental
-			// workspace (frontiers pruned under one strategy do not describe
+			// workspace (frontiers capped under one strategy do not describe
 			// another), which the next Decode absorbs as a from-root rebuild.
-			if err := lease.Dec.SetSearchConfig(e.searchFor(st.flow)); err != nil {
+			if err := lease.Dec.SetSearchMode(e.searchFor(st.flow)); err != nil {
 				return err
 			}
 		}
-		usedMode = lease.Dec.SearchConfig().Mode
+		usedMode = lease.Dec.SearchMode()
 		var derr error
 		out, derr = lease.Dec.Decode(lease.Obs)
 		return derr

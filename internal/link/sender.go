@@ -124,19 +124,17 @@ type Config struct {
 	// to match the sender.
 	CostMetric core.CostMetric
 	// Search selects the receiver decoders' tree-search strategy: the exact
-	// beam search (the zero value) or an approximate mode
-	// (core.BeamDecoder.SetSearchConfig). Receiver-local, like CostMetric —
-	// the CRC guards delivery, so an approximate decode can cost extra
-	// passes but never a wrong payload. When AdaptiveSearch is set this is
-	// only the baseline for unpressured flows.
-	Search core.SearchConfig
+	// beam search (the zero value) or the approximate mode
+	// (core.BeamDecoder.SetSearchMode). Receiver-local, like CostMetric —
+	// the CRC guards delivery, so an approximate decode can never deliver a
+	// wrong payload. When AdaptiveSearch is set this is only the baseline
+	// for unpressured flows.
+	Search core.SearchMode
 	// AdaptiveSearch lets the receiver pick each flow's search strategy
-	// from decode-budget pressure: flows whose attempts keep being deferred
-	// by the FlowDecodeBudget scheduler are switched to progressively more
-	// aggressive approximate modes (gap pruning, then lookahead, then the
-	// stacked approx mode), and revert toward Config.Search as the pressure
-	// drains. Requires FlowDecodeBudget, which supplies the pressure
-	// signal.
+	// from decode-budget pressure: flows whose attempts are being deferred
+	// by the FlowDecodeBudget scheduler are switched to the approximate
+	// mode, and revert to Config.Search once the pressure drains. Requires
+	// FlowDecodeBudget, which supplies the pressure signal.
 	AdaptiveSearch bool
 	// MaxDecodeCost caps the decode work a single frame may advertise,
 	// measured as 2^K times the segment count of the message it describes.

@@ -64,9 +64,8 @@ type Request struct {
 	// the flag pass it to their decoders; the rest ignore it.
 	Metric string
 	// Search names the decoder search strategy (-search): "exact"
-	// (default), "gap[:G]", "lookahead[:M]" or "approx"
-	// (core.ParseSearchConfig spellings). Scenarios that declare the flag
-	// pass it to their decoders; the rest ignore it.
+	// (default) or "approx" (core.ParseSearchMode spellings). Scenarios
+	// that declare the flag pass it to their decoders; the rest ignore it.
 	Search string
 	// Impair is an impairment-pipeline spec (-impair) in the
 	// internal/impair syntax: stages joined by '|', e.g.

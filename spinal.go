@@ -84,12 +84,12 @@ type Config struct {
 	// scenario). Requires one of the built-in (table-backed) mappers.
 	CostMetric CostMetric
 	// Search selects the decoder's tree-search strategy: the exact beam
-	// search (the zero value, bit-identical to the decoder before
-	// approximate modes existed) or one of the approximate modes — gap
-	// pruning, lookahead narrowing, or both stacked — which trade a small,
-	// measured rate tariff for a large cut in expanded tree nodes (see the
-	// `frontier` scenario). Parse CLI spellings with ParseSearchConfig.
-	Search SearchConfig
+	// search (the zero value, bit-identical to the decoder before the
+	// approximate mode existed) or SearchApprox, which caps the breadth of
+	// levels that have no symbols yet. The cap costs no delivered rate and
+	// cuts expanded tree nodes several-fold (see the `frontier` scenario).
+	// Parse CLI spellings with ParseSearchMode.
+	Search SearchMode
 }
 
 // CostMetric selects the decoder's cost arithmetic; see Config.CostMetric.
@@ -106,30 +106,21 @@ const (
 // "int32"; the empty string selects the default).
 func ParseCostMetric(s string) (CostMetric, error) { return core.ParseCostMetric(s) }
 
-// SearchConfig configures the decoder's tree search; see Config.Search. The
-// zero value is the exact beam search.
-type SearchConfig = core.SearchConfig
-
-// SearchMode selects the decoder's tree-search strategy.
+// SearchMode selects the decoder's tree-search strategy; see Config.Search.
 type SearchMode = core.SearchMode
 
 const (
 	// SearchExact is the full beam search of the paper (the default).
 	SearchExact = core.SearchExact
-	// SearchGap prunes candidates trailing the per-level best by more than
-	// a configurable cost gap.
-	SearchGap = core.SearchGap
-	// SearchLookahead narrows each level's frontier to the top ExpandTop
-	// nodes, half ranked by a half-level lookahead probe.
-	SearchLookahead = core.SearchLookahead
-	// SearchApprox stacks gap pruning, lookahead narrowing and prefix
-	// commit.
+	// SearchApprox is the exact search plus the bubble cap: a level with no
+	// symbols yet keeps only the children of its max(2, B/8) cheapest
+	// parents.
 	SearchApprox = core.SearchApprox
 )
 
-// ParseSearchConfig resolves the CLI spelling of a search strategy: "exact"
-// (or empty), "gap[:G]", "lookahead[:M]", or "approx".
-func ParseSearchConfig(s string) (SearchConfig, error) { return core.ParseSearchConfig(s) }
+// ParseSearchMode resolves the CLI spelling of a search strategy: "exact"
+// (or empty) or "approx".
+func ParseSearchMode(s string) (SearchMode, error) { return core.ParseSearchMode(s) }
 
 func (c Config) withDefaults() Config {
 	if c.K == 0 {
@@ -341,7 +332,7 @@ func (p *DecoderPool) Lease(c *Code) (*Decoder, error) {
 		lease.Release()
 		return nil, err
 	}
-	if err := lease.Dec.SetSearchConfig(c.cfg.Search); err != nil {
+	if err := lease.Dec.SetSearchMode(c.cfg.Search); err != nil {
 		lease.Release()
 		return nil, err
 	}
@@ -378,7 +369,7 @@ func (c *Code) NewDecoder() (*Decoder, error) {
 	if err := dec.SetCostMetric(c.cfg.CostMetric); err != nil {
 		return nil, err
 	}
-	if err := dec.SetSearchConfig(c.cfg.Search); err != nil {
+	if err := dec.SetSearchMode(c.cfg.Search); err != nil {
 		return nil, err
 	}
 	if c.cfg.Workers > 0 {
