@@ -166,64 +166,57 @@ func BenchmarkDecoder(b *testing.B) {
 	b.ReportMetric(256*float64(b.N)/b.Elapsed().Seconds(), "decoded_bits/s")
 }
 
-// BenchmarkIncrementalDecode is the before/after comparison of the
-// incremental decode pipeline: full rateless transmissions at 0 dB (low SNR,
-// many passes, many attempts) with the sequential schedule — the natural
-// low-SNR operating point, since puncturing pays only at high SNR — decoded
-// either with workspace reuse or with every attempt from scratch. The modes
-// produce bit-identical decodes (TestIncrementalDecodeComparisonSpeedup
-// enforces it); the metrics expose total tree nodes expanded and wall-clock
-// per delivered message, which is where the O(P²)→O(P) claim shows up.
+// BenchmarkIncrementalDecode measures the incremental decode pipeline on
+// full rateless transmissions at 0 dB (low SNR, many passes, many attempts)
+// with the sequential schedule — the natural low-SNR operating point, since
+// puncturing pays only at high SNR. Every attempt after the first resumes
+// from the previous one's workspace, which is where the O(P²)→O(P) claim
+// shows up; TestIncrementalNodeSavings gates the node count against
+// from-root decodes. The metrics are tree nodes expanded and wall-clock per
+// delivered message.
 func BenchmarkIncrementalDecode(b *testing.B) {
 	params := core.Params{K: 8, C: 10, MessageBits: 24, Seed: core.DefaultSeed}
 	const trials = 6
-	for _, mode := range []string{"incremental", "from-scratch"} {
-		mode := mode
-		b.Run(mode, func(b *testing.B) {
-			var nodes int64
-			var delivered int
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				nodes, delivered = 0, 0
-				for trial := 0; trial < trials; trial++ {
-					msg := core.RandomMessage(rng.New(uint64(trial)*13+1), params.MessageBits)
-					radio, err := channel.NewQuantizedAWGN(0, 14, rng.New(uint64(trial)*17+3))
-					if err != nil {
-						b.Fatal(err)
-					}
-					res, err := core.RunSymbolSession(core.SessionConfig{
-						Params:             params,
-						BeamWidth:          16,
-						DisableIncremental: mode == "from-scratch",
-					}, msg, radio.Corrupt, core.GenieVerifier(msg, params.MessageBits))
-					if err != nil {
-						b.Fatal(err)
-					}
-					nodes += res.NodesExpanded
-					if res.Success {
-						delivered++
-					}
-				}
+	var nodes int64
+	var delivered int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nodes, delivered = 0, 0
+		for trial := 0; trial < trials; trial++ {
+			msg := core.RandomMessage(rng.New(uint64(trial)*13+1), params.MessageBits)
+			radio, err := channel.NewQuantizedAWGN(0, 14, rng.New(uint64(trial)*17+3))
+			if err != nil {
+				b.Fatal(err)
 			}
-			if delivered > 0 {
-				b.ReportMetric(float64(nodes)/float64(delivered), "nodes/msg")
-				b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N)/float64(delivered), "ns/msg")
+			res, err := core.RunSymbolSession(core.SessionConfig{
+				Params:    params,
+				BeamWidth: 16,
+			}, msg, radio.Corrupt, core.GenieVerifier(msg, params.MessageBits))
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
+			nodes += res.NodesExpanded
+			if res.Success {
+				delivered++
+			}
+		}
+	}
+	if delivered > 0 {
+		b.ReportMetric(float64(nodes)/float64(delivered), "nodes/msg")
+		b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N)/float64(delivered), "ns/msg")
 	}
 }
 
-// BenchmarkParallelDecode measures the wall-clock scaling of the sharded
-// decode engine: one full from-scratch beam decode of a low-SNR observation
-// set per iteration, swept over worker counts and beam widths. The decodes
-// are bit-identical at every worker count (TestParallelDecodeComparison-
-// Equivalence and the core determinism tests enforce it); this benchmark
-// isolates the time and allocation behavior. Expect near-linear speedup for
-// B >= 64 up to the machine's core count, and a flat allocation profile —
-// the per-worker workspaces are pooled across attempts, so extra workers
-// must not add per-attempt allocations.
-func BenchmarkParallelDecode(b *testing.B) {
+// fromRootObservations returns the decode-kernel benchmarks' operating
+// point: a 128-bit message (k = 8, c = 10) observed for four passes at 0 dB
+// through a 14-bit ADC — a mid-SNR point where the decode does real
+// disambiguation work at every level — as two identical observation
+// containers, plus the number of symbols each holds. A decoder alternating
+// between the two runs every attempt from the root of the tree, because a
+// container its workspace has not just decoded always decodes from the root.
+func fromRootObservations(b *testing.B) (core.Params, [2]*core.Observations, int) {
+	b.Helper()
 	params := core.Params{K: 8, C: 10, MessageBits: 128, Seed: core.DefaultSeed}
 	msg := core.RandomMessage(rng.New(41), params.MessageBits)
 	enc, err := core.NewEncoder(params, msg)
@@ -238,18 +231,57 @@ func BenchmarkParallelDecode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	obs, err := core.NewObservations(params.NumSegments())
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Four passes of 0 dB observations: enough that the decode does real
-	// disambiguation work at every level.
-	for i := 0; i < 4*params.NumSegments(); i++ {
-		pos := sched.Pos(i)
-		if err := obs.Add(pos, radio.Corrupt(enc.SymbolAt(pos))); err != nil {
+	var pair [2]*core.Observations
+	for i := range pair {
+		if pair[i], err = core.NewObservations(params.NumSegments()); err != nil {
 			b.Fatal(err)
 		}
 	}
+	nSymbols := 4 * params.NumSegments()
+	for i := 0; i < nSymbols; i++ {
+		pos := sched.Pos(i)
+		y := radio.Corrupt(enc.SymbolAt(pos))
+		for _, obs := range pair {
+			if err := obs.Add(pos, y); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	return params, pair, nSymbols
+}
+
+// benchFromRoot decodes b.N times from the root, alternating between the two
+// containers of pair, and reports symbols/s and nodes/s.
+func benchFromRoot(b *testing.B, dec *core.BeamDecoder, pair [2]*core.Observations, nSymbols int) {
+	// One untimed decode sizes the workspace, so the rows show the
+	// steady-state allocation profile.
+	if _, err := dec.Decode(pair[1]); err != nil {
+		b.Fatal(err)
+	}
+	var nodes int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := dec.Decode(pair[i%2])
+		if err != nil {
+			b.Fatal(err)
+		}
+		nodes += int64(out.NodesExpanded)
+	}
+	b.ReportMetric(float64(b.N)*float64(nSymbols)/b.Elapsed().Seconds(), "symbols/s")
+	b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/s")
+}
+
+// BenchmarkParallelDecode measures the wall-clock scaling of the sharded
+// decode engine: one full from-root beam decode of a low-SNR observation
+// set per iteration, swept over worker counts and beam widths. The decodes
+// are bit-identical at every worker count (the core determinism tests
+// enforce it); this benchmark isolates the time and allocation behavior.
+// Expect near-linear speedup for B >= 64 up to the machine's core count, and
+// a flat allocation profile — the per-worker workspaces are pooled across
+// attempts, so extra workers must not add per-attempt allocations.
+func BenchmarkParallelDecode(b *testing.B) {
+	params, pair, nSymbols := fromRootObservations(b)
 	for _, workers := range []int{1, 2, 4, 8} {
 		for _, beam := range []int{16, 64, 256} {
 			workers, beam := workers, beam
@@ -260,20 +292,7 @@ func BenchmarkParallelDecode(b *testing.B) {
 				}
 				defer dec.Close()
 				dec.SetParallelism(workers)
-				// Every iteration runs the full beam search from the root —
-				// the raw expansion throughput the sharding is meant to scale.
-				dec.SetIncremental(false)
-				var nodes int64
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					out, derr := dec.Decode(obs)
-					if derr != nil {
-						b.Fatal(derr)
-					}
-					nodes += int64(out.NodesExpanded)
-				}
-				b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/s")
+				benchFromRoot(b, dec, pair, nSymbols)
 			})
 		}
 	}
@@ -281,41 +300,14 @@ func BenchmarkParallelDecode(b *testing.B) {
 
 // BenchmarkDecodeSymbolsPerSec is the single-core decoder throughput gate:
 // how many received channel symbols per second one worker folds through a
-// full from-scratch beam decode, for the exact float64 metric and the
+// full from-root beam decode, for the exact float64 metric and the
 // quantized int32 metric across beam widths. The symbols/s metric is the
 // paper-facing unit (a receiver must decode at least as fast as symbols
 // arrive); nodes/s is the same run in the decoder's unit of work. CI's
 // bench-smoke job diffs this benchmark against the committed
 // BENCH_baseline.json with benchstat.
 func BenchmarkDecodeSymbolsPerSec(b *testing.B) {
-	params := core.Params{K: 8, C: 10, MessageBits: 128, Seed: core.DefaultSeed}
-	msg := core.RandomMessage(rng.New(41), params.MessageBits)
-	enc, err := core.NewEncoder(params, msg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	radio, err := channel.NewQuantizedAWGN(0, 14, rng.New(43))
-	if err != nil {
-		b.Fatal(err)
-	}
-	sched, err := core.NewSequentialSchedule(params.NumSegments())
-	if err != nil {
-		b.Fatal(err)
-	}
-	obs, err := core.NewObservations(params.NumSegments())
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Four passes of 0 dB observations, as a mid-SNR operating point where
-	// the decode does real disambiguation work at every level.
-	const passes = 4
-	nSymbols := passes * params.NumSegments()
-	for i := 0; i < nSymbols; i++ {
-		pos := sched.Pos(i)
-		if err := obs.Add(pos, radio.Corrupt(enc.SymbolAt(pos))); err != nil {
-			b.Fatal(err)
-		}
-	}
+	params, pair, nSymbols := fromRootObservations(b)
 	for _, metric := range []core.CostMetric{core.CostFloat64, core.CostInt32} {
 		for _, beam := range []int{16, 64, 256} {
 			metric, beam := metric, beam
@@ -329,26 +321,14 @@ func BenchmarkDecodeSymbolsPerSec(b *testing.B) {
 					b.Fatal(err)
 				}
 				dec.SetParallelism(1)
-				dec.SetIncremental(false)
-				var nodes int64
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					out, derr := dec.Decode(obs)
-					if derr != nil {
-						b.Fatal(derr)
-					}
-					nodes += int64(out.NodesExpanded)
-				}
-				b.ReportMetric(float64(b.N)*float64(nSymbols)/b.Elapsed().Seconds(), "symbols/s")
-				b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/s")
+				benchFromRoot(b, dec, pair, nSymbols)
 			})
 		}
 	}
 }
 
 // BenchmarkApproxDecode measures the approximate search against the exact
-// beam search on the same observations: a full from-scratch decode at the
+// beam search on the same observations: a full from-root decode at the
 // mid-SNR operating point, per (search mode, beam width). Every level is
 // observed here, so the bubble cap never fires and the approx rows must
 // match the exact rows: the benchmark guards against the approximate mode
@@ -357,32 +337,7 @@ func BenchmarkDecodeSymbolsPerSec(b *testing.B) {
 // bench-smoke job diffs this benchmark against the committed
 // BENCH_baseline.json with benchstat.
 func BenchmarkApproxDecode(b *testing.B) {
-	params := core.Params{K: 8, C: 10, MessageBits: 128, Seed: core.DefaultSeed}
-	msg := core.RandomMessage(rng.New(41), params.MessageBits)
-	enc, err := core.NewEncoder(params, msg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	radio, err := channel.NewQuantizedAWGN(0, 14, rng.New(43))
-	if err != nil {
-		b.Fatal(err)
-	}
-	sched, err := core.NewSequentialSchedule(params.NumSegments())
-	if err != nil {
-		b.Fatal(err)
-	}
-	obs, err := core.NewObservations(params.NumSegments())
-	if err != nil {
-		b.Fatal(err)
-	}
-	const passes = 4
-	nSymbols := passes * params.NumSegments()
-	for i := 0; i < nSymbols; i++ {
-		pos := sched.Pos(i)
-		if err := obs.Add(pos, radio.Corrupt(enc.SymbolAt(pos))); err != nil {
-			b.Fatal(err)
-		}
-	}
+	params, pair, nSymbols := fromRootObservations(b)
 	for _, search := range []string{"exact", "approx"} {
 		for _, beam := range []int{32, 64} {
 			search, beam := search, beam
@@ -400,19 +355,7 @@ func BenchmarkApproxDecode(b *testing.B) {
 					b.Fatal(err)
 				}
 				dec.SetParallelism(1)
-				dec.SetIncremental(false)
-				var nodes int64
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					out, derr := dec.Decode(obs)
-					if derr != nil {
-						b.Fatal(derr)
-					}
-					nodes += int64(out.NodesExpanded)
-				}
-				b.ReportMetric(float64(b.N)*float64(nSymbols)/b.Elapsed().Seconds(), "symbols/s")
-				b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/s")
+				benchFromRoot(b, dec, pair, nSymbols)
 			})
 		}
 	}

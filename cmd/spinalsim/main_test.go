@@ -79,7 +79,7 @@ func TestRunList(t *testing.T) {
 	if err := run([]string{"-exp", "list"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"figure2", "spinal", "bsc", "multiflow", "batch", "parallel", "incremental", "description"} {
+	for _, want := range []string{"figure2", "spinal", "bsc", "multiflow", "batch", "parallel", "description"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("list output missing %q:\n%s", want, out.String())
 		}

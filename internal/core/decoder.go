@@ -32,7 +32,7 @@ import (
 // costs O(P) total expansion work instead of the O(P²) of from-scratch
 // attempts, while producing bit-identical results (the refresh performs the
 // exact same floating-point additions, in the same order, that a full rerun
-// would). Use SetIncremental(false) to force every attempt from the root.
+// would). A container the decoder has not seen before decodes from the root.
 // Decoding is also parallel within each level: the parent frontier is
 // sharded across worker goroutines, each expanding into a private top-keep
 // selector, and a deterministic merge reduces the per-worker selections into
@@ -56,10 +56,9 @@ type BeamDecoder struct {
 	// mappers that do not expose one). The cost folds use it to replace the
 	// per-symbol Mapper.Map interface call with two array loads — the same
 	// float64 values, so decodes are unchanged.
-	dimTab      []float64
-	incremental bool
-	workers     int
-	metric      CostMetric
+	dimTab  []float64
+	workers int
+	metric  CostMetric
 	// search is the tree-search strategy (see search.go); the zero value is
 	// the exact search.
 	search SearchMode
@@ -138,13 +137,12 @@ func newBeamDecoder(p Params, beamWidth, maxCand int) (*BeamDecoder, error) {
 		return nil, err
 	}
 	d := &BeamDecoder{
-		p:           p,
-		b:           beamWidth,
-		maxCand:     maxCand,
-		family:      p.family(),
-		mapper:      mapper,
-		incremental: true,
-		workers:     runtime.GOMAXPROCS(0),
+		p:       p,
+		b:       beamWidth,
+		maxCand: maxCand,
+		family:  p.family(),
+		mapper:  mapper,
+		workers: runtime.GOMAXPROCS(0),
 	}
 	if tm, ok := mapper.(constellation.TableMapper); ok {
 		d.dimTab = tm.DimTable()
@@ -170,20 +168,6 @@ func (d *BeamDecoder) SetMaxCandidates(n int) error {
 	d.invalidateWorkspaces()
 	return nil
 }
-
-// SetIncremental enables or disables reuse of the previous attempt's
-// workspace. It is on by default; turning it off makes every Decode run from
-// the root, which is the from-scratch baseline used by benchmarks and the
-// equivalence tests.
-func (d *BeamDecoder) SetIncremental(on bool) {
-	d.incremental = on
-	if !on {
-		d.invalidateWorkspaces()
-	}
-}
-
-// Incremental reports whether workspace reuse is enabled.
-func (d *BeamDecoder) Incremental() bool { return d.incremental }
 
 // SetCostMetric selects the arithmetic path costs accumulate in: the exact
 // float64 default, or the opt-in quantized int32 metric (fixed-point grid,

@@ -510,13 +510,12 @@ func BenchmarkBeamDecodeOnePass(b *testing.B) {
 	}
 	dec, _ := NewBeamDecoder(p, 16)
 	// The observations never change between iterations, so incremental reuse
-	// would reduce this to a cache hit; disable it to measure one full
-	// from-scratch attempt per iteration.
-	dec.SetIncremental(false)
+	// would reduce this to a cache hit; decode from the root to measure one
+	// full from-scratch attempt per iteration.
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dec.Decode(obs); err != nil {
+		if _, err := decodeAttempt(dec, obs, true); err != nil {
 			b.Fatal(err)
 		}
 	}

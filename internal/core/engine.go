@@ -7,8 +7,8 @@ import "slices"
 // arrays end to end: frontiers are parallel slices of spine values, packed
 // costs and packed (parent, seg) keys, and cached child expansions are
 // parallel spine/local-cost slices whose (parent, seg) identity is implied
-// by the parent-major index — so the expansion, refresh and selection loops
-// run flat over dense arrays instead of chasing per-node structs.
+// by the parent-major index — so the expansion and selection loops run
+// flat over dense arrays instead of chasing per-node structs.
 //
 // Selection is candidate-buffered quickselect rather than a bounded heap:
 // expansion loops append (cost, key, spine) candidates — after a warm-up, a
@@ -287,10 +287,12 @@ type cachedLevel[C costValue] struct {
 
 // maxCachedChildren bounds the memory the workspace spends per level: an
 // unobserved level expanded from a maxCand-wide parent frontier can produce
-// maxCand·2^k children, far more than is worth materializing. Levels whose
-// expansion exceeds the bound are re-expanded from scratch on every attempt
-// (exactly the pre-incremental behavior) instead of cached.
-const maxCachedChildren = 1 << 17
+// maxCand·2^k children, far more than is worth materializing. A level whose
+// expansion exceeds the bound is not retained: each children block passes
+// through a per-worker one-block buffer into the selector and is discarded,
+// so the next attempt expands the level afresh. It is a variable only so
+// tests can lower it.
+var maxCachedChildren = 1 << 17
 
 // workspace is the persistent state that makes repeated decode attempts
 // incremental. It is owned by one engine and keyed to one observation
@@ -313,20 +315,17 @@ type workspace[C costValue] struct {
 	sel selector[C]
 	// segs is the reusable backtrack buffer.
 	segs []uint64
-	// scratchSpine/scratchLocal are reusable assembly buffers for rebuilt
-	// child expansions.
+	// scratchSpine/scratchLocal are the reusable assembly buffers of a level
+	// rebuilt from spine-matched blocks; they swap places with the level's
+	// cached arrays.
 	scratchSpine []uint64
 	scratchLocal []C
-	// blockSpine/blockLocal are the reusable one-parent-block buffers of the
-	// serial streaming path.
-	blockSpine []uint64
-	blockLocal []C
 	// pidx is a reusable spine→index table over a parent frontier (at most
 	// MaxCandidates entries), used to match persisting parents between
 	// attempts so their children blocks can be reused wholesale.
 	pidx spineIndex
-	// fold is the serial path's cost-fold scratch (see foldScratch).
-	fold foldScratch
+	// scr is the serial path's expansion scratch.
+	scr expandScratch[C]
 }
 
 // invalidate discards all cached state (the buffers are kept for reuse).
@@ -342,13 +341,13 @@ func (ws *workspace[C]) invalidate() {
 
 // prepare sizes the workspace for nseg levels and decides which level the
 // beam search must resume from for this attempt.
-func (ws *workspace[C]) prepare(obs any, epoch, cleanGen uint64, dirty, nseg int, incremental bool) int {
+func (ws *workspace[C]) prepare(obs any, epoch, cleanGen uint64, dirty, nseg int) int {
 	if len(ws.levels) != nseg {
 		ws.levels = make([]cachedLevel[C], nseg)
 		ws.complete = false
 		ws.obs = nil
 	}
-	if !incremental || ws.obs != obs || !ws.complete || epoch != ws.epoch {
+	if ws.obs != obs || !ws.complete || epoch != ws.epoch {
 		ws.invalidate()
 		ws.obs = obs
 		return 0
@@ -401,28 +400,36 @@ type foldScratch struct {
 	acc   []int64
 }
 
-// Region kinds mirror the three expansion paths of engine.run.
-const (
-	regionRefresh = iota
-	regionRebuild
-	regionStream
-)
+// expandScratch is one worker's private expansion scratch: the one-block
+// buffers a children block passes through when its level is not retained
+// (whose local half also reconstitutes path costs when it is), and the
+// cost-fold scratch. The serial path owns one, every shard another.
+type expandScratch[C costValue] struct {
+	spine []uint64
+	local []C
+	fold  foldScratch
+}
 
-// parRegion describes the parallel region in flight: which expansion path to
-// run, its per-level inputs, and the shard geometry. It lives on the engine
-// so dispatching a region allocates nothing.
-type parRegion[C costValue] struct {
-	kind     int
-	coster   levelCoster[C]
-	lv       *cachedLevel[C]
-	parent   *frontier[C]
-	t        int
-	nObs     int
-	nSeg     int
-	reuse    bool
+// levelJob is the level expansion in flight: its per-level inputs, where
+// each parent's children block comes from and where it goes (see
+// expandRange), and the shard geometry. It lives on the engine so
+// dispatching a sharded expansion allocates nothing.
+type levelJob[C costValue] struct {
+	coster levelCoster[C]
+	lv     *cachedLevel[C]
+	parent *frontier[C]
+	t      int
+	nObs   int
+	nSeg   int
+	// inPlace: every block is lv's cached block at the same index.
+	inPlace bool
+	// match: a parent found by spine in the workspace's pidx reuses its
+	// cached block.
+	match bool
+	// outSpine/outLocal receive the blocks at their parent-major offsets;
+	// nil streams them through the worker's one-block buffer.
 	outSpine []uint64
 	outLocal []C
-	units    int
 	chunk    int
 	keep     int
 }
@@ -433,25 +440,7 @@ type parShard[C costValue] struct {
 	sel       selector[C]
 	expanded  int
 	refreshed int
-	// blockSpine/blockLocal are this shard's one-parent-block buffers for the
-	// streaming path.
-	blockSpine []uint64
-	blockLocal []C
-	fold       foldScratch
-}
-
-// block returns the shard's reusable n-sized child block buffers.
-func (sh *parShard[C]) block(n int) ([]uint64, []C) {
-	sh.blockSpine = sized(sh.blockSpine, n)
-	sh.blockLocal = sized(sh.blockLocal, n)
-	return sh.blockSpine, sh.blockLocal
-}
-
-// block returns the workspace's reusable n-sized child block buffers.
-func (ws *workspace[C]) block(n int) ([]uint64, []C) {
-	ws.blockSpine = sized(ws.blockSpine, n)
-	ws.blockLocal = sized(ws.blockLocal, n)
-	return ws.blockSpine, ws.blockLocal
+	scr       expandScratch[C]
 }
 
 // engine is one cost metric's instantiation of the beam search: the
@@ -466,7 +455,7 @@ type engine[C costValue, O costOps[C]] struct {
 	root frontier[C]
 
 	par       []parShard[C]
-	region    parRegion[C]
+	job       levelJob[C]
 	shardBody func(worker int)
 }
 
@@ -491,7 +480,7 @@ func (e *engine[C, O]) run(coster levelCoster[C], obs any, gen, epoch, cleanGen 
 	d := e.d
 	nseg := d.p.NumSegments()
 	ws := &e.ws
-	start := ws.prepare(obs, epoch, cleanGen, dirty, nseg, d.incremental)
+	start := ws.prepare(obs, epoch, cleanGen, dirty, nseg)
 	d.nodesExpanded = 0
 	d.nodesRefreshed = 0
 	d.nodesSaved = 0
@@ -546,73 +535,59 @@ func (e *engine[C, O]) run(coster levelCoster[C], obs any, gen, epoch, cleanGen 
 		}
 		ws.sel.reset(keep)
 
+		need := parent.len() * nSeg
+		e.job = levelJob[C]{coster: coster, lv: lv, parent: parent, t: t, nObs: nObs, nSeg: nSeg, keep: keep}
+		j := &e.job
 		switch {
 		case parentOK && lv.valid:
-			// Cached expansion: fold in only the observations that arrived
-			// since the last attempt, one term at a time so the running sum
-			// stays bit-identical to a from-scratch fold. Symbols for passes
-			// already folded in are never recomputed, and no hash is replayed.
-			if w := d.workersFor(len(lv.childSpine)); w > 1 {
-				e.runRegion(w, parRegion[C]{kind: regionRefresh, coster: coster, lv: lv,
-					parent: parent, t: t, nObs: nObs, nSeg: nSeg,
-					units: len(lv.childSpine), keep: keep})
-			} else {
-				_, cb := ws.block(nSeg)
-				d.nodesRefreshed += e.refreshRange(coster, lv, parent, t, nObs, nSeg, 0, len(lv.childSpine), &ws.sel, &ws.fold, cb)
-			}
-			lv.childObs = nObs
+			// The cached expansion lines up index for index: fold in only the
+			// observations that arrived since the last attempt. Symbols for
+			// passes already folded in are never recomputed, and no hash is
+			// replayed.
+			j.inPlace = true
+			j.outSpine, j.outLocal = lv.childSpine, lv.childLocal
 
-		case d.incremental && parent.len()*nSeg <= maxCachedChildren:
+		case need <= maxCachedChildren:
 			// The parent frontier changed structurally, so the cached
-			// expansion no longer lines up index-for-index. But a parent
+			// expansion no longer lines up index for index. But a parent
 			// that persisted (same spine value) still produces the exact
 			// same children block — child spines and this level's
 			// observation costs depend only on the parent spine — so index
-			// the old parents by spine and reuse whole blocks, extending
-			// their cost sums term by term to the current observations.
-			// Only children of genuinely new parents are expanded by hash
-			// replay with a full cost computation.
-			reuse := lv.valid && oldParent.len() > 0 && len(lv.childSpine) == oldParent.len()*nSeg
-			if reuse {
+			// the old parents by spine and reuse their blocks, rebuilding the
+			// level into the scratch arrays, which then swap in as its cache.
+			// Without a match every block is fresh and the level is rebuilt
+			// in its own arrays.
+			j.match = lv.valid && oldParent.len() > 0 && len(lv.childSpine) == oldParent.len()*nSeg
+			spine, local := lv.childSpine, lv.childLocal
+			if j.match {
 				ws.pidx.reset(oldParent.len())
 				for i, s := range oldParent.spine {
 					ws.pidx.put(s, int32(i))
 				}
+				spine, local = ws.scratchSpine, ws.scratchLocal
 			}
-			need := parent.len() * nSeg
-			outSpine := sized(ws.scratchSpine, need)
-			outLocal := sized(ws.scratchLocal, need)
-			if w := d.workersFor(need); w > 1 {
-				e.runRegion(w, parRegion[C]{kind: regionRebuild, coster: coster, lv: lv,
-					parent: parent, t: t, nObs: nObs, nSeg: nSeg, reuse: reuse,
-					outSpine: outSpine, outLocal: outLocal, units: parent.len(), keep: keep})
-			} else {
-				_, cb := ws.block(nSeg)
-				x, r := e.rebuildRange(coster, lv, parent, t, nObs, nSeg, reuse, 0, parent.len(), outSpine, outLocal, &ws.sel, &ws.fold, cb)
-				d.nodesExpanded += x
-				d.nodesRefreshed += r
-			}
-			ws.scratchSpine, lv.childSpine = lv.childSpine[:0], outSpine
-			ws.scratchLocal, lv.childLocal = lv.childLocal[:0], outLocal
-			lv.childObs = nObs
-			lv.valid = true
+			j.outSpine, j.outLocal = sized(spine, need), sized(local, need)
 
 		default:
-			// Over-budget (or non-incremental) expansion: stream children
-			// straight through the selector without materializing them —
-			// the pre-incremental behavior and memory footprint.
-			lv.childSpine = lv.childSpine[:0]
-			lv.childLocal = lv.childLocal[:0]
+			// Over the cache bound: stream the blocks through the selector
+			// without retaining them.
 			lv.valid = false
-			if w := d.workersFor(parent.len() * nSeg); w > 1 {
-				e.runRegion(w, parRegion[C]{kind: regionStream, coster: coster,
-					parent: parent, t: t, nSeg: nSeg, units: parent.len(), keep: keep})
-			} else {
-				bs, bl := ws.block(nSeg)
-				d.nodesExpanded += e.streamRange(coster, parent, t, nSeg, 0, parent.len(), &ws.sel, &ws.fold, bs, bl)
-			}
-			lv.childObs = nObs
 		}
+		if w := d.workersFor(need); w > 1 {
+			e.runRegion(w)
+		} else {
+			x, r := e.expandRange(j, 0, parent.len(), &ws.sel, &ws.scr)
+			d.nodesExpanded += x
+			d.nodesRefreshed += r
+		}
+		if j.match {
+			ws.scratchSpine, ws.scratchLocal = lv.childSpine[:0], lv.childLocal[:0]
+		}
+		if j.outSpine != nil {
+			lv.childSpine, lv.childLocal = j.outSpine, j.outLocal
+			lv.valid = true
+		}
+		lv.childObs = nObs
 
 		// Canonicalize the selection to (parent, seg) order. The selection
 		// buffer's order depends on cost values, so without this step any
@@ -674,148 +649,90 @@ func (e *engine[C, O]) run(coster levelCoster[C], obs any, gen, epoch, cleanGen 
 	}
 }
 
-// refreshRange is the cached-expansion path for children [lo, hi): extend
-// each cached child's local cost sum with the observation terms that arrived
-// since the level was last folded, then offer the reconstituted path costs.
-// Each child's sum is extended term by term in recording order — the exact
-// same additions a from-scratch fold would perform — so the result does not
-// depend on how the range was sharded. The two phases are separate flat
-// loops over the parallel child arrays. Returns the number of cached nodes
-// reused.
-func (e *engine[C, O]) refreshRange(coster levelCoster[C], lv *cachedLevel[C], parent *frontier[C], t, nObs, nSeg, lo, hi int, sel *selector[C], scr *foldScratch, costBuf []C) int {
+// expandRange expands parents [lo, hi) of the level job j into sel and
+// returns the (freshly expanded, refreshed) node counts. Each parent's
+// children block comes from one of three sources:
+//
+//   - in place (j.inPlace): the cached block at the same index, its cost sums
+//     extended with the observations that arrived since the level was last
+//     folded — one batched tail fold over the whole range;
+//   - matched (j.match): the cached block of the old parent with the same
+//     spine value, copied into place and extended the same way;
+//   - fresh: hash replay of the parent's children with a full cost fold.
+//
+// Every fold adds the same terms, in recording order, that a from-root fold
+// would, so the result depends neither on the source nor on how the level
+// was sharded. Blocks land in j.outSpine/outLocal at their parent-major
+// offset or, when those are nil, in scr's one-block buffer, which is offered
+// and then overwritten by the next parent.
+func (e *engine[C, O]) expandRange(j *levelJob[C], lo, hi int, sel *selector[C], scr *expandScratch[C]) (expanded, refreshed int) {
 	if lo >= hi {
-		return 0
+		return 0, 0
 	}
-	if lv.childObs < nObs {
-		coster.costTailMany(lv.childLocal[lo:hi], lv.childSpine[lo:hi], t, lv.childObs, scr)
+	lv, nSeg := j.lv, j.nSeg
+	scr.spine = sized(scr.spine, nSeg)
+	scr.local = sized(scr.local, nSeg)
+	if j.inPlace && lv.childObs < j.nObs {
+		j.coster.costTailMany(j.outLocal[lo*nSeg:hi*nSeg], j.outSpine[lo*nSeg:hi*nSeg], j.t, lv.childObs, &scr.fold)
 	}
-	// Offer path costs parent block by parent block: the layout is
-	// parent-major, so (parent, seg) identity is derived from the index. The
-	// block's path costs are reconstituted into costBuf in one batched add,
-	// and the selector's rejection test is replicated inline (see
-	// selector.offer) so the common rejected candidate costs one compare, no
-	// call.
-	pi := lo / nSeg
-	i := lo
-	for i < hi {
-		end := min((pi+1)*nSeg, hi)
-		var base C
-		if t > 0 {
-			base = parent.cost[pi]
-		}
-		costs := costBuf[:end-i]
-		copy(costs, lv.childLocal[i:end])
-		e.ops.AddTo(costs, base)
-		keyBase := int64(pi) << 16
-		segBase := pi * nSeg
-		for bi := 0; i < end; i, bi = i+1, bi+1 {
-			cost := costs[bi]
-			key := keyBase | int64(i-segBase)
-			if sel.bounded && (cost > sel.bound.cost || (cost == sel.bound.cost && key >= sel.bound.key)) {
-				continue
-			}
-			sel.push(cand[C]{cost: cost, key: key, spine: lv.childSpine[i]})
-		}
-		pi++
-	}
-	return hi - lo
-}
-
-// rebuildRange expands parents [lo, hi) into their children, writing each
-// parent's block at its global offset pi*nSeg in outSpine/outLocal and
-// offering every child to sel. Parents that persisted from the previous
-// frontier (found through the workspace spine index when reuse is set) have
-// their cached children blocks reused with a term-by-term cost extension;
-// new parents are expanded by hash replay with a full cost fold. Returns
-// (freshly expanded, refreshed) node counts.
-func (e *engine[C, O]) rebuildRange(coster levelCoster[C], lv *cachedLevel[C], parent *frontier[C], t, nObs, nSeg int, reuse bool, lo, hi int, outSpine []uint64, outLocal []C, sel *selector[C], scr *foldScratch, costBuf []C) (expanded, refreshed int) {
-	d := e.d
-	costBuf = costBuf[:nSeg]
 	for pi := lo; pi < hi; pi++ {
-		ps := parent.spine[pi]
-		var base C
-		if t > 0 {
-			base = parent.cost[pi]
+		ps := j.parent.spine[pi]
+		blockS, blockL := scr.spine, scr.local
+		if j.outSpine != nil {
+			off := pi * nSeg
+			blockS, blockL = j.outSpine[off:off+nSeg], j.outLocal[off:off+nSeg]
 		}
-		block := -1
-		if reuse {
-			if j, ok := e.ws.pidx.get(ps); ok {
-				block = int(j) * nSeg
+		src := -1
+		if j.match {
+			if k, ok := e.ws.pidx.get(ps); ok {
+				src = int(k) * nSeg
 			}
 		}
-		keyBase := int64(pi) << 16
-		off := pi * nSeg
-		outS := outSpine[off : off+nSeg]
-		outL := outLocal[off : off+nSeg]
-		if block >= 0 {
-			copy(outS, lv.childSpine[block:block+nSeg])
-			copy(outL, lv.childLocal[block:block+nSeg])
-			coster.costTailMany(outL, outS, t, lv.childObs, scr)
+		switch {
+		case j.inPlace:
+			refreshed += nSeg // folded above
+		case src >= 0:
+			copy(blockS, lv.childSpine[src:src+nSeg])
+			copy(blockL, lv.childLocal[src:src+nSeg])
+			j.coster.costTailMany(blockL, blockS, j.t, lv.childObs, &scr.fold)
 			refreshed += nSeg
-		} else {
-			for seg := 0; seg < nSeg; seg++ {
-				outS[seg] = d.family.Next(ps, uint64(seg))
+		default:
+			for seg := range blockS {
+				blockS[seg] = e.d.family.Next(ps, uint64(seg))
 			}
-			coster.costTailMany(outL, outS, t, 0, scr) // from = 0 overwrites
+			j.coster.costTailMany(blockL, blockS, j.t, 0, &scr.fold) // from = 0 overwrites
 			expanded += nSeg
 		}
-		// outL is retained as this level's cache, so the path costs are
-		// reconstituted into the scratch buffer in one batched add.
-		copy(costBuf, outL)
-		e.ops.AddTo(costBuf, base)
-		for seg := 0; seg < nSeg; seg++ {
-			cost := costBuf[seg]
+		// Reconstitute the path costs in the one-block buffer in one batched
+		// add: a retained block keeps its local sums, a streamed block is
+		// that buffer already. The selector's rejection test is replicated
+		// inline (see selector.offer) so the common rejected candidate costs
+		// one compare, no call.
+		costs := scr.local
+		if j.outSpine != nil {
+			copy(costs, blockL)
+		}
+		e.ops.AddTo(costs, j.parent.cost[pi])
+		keyBase := int64(pi) << 16
+		for seg, cost := range costs {
 			key := keyBase | int64(seg)
 			if sel.bounded && (cost > sel.bound.cost || (cost == sel.bound.cost && key >= sel.bound.key)) {
 				continue
 			}
-			sel.push(cand[C]{cost: cost, key: key, spine: outS[seg]})
+			sel.push(cand[C]{cost: cost, key: key, spine: blockS[seg]})
 		}
 	}
 	return expanded, refreshed
 }
 
-// streamRange expands parents [lo, hi) one parent block at a time through the
-// passed block buffers (at least nSeg long) and the selector, without
-// retaining the children — the over-budget and non-incremental path. Returns
-// the number of nodes expanded.
-func (e *engine[C, O]) streamRange(coster levelCoster[C], parent *frontier[C], t, nSeg, lo, hi int, sel *selector[C], scr *foldScratch, blockSpine []uint64, blockLocal []C) int {
-	d := e.d
-	blockSpine = blockSpine[:nSeg]
-	blockLocal = blockLocal[:nSeg]
-	for pi := lo; pi < hi; pi++ {
-		ps := parent.spine[pi]
-		var base C
-		if t > 0 {
-			base = parent.cost[pi]
-		}
-		keyBase := int64(pi) << 16
-		for seg := 0; seg < nSeg; seg++ {
-			blockSpine[seg] = d.family.Next(ps, uint64(seg))
-		}
-		coster.costTailMany(blockLocal, blockSpine, t, 0, scr) // from = 0 overwrites
-		e.ops.AddTo(blockLocal, base)                          // children are not retained, so add in place
-		for seg := 0; seg < nSeg; seg++ {
-			cost := blockLocal[seg]
-			key := keyBase | int64(seg)
-			if sel.bounded && (cost > sel.bound.cost || (cost == sel.bound.cost && key >= sel.bound.key)) {
-				continue
-			}
-			sel.push(cand[C]{cost: cost, key: key, spine: blockSpine[seg]})
-		}
-	}
-	return (hi - lo) * nSeg
-}
-
-// runRegion executes one sharded level expansion on w workers — the calling
-// goroutine is worker 0, the pool helpers take the rest — then merges the
-// per-shard selections into the global selector (ws.sel, already reset by
-// the level loop) and folds the shard work counters into the decoder
-// totals. The merge is concatenation plus the global selector's own
-// compaction: under the total order the surviving membership is unique
-// whatever the merge order, and the level loop's canonical() sort fixes the
-// frontier layout.
-func (e *engine[C, O]) runRegion(w int, region parRegion[C]) {
+// runRegion executes the level job on w workers — the calling goroutine is
+// worker 0, the pool helpers take the rest — then merges the per-shard
+// selections into the global selector (ws.sel, already reset by the level
+// loop) and folds the shard work counters into the decoder totals. The merge
+// is concatenation plus the global selector's own compaction: under the
+// total order the surviving membership is unique whatever the merge order,
+// and the level loop's canonical() sort fixes the frontier layout.
+func (e *engine[C, O]) runRegion(w int) {
 	d := e.d
 	if len(e.par) != d.workers {
 		e.par = make([]parShard[C], d.workers)
@@ -824,10 +741,8 @@ func (e *engine[C, O]) runRegion(w int, region parRegion[C]) {
 	if e.shardBody == nil {
 		e.shardBody = e.runShard // one closure for the engine's lifetime
 	}
-	region.chunk = (region.units + w - 1) / w
-	e.region = region
+	e.job.chunk = (e.job.parent.len() + w - 1) / w
 	d.pool.dispatch(w, e.shardBody)
-	e.region = parRegion[C]{} // do not pin the observation container between attempts
 	for i := 0; i < w; i++ {
 		sh := &e.par[i]
 		for _, n := range sh.sel.pending() {
@@ -838,25 +753,15 @@ func (e *engine[C, O]) runRegion(w int, region parRegion[C]) {
 	}
 }
 
-// runShard is the body every worker executes: carve this shard's chunk out
-// of the region and run the matching range expansion into the shard-private
-// selector and counters.
+// runShard is the body every worker executes: carve this shard's parents out
+// of the level job and expand them into the shard-private selector and
+// counters.
 func (e *engine[C, O]) runShard(shard int) {
-	rg := &e.region
+	j := &e.job
 	sh := &e.par[shard]
-	sh.sel.reset(rg.keep)
-	sh.expanded, sh.refreshed = 0, 0
-	lo := min(shard*rg.chunk, rg.units)
-	hi := min(lo+rg.chunk, rg.units)
-	switch rg.kind {
-	case regionRefresh:
-		_, cb := sh.block(rg.nSeg)
-		sh.refreshed = e.refreshRange(rg.coster, rg.lv, rg.parent, rg.t, rg.nObs, rg.nSeg, lo, hi, &sh.sel, &sh.fold, cb)
-	case regionRebuild:
-		_, cb := sh.block(rg.nSeg)
-		sh.expanded, sh.refreshed = e.rebuildRange(rg.coster, rg.lv, rg.parent, rg.t, rg.nObs, rg.nSeg, rg.reuse, lo, hi, rg.outSpine, rg.outLocal, &sh.sel, &sh.fold, cb)
-	case regionStream:
-		bs, bl := sh.block(rg.nSeg)
-		sh.expanded = e.streamRange(rg.coster, rg.parent, rg.t, rg.nSeg, lo, hi, &sh.sel, &sh.fold, bs, bl)
-	}
+	sh.sel.reset(j.keep)
+	n := j.parent.len()
+	lo := min(shard*j.chunk, n)
+	hi := min(lo+j.chunk, n)
+	sh.expanded, sh.refreshed = e.expandRange(j, lo, hi, &sh.sel, &sh.scr)
 }

@@ -32,6 +32,83 @@ func incrementalCases() []incrementalCase {
 	}
 }
 
+// decodeAttempt runs one Decode of obs. With fromRoot set it first discards
+// the decoder's workspaces, so the attempt runs from the root of the tree as
+// it would on a decoder that has never seen obs: the from-scratch oracle the
+// incremental decodes are checked against.
+func decodeAttempt(dec *BeamDecoder, obs *Observations, fromRoot bool) (*DecodeResult, error) {
+	if fromRoot {
+		dec.invalidateWorkspaces()
+	}
+	return dec.Decode(obs)
+}
+
+// decodeBitsAttempt is the binary-channel counterpart of decodeAttempt.
+func decodeBitsAttempt(dec *BeamDecoder, obs *BitObservations, fromRoot bool) (*DecodeResult, error) {
+	if fromRoot {
+		dec.invalidateWorkspaces()
+	}
+	return dec.DecodeBits(obs)
+}
+
+// smallCacheBound lowers maxCachedChildren below one parent's children block
+// at every test geometry (2^k >= 16), so no level is retained: every block
+// streams through the one-block buffer and nothing is ever refreshed.
+const smallCacheBound = 8
+
+// withCacheBound sets maxCachedChildren to n and returns the func that
+// restores it.
+func withCacheBound(n int) func() {
+	old := maxCachedChildren
+	maxCachedChildren = n
+	return func() { maxCachedChildren = old }
+}
+
+// boundedDecoder is an incremental decoder that always decodes under a
+// lowered maxCachedChildren.
+type boundedDecoder struct {
+	bound int
+	dec   *BeamDecoder
+}
+
+// newBoundedDecoders returns one decoder per lowered bound: smallCacheBound,
+// and 128 = B·2^4, which retains the observed levels of the k = 4 cases but
+// streams their wider unobserved ones, so levels move between the two
+// outputs from one attempt to the next.
+func newBoundedDecoders(t *testing.T, p Params) []boundedDecoder {
+	t.Helper()
+	var bds []boundedDecoder
+	for _, bound := range []int{smallCacheBound, 128} {
+		dec, err := NewBeamDecoder(p, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(dec.Close)
+		bds = append(bds, boundedDecoder{bound: bound, dec: dec})
+	}
+	return bds
+}
+
+// check decodes one attempt under the lowered bound and requires the
+// from-scratch message and cost; under smallCacheBound nothing is retained,
+// so nothing may be refreshed either.
+func (b boundedDecoder) check(t *testing.T, p Params, attempt int, want *DecodeResult, decode func(*BeamDecoder) (*DecodeResult, error)) {
+	t.Helper()
+	restore := withCacheBound(b.bound)
+	got, err := decode(b.dec)
+	restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !EqualMessages(got.Message, want.Message, p.MessageBits) || got.Cost != want.Cost {
+		t.Fatalf("attempt %d: decode under cache bound %d (%x, %v) differs from from-scratch (%x, %v)",
+			attempt, b.bound, got.Message, got.Cost, want.Message, want.Cost)
+	}
+	if b.bound == smallCacheBound && got.NodesRefreshed != 0 {
+		t.Fatalf("attempt %d: decode under cache bound %d refreshed %d nodes", attempt, b.bound, got.NodesRefreshed)
+	}
+}
+
 func caseSchedule(t *testing.T, tc incrementalCase) Schedule {
 	t.Helper()
 	nseg := tc.params.NumSegments()
@@ -49,7 +126,8 @@ func caseSchedule(t *testing.T, tc incrementalCase) Schedule {
 }
 
 // TestIncrementalMatchesFromScratchAWGN interleaves Observe and Decode over
-// an AWGN channel and checks every attempt against a from-scratch decode.
+// an AWGN channel and checks every attempt against a from-scratch decode,
+// with the default cache bound and with lowered ones.
 func TestIncrementalMatchesFromScratchAWGN(t *testing.T) {
 	for _, tc := range incrementalCases() {
 		tc := tc
@@ -70,6 +148,7 @@ func TestIncrementalMatchesFromScratchAWGN(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			bounded := newBoundedDecoders(t, p)
 			obs, err := NewObservations(p.NumSegments())
 			if err != nil {
 				t.Fatal(err)
@@ -108,6 +187,9 @@ func TestIncrementalMatchesFromScratchAWGN(t *testing.T) {
 					t.Fatalf("attempt at %d symbols: incremental cost %v differs from from-scratch %v",
 						i+1, got.Cost, want.Cost)
 				}
+				for _, b := range bounded {
+					b.check(t, p, i+1, want, func(d *BeamDecoder) (*DecodeResult, error) { return d.Decode(obs) })
+				}
 				incNodes += got.NodesExpanded
 				scratchNodes += want.NodesExpanded
 				attempts++
@@ -143,6 +225,7 @@ func TestIncrementalMatchesFromScratchBSC(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			bounded := newBoundedDecoders(t, p)
 			obs, err := NewBitObservations(p.NumSegments())
 			if err != nil {
 				t.Fatal(err)
@@ -178,6 +261,9 @@ func TestIncrementalMatchesFromScratchBSC(t *testing.T) {
 					t.Fatalf("attempt at %d bits: incremental cost %v differs from from-scratch %v",
 						i+1, got.Cost, want.Cost)
 				}
+				for _, b := range bounded {
+					b.check(t, p, i+1, want, func(d *BeamDecoder) (*DecodeResult, error) { return d.DecodeBits(obs) })
+				}
 				incNodes += got.NodesExpanded
 				scratchNodes += want.NodesExpanded
 			}
@@ -186,6 +272,93 @@ func TestIncrementalMatchesFromScratchBSC(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestIncrementalNodeSavings checks the headline claim of the incremental
+// decoder end to end: full rateless transmissions at 0 dB (about eight
+// passes per message) with the Figure 2 code (k = 8, c = 10, B = 16, a
+// 14-bit ADC), a 24-bit message and the sequential schedule, attempted at
+// every adaptive attempt point. At low SNR puncturing buys nothing, so the
+// sequential schedule is the natural operating point; it also keeps the
+// comparison about decoder work rather than the unpruned blowup a punctured
+// first attempt causes either way. Every attempt of the incremental decoder
+// must match a fresh decoder's message and cost, and across all attempts it
+// must expand at most a third of the fresh decoders' nodes.
+func TestIncrementalNodeSavings(t *testing.T) {
+	p := Params{K: 8, C: 10, MessageBits: 24, Seed: DefaultSeed}
+	nseg := p.NumSegments()
+	sched, err := NewSequentialSchedule(nseg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const trials, beam = 6, 16
+	maxSymbols := 400 * nseg
+	minUses := (p.MessageBits + 2*p.C - 1) / (2 * p.C)
+	var incNodes, freshNodes, delivered int
+	for trial := uint64(1); trial <= trials; trial++ {
+		msg := RandomMessage(rng.New(DefaultSeed^(0x9e3779b97f4a7c15*trial)), p.MessageBits)
+		enc, err := NewEncoder(p, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		radio, err := channel.NewQuantizedAWGN(0, 14, rng.New(DefaultSeed^(0xbb67ae8584caa73b*trial)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inc, err := NewBeamDecoder(p, beam)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(inc.Close)
+		obs, err := NewObservations(nseg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for sent := 0; sent < maxSymbols; {
+			stop, attempt := nextAttempt(AttemptAdaptive{}, sent, minUses, nseg, maxSymbols)
+			for ; sent < stop; sent++ {
+				pos := sched.Pos(sent)
+				if err := obs.Add(pos, radio.Corrupt(enc.SymbolAt(pos))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !attempt {
+				break
+			}
+			got, err := inc.Decode(obs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := NewBeamDecoder(p, beam)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.Decode(obs)
+			fresh.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !EqualMessages(got.Message, want.Message, p.MessageBits) || got.Cost != want.Cost {
+				t.Fatalf("trial %d at %d symbols: incremental (%x, %v) differs from fresh (%x, %v)",
+					trial, sent, got.Message, got.Cost, want.Message, want.Cost)
+			}
+			incNodes += got.NodesExpanded
+			freshNodes += want.NodesExpanded
+			if EqualMessages(got.Message, msg, p.MessageBits) {
+				delivered++
+				break
+			}
+		}
+	}
+	if delivered == 0 || incNodes == 0 {
+		t.Fatalf("vacuous run: %d/%d delivered, %d incremental nodes", delivered, trials, incNodes)
+	}
+	if 3*incNodes > freshNodes {
+		t.Fatalf("incremental decoder expanded %d nodes, fresh decoders %d: %.2fx, want >= 3x",
+			incNodes, freshNodes, float64(freshNodes)/float64(incNodes))
+	}
+	t.Logf("%.1fx: incremental expanded %d nodes, fresh decoders %d, %d/%d delivered",
+		float64(freshNodes)/float64(incNodes), incNodes, freshNodes, delivered, trials)
 }
 
 // TestIncrementalUnchangedObservationsIsCacheHit checks that re-decoding an

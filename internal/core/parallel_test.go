@@ -13,9 +13,9 @@ import (
 // Tests for the parallel decode engine. The contract under test is strict:
 // a decode sharded across any number of worker goroutines must produce a
 // DecodeResult that is byte-identical to the serial decode — same message,
-// same cost, same NodesExpanded/NodesRefreshed/NodesSaved accounting — with
-// incremental reuse on or off, over both channel kinds, both cost metrics
-// and both search modes.
+// same cost, same NodesExpanded/NodesRefreshed/NodesSaved accounting —
+// resuming incrementally, decoding from the root or retaining no level, over
+// both channel kinds, both cost metrics and both search modes.
 
 // forceParallel lowers the sharding thresholds so that even the small trees
 // used by tests exercise the multi-worker paths, restoring them afterwards.
@@ -36,20 +36,29 @@ func parallelisms() []int {
 	return ps
 }
 
-// decodeVariant is one (parallelism, incremental) decoder configuration fed
-// the same symbol stream as the serial reference; every variant of a set
-// shares one (metric, search mode).
+// Variant modes: an incremental decoder, the same decoder decoding every
+// attempt from the root, and an incremental decoder under smallCacheBound,
+// which retains no level.
+const (
+	variantIncremental = "incremental"
+	variantFromRoot    = "from-root"
+	variantUncached    = "uncached"
+)
+
+// decodeVariant is one (parallelism, mode) decoder configuration fed the
+// same symbol stream as the serial reference; every variant of a set shares
+// one (metric, search mode).
 type decodeVariant struct {
-	workers     int
-	incremental bool
-	dec         *BeamDecoder
-	last        *DecodeResult
+	workers int
+	mode    string
+	dec     *BeamDecoder
+	last    *DecodeResult
 }
 
 func newVariants(t *testing.T, p Params, beam int, metric CostMetric, mode SearchMode) []*decodeVariant {
 	t.Helper()
 	var vs []*decodeVariant
-	for _, inc := range []bool{true, false} {
+	for _, vm := range []string{variantIncremental, variantFromRoot, variantUncached} {
 		for _, w := range parallelisms() {
 			dec, err := NewBeamDecoder(p, beam)
 			if err != nil {
@@ -61,32 +70,56 @@ func newVariants(t *testing.T, p Params, beam int, metric CostMetric, mode Searc
 			if err := dec.SetSearchMode(mode); err != nil {
 				t.Fatal(err)
 			}
-			dec.SetIncremental(inc)
 			dec.SetParallelism(w)
 			t.Cleanup(dec.Close)
-			vs = append(vs, &decodeVariant{workers: w, incremental: inc, dec: dec})
+			vs = append(vs, &decodeVariant{workers: w, mode: vm, dec: dec})
 		}
 	}
 	return vs
 }
 
-// checkVariants asserts that every variant with the same incremental setting
-// produced a byte-identical DecodeResult, and that incremental and
-// from-scratch variants agree on message and cost.
+// decode runs one attempt of v's decoder on obs under v's mode.
+func (v *decodeVariant) decode(obs *Observations) (err error) {
+	if v.mode == variantUncached {
+		defer withCacheBound(smallCacheBound)()
+	}
+	v.last, err = decodeAttempt(v.dec, obs, v.mode == variantFromRoot)
+	return err
+}
+
+// decodeBits is the binary-channel counterpart of decode.
+func (v *decodeVariant) decodeBits(obs *BitObservations) (err error) {
+	if v.mode == variantUncached {
+		defer withCacheBound(smallCacheBound)()
+	}
+	v.last, err = decodeBitsAttempt(v.dec, obs, v.mode == variantFromRoot)
+	return err
+}
+
+// checkVariants asserts that every variant decoded the reference's message
+// and cost, that variants of one mode agree on the work counters at every
+// worker count, and that the uncached variants refreshed nothing.
 func checkVariants(t *testing.T, p Params, vs []*decodeVariant, attempt int) {
 	t.Helper()
 	ref := vs[0].last
 	for _, v := range vs[1:] {
 		got := v.last
 		if !EqualMessages(got.Message, ref.Message, p.MessageBits) || got.Cost != ref.Cost {
-			t.Fatalf("attempt %d: workers=%d incremental=%v decoded (%x, %v), reference (%x, %v)",
-				attempt, v.workers, v.incremental, got.Message, got.Cost, ref.Message, ref.Cost)
+			t.Fatalf("attempt %d: workers=%d %s decoded (%x, %v), reference (%x, %v)",
+				attempt, v.workers, v.mode, got.Message, got.Cost, ref.Message, ref.Cost)
 		}
-		if v.incremental == vs[0].incremental && (got.NodesExpanded != ref.NodesExpanded ||
-			got.NodesRefreshed != ref.NodesRefreshed || got.NodesSaved != ref.NodesSaved) {
-			t.Fatalf("attempt %d: workers=%d accounting (%d expanded, %d refreshed, %d saved) differs from serial (%d, %d, %d)",
-				attempt, v.workers, got.NodesExpanded, got.NodesRefreshed, got.NodesSaved,
-				ref.NodesExpanded, ref.NodesRefreshed, ref.NodesSaved)
+		if v.mode == variantUncached && got.NodesRefreshed != 0 {
+			t.Fatalf("attempt %d: workers=%d uncached decode refreshed %d nodes", attempt, v.workers, got.NodesRefreshed)
+		}
+	}
+	for i, v := range vs {
+		serial := vs[i-i%len(parallelisms())].last // first variant of v's mode
+		got := v.last
+		if got.NodesExpanded != serial.NodesExpanded || got.NodesRefreshed != serial.NodesRefreshed ||
+			got.NodesSaved != serial.NodesSaved {
+			t.Fatalf("attempt %d: %s workers=%d accounting (%d expanded, %d refreshed, %d saved) differs from serial (%d, %d, %d)",
+				attempt, v.mode, v.workers, got.NodesExpanded, got.NodesRefreshed, got.NodesSaved,
+				serial.NodesExpanded, serial.NodesRefreshed, serial.NodesSaved)
 		}
 	}
 }
@@ -103,7 +136,7 @@ func forMetricsAndModes(t *testing.T, body func(t *testing.T, metric CostMetric,
 }
 
 // TestParallelMatchesSerialAWGN interleaves Observe and Decode over an AWGN
-// channel for every (parallelism, incremental) combination, under every
+// channel for every (parallelism, variant mode) combination, under every
 // (metric, search mode), and checks each attempt against the serial
 // incremental reference.
 func TestParallelMatchesSerialAWGN(t *testing.T) {
@@ -151,11 +184,9 @@ func TestParallelMatchesSerialAWGN(t *testing.T) {
 						continue
 					}
 					for v := range vs {
-						out, err := vs[v].dec.Decode(streams[v].obs)
-						if err != nil {
+						if err := vs[v].decode(streams[v].obs); err != nil {
 							t.Fatal(err)
 						}
-						vs[v].last = out
 					}
 					checkVariants(t, p, vs, i+1)
 				}
@@ -211,11 +242,9 @@ func TestParallelMatchesSerialBSC(t *testing.T) {
 						continue
 					}
 					for v := range vs {
-						out, err := vs[v].dec.DecodeBits(streams[v].obs)
-						if err != nil {
+						if err := vs[v].decodeBits(streams[v].obs); err != nil {
 							t.Fatal(err)
 						}
-						vs[v].last = out
 					}
 					checkVariants(t, p, vs, i+1)
 				}

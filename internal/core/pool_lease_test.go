@@ -85,9 +85,8 @@ func TestLeaseBitsContainer(t *testing.T) {
 }
 
 // TestReleaseRestoresDecoderDefaults checks that per-lease tuning does not
-// leak through the pool: a lease whose decoder had incremental reuse turned
-// off and the candidate cap overridden must come back configured like a
-// fresh decoder.
+// leak through the pool: a lease whose decoder had the candidate cap
+// overridden must come back configured like a fresh decoder.
 func TestReleaseRestoresDecoderDefaults(t *testing.T) {
 	p := poolTestParams(32)
 	pool := NewDecoderPool(2)
@@ -96,7 +95,6 @@ func TestReleaseRestoresDecoderDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	dec := lease.Dec
-	dec.SetIncremental(false)
 	if err := dec.SetMaxCandidates(DefaultMaxCandidates(p, 8) * 2); err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +107,6 @@ func TestReleaseRestoresDecoderDefaults(t *testing.T) {
 	defer again.Release()
 	if again.Dec != dec {
 		t.Fatal("expected the cached decoder back")
-	}
-	if !again.Dec.Incremental() {
-		t.Fatal("incremental mode not restored on release")
 	}
 	if got, want := again.Dec.MaxCandidates(), DefaultMaxCandidates(p, 8); got != want {
 		t.Fatalf("max candidates after release = %d, want default %d", got, want)

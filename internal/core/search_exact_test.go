@@ -14,7 +14,8 @@ import (
 // from the decoder as it stood before the approximate-search modes landed.
 // SearchExact must remain bit-identical to that decoder — same messages, same
 // costs, same NodesExpanded/NodesRefreshed — at every worker count, for both
-// cost metrics, with incremental reuse on or off. Any engine change that
+// cost metrics, resuming incrementally or decoding every attempt from the
+// root. Any engine change that
 // perturbs the exact path trips these constants.
 
 // exactPinParams is the fixed operating point the fingerprints are recorded
@@ -103,7 +104,6 @@ func exactFingerprints(t *testing.T, metric CostMetric, workers int, incremental
 	if err := dec.SetCostMetric(metric); err != nil {
 		t.Fatal(err)
 	}
-	dec.SetIncremental(incremental)
 	dec.SetParallelism(workers)
 
 	hr, hw := fnv.New64a(), fnv.New64a()
@@ -124,7 +124,7 @@ func exactFingerprints(t *testing.T, metric CostMetric, workers int, incremental
 						t.Fatal(err)
 					}
 				}
-				out, err := dec.DecodeBits(obs)
+				out, err := decodeBitsAttempt(dec, obs, !incremental)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -142,7 +142,7 @@ func exactFingerprints(t *testing.T, metric CostMetric, workers int, incremental
 						t.Fatal(err)
 					}
 				}
-				out, err := dec.Decode(obs)
+				out, err := decodeAttempt(dec, obs, !incremental)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -138,7 +138,7 @@ func capParams() Params { return Params{K: 4, C: 8, MessageBits: 48, Seed: Defau
 const capBeam = 16
 
 // newCapDecoder returns a capParams decoder configured for one test case.
-func newCapDecoder(t *testing.T, metric CostMetric, mode SearchMode, incremental bool, workers int) *BeamDecoder {
+func newCapDecoder(t *testing.T, metric CostMetric, mode SearchMode, workers int) *BeamDecoder {
 	t.Helper()
 	dec, err := NewBeamDecoder(capParams(), capBeam)
 	if err != nil {
@@ -151,7 +151,6 @@ func newCapDecoder(t *testing.T, metric CostMetric, mode SearchMode, incremental
 	if err := dec.SetSearchMode(mode); err != nil {
 		t.Fatal(err)
 	}
-	dec.SetIncremental(incremental)
 	dec.SetParallelism(workers)
 	return dec
 }
@@ -189,7 +188,7 @@ func capStream(t *testing.T, seed uint64, sigma float64, passes int, obs []*Obse
 // returns every attempt's result.
 func pinSearchTranscript(t *testing.T, metric CostMetric, mode SearchMode, incremental bool, workers int) []DecodeResult {
 	t.Helper()
-	dec := newCapDecoder(t, metric, mode, incremental, workers)
+	dec := newCapDecoder(t, metric, mode, workers)
 	var outs []DecodeResult
 	for trial := uint64(1); trial <= 2; trial++ {
 		obs, err := NewObservations(capParams().NumSegments())
@@ -197,7 +196,7 @@ func pinSearchTranscript(t *testing.T, metric CostMetric, mode SearchMode, incre
 			t.Fatal(err)
 		}
 		capStream(t, trial*0x9e3779b9, 0.22, 4, []*Observations{obs}, func(int) {
-			out, err := dec.Decode(obs)
+			out, err := decodeAttempt(dec, obs, !incremental)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -280,8 +279,8 @@ func TestApproxEqualsExactOnceObserved(t *testing.T) {
 	for _, metric := range costMetrics {
 		for _, incremental := range []bool{true, false} {
 			for _, workers := range []int{1, 3} {
-				exactDec := newCapDecoder(t, metric, SearchExact, incremental, workers)
-				approxDec := newCapDecoder(t, metric, SearchApprox, incremental, workers)
+				exactDec := newCapDecoder(t, metric, SearchExact, workers)
+				approxDec := newCapDecoder(t, metric, SearchApprox, workers)
 				for si, sigma := range sigmas {
 					for trial := 0; trial < trials; trial++ {
 						var obs [2]*Observations
@@ -293,11 +292,11 @@ func TestApproxEqualsExactOnceObserved(t *testing.T) {
 						}
 						seed := uint64(si*trials+trial+1) * 0x9e3779b97f4a7c15
 						capStream(t, seed, sigma, passes, obs[:], func(sent int) {
-							exact, err := exactDec.Decode(obs[0])
+							exact, err := decodeAttempt(exactDec, obs[0], !incremental)
 							if err != nil {
 								t.Fatal(err)
 							}
-							approx, err := approxDec.Decode(obs[1])
+							approx, err := decodeAttempt(approxDec, obs[1], !incremental)
 							if err != nil {
 								t.Fatal(err)
 							}

@@ -151,10 +151,6 @@ type SessionConfig struct {
 	// MaxSymbols bounds the number of channel uses before the sender gives up
 	// on the message. Zero selects 400 passes worth of symbols.
 	MaxSymbols int
-	// DisableIncremental forces every decode attempt to run from the root of
-	// the tree instead of resuming from the previous attempt's workspace. It
-	// exists for benchmarks and equivalence tests; leave it false in real use.
-	DisableIncremental bool
 	// Parallelism is the number of worker goroutines the decoder shards each
 	// level expansion across. Zero keeps the decoder default
 	// (runtime.GOMAXPROCS); 1 forces the serial path. Results are
@@ -354,7 +350,6 @@ func sessionDecoder(cfg SessionConfig) (dec *BeamDecoder, lease *LeasedDecoder, 
 		release()
 		return nil, nil, nil, err
 	}
-	dec.SetIncremental(!cfg.DisableIncremental)
 	dec.SetParallelism(cfg.Parallelism) // <= 0 selects the GOMAXPROCS default
 	return dec, lease, release, nil
 }

@@ -177,30 +177,6 @@ func FormatFountain(pts []OverheadPoint) *sim.Table {
 	return t
 }
 
-// IncrementalColumns is the point schema of the incremental-decode cost
-// comparison. Node counts are deterministic decoder work, not wall-clock.
-func IncrementalColumns() []sim.Column {
-	return []sim.Column{
-		sim.Col("snr_db", "%.1f"),
-		sim.Col("incremental_nodes", "%d"),
-		sim.Col("refreshed_nodes", "%d"),
-		sim.Col("scratch_nodes", "%d"),
-		sim.Col("node_speedup", "%.2f"),
-		sim.Col("delivered", "%d"),
-		sim.Col("trials", "%d"),
-	}
-}
-
-// FormatIncremental renders the incremental-decode cost comparison.
-func FormatIncremental(pts []DecodeCostPoint) *sim.Table {
-	t := sim.NewTable("", IncrementalColumns()...)
-	for _, p := range pts {
-		t.AddRow(p.SNRdB, p.IncrementalNodes, p.IncrementalRefreshed,
-			p.FromScratchNodes, p.NodeSpeedup, p.Delivered, p.Trials)
-	}
-	return t
-}
-
 // ParallelColumns is the point schema of the parallel-decode scaling sweep.
 func ParallelColumns() []sim.Column {
 	return []sim.Column{

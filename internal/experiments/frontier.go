@@ -55,8 +55,8 @@ type frontierTrial struct {
 // FrontierComparison runs the same rateless transmissions under every
 // search mode and reports rate and tree-expansion work per (SNR, mode).
 // Message and channel randomness derive from the configured seed and the
-// trial index — exactly as in IncrementalDecodeComparison — so all modes
-// face byte-identical symbol streams and the node ratios are deterministic.
+// trial index, so all modes face byte-identical symbol streams and the node
+// ratios are deterministic.
 func FrontierComparison(cfg SpinalConfig, snrsDB []float64) ([]FrontierPoint, error) {
 	cfg = cfg.withDefaults()
 	params, err := cfg.params()

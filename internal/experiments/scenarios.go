@@ -431,30 +431,6 @@ func init() {
 		},
 	})
 	sim.Register(sim.Scenario{
-		Name:        "incremental",
-		Description: "incremental decode workspace reuse versus from-scratch attempts (node counts, bit-identical decodes)",
-		Flags:       codeFlags,
-		Schema:      IncrementalColumns(),
-		Run: func(req sim.Request) (*sim.Result, error) {
-			cfg, err := spinalConfigFrom(req)
-			if err != nil {
-				return nil, err
-			}
-			cfg.Schedule = "sequential" // the natural low-SNR operating point
-			cfg.Trials = capTrials(req.Trials, 10)
-			pt, err := IncrementalDecodeComparison(cfg, 0)
-			if err != nil {
-				return nil, err
-			}
-			res := sim.NewResult("incremental")
-			res.Notef("incremental vs from-scratch decoding at 0 dB (bit-identical decodes, node counts)")
-			res.Notef("effective config: %d trials, %s schedule (this experiment fixes the schedule and caps trials at 10)",
-				cfg.Trials, cfg.Schedule)
-			res.Add(FormatIncremental([]DecodeCostPoint{pt}))
-			return res, nil
-		},
-	})
-	sim.Register(sim.Scenario{
 		Name:        "parallel",
 		Description: "parallel beam-decode scaling across decoder worker counts (bit-identical decodes)",
 		Flags:       codeFlags,

@@ -390,110 +390,6 @@ func scheduleFor(cfg SpinalConfig, nseg int) (core.Schedule, error) {
 	}
 }
 
-// DecodeCostPoint summarizes the decoding work of full rateless
-// transmissions with and without incremental workspace reuse. The decoded
-// messages are verified identical between the two modes, so the point
-// isolates pure computational savings.
-type DecodeCostPoint struct {
-	SNRdB float64
-	// IncrementalNodes is the total number of freshly expanded tree nodes
-	// (hash replay plus full cost computation) across all decode attempts of
-	// all trials with the incremental decoder.
-	IncrementalNodes int64
-	// IncrementalRefreshed counts cached nodes reused with an in-place cost
-	// update — the cheap work that replaced re-expansion.
-	IncrementalRefreshed int64
-	// FromScratchNodes is the same total when every attempt restarts at the
-	// tree root (the pre-incremental behavior).
-	FromScratchNodes int64
-	// NodeSpeedup is FromScratchNodes / IncrementalNodes.
-	NodeSpeedup float64
-	// Delivered counts messages decoded within the pass budget (identical in
-	// both modes by construction).
-	Delivered int
-	Trials    int
-}
-
-// incrementalTrial is the per-trial outcome of the incremental comparison.
-type incrementalTrial struct {
-	incNodes     int64
-	incRefreshed int64
-	scratchNodes int64
-	delivered    bool
-}
-
-// IncrementalDecodeComparison runs the same rateless transmissions twice —
-// once with the incremental decoder and once forcing every attempt from
-// scratch — and reports the total tree-expansion work of each mode. Message
-// and channel randomness are derived from the configured seed, so both modes
-// see byte-identical symbol streams; the function errors if the two modes
-// ever disagree on a decoded message or on the number of channel uses, which
-// doubles as an end-to-end equivalence check of the incremental pipeline.
-func IncrementalDecodeComparison(cfg SpinalConfig, snrDB float64) (DecodeCostPoint, error) {
-	cfg = cfg.withDefaults()
-	params, err := cfg.params()
-	if err != nil {
-		return DecodeCostPoint{}, err
-	}
-	sched, err := scheduleFor(cfg, params.NumSegments())
-	if err != nil {
-		return DecodeCostPoint{}, err
-	}
-	results, err := sim.Run(cfg.runner(), cfg.Trials, func(w *sim.Worker, trial int) (incrementalTrial, error) {
-		msg := core.RandomMessage(rng.New(cfg.Seed^(0x9e3779b97f4a7c15*uint64(trial+1))), cfg.MessageBits)
-		run := func(disableIncremental bool) (*core.Result, error) {
-			radio, err := channel.NewQuantizedAWGN(snrDB, cfg.ADCBits, rng.New(cfg.Seed^(0xbb67ae8584caa73b*uint64(trial+1))))
-			if err != nil {
-				return nil, err
-			}
-			return core.RunChannelSession(core.SessionConfig{
-				Params:             params,
-				BeamWidth:          cfg.BeamWidth,
-				Schedule:           sched,
-				MaxSymbols:         cfg.MaxPasses * params.NumSegments(),
-				DisableIncremental: disableIncremental,
-				Parallelism:        trialParallelism(cfg),
-				Pool:               w.Pool(),
-			}, msg, radio, core.GenieVerifier(msg, cfg.MessageBits))
-		}
-		inc, err := run(false)
-		if err != nil {
-			return incrementalTrial{}, err
-		}
-		scratch, err := run(true)
-		if err != nil {
-			return incrementalTrial{}, err
-		}
-		if inc.Success != scratch.Success || inc.ChannelUses != scratch.ChannelUses ||
-			!core.EqualMessages(inc.Decoded, scratch.Decoded, cfg.MessageBits) {
-			return incrementalTrial{}, fmt.Errorf(
-				"experiments: incremental and from-scratch decodes diverged")
-		}
-		return incrementalTrial{
-			incNodes:     inc.NodesExpanded,
-			incRefreshed: inc.NodesRefreshed,
-			scratchNodes: scratch.NodesExpanded,
-			delivered:    inc.Success,
-		}, nil
-	})
-	if err != nil {
-		return DecodeCostPoint{}, err
-	}
-	pt := DecodeCostPoint{SNRdB: snrDB, Trials: cfg.Trials}
-	for _, r := range results {
-		pt.IncrementalNodes += r.incNodes
-		pt.IncrementalRefreshed += r.incRefreshed
-		pt.FromScratchNodes += r.scratchNodes
-		if r.delivered {
-			pt.Delivered++
-		}
-	}
-	if pt.IncrementalNodes > 0 {
-		pt.NodeSpeedup = float64(pt.FromScratchNodes) / float64(pt.IncrementalNodes)
-	}
-	return pt, nil
-}
-
 // trialParallelism is the decoder parallelism used inside runner-sharded
 // session trials: serial unless the configuration asks for decoder workers
 // explicitly, because the runner already fans trials out across CPUs.
