@@ -12,9 +12,9 @@ import (
 	"time"
 
 	"spinal"
-	"spinal/internal/channel"
 	"spinal/internal/core"
 	"spinal/internal/experiments"
+	"spinal/internal/impair"
 	"spinal/internal/ldpc"
 	"spinal/internal/link"
 	"spinal/internal/rng"
@@ -144,11 +144,11 @@ func BenchmarkDecoder(b *testing.B) {
 	}
 	msg := spinal.RandomMessage(256, 2)
 	stream, _ := code.EncodeStream(msg)
-	ch, _ := spinal.AWGNChannel(15, 3)
+	ch, _ := impair.NewAWGN(15, rng.New(3))
 	dec, _ := code.NewDecoder()
 	for i := 0; i < 2*code.NumSegments(); i++ {
 		sym := stream.Next()
-		if err := dec.Observe(sym.Pos, ch(sym.Value)); err != nil {
+		if err := dec.Observe(sym.Pos, ch.Corrupt(sym.Value)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -156,7 +156,7 @@ func BenchmarkDecoder(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sym := stream.Next()
-		if err := dec.Observe(sym.Pos, ch(sym.Value)); err != nil {
+		if err := dec.Observe(sym.Pos, ch.Corrupt(sym.Value)); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := dec.Decode(); err != nil {
@@ -185,14 +185,14 @@ func BenchmarkIncrementalDecode(b *testing.B) {
 		nodes, delivered = 0, 0
 		for trial := 0; trial < trials; trial++ {
 			msg := core.RandomMessage(rng.New(uint64(trial)*13+1), params.MessageBits)
-			radio, err := channel.NewQuantizedAWGN(0, 14, rng.New(uint64(trial)*17+3))
+			radio, err := impair.NewQuantizedAWGN(0, 14, rng.New(uint64(trial)*17+3))
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := core.RunSymbolSession(core.SessionConfig{
+			res, err := core.RunChannelSession(core.SessionConfig{
 				Params:    params,
 				BeamWidth: 16,
-			}, msg, radio.Corrupt, core.GenieVerifier(msg, params.MessageBits))
+			}, msg, radio, core.GenieVerifier(msg, params.MessageBits))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -223,7 +223,7 @@ func fromRootObservations(b *testing.B) (core.Params, [2]*core.Observations, int
 	if err != nil {
 		b.Fatal(err)
 	}
-	radio, err := channel.NewQuantizedAWGN(0, 14, rng.New(43))
+	radio, err := impair.NewQuantizedAWGN(0, 14, rng.New(43))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func BenchmarkApproxDecode(b *testing.B) {
 // BenchmarkBatchObserve isolates the receive hot path the batch-first API
 // vectorizes: producing one pass of symbols, corrupting it, and folding it
 // into the decoder's observations — scalar (one schedule call, one encoder
-// call, one channel closure call and one Observe per symbol) versus batch
+// call, one scalar Corrupt call and one Observe per symbol) versus batch
 // (one NextBatch, one CorruptBlock, one ObserveBatch per pass, with a single
 // generation bump). The symbols folded in are bit-identical between the two
 // modes (TestObserveBatchMatchesObserve enforces it); this benchmark isolates
@@ -379,7 +379,7 @@ func BenchmarkBatchObserve(b *testing.B) {
 	const passes = 4
 
 	b.Run("scalar", func(b *testing.B) {
-		ch, err := spinal.AWGNChannel(15, 6)
+		ch, err := impair.NewAWGN(15, rng.New(6))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -397,7 +397,7 @@ func BenchmarkBatchObserve(b *testing.B) {
 			}
 			for j := 0; j < passes*nseg; j++ {
 				sym := stream.Next()
-				if err := dec.Observe(sym.Pos, ch(sym.Value)); err != nil {
+				if err := dec.Observe(sym.Pos, ch.Corrupt(sym.Value)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -440,11 +440,9 @@ func BenchmarkBatchObserve(b *testing.B) {
 	})
 }
 
-// BenchmarkTransmitChannel measures the full rateless loop through the
-// channel-interface entry point (Code.TransmitOver) against the legacy
-// closure adapter (Code.Transmit), on static AWGN and on the time-varying
-// channels only the interface can express. Decodes are bit-identical between
-// the two entry points (TestTransmitOverMatchesTransmit enforces it).
+// BenchmarkTransmitChannel measures the full rateless loop through
+// Code.TransmitOver on static AWGN and on time-varying channels (Rayleigh
+// block fading and a Gilbert-Elliott trace).
 func BenchmarkTransmitChannel(b *testing.B) {
 	code, err := spinal.NewCode(spinal.Config{MessageBits: 256})
 	if err != nil {
@@ -476,15 +474,6 @@ func BenchmarkTransmitChannel(b *testing.B) {
 				return nil, err
 			}
 			return code.TransmitOver(msg, ch, nil, 0)
-		})
-	})
-	b.Run("awgn-closure", func(b *testing.B) {
-		run(b, func(i int) (*spinal.TransmitResult, error) {
-			ch, err := spinal.AWGNChannel(15, uint64(i)+1)
-			if err != nil {
-				return nil, err
-			}
-			return code.Transmit(msg, ch, nil, 0)
 		})
 	})
 	b.Run("rayleigh", func(b *testing.B) {
@@ -652,14 +641,14 @@ func BenchmarkAttemptPolicy(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				msgSrc := rng.New(uint64(i)*13 + 1)
 				msg := core.RandomMessage(msgSrc, params.MessageBits)
-				ch, err := channel.NewAWGNdB(25, rng.New(uint64(i)*17+3))
+				ch, err := impair.NewAWGN(25, rng.New(uint64(i)*17+3))
 				if err != nil {
 					b.Fatal(err)
 				}
 				sched, _ := core.NewStripedSchedule(params.NumSegments(), 8)
-				res, err := core.RunSymbolSession(core.SessionConfig{
+				res, err := core.RunChannelSession(core.SessionConfig{
 					Params: params, BeamWidth: 16, Schedule: sched, Attempts: policy,
-				}, msg, ch.Corrupt, core.GenieVerifier(msg, params.MessageBits))
+				}, msg, ch, core.GenieVerifier(msg, params.MessageBits))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -694,7 +683,7 @@ func BenchmarkLinkProtocol(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		radio, err := channel.NewQuantizedAWGN(15, 14, rng.New(uint64(i)+100))
+		radio, err := impair.NewQuantizedAWGN(15, 14, rng.New(uint64(i)+100))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -7,47 +7,9 @@ import (
 	"spinal/internal/rng"
 )
 
-// This file keeps the v0 closure-returning channel helpers and the small
-// utilities a library user needs to run spinal codes end to end: random
-// message generation, CRC framing and capacity references. The closure
-// helpers are thin adapters over the Channel constructors in channels.go —
-// new code should use the interfaces directly (see the migration table in
-// the README), but everything written against the closures keeps compiling
-// and produces bit-identical noise streams.
-
-// AWGNChannel returns a channel function that adds complex white Gaussian
-// noise at the given SNR (dB, relative to the unit-energy constellation),
-// using a deterministic noise stream derived from seed. It is the scalar
-// adapter of NewAWGN.
-func AWGNChannel(snrDB float64, seed uint64) (func(complex128) complex128, error) {
-	ch, err := NewAWGN(snrDB, seed)
-	if err != nil {
-		return nil, err
-	}
-	return CorruptFunc(ch), nil
-}
-
-// QuantizedAWGNChannel returns the receive path used in the paper's
-// evaluation: AWGN followed by an ADC quantizing each dimension to adcBits.
-// It is the scalar adapter of NewQuantizedAWGN.
-func QuantizedAWGNChannel(snrDB float64, adcBits int, seed uint64) (func(complex128) complex128, error) {
-	ch, err := NewQuantizedAWGN(snrDB, adcBits, seed)
-	if err != nil {
-		return nil, err
-	}
-	return CorruptFunc(ch), nil
-}
-
-// BSCChannel returns a bit-flipping channel function with crossover
-// probability p, for the binary-channel variant of the code. It is the
-// scalar adapter of NewBSC.
-func BSCChannel(p float64, seed uint64) (func(byte) byte, error) {
-	ch, err := NewBSC(p, seed)
-	if err != nil {
-		return nil, err
-	}
-	return CorruptBitFunc(ch), nil
-}
+// This file holds the small utilities a library user needs to run spinal
+// codes end to end: random message generation, CRC framing and capacity
+// references.
 
 // RandomMessage returns a uniformly random packed message of n bits, suitable
 // as input to Code.EncodeStream for a code with MessageBits == n.

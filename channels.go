@@ -7,13 +7,14 @@ import (
 	"spinal/internal/channel"
 	"spinal/internal/fading"
 	"spinal/internal/impair"
+	"spinal/internal/mathx"
 	"spinal/internal/rng"
 )
 
-// This file defines the first-class channel API: channels are interfaces
-// that corrupt whole blocks of symbols and expose their metadata, rather
-// than bare closures. The closure-returning helpers in channel.go remain as
-// thin adapters over these constructors for existing callers.
+// This file defines the channel API: channels are interfaces that corrupt
+// whole blocks of symbols and expose their metadata. Every symbol channel the
+// constructors return is an impairment pipeline (internal/impair), so a
+// hand-built channel and the equivalent spec string share one implementation.
 
 // Channel is a symbol channel: a model of everything between the encoder's
 // constellation points and the decoder's observations. Channels are
@@ -31,8 +32,8 @@ type Channel interface {
 	CorruptBlock(dst, src []complex128)
 	// NoiseVariance reports the total complex noise variance the channel
 	// applies around its current state: the fixed sigma² of a static AWGN
-	// channel, the average for block fading, and the instantaneous value the
-	// trace dictates for a time-varying channel.
+	// channel, and the instantaneous value the fading process or trace
+	// dictates for the next symbol of a time-varying channel.
 	NoiseVariance() float64
 	// Name identifies the channel in experiment output.
 	Name() string
@@ -52,71 +53,36 @@ type BitChannel interface {
 // Erased is the value a binary erasure channel reports for an erased bit.
 const Erased = channel.Erased
 
-// symbolChannel wraps an internal block channel with facade metadata.
-type symbolChannel struct {
-	blk    channel.BlockChannel
-	sigma2 func() float64
-	name   string
+// pipeline returns a built impairment pipeline as a Channel (and never a
+// non-nil Channel holding a nil pipeline).
+func pipeline(p *impair.Pipeline, err error) (Channel, error) {
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
 }
-
-func (c *symbolChannel) CorruptBlock(dst, src []complex128) { c.blk.CorruptBlock(dst, src) }
-func (c *symbolChannel) NoiseVariance() float64             { return c.sigma2() }
-func (c *symbolChannel) Name() string                       { return c.name }
-
-// bitChannel wraps an internal bit channel with facade metadata.
-type bitChannel struct {
-	corrupt func(dst, src []byte)
-	name    string
-}
-
-func (c *bitChannel) CorruptBits(dst, src []byte) { c.corrupt(dst, src) }
-func (c *bitChannel) Name() string                { return c.name }
 
 // NewAWGN returns an additive white Gaussian noise channel at the given SNR
 // (dB, relative to the unit-energy constellation), with a deterministic noise
 // stream derived from seed.
 func NewAWGN(snrDB float64, seed uint64) (Channel, error) {
-	ch, err := channel.NewAWGNdB(snrDB, rng.New(seed))
-	if err != nil {
-		return nil, err
-	}
-	return &symbolChannel{
-		blk:    ch,
-		sigma2: ch.Sigma2,
-		name:   fmt.Sprintf("awgn(%.1fdB)", snrDB),
-	}, nil
+	return pipeline(impair.NewAWGN(snrDB, rng.New(seed)))
 }
 
 // NewQuantizedAWGN returns the receive path of the paper's evaluation: AWGN
 // followed by an ADC quantizing each dimension to adcBits.
 func NewQuantizedAWGN(snrDB float64, adcBits int, seed uint64) (Channel, error) {
-	ch, err := channel.NewQuantizedAWGN(snrDB, adcBits, rng.New(seed))
-	if err != nil {
-		return nil, err
-	}
-	return &symbolChannel{
-		blk:    ch,
-		sigma2: ch.Sigma2,
-		name:   fmt.Sprintf("quantized-awgn(%.1fdB,%dbit)", snrDB, adcBits),
-	}, nil
+	return pipeline(impair.NewQuantizedAWGN(snrDB, adcBits, rng.New(seed)))
 }
 
-// NewRayleigh returns a Rayleigh block-fading channel: within each block of
-// blockLen symbols the complex gain is constant, across blocks it is drawn
-// independently, and the receiver is coherent (observations are
-// gain-compensated while the effective SNR varies per block). This is the
-// fast-fading regime the paper's ratelessness is designed for.
-// NoiseVariance reports the additive variance at the average SNR.
+// NewRayleigh returns a Rayleigh block-fading channel: the SNR is the
+// average scaled by an exponential power gain (a Rayleigh envelope) redrawn
+// every blockLen symbols, as seen by a coherent receiver. This is the
+// fast-fading regime the paper's ratelessness is designed for. It is the
+// pipeline "rayleigh(avg=…,tc=…)" of NewImpairmentPipeline, and
+// NoiseVariance reports the current block's variance.
 func NewRayleigh(avgSNRdB float64, blockLen int, seed uint64) (Channel, error) {
-	ch, err := channel.NewRayleighBlock(avgSNRdB, blockLen, rng.New(seed))
-	if err != nil {
-		return nil, err
-	}
-	return &symbolChannel{
-		blk:    ch,
-		sigma2: ch.Sigma2,
-		name:   fmt.Sprintf("rayleigh(avg %.1fdB, Tc=%d)", avgSNRdB, blockLen),
-	}, nil
+	return NewImpairmentPipeline(fmt.Sprintf("rayleigh(avg=%g,tc=%d)", avgSNRdB, blockLen), seed)
 }
 
 // NewBSC returns a binary symmetric channel with crossover probability p, for
@@ -126,26 +92,20 @@ func NewBSC(p float64, seed uint64) (BitChannel, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &bitChannel{
-		corrupt: ch.CorruptBits,
-		name:    fmt.Sprintf("bsc(p=%.3f)", p),
-	}, nil
+	return ch, nil
 }
 
 // NewBEC returns a binary erasure channel with erasure probability p; erased
 // positions carry the value Erased. The spinal bit decoder consumes hard 0/1
-// decisions only, so a BEC is not usable with TransmitBits directly — it is
-// exposed for fountain-style experiments and custom receive pipelines that
+// decisions only, so a BEC is not usable with TransmitBitsOver directly — it
+// is exposed for fountain-style experiments and custom receive pipelines that
 // handle erasures themselves.
 func NewBEC(p float64, seed uint64) (BitChannel, error) {
 	ch, err := channel.NewBEC(p, rng.New(seed))
 	if err != nil {
 		return nil, err
 	}
-	return &bitChannel{
-		corrupt: ch.CorruptBits,
-		name:    fmt.Sprintf("bec(p=%.3f)", p),
-	}, nil
+	return ch, nil
 }
 
 // Trace reports the instantaneous channel SNR (in dB) at a given symbol
@@ -204,7 +164,7 @@ func NewImpairmentPipeline(spec string, seed uint64) (Channel, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.Build(seed)
+	return pipeline(s.Build(seed))
 }
 
 // composed chains channels: symbols pass through each in order, variances
@@ -250,52 +210,16 @@ func Compose(stages ...Channel) (Channel, error) {
 	return &composed{chs: stages}, nil
 }
 
-// traceChannel drives AWGN whose SNR follows a trace symbol by symbol.
-type traceChannel struct {
-	ch    *fading.Channel
-	trace Trace
-}
-
-func (c *traceChannel) CorruptBlock(dst, src []complex128) { c.ch.CorruptBlock(dst, src) }
-func (c *traceChannel) NoiseVariance() float64             { return c.ch.Sigma2() }
-func (c *traceChannel) Name() string                       { return c.trace.Name() }
-
 // NewTraceChannel returns a time-varying channel: symbol i experiences AWGN
 // at trace.SNRdB(i), with a noise stream derived from seed. NoiseVariance
 // reports the instantaneous variance the trace dictates for the next symbol.
 func NewTraceChannel(trace Trace, seed uint64) (Channel, error) {
-	ch, err := fading.NewChannel(trace, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &traceChannel{ch: ch, trace: trace}, nil
-}
-
-// CorruptFunc adapts a Channel to the scalar closure form the v0 API used,
-// for code that still corrupts one symbol at a time. The closure consumes the
-// channel's noise stream exactly as block calls would, one symbol per call.
-func CorruptFunc(ch Channel) func(complex128) complex128 {
-	var buf [1]complex128
-	return func(x complex128) complex128 {
-		buf[0] = x
-		ch.CorruptBlock(buf[:], buf[:])
-		return buf[0]
-	}
-}
-
-// CorruptBitFunc is the binary counterpart of CorruptFunc.
-func CorruptBitFunc(ch BitChannel) func(byte) byte {
-	var buf [1]byte
-	return func(b byte) byte {
-		buf[0] = b
-		ch.CorruptBits(buf[:], buf[:])
-		return buf[0]
-	}
+	return pipeline(impair.NewTraceNoise(trace, rng.New(seed)))
 }
 
 // NoiseVariance returns the total complex noise variance corresponding to an
 // SNR in dB for unit-energy signalling — the sigma² a Channel at that SNR
 // reports.
 func NoiseVariance(snrDB float64) float64 {
-	return channel.NoiseVariance(snrDB)
+	return 1 / mathx.DBToLinear(snrDB)
 }

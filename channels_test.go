@@ -1,6 +1,8 @@
 package spinal_test
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -8,6 +10,9 @@ import (
 )
 
 func TestChannelConstructorsAndMetadata(t *testing.T) {
+	if spinal.NoiseVariance(0) != 1 || math.Abs(spinal.NoiseVariance(10)-0.1) > 1e-12 {
+		t.Errorf("NoiseVariance(0 dB, 10 dB) = %v, %v; want 1, 0.1", spinal.NoiseVariance(0), spinal.NoiseVariance(10))
+	}
 	awgn, err := spinal.NewAWGN(12, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -42,14 +47,18 @@ func TestChannelConstructorsAndMetadata(t *testing.T) {
 	}
 
 	for name, build := range map[string]func() error{
-		"quantized adc=0":  func() error { _, err := spinal.NewQuantizedAWGN(12, 0, 1); return err },
-		"bsc p>0.5":        func() error { _, err := spinal.NewBSC(0.9, 1); return err },
-		"bec p>=1":         func() error { _, err := spinal.NewBEC(1, 1); return err },
-		"rayleigh block=0": func() error { _, err := spinal.NewRayleigh(10, 0, 1); return err },
-		"trace nil":        func() error { _, err := spinal.NewTraceChannel(nil, 1); return err },
-		"gilbert dwell=0":  func() error { _, err := spinal.GilbertElliottTrace(20, 5, 0, 10, 1); return err },
-		"walk empty range": func() error { _, err := spinal.WalkTrace(10, 10, 1, 1); return err },
-		"rayleigh tc=0":    func() error { _, err := spinal.RayleighTrace(10, 0, 1); return err },
+		"quantized adc=0":    func() error { _, err := spinal.NewQuantizedAWGN(12, 0, 1); return err },
+		"awgn snr=NaN":       func() error { _, err := spinal.NewAWGN(math.NaN(), 1); return err },
+		"awgn snr=-Inf":      func() error { _, err := spinal.NewAWGN(math.Inf(-1), 1); return err },
+		"quantized snr=+Inf": func() error { _, err := spinal.NewQuantizedAWGN(math.Inf(1), 14, 1); return err },
+		"rayleigh avg=NaN":   func() error { _, err := spinal.NewRayleigh(math.NaN(), 16, 1); return err },
+		"bsc p>0.5":          func() error { _, err := spinal.NewBSC(0.9, 1); return err },
+		"bec p>=1":           func() error { _, err := spinal.NewBEC(1, 1); return err },
+		"rayleigh block=0":   func() error { _, err := spinal.NewRayleigh(10, 0, 1); return err },
+		"trace nil":          func() error { _, err := spinal.NewTraceChannel(nil, 1); return err },
+		"gilbert dwell=0":    func() error { _, err := spinal.GilbertElliottTrace(20, 5, 0, 10, 1); return err },
+		"walk empty range":   func() error { _, err := spinal.WalkTrace(10, 10, 1, 1); return err },
+		"rayleigh tc=0":      func() error { _, err := spinal.RayleighTrace(10, 0, 1); return err },
 	} {
 		if build() == nil {
 			t.Errorf("%s accepted", name)
@@ -80,50 +89,59 @@ func TestTraceChannelFollowsTrace(t *testing.T) {
 	}
 }
 
-// TestCorruptFuncMatchesBlock pins the scalar adapter against the block path:
-// the closure must consume the channel's noise stream exactly as block calls
-// would, so legacy scalar callers and batch callers see identical channels.
-func TestCorruptFuncMatchesBlock(t *testing.T) {
-	xs := make([]complex128, 64)
+// legacyStreams are FNV-1a hashes of the first 4096 outputs of the channel
+// models the impair pipelines replaced (internal/channel's AWGN and
+// QuantizedAWGN, and fading.Channel over a Gilbert-Elliott trace), recorded
+// before their deletion on the input of pinInput. The facade constructors must
+// reproduce those streams bit for bit.
+var legacyStreams = map[string]uint64{
+	"awgn(10dB,seed1)":                  0x7ae10f260286afa5,
+	"quantized-awgn(10dB,14b,seed2)":    0x9b5e72093a34c735,
+	"trace(ge(16,3,50,20,seed3),seed4)": 0x719d7571c6a9cdd0,
+}
+
+func pinInput() []complex128 {
+	xs := make([]complex128, 4096)
 	for i := range xs {
-		xs[i] = complex(float64(i%7)*0.2-0.6, float64(i%5)*0.25-0.5)
+		xs[i] = complex(math.Cos(float64(i)), math.Sin(float64(i)))
 	}
-	blockCh, err := spinal.NewAWGN(9, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]complex128, len(xs))
-	blockCh.CorruptBlock(want, xs)
+	return xs
+}
 
-	scalarCh, err := spinal.NewAWGN(9, 11)
-	if err != nil {
-		t.Fatal(err)
+func streamHash(ch spinal.Channel) uint64 {
+	xs := pinInput()
+	ch.CorruptBlock(xs, xs)
+	h := fnv.New64a()
+	var b [16]byte
+	for _, v := range xs {
+		binary.LittleEndian.PutUint64(b[:8], math.Float64bits(real(v)))
+		binary.LittleEndian.PutUint64(b[8:], math.Float64bits(imag(v)))
+		h.Write(b[:])
 	}
-	f := spinal.CorruptFunc(scalarCh)
-	for i, x := range xs {
-		if got := f(x); got != want[i] {
-			t.Fatalf("scalar adapter diverged from block path at symbol %d", i)
+	return h.Sum64()
+}
+
+// TestChannelConstructorsPinnedToLegacyStreams pins NewAWGN, NewQuantizedAWGN and
+// NewTraceChannel to the noise streams of the models they replaced.
+func TestChannelConstructorsPinnedToLegacyStreams(t *testing.T) {
+	build := map[string]func() (spinal.Channel, error){
+		"awgn(10dB,seed1)":               func() (spinal.Channel, error) { return spinal.NewAWGN(10, 1) },
+		"quantized-awgn(10dB,14b,seed2)": func() (spinal.Channel, error) { return spinal.NewQuantizedAWGN(10, 14, 2) },
+		"trace(ge(16,3,50,20,seed3),seed4)": func() (spinal.Channel, error) {
+			tr, err := spinal.GilbertElliottTrace(16, 3, 50, 20, 3)
+			if err != nil {
+				return nil, err
+			}
+			return spinal.NewTraceChannel(tr, 4)
+		},
+	}
+	for name, mk := range build {
+		ch, err := mk()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-	}
-
-	blockBits, err := spinal.NewBSC(0.3, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx := make([]byte, 64)
-	for i := range tx {
-		tx[i] = byte(i & 1)
-	}
-	wantBits := make([]byte, len(tx))
-	blockBits.CorruptBits(wantBits, tx)
-	scalarBits, err := spinal.NewBSC(0.3, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb := spinal.CorruptBitFunc(scalarBits)
-	for i, b := range tx {
-		if got := fb(b); got != wantBits[i] {
-			t.Fatalf("scalar bit adapter diverged at bit %d", i)
+		if got, want := streamHash(ch), legacyStreams[name]; got != want {
+			t.Errorf("%s: stream hash %016x, want %016x", name, got, want)
 		}
 	}
 }
@@ -392,78 +410,29 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 	}
 }
 
-// TestTransmitOverMatchesTransmit pins the closure adapters against the
-// batch-first path: the same seeds must produce bit-identical transmissions
-// through Code.Transmit (closure) and Code.TransmitOver (Channel).
-func TestTransmitOverMatchesTransmit(t *testing.T) {
-	code, err := spinal.NewCode(spinal.Config{MessageBits: 96})
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg := spinal.RandomMessage(96, 41)
-	closure, err := spinal.AWGNChannel(12, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaClosure, err := code.Transmit(msg, closure, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := spinal.NewAWGN(12, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaChannel, err := code.TransmitOver(msg, ch, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaClosure.Delivered != viaChannel.Delivered || viaClosure.Symbols != viaChannel.Symbols ||
-		viaClosure.Rate != viaChannel.Rate || !code.Equal(viaClosure.Decoded, viaChannel.Decoded) {
-		t.Fatalf("Transmit and TransmitOver diverged: %+v vs %+v", viaClosure, viaChannel)
-	}
-	if !viaChannel.Delivered {
-		t.Fatal("transmission at 12 dB failed")
-	}
-}
-
-// TestTransmitBitsOverMatchesTransmitBits is the BSC counterpart of the
-// adapter equivalence pin.
-func TestTransmitBitsOverMatchesTransmitBits(t *testing.T) {
+// TestTransmitBitsOverBSC runs the binary variant end to end over a BSC.
+func TestTransmitBitsOverBSC(t *testing.T) {
 	code, err := spinal.NewCode(spinal.Config{MessageBits: 32, K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	msg := spinal.RandomMessage(32, 51)
-	closure, err := spinal.BSCChannel(0.05, 52)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaClosure, err := code.TransmitBits(msg, closure, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ch, err := spinal.NewBSC(0.05, 52)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaChannel, err := code.TransmitBitsOver(msg, ch, nil, 0)
+	res, err := code.TransmitBitsOver(msg, ch, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if viaClosure.Delivered != viaChannel.Delivered || viaClosure.Symbols != viaChannel.Symbols ||
-		!code.Equal(viaClosure.Decoded, viaChannel.Decoded) {
-		t.Fatalf("TransmitBits and TransmitBitsOver diverged: %+v vs %+v", viaClosure, viaChannel)
-	}
-	if !viaChannel.Delivered {
-		t.Fatal("BSC transmission at p=0.05 failed")
+	if !res.Delivered || !code.Equal(res.Decoded, msg) {
+		t.Fatalf("BSC transmission at p=0.05 failed: %+v", res)
 	}
 }
 
 // TestTransmitOverTimeVaryingChannels exercises the fading channels end to
-// end: a bursty Gilbert-Elliott trace and a Rayleigh block-fading channel,
-// each driven both through the batch-first TransmitOver and — via the
-// CorruptFunc adapter — through the legacy Code.Transmit, with bit-identical
-// results between the two entry points.
+// end through TransmitOver: a bursty Gilbert-Elliott trace, a Rayleigh
+// block-fading channel and a slow random walk.
 func TestTransmitOverTimeVaryingChannels(t *testing.T) {
 	code, err := spinal.NewCode(spinal.Config{MessageBits: 64})
 	if err != nil {
@@ -505,22 +474,6 @@ func TestTransmitOverTimeVaryingChannels(t *testing.T) {
 			}
 			if !code.Equal(over.Decoded, msg) {
 				t.Fatalf("%s: decoded message mismatch", name)
-			}
-			// The same time-varying channel through the legacy closure-based
-			// Code.Transmit: a fresh, identically seeded channel must produce
-			// the identical transmission.
-			ch2, err := mk()
-			if err != nil {
-				t.Fatal(err)
-			}
-			legacy, err := code.Transmit(msg, spinal.CorruptFunc(ch2), nil, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if legacy.Delivered != over.Delivered || legacy.Symbols != over.Symbols ||
-				!code.Equal(legacy.Decoded, over.Decoded) {
-				t.Fatalf("%s: legacy Transmit diverged from TransmitOver: %+v vs %+v",
-					name, legacy, over)
 			}
 		})
 	}

@@ -133,7 +133,7 @@ func serve(listen string, snr float64, adc, beam, workers, decWorkers, count int
 		radio = pl
 		radioDesc = pl.Name()
 	} else {
-		q, err := channel.NewQuantizedAWGN(snr, adc, rng.New(seed))
+		q, err := impair.NewQuantizedAWGN(snr, adc, rng.New(seed))
 		if err != nil {
 			return err
 		}
@@ -144,7 +144,7 @@ func serve(listen string, snr float64, adc, beam, workers, decWorkers, count int
 	// test run.
 	var recvTr link.Transport = tr
 	if faultSpec != "" {
-		profile, err := impair.ParseFaultProfile(faultSpec)
+		profile, err := link.ParseFaultProfile(faultSpec)
 		if err != nil {
 			return err
 		}

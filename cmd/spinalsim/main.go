@@ -73,7 +73,7 @@ func run(args []string, out io.Writer) error {
 	fs.Float64Var(&opt.snrMin, "snr-min", -10, "sweep start (dB)")
 	fs.Float64Var(&opt.snrMax, "snr-max", 40, "sweep end (dB)")
 	fs.Float64Var(&opt.snrStep, "snr-step", 5, "sweep step (dB)")
-	fs.Float64Var(&opt.snr, "snr", 10, "single SNR (dB) for beam/adc/multiflow/batch experiments")
+	fs.Float64Var(&opt.snr, "snr", 10, "single SNR (dB) for beam/adc/multiflow/saturate experiments")
 	fs.IntVar(&opt.trials, "trials", 100, "messages per spinal data point")
 	fs.IntVar(&opt.frames, "frames", 60, "frames per LDPC/convolutional/HARQ data point")
 	fs.IntVar(&opt.beam, "beam", 16, "decoder beam width B")

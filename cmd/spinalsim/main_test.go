@@ -79,7 +79,7 @@ func TestRunList(t *testing.T) {
 	if err := run([]string{"-exp", "list"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"figure2", "spinal", "bsc", "multiflow", "batch", "parallel", "description"} {
+	for _, want := range []string{"figure2", "spinal", "bsc", "multiflow", "parallel", "description"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("list output missing %q:\n%s", want, out.String())
 		}
@@ -159,18 +159,6 @@ func TestRunMultiFlow(t *testing.T) {
 	for _, want := range []string{"flows", "goodput_bps", "fairness"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("multiflow output missing %q:\n%s", want, out.String())
-		}
-	}
-}
-
-func TestRunBatch(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-exp", "batch", "-snr", "12", "-trials", "2"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"scalar_ms", "batch_ms", "batch_speedup"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("batch output missing %q:\n%s", want, out.String())
 		}
 	}
 }

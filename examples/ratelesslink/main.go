@@ -13,7 +13,7 @@ import (
 	"strings"
 	"time"
 
-	"spinal/internal/channel"
+	"spinal/internal/impair"
 	"spinal/internal/link"
 	"spinal/internal/rng"
 )
@@ -41,7 +41,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	radio, err := channel.NewQuantizedAWGN(12, 14, rng.New(99))
+	radio, err := impair.NewQuantizedAWGN(12, 14, rng.New(99))
 	if err != nil {
 		log.Fatal(err)
 	}

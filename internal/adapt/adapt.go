@@ -11,6 +11,7 @@ import (
 
 	"spinal/internal/core"
 	"spinal/internal/fading"
+	"spinal/internal/impair"
 	"spinal/internal/ldpc"
 	"spinal/internal/mathx"
 	"spinal/internal/modem"
@@ -167,7 +168,7 @@ func RunAdaptive(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ch, err := fading.NewChannel(cfg.Trace, cfg.Seed+1)
+	ch, err := impair.NewTraceNoise(cfg.Trace, rng.New(cfg.Seed+1))
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +203,7 @@ func RunAdaptive(cfg Config) (*Result, error) {
 
 	res := &Result{Scheme: "rate-adaptation"}
 	for res.Symbols < cfg.SymbolBudget {
-		idx := cfg.Policy.Choose(est.Estimate(ch.Position()), cfg.Table)
+		idx := cfg.Policy.Choose(est.Estimate(res.Symbols), cfg.Table)
 		if idx < 0 || idx >= len(entries) {
 			return nil, fmt.Errorf("adapt: policy chose invalid configuration %d", idx)
 		}
@@ -224,10 +225,8 @@ func RunAdaptive(cfg Config) (*Result, error) {
 		// variance of the estimated SNR (it cannot know the instantaneous
 		// truth either).
 		rx := make([]complex128, len(syms))
-		for i, x := range syms {
-			rx[i] = ch.Corrupt(x)
-		}
-		assumedSigma2 := 1 / mathx.DBToLinear(est.Estimate(ch.Position()))
+		ch.CorruptBlock(rx, syms)
+		assumedSigma2 := 1 / mathx.DBToLinear(est.Estimate(res.Symbols+len(syms)))
 		llr := e.mod.Demodulate(rx, assumedSigma2)
 		out, err := e.dec.Decode(llr)
 		if err != nil {
@@ -264,7 +263,7 @@ func RunRateless(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ch, err := fading.NewChannel(cfg.Trace, cfg.Seed+1)
+	ch, err := impair.NewTraceNoise(cfg.Trace, rng.New(cfg.Seed+1))
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +290,7 @@ func RunRateless(cfg Config) (*Result, error) {
 			Attempts:   core.AttemptBackoff{DensePasses: 6},
 			MaxSymbols: 40 * params.NumSegments(),
 		}
-		out, err := core.RunSymbolSession(session, msg, ch.Corrupt, core.GenieVerifier(msg, cfg.MessageBits))
+		out, err := core.RunChannelSession(session, msg, ch, core.GenieVerifier(msg, cfg.MessageBits))
 		if err != nil {
 			return nil, err
 		}

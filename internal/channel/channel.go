@@ -1,19 +1,14 @@
-// Package channel implements the channel models used in the paper's
-// evaluation: the complex additive white Gaussian noise (AWGN) channel with
-// an optional ADC quantizer, the binary symmetric channel (BSC), the binary
-// erasure channel (BEC, used by the fountain-code baseline), and a Rayleigh
-// block-fading extension.
-//
-// Transmitted symbols are assumed to have unit average energy (the
-// constellation package guarantees this), so an AWGN channel at signal-to-
-// noise ratio SNR adds complex noise of total variance 1/SNR.
+// Package channel defines the channel contracts the rest of the repo codes
+// against — SymbolChannel, BlockChannel and BitChannel — and implements the
+// binary channels: the binary symmetric channel (BSC) of the paper's binary
+// variant and the binary erasure channel (BEC) of the fountain-code
+// baseline. Every symbol channel (AWGN, the §5 ADC front end, fading, and
+// the composite stacks) is an internal/impair pipeline.
 package channel
 
 import (
 	"fmt"
-	"math"
 
-	"spinal/internal/mathx"
 	"spinal/internal/rng"
 )
 
@@ -26,8 +21,7 @@ type SymbolChannel interface {
 // BlockChannel corrupts whole blocks of symbols: dst[i] receives the channel
 // output for src[i], in slice order (stateful channels consume their noise
 // stream exactly as the equivalent sequence of Corrupt calls would). dst and
-// src have equal length and may alias. Every channel model in this package
-// implements it.
+// src have equal length and may alias. Every impair pipeline implements it.
 type BlockChannel interface {
 	CorruptBlock(dst, src []complex128)
 }
@@ -37,124 +31,6 @@ type BitChannel interface {
 	// CorruptBit returns the received value of a single transmitted bit.
 	CorruptBit(b byte) byte
 }
-
-// AWGN is a discrete-time complex additive white Gaussian noise channel.
-type AWGN struct {
-	sigma2 float64
-	src    *rng.Rand
-}
-
-// NewAWGN returns an AWGN channel for the given linear SNR (signal power 1).
-// Use NewAWGNdB for an SNR expressed in decibels.
-func NewAWGN(snr float64, src *rng.Rand) (*AWGN, error) {
-	if snr <= 0 {
-		return nil, fmt.Errorf("channel: SNR must be positive, got %v", snr)
-	}
-	if src == nil {
-		return nil, fmt.Errorf("channel: nil random source")
-	}
-	return &AWGN{sigma2: 1 / snr, src: src}, nil
-}
-
-// NewAWGNdB returns an AWGN channel for an SNR given in dB.
-func NewAWGNdB(snrDB float64, src *rng.Rand) (*AWGN, error) {
-	return NewAWGN(mathx.DBToLinear(snrDB), src)
-}
-
-// Sigma2 returns the total complex noise variance (sum over both dimensions).
-func (a *AWGN) Sigma2() float64 { return a.sigma2 }
-
-// SNR returns the linear signal-to-noise ratio of the channel.
-func (a *AWGN) SNR() float64 { return 1 / a.sigma2 }
-
-// Corrupt adds one sample of complex Gaussian noise to x.
-func (a *AWGN) Corrupt(x complex128) complex128 {
-	return x + a.src.ComplexNormal(a.sigma2)
-}
-
-// CorruptBlock corrupts a block of symbols into dst; see BlockChannel.
-func (a *AWGN) CorruptBlock(dst, src []complex128) {
-	for i, x := range src {
-		dst[i] = x + a.src.ComplexNormal(a.sigma2)
-	}
-}
-
-// Quantizer models the receiver's analog-to-digital converter: each dimension
-// is clipped to [-limit, limit] and rounded to one of 2^bits uniform levels.
-// The paper's evaluation quantizes each dimension to 14 bits (§5).
-type Quantizer struct {
-	bits  int
-	limit float64
-	step  float64
-}
-
-// NewQuantizer returns a per-dimension uniform quantizer with the given
-// resolution in bits and full-scale range [-limit, limit].
-func NewQuantizer(bits int, limit float64) (*Quantizer, error) {
-	if bits < 1 || bits > 32 {
-		return nil, fmt.Errorf("channel: quantizer bits must be in [1,32], got %d", bits)
-	}
-	if limit <= 0 {
-		return nil, fmt.Errorf("channel: quantizer limit must be positive, got %v", limit)
-	}
-	levels := float64(uint64(1) << uint(bits))
-	return &Quantizer{bits: bits, limit: limit, step: 2 * limit / levels}, nil
-}
-
-// Bits returns the quantizer resolution per dimension.
-func (q *Quantizer) Bits() int { return q.bits }
-
-// quantizeDim clips and rounds a single coordinate.
-func (q *Quantizer) quantizeDim(v float64) float64 {
-	v = mathx.Clamp(v, -q.limit, q.limit-q.step/2)
-	idx := math.Floor((v + q.limit) / q.step)
-	return -q.limit + (idx+0.5)*q.step
-}
-
-// Quantize applies the ADC model to both dimensions of a received symbol.
-func (q *Quantizer) Quantize(x complex128) complex128 {
-	return complex(q.quantizeDim(real(x)), q.quantizeDim(imag(x)))
-}
-
-// QuantizedAWGN composes an AWGN channel with an ADC quantizer, which is the
-// exact receive path of the paper's simulations.
-type QuantizedAWGN struct {
-	awgn *AWGN
-	q    *Quantizer
-}
-
-// NewQuantizedAWGN builds the §5 receive path: AWGN at snrDB followed by a
-// quantizer with the given bit depth. The quantizer full-scale range is set to
-// cover the unit-energy constellation plus four noise standard deviations.
-func NewQuantizedAWGN(snrDB float64, adcBits int, src *rng.Rand) (*QuantizedAWGN, error) {
-	awgn, err := NewAWGNdB(snrDB, src)
-	if err != nil {
-		return nil, err
-	}
-	perDim := math.Sqrt(awgn.Sigma2() / 2)
-	limit := math.Sqrt(1.5) + 4*perDim // max linear-constellation amplitude + noise headroom
-	q, err := NewQuantizer(adcBits, limit)
-	if err != nil {
-		return nil, err
-	}
-	return &QuantizedAWGN{awgn: awgn, q: q}, nil
-}
-
-// Corrupt passes a symbol through noise and the ADC.
-func (c *QuantizedAWGN) Corrupt(x complex128) complex128 {
-	return c.q.Quantize(c.awgn.Corrupt(x))
-}
-
-// CorruptBlock passes a block of symbols through noise and the ADC; see
-// BlockChannel.
-func (c *QuantizedAWGN) CorruptBlock(dst, src []complex128) {
-	for i, x := range src {
-		dst[i] = c.q.Quantize(c.awgn.Corrupt(x))
-	}
-}
-
-// Sigma2 returns the underlying noise variance.
-func (c *QuantizedAWGN) Sigma2() float64 { return c.awgn.Sigma2() }
 
 // BSC is a binary symmetric channel with crossover probability p.
 type BSC struct {
@@ -175,6 +51,9 @@ func NewBSC(p float64, src *rng.Rand) (*BSC, error) {
 
 // P returns the crossover probability.
 func (b *BSC) P() float64 { return b.p }
+
+// Name identifies the channel in experiment output.
+func (b *BSC) Name() string { return fmt.Sprintf("bsc(p=%.3f)", b.p) }
 
 // CorruptBit flips the bit with probability p.
 func (b *BSC) CorruptBit(bit byte) byte {
@@ -216,6 +95,9 @@ func NewBEC(p float64, src *rng.Rand) (*BEC, error) {
 // P returns the erasure probability.
 func (b *BEC) P() float64 { return b.p }
 
+// Name identifies the channel in experiment output.
+func (b *BEC) Name() string { return fmt.Sprintf("bec(p=%.3f)", b.p) }
+
 // CorruptBit erases the bit with probability p.
 func (b *BEC) CorruptBit(bit byte) byte {
 	if b.src.Bernoulli(b.p) {
@@ -231,70 +113,4 @@ func (b *BEC) CorruptBits(dst, src []byte) {
 	for i, v := range src {
 		dst[i] = b.CorruptBit(v)
 	}
-}
-
-// RayleighBlock is a block-fading channel: within each block of blockLen
-// symbols the channel gain h is constant and drawn as a circularly symmetric
-// complex Gaussian with unit average power; across blocks gains are
-// independent. The receiver is assumed coherent (it knows h), so Corrupt
-// returns the gain-compensated observation h*·y/|h|² while the effective SNR
-// varies per block. This models the fast-fading motivation in §1.
-type RayleighBlock struct {
-	sigma2   float64
-	blockLen int
-	src      *rng.Rand
-
-	pos  int
-	gain complex128
-}
-
-// NewRayleighBlock returns a Rayleigh block-fading channel with the given
-// average SNR (dB) and fading block length in symbols.
-func NewRayleighBlock(avgSNRdB float64, blockLen int, src *rng.Rand) (*RayleighBlock, error) {
-	if blockLen < 1 {
-		return nil, fmt.Errorf("channel: fading block length must be >= 1, got %d", blockLen)
-	}
-	snr := mathx.DBToLinear(avgSNRdB)
-	if snr <= 0 {
-		return nil, fmt.Errorf("channel: SNR must be positive")
-	}
-	if src == nil {
-		return nil, fmt.Errorf("channel: nil random source")
-	}
-	return &RayleighBlock{sigma2: 1 / snr, blockLen: blockLen, src: src}, nil
-}
-
-// Corrupt applies the current block gain, adds noise, and equalizes.
-func (r *RayleighBlock) Corrupt(x complex128) complex128 {
-	if r.pos%r.blockLen == 0 {
-		r.gain = r.src.ComplexNormal(1)
-	}
-	r.pos++
-	y := r.gain*x + r.src.ComplexNormal(r.sigma2)
-	p := real(r.gain)*real(r.gain) + imag(r.gain)*imag(r.gain)
-	if p < 1e-12 {
-		p = 1e-12
-	}
-	// Coherent equalization: y * conj(h) / |h|^2.
-	return y * complex(real(r.gain)/p, -imag(r.gain)/p)
-}
-
-// CorruptBlock applies the fading process to a block of symbols; see
-// BlockChannel. Block boundaries are independent of fading-block boundaries —
-// the gain process advances per symbol exactly as under scalar Corrupt calls.
-func (r *RayleighBlock) CorruptBlock(dst, src []complex128) {
-	for i, x := range src {
-		dst[i] = r.Corrupt(x)
-	}
-}
-
-// Sigma2 returns the additive noise variance at the configured average SNR
-// (the instantaneous post-equalization noise power varies with the block
-// gain).
-func (r *RayleighBlock) Sigma2() float64 { return r.sigma2 }
-
-// NoiseVariance returns the complex noise variance corresponding to an SNR in
-// dB for unit-energy signalling.
-func NoiseVariance(snrDB float64) float64 {
-	return 1 / mathx.DBToLinear(snrDB)
 }

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"spinal/internal/channel"
+	"spinal/internal/impair"
 	"spinal/internal/modem"
 	"spinal/internal/rng"
 )
@@ -136,7 +136,7 @@ func TestViterbiCorrectsErrors(t *testing.T) {
 	c := NewRate12()
 	mod := modem.NewBPSK()
 	src := rng.New(3)
-	ch, _ := channel.NewAWGNdB(4, src)
+	ch, _ := impair.NewAWGN(4, src)
 	bsrc := rng.New(4)
 	for trial := 0; trial < 10; trial++ {
 		info := randomBits(bsrc, 200)
@@ -146,7 +146,7 @@ func TestViterbiCorrectsErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 		ch.CorruptBlock(syms, syms)
-		llr := mod.Demodulate(syms, ch.Sigma2())
+		llr := mod.Demodulate(syms, ch.NoiseVariance())
 		dec, err := c.Decode(llr, len(info))
 		if err != nil {
 			t.Fatal(err)
@@ -169,12 +169,12 @@ func TestViterbiDegradesGracefully(t *testing.T) {
 	c := NewRate12()
 	mod := modem.NewBPSK()
 	src := rng.New(5)
-	ch, _ := channel.NewAWGNdB(-4, src)
+	ch, _ := impair.NewAWGN(-4, src)
 	info := randomBits(rng.New(6), 500)
 	coded, _ := c.Encode(info)
 	syms, _ := mod.Modulate(coded)
 	ch.CorruptBlock(syms, syms)
-	llr := mod.Demodulate(syms, ch.Sigma2())
+	llr := mod.Demodulate(syms, ch.NoiseVariance())
 	dec, err := c.Decode(llr, len(info))
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"spinal/internal/channel"
+	"spinal/internal/impair"
 	"spinal/internal/rng"
 )
 
@@ -97,7 +98,7 @@ func TestAddBatchMatchesAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := channel.NewAWGNdB(8, rng.New(22))
+	ch, err := impair.NewAWGN(8, rng.New(22))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +296,7 @@ func TestRunChannelSessionMatchesScalarReference(t *testing.T) {
 					Attempts:   tc.attempts,
 					MaxSymbols: 40 * p.NumSegments(),
 				}
-				ch, err := channel.NewAWGNdB(6, rng.New(uint64(trial)*37+7))
+				ch, err := impair.NewAWGN(6, rng.New(uint64(trial)*37+7))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -303,7 +304,7 @@ func TestRunChannelSessionMatchesScalarReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				refCh, err := channel.NewAWGNdB(6, rng.New(uint64(trial)*37+7))
+				refCh, err := impair.NewAWGN(6, rng.New(uint64(trial)*37+7))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -324,7 +325,7 @@ func TestRunChannelSessionMatchesScalarReference(t *testing.T) {
 }
 
 // scalarReferenceSession is a line-for-line reimplementation of the
-// pre-batch RunSymbolSession loop, kept in the tests as the equivalence
+// pre-batch per-symbol session loop, kept in the tests as the equivalence
 // reference for the batched transmission path.
 func scalarReferenceSession(cfg SessionConfig, message []byte, corrupt func(complex128) complex128, verify Verifier) (*Result, error) {
 	cfg, err := cfg.withDefaults()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"spinal/internal/channel"
+	"spinal/internal/impair"
 	"spinal/internal/rng"
 )
 
@@ -168,7 +169,7 @@ func TestBeamDecoderWithAWGN(t *testing.T) {
 	// least 18 of 20 fixed-seed messages to decode exactly.
 	p := DefaultParams()
 	src := rng.New(7)
-	ch, err := channel.NewAWGNdB(15, src)
+	ch, err := impair.NewAWGN(15, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestMLDecoderMatchesExhaustiveOptimum(t *testing.T) {
 	msg := testMessage(13, p.MessageBits)
 	e, _ := NewEncoder(p, msg)
 	src := rng.New(14)
-	ch, _ := channel.NewAWGNdB(5, src) // noisy enough that errors are plausible
+	ch, _ := impair.NewAWGN(5, src) // noisy enough that errors are plausible
 	obs, _ := NewObservations(e.NumSegments())
 	for s := 0; s < e.NumSegments(); s++ {
 		obs.Add(SymbolPos{Spine: s, Pass: 0}, ch.Corrupt(e.Symbol(s, 0)))
@@ -285,7 +286,7 @@ func TestBeamDecoderScaleDown(t *testing.T) {
 	successes := func(beam int) int {
 		src := rng.New(31)
 		msgSrc := rng.New(32)
-		ch, _ := channel.NewAWGNdB(10, src)
+		ch, _ := impair.NewAWGN(10, src)
 		dec, _ := NewBeamDecoder(p, beam)
 		ok := 0
 		for i := 0; i < trials; i++ {
@@ -504,7 +505,7 @@ func BenchmarkBeamDecodeOnePass(b *testing.B) {
 	e, _ := NewEncoder(p, msg)
 	obs, _ := NewObservations(e.NumSegments())
 	src := rng.New(2)
-	ch, _ := channel.NewAWGNdB(20, src)
+	ch, _ := impair.NewAWGN(20, src)
 	for s := 0; s < e.NumSegments(); s++ {
 		obs.Add(SymbolPos{Spine: s, Pass: 0}, ch.Corrupt(e.Symbol(s, 0)))
 	}

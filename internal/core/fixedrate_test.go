@@ -3,7 +3,7 @@ package core
 import (
 	"testing"
 
-	"spinal/internal/channel"
+	"spinal/internal/impair"
 	"spinal/internal/rng"
 )
 
@@ -70,7 +70,7 @@ func TestFixedRateUnderNoise(t *testing.T) {
 	// essentially every block should decode.
 	p := DefaultParams()
 	f, _ := NewFixedRate(p, 4, 16)
-	ch, _ := channel.NewAWGNdB(12, rng.New(3))
+	ch, _ := impair.NewAWGN(12, rng.New(3))
 	src := rng.New(4)
 	correct := 0
 	const trials = 30
@@ -99,7 +99,7 @@ func TestFixedRateFailsAboveCapacity(t *testing.T) {
 	// blocks must fail, demonstrating why the rateless mode matters.
 	p := DefaultParams()
 	f, _ := NewFixedRate(p, 1, 16)
-	ch, _ := channel.NewAWGNdB(6, rng.New(5))
+	ch, _ := impair.NewAWGN(6, rng.New(5))
 	src := rng.New(6)
 	correct := 0
 	const trials = 30

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"spinal/internal/channel"
+	"spinal/internal/impair"
 	"spinal/internal/rng"
 )
 
@@ -139,7 +140,7 @@ func TestIncrementalMatchesFromScratchAWGN(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ch, err := channel.NewAWGNdB(6, rng.New(p.Seed^0xbeef))
+			ch, err := impair.NewAWGN(6, rng.New(p.Seed^0xbeef))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -301,7 +302,7 @@ func TestIncrementalNodeSavings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		radio, err := channel.NewQuantizedAWGN(0, 14, rng.New(DefaultSeed^(0xbb67ae8584caa73b*trial)))
+		radio, err := impair.NewQuantizedAWGN(0, 14, rng.New(DefaultSeed^(0xbb67ae8584caa73b*trial)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -477,7 +478,7 @@ func TestIncrementalTwoDecodersOneContainer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := channel.NewAWGNdB(8, rng.New(9))
+	ch, err := impair.NewAWGN(8, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}

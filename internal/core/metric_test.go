@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"spinal/internal/channel"
+	"spinal/internal/impair"
 	"spinal/internal/rng"
 )
 
@@ -92,7 +93,7 @@ func TestSaturatingAdds(t *testing.T) {
 func TestInt32MetricDecodesAWGN(t *testing.T) {
 	p := DefaultParams()
 	src := rng.New(7)
-	ch, err := channel.NewAWGNdB(15, src)
+	ch, err := impair.NewAWGN(15, src)
 	if err != nil {
 		t.Fatal(err)
 	}

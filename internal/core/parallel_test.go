@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"spinal/internal/channel"
+	"spinal/internal/impair"
 	"spinal/internal/rng"
 )
 
@@ -154,14 +155,14 @@ func TestParallelMatchesSerialAWGN(t *testing.T) {
 				}
 				vs := newVariants(t, p, 8, metric, mode)
 				type stream struct {
-					ch  *channel.AWGN
+					ch  *impair.Pipeline
 					obs *Observations
 				}
 				streams := make([]*stream, len(vs))
 				for i := range vs {
 					// Each variant replays an identical noisy symbol stream from
 					// its own channel instance and observation container.
-					ch, err := channel.NewAWGNdB(6, rng.New(p.Seed^0xbeef))
+					ch, err := impair.NewAWGN(6, rng.New(p.Seed^0xbeef))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -290,7 +291,7 @@ func TestParallelDecodeProperty(t *testing.T) {
 		defer sharded.Close()
 		mkObs := func() *Observations {
 			obs, _ := NewObservations(p.NumSegments())
-			ch, _ := channel.NewAWGNdB(4, rng.New(seed^0x99))
+			ch, _ := impair.NewAWGN(4, rng.New(seed^0x99))
 			sched, _ := NewSequentialSchedule(p.NumSegments())
 			// Fewer symbols than spine values leaves levels unobserved, where
 			// the approximate mode's cap applies.
@@ -341,7 +342,7 @@ func TestSetParallelismMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func() (*BeamDecoder, *Observations, *channel.AWGN) {
+	mk := func() (*BeamDecoder, *Observations, *impair.Pipeline) {
 		dec, err := NewBeamDecoder(p, 8)
 		if err != nil {
 			t.Fatal(err)
@@ -350,7 +351,7 @@ func TestSetParallelismMidStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ch, err := channel.NewAWGNdB(6, rng.New(313))
+		ch, err := impair.NewAWGN(6, rng.New(313))
 		if err != nil {
 			t.Fatal(err)
 		}

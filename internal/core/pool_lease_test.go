@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 
+	"spinal/internal/channel"
+	"spinal/internal/impair"
 	"spinal/internal/rng"
 )
 
@@ -123,19 +125,21 @@ func TestSessionPoolEquivalence(t *testing.T) {
 		msg := RandomMessage(rng.New(uint64(trial+1)*131), p.MessageBits)
 		cfg := SessionConfig{Params: p, BeamWidth: 8, MaxSymbols: 60 * p.NumSegments(), Parallelism: 1}
 
-		mk := func() func(complex128) complex128 {
-			ch := rng.New(uint64(trial+1) * 7919)
-			return func(x complex128) complex128 {
-				return x + complex(0.3*ch.NormFloat64(), 0.3*ch.NormFloat64())
+		// 7.45 dB: about 0.3 noise standard deviation per dimension.
+		mk := func() *impair.Pipeline {
+			ch, err := impair.NewAWGN(7.45, rng.New(uint64(trial+1)*7919))
+			if err != nil {
+				t.Fatal(err)
 			}
+			return ch
 		}
-		want, err := RunSymbolSession(cfg, msg, mk(), GenieVerifier(msg, p.MessageBits))
+		want, err := RunChannelSession(cfg, msg, mk(), GenieVerifier(msg, p.MessageBits))
 		if err != nil {
 			t.Fatal(err)
 		}
 		pooled := cfg
 		pooled.Pool = pool
-		got, err := RunSymbolSession(pooled, msg, mk(), GenieVerifier(msg, p.MessageBits))
+		got, err := RunChannelSession(pooled, msg, mk(), GenieVerifier(msg, p.MessageBits))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,24 +150,22 @@ func TestSessionPoolEquivalence(t *testing.T) {
 			t.Fatalf("trial %d: pooled session diverged: %+v vs %+v", trial, got, want)
 		}
 
-		mkBits := func() func(byte) byte {
-			ch := rng.New(uint64(trial+1) * 104729)
-			return func(b byte) byte {
-				if ch.Bernoulli(0.03) {
-					return b ^ 1
-				}
-				return b
+		mkBits := func() *channel.BSC {
+			ch, err := channel.NewBSC(0.03, rng.New(uint64(trial+1)*104729))
+			if err != nil {
+				t.Fatal(err)
 			}
+			return ch
 		}
 		bitCfg := cfg
 		bitCfg.MaxSymbols = 200 * p.NumSegments()
-		wantBits, err := RunBitSession(bitCfg, msg, mkBits(), GenieVerifier(msg, p.MessageBits))
+		wantBits, err := RunBitChannelSession(bitCfg, msg, mkBits(), GenieVerifier(msg, p.MessageBits))
 		if err != nil {
 			t.Fatal(err)
 		}
 		bitPooled := bitCfg
 		bitPooled.Pool = pool
-		gotBits, err := RunBitSession(bitPooled, msg, mkBits(), GenieVerifier(msg, p.MessageBits))
+		gotBits, err := RunBitChannelSession(bitPooled, msg, mkBits(), GenieVerifier(msg, p.MessageBits))
 		if err != nil {
 			t.Fatal(err)
 		}

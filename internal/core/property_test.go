@@ -126,7 +126,7 @@ func TestBitSessionNeverExceedsOneBitPerUse(t *testing.T) {
 		p := Params{K: 4, C: 8, MessageBits: bits, Seed: seed | 1}
 		msg := RandomMessage(rng.New(seed^31), bits)
 		cfg := SessionConfig{Params: p, BeamWidth: 8, Attempts: AttemptEverySymbol{}, MaxSymbols: 50 * p.NumSegments()}
-		res, err := RunBitSession(cfg, msg, func(b byte) byte { return b }, GenieVerifier(msg, bits))
+		res, err := RunBitChannelSession(cfg, msg, noiselessBits(), GenieVerifier(msg, bits))
 		if err != nil {
 			return false
 		}

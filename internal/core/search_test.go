@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"spinal/internal/impair"
 	"spinal/internal/rng"
 )
 
@@ -327,7 +328,11 @@ func runApproxSession(t *testing.T, trial, passes int, search SearchMode) *Resul
 	t.Helper()
 	p := exactPinParams()
 	msg := RandomMessage(rng.New(uint64(trial+1)*0x9e3779b9), p.MessageBits)
-	noise := rng.New(uint64(trial+1) * 0xbb67ae85)
+	// 10.14 dB: about 0.22 noise standard deviation per dimension.
+	noise, err := impair.NewAWGN(10.14, rng.New(uint64(trial+1)*0xbb67ae85))
+	if err != nil {
+		t.Fatal(err)
+	}
 	sched, err := NewStripedSchedule(p.NumSegments(), 4)
 	if err != nil {
 		t.Fatal(err)
@@ -337,9 +342,7 @@ func runApproxSession(t *testing.T, trial, passes int, search SearchMode) *Resul
 		MaxSymbols: passes * p.NumSegments(), Search: search,
 		Attempts: AttemptEverySymbol{},
 	}
-	res, err := RunSymbolSession(cfg, msg, func(x complex128) complex128 {
-		return x + complex(0.22*noise.NormFloat64(), 0.22*noise.NormFloat64())
-	}, GenieVerifier(msg, p.MessageBits))
+	res, err := RunChannelSession(cfg, msg, noise, GenieVerifier(msg, p.MessageBits))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -245,26 +245,6 @@ type BlockBitChannel interface {
 	CorruptBits(dst, src []byte)
 }
 
-// funcSymbolChannel adapts a scalar corrupt closure to BlockChannel; the
-// closure is applied in slice order, so the adapter draws the exact same
-// noise stream the scalar transmission loop did.
-type funcSymbolChannel func(complex128) complex128
-
-func (f funcSymbolChannel) CorruptBlock(dst, src []complex128) {
-	for i, x := range src {
-		dst[i] = f(x)
-	}
-}
-
-// funcBitChannel adapts a scalar bit-corrupt closure to BlockBitChannel.
-type funcBitChannel func(byte) byte
-
-func (f funcBitChannel) CorruptBits(dst, src []byte) {
-	for i, b := range src {
-		dst[i] = f(b)
-	}
-}
-
 // maxSessionBatch bounds the scratch buffers of a session: stretches of the
 // stream with no decode attempt (the backoff policy skips whole pass ranges)
 // are emitted in sub-batches of at most this many symbols.
@@ -434,18 +414,6 @@ func RunChannelSession(cfg SessionConfig, message []byte, ch BlockChannel, verif
 	return res, nil
 }
 
-// RunSymbolSession transmits message over a symbol channel represented by a
-// scalar corrupt function until verify accepts a decode. It is a thin adapter
-// over RunChannelSession kept for closure-based callers; the adapter applies
-// the closure in stream order, so results are bit-identical to the historical
-// per-symbol loop.
-func RunSymbolSession(cfg SessionConfig, message []byte, corrupt func(complex128) complex128, verify Verifier) (*Result, error) {
-	if corrupt == nil {
-		return nil, fmt.Errorf("core: nil channel or verifier")
-	}
-	return RunChannelSession(cfg, message, funcSymbolChannel(corrupt), verify)
-}
-
 // RunBitChannelSession is the binary-channel counterpart of
 // RunChannelSession: the encoder emits one coded bit per (spine value, pass)
 // and the decoder uses the Hamming metric, which is the ML rule for the BSC.
@@ -521,13 +489,4 @@ func RunBitChannelSession(cfg SessionConfig, message []byte, ch BlockBitChannel,
 	}
 	res.ChannelUses = cfg.MaxSymbols
 	return res, nil
-}
-
-// RunBitSession adapts a scalar bit-corrupt closure to RunBitChannelSession;
-// see RunSymbolSession.
-func RunBitSession(cfg SessionConfig, message []byte, corruptBit func(byte) byte, verify Verifier) (*Result, error) {
-	if corruptBit == nil {
-		return nil, fmt.Errorf("core: nil channel or verifier")
-	}
-	return RunBitChannelSession(cfg, message, funcBitChannel(corruptBit), verify)
 }

@@ -4,12 +4,16 @@ import (
 	"testing"
 
 	"spinal/internal/channel"
+	"spinal/internal/impair"
 	"spinal/internal/rng"
 )
 
-func noiselessSymbolChannel(x complex128) complex128 { return x }
-
-func noiselessBitChannel(b byte) byte { return b }
+// noiselessBits is a BSC with zero crossover probability: the noiseless
+// binary channel.
+func noiselessBits() *channel.BSC {
+	ch, _ := channel.NewBSC(0, rng.New(1))
+	return ch
+}
 
 func TestSessionNoiselessAchievesMaxRate(t *testing.T) {
 	// With no noise and per-symbol decode attempts, the sequential schedule
@@ -18,7 +22,7 @@ func TestSessionNoiselessAchievesMaxRate(t *testing.T) {
 	p := DefaultParams()
 	msg := testMessage(61, p.MessageBits)
 	cfg := SessionConfig{Params: p, BeamWidth: 16, Attempts: AttemptEverySymbol{}}
-	res, err := RunSymbolSession(cfg, msg, noiselessSymbolChannel, GenieVerifier(msg, p.MessageBits))
+	res, err := RunChannelSession(cfg, msg, impair.NewPipeline(), GenieVerifier(msg, p.MessageBits))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,13 +47,13 @@ func TestSessionHighSNRRate(t *testing.T) {
 	p := DefaultParams()
 	src := rng.New(62)
 	msgSrc := rng.New(63)
-	ch, _ := channel.NewAWGNdB(25, src)
+	ch, _ := impair.NewAWGN(25, src)
 	sched, _ := NewStripedSchedule(p.NumSegments(), 8)
 	var bits, uses int
 	for i := 0; i < 10; i++ {
 		msg := RandomMessage(msgSrc, p.MessageBits)
 		cfg := SessionConfig{Params: p, BeamWidth: 16, Schedule: sched, Attempts: AttemptEverySymbol{}}
-		res, err := RunSymbolSession(cfg, msg, ch.Corrupt, GenieVerifier(msg, p.MessageBits))
+		res, err := RunChannelSession(cfg, msg, ch, GenieVerifier(msg, p.MessageBits))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,12 +76,12 @@ func TestSessionLowSNRStillDecodes(t *testing.T) {
 	p := DefaultParams()
 	src := rng.New(64)
 	msgSrc := rng.New(65)
-	ch, _ := channel.NewAWGNdB(0, src)
+	ch, _ := impair.NewAWGN(0, src)
 	var bits, uses int
 	for i := 0; i < 5; i++ {
 		msg := RandomMessage(msgSrc, p.MessageBits)
 		cfg := SessionConfig{Params: p, BeamWidth: 16}
-		res, err := RunSymbolSession(cfg, msg, ch.Corrupt, GenieVerifier(msg, p.MessageBits))
+		res, err := RunChannelSession(cfg, msg, ch, GenieVerifier(msg, p.MessageBits))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +105,7 @@ func TestSessionGiveUpOnHopelessChannel(t *testing.T) {
 	src := rng.New(68)
 	bsc, _ := channel.NewBSC(0.5, src)
 	cfg := SessionConfig{Params: p, BeamWidth: 4, MaxSymbols: 60}
-	res, err := RunBitSession(cfg, msg, bsc.CorruptBit, GenieVerifier(msg, p.MessageBits))
+	res, err := RunBitChannelSession(cfg, msg, bsc, GenieVerifier(msg, p.MessageBits))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +124,7 @@ func TestSessionBitChannelNoiseless(t *testing.T) {
 	p := Params{K: 4, C: 10, MessageBits: 24, Seed: 69}
 	msg := testMessage(70, p.MessageBits)
 	cfg := SessionConfig{Params: p, BeamWidth: 16, Attempts: AttemptEverySymbol{}}
-	res, err := RunBitSession(cfg, msg, noiselessBitChannel, GenieVerifier(msg, p.MessageBits))
+	res, err := RunBitChannelSession(cfg, msg, noiselessBits(), GenieVerifier(msg, p.MessageBits))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +149,7 @@ func TestSessionBitChannelBSC(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		msg := RandomMessage(msgSrc, p.MessageBits)
 		cfg := SessionConfig{Params: p, BeamWidth: 16}
-		res, err := RunBitSession(cfg, msg, bsc.CorruptBit, GenieVerifier(msg, p.MessageBits))
+		res, err := RunBitChannelSession(cfg, msg, bsc, GenieVerifier(msg, p.MessageBits))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +170,7 @@ func TestSessionPuncturedScheduleBeatsMaxRateAtHighSNR(t *testing.T) {
 	p := DefaultParams()
 	src := rng.New(74)
 	msgSrc := rng.New(75)
-	ch, _ := channel.NewAWGNdB(35, src)
+	ch, _ := impair.NewAWGN(35, src)
 	sched, err := NewStripedSchedule(p.NumSegments(), 8)
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +185,7 @@ func TestSessionPuncturedScheduleBeatsMaxRateAtHighSNR(t *testing.T) {
 			Attempts:      AttemptEverySymbol{},
 			MaxCandidates: 4096,
 		}
-		res, err := RunSymbolSession(cfg, msg, ch.Corrupt, GenieVerifier(msg, p.MessageBits))
+		res, err := RunChannelSession(cfg, msg, ch, GenieVerifier(msg, p.MessageBits))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,9 +243,9 @@ func TestSessionEveryPassPolicyAlignsAttempts(t *testing.T) {
 	p := DefaultParams()
 	msg := testMessage(76, p.MessageBits)
 	src := rng.New(77)
-	ch, _ := channel.NewAWGNdB(12, src)
+	ch, _ := impair.NewAWGN(12, src)
 	cfg := SessionConfig{Params: p, BeamWidth: 16, Attempts: AttemptEveryPass{}}
-	res, err := RunSymbolSession(cfg, msg, ch.Corrupt, GenieVerifier(msg, p.MessageBits))
+	res, err := RunChannelSession(cfg, msg, ch, GenieVerifier(msg, p.MessageBits))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,21 +260,21 @@ func TestSessionEveryPassPolicyAlignsAttempts(t *testing.T) {
 func TestSessionConfigValidation(t *testing.T) {
 	p := DefaultParams()
 	msg := testMessage(78, p.MessageBits)
-	if _, err := RunSymbolSession(SessionConfig{Params: p}, msg, nil, GenieVerifier(msg, p.MessageBits)); err == nil {
+	if _, err := RunChannelSession(SessionConfig{Params: p}, msg, nil, GenieVerifier(msg, p.MessageBits)); err == nil {
 		t.Error("nil channel accepted")
 	}
-	if _, err := RunSymbolSession(SessionConfig{Params: p}, msg, noiselessSymbolChannel, nil); err == nil {
+	if _, err := RunChannelSession(SessionConfig{Params: p}, msg, impair.NewPipeline(), nil); err == nil {
 		t.Error("nil verifier accepted")
 	}
 	bad := p
 	bad.K = 0
-	if _, err := RunSymbolSession(SessionConfig{Params: bad}, msg, noiselessSymbolChannel, GenieVerifier(msg, p.MessageBits)); err == nil {
+	if _, err := RunChannelSession(SessionConfig{Params: bad}, msg, impair.NewPipeline(), GenieVerifier(msg, p.MessageBits)); err == nil {
 		t.Error("invalid params accepted")
 	}
-	if _, err := RunBitSession(SessionConfig{Params: p}, msg, nil, GenieVerifier(msg, p.MessageBits)); err == nil {
+	if _, err := RunBitChannelSession(SessionConfig{Params: p}, msg, nil, GenieVerifier(msg, p.MessageBits)); err == nil {
 		t.Error("nil bit channel accepted")
 	}
-	if _, err := RunSymbolSession(SessionConfig{Params: p}, []byte{1}, noiselessSymbolChannel, GenieVerifier(msg, p.MessageBits)); err == nil {
+	if _, err := RunChannelSession(SessionConfig{Params: p}, []byte{1}, impair.NewPipeline(), GenieVerifier(msg, p.MessageBits)); err == nil {
 		t.Error("wrong-size message accepted")
 	}
 }

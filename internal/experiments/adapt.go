@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"spinal/internal/adapt"
-	"spinal/internal/channel"
 	"spinal/internal/core"
 	"spinal/internal/fading"
+	"spinal/internal/impair"
 	"spinal/internal/rng"
 	"spinal/internal/sim"
 	"spinal/internal/stats"
@@ -198,7 +198,7 @@ func FixedRateSpinal(cfg SpinalConfig, snrsDB []float64, passes int) ([]FixedRat
 				return false, err
 			}
 			chSrc := rng.New(cfg.Seed ^ (0xbb67ae8584caa73b * uint64(trial+1)))
-			radio, err := channel.NewQuantizedAWGN(snr, cfg.ADCBits, chSrc)
+			radio, err := impair.NewQuantizedAWGN(snr, cfg.ADCBits, chSrc)
 			if err != nil {
 				return false, err
 			}

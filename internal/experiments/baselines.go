@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"spinal/internal/channel"
 	"spinal/internal/conv"
 	"spinal/internal/fountain"
 	"spinal/internal/harq"
+	"spinal/internal/impair"
 	"spinal/internal/ldpc"
 	"spinal/internal/modem"
 	"spinal/internal/rng"
@@ -183,7 +183,7 @@ func LDPCThroughputCurve(cfg LDPCConfig, snrsDB []float64) ([]ThroughputPoint, e
 			dec := decAny.(*ldpc.Decoder)
 
 			src := rng.New(frameSeed(pointSeed, frame))
-			ch, err := channel.NewAWGNdB(snrDB, src)
+			ch, err := impair.NewAWGN(snrDB, src)
 			if err != nil {
 				return frameTrial{}, err
 			}
@@ -200,7 +200,7 @@ func LDPCThroughputCurve(cfg LDPCConfig, snrsDB []float64) ([]ThroughputPoint, e
 				return frameTrial{}, err
 			}
 			ch.CorruptBlock(syms, syms)
-			llr := mod.Demodulate(syms, ch.Sigma2())
+			llr := mod.Demodulate(syms, ch.NoiseVariance())
 			res, err := dec.Decode(llr)
 			if err != nil {
 				return frameTrial{}, err
@@ -298,7 +298,7 @@ func ConvThroughputCurve(cfg ConvConfig, snrsDB []float64) ([]ThroughputPoint, e
 			codec := codecAny.(*conv.Code)
 
 			src := rng.New(frameSeed(pointSeed, frame))
-			ch, err := channel.NewAWGNdB(snrDB, src)
+			ch, err := impair.NewAWGN(snrDB, src)
 			if err != nil {
 				return frameTrial{}, err
 			}
@@ -319,7 +319,7 @@ func ConvThroughputCurve(cfg ConvConfig, snrsDB []float64) ([]ThroughputPoint, e
 				return frameTrial{}, err
 			}
 			ch.CorruptBlock(syms, syms)
-			llr := mod.Demodulate(syms, ch.Sigma2())
+			llr := mod.Demodulate(syms, ch.NoiseVariance())
 			decoded, err := codec.Decode(llr[:codec.CodedLength(cfg.FrameBits)], cfg.FrameBits)
 			if err != nil {
 				return frameTrial{}, err
@@ -400,11 +400,11 @@ func HARQThroughputCurve(cfg HARQConfig, snrsDB []float64) ([]ThroughputPoint, e
 			scheme := schemeAny.(*harq.Scheme)
 
 			src := rng.New(frameSeed(pointSeed, frame))
-			ch, err := channel.NewAWGNdB(snrDB, src)
+			ch, err := impair.NewAWGN(snrDB, src)
 			if err != nil {
 				return frameTrial{}, err
 			}
-			res, err := scheme.RunFrame(ch.Corrupt, ch.Sigma2(), src)
+			res, err := scheme.RunFrame(ch.Corrupt, ch.NoiseVariance(), src)
 			if err != nil {
 				return frameTrial{}, err
 			}

@@ -138,7 +138,7 @@ func ChurnLoad(cfg ChurnConfig) ([]ChurnPoint, error) {
 	}
 
 	cleanFaults := link.FaultProfile{}
-	faults, err := impair.ParseFaultProfile(cfg.Faults)
+	faults, err := link.ParseFaultProfile(cfg.Faults)
 	if err != nil {
 		return nil, err
 	}

@@ -231,29 +231,6 @@ func FormatMultiFlow(points []MultiFlowPoint) *sim.Table {
 	return t
 }
 
-// BatchColumns is the point schema of the scalar-versus-batch comparison.
-func BatchColumns() []sim.Column {
-	return []sim.Column{
-		sim.Col("snr_db", "%.1f"),
-		sim.VolatileCol("scalar_ms", "%.2f"),
-		sim.VolatileCol("batch_ms", "%.2f"),
-		sim.VolatileCol("batch_speedup", "%.2fx"),
-		sim.Col("symbols", "%d"),
-		sim.Col("delivered", "%d"),
-		sim.Col("trials", "%d"),
-	}
-}
-
-// FormatBatch renders the scalar-versus-batch comparison.
-func FormatBatch(pts []BatchPoint) *sim.Table {
-	t := sim.NewTable("", BatchColumns()...)
-	for _, p := range pts {
-		t.AddRow(p.SNRdB, float64(p.ScalarNS)/1e6, float64(p.BatchNS)/1e6,
-			p.Speedup, p.Symbols, p.Delivered, p.Trials)
-	}
-	return t
-}
-
 // AdaptationColumns is the point schema of the adaptation comparison.
 func AdaptationColumns() []sim.Column {
 	return []sim.Column{

@@ -1,8 +1,8 @@
 package experiments
 
 import (
-	"spinal/internal/channel"
 	"spinal/internal/core"
+	"spinal/internal/impair"
 	"spinal/internal/rng"
 	"spinal/internal/sim"
 )
@@ -98,7 +98,7 @@ func FrontierComparison(cfg SpinalConfig, snrsDB []float64) ([]FrontierPoint, er
 func frontierAtSNR(cfg SpinalConfig, params core.Params, sched core.Schedule, snrDB float64, sc core.SearchMode) (FrontierPoint, error) {
 	results, err := sim.Run(cfg.runner(), cfg.Trials, func(w *sim.Worker, trial int) (frontierTrial, error) {
 		msg := core.RandomMessage(rng.New(cfg.Seed^(0x9e3779b97f4a7c15*uint64(trial+1))), cfg.MessageBits)
-		radio, err := channel.NewQuantizedAWGN(snrDB, cfg.ADCBits, rng.New(cfg.Seed^(0xbb67ae8584caa73b*uint64(trial+1))))
+		radio, err := impair.NewQuantizedAWGN(snrDB, cfg.ADCBits, rng.New(cfg.Seed^(0xbb67ae8584caa73b*uint64(trial+1))))
 		if err != nil {
 			return frontierTrial{}, err
 		}

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"spinal/internal/channel"
+	"spinal/internal/impair"
 	"spinal/internal/link"
 	"spinal/internal/rng"
 	"spinal/internal/sim"
@@ -71,7 +71,7 @@ func buildMultiFlowMessage(cfg SpinalConfig, snrDB float64, flow, msg uint32, pa
 	for i := range payload {
 		payload[i] = byte(src.Uint64())
 	}
-	radio, err := channel.NewAWGNdB(snrDB, rng.New(cfg.Seed^(0xa54ff53a5f1d36f1*uint64(flow+1))^uint64(msg+7)))
+	radio, err := impair.NewAWGN(snrDB, rng.New(cfg.Seed^(0xa54ff53a5f1d36f1*uint64(flow+1))^uint64(msg+7)))
 	if err != nil {
 		return nil, err
 	}

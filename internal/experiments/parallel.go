@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"spinal/internal/channel"
 	"spinal/internal/core"
+	"spinal/internal/impair"
 	"spinal/internal/rng"
 	"spinal/internal/sim"
 )
@@ -82,7 +82,7 @@ func ParallelDecodeComparison(cfg SpinalConfig, snrDB float64, workers []int) ([
 		trials, err := sim.Run(sim.Runner{Workers: 1, Pool: cfg.Pool}, cfg.Trials,
 			func(sw *sim.Worker, trial int) (parallelTrial, error) {
 				msg := core.RandomMessage(rng.New(cfg.Seed^(0x9e3779b97f4a7c15*uint64(trial+1))), cfg.MessageBits)
-				radio, err := channel.NewQuantizedAWGN(snrDB, cfg.ADCBits, rng.New(cfg.Seed^(0xbb67ae8584caa73b*uint64(trial+1))))
+				radio, err := impair.NewQuantizedAWGN(snrDB, cfg.ADCBits, rng.New(cfg.Seed^(0xbb67ae8584caa73b*uint64(trial+1))))
 				if err != nil {
 					return parallelTrial{}, err
 				}

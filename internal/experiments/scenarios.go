@@ -734,37 +734,6 @@ func init() {
 			return res, nil
 		},
 	})
-	sim.Register(sim.Scenario{
-		Name:        "batch",
-		Description: "batched versus per-symbol transmission path (bit-identical decodes, wall-clock)",
-		Flags:       append([]string{"snr"}, codeFlags...),
-		Schema:      BatchColumns(),
-		Run: func(req sim.Request) (*sim.Result, error) {
-			cfg, err := spinalConfigFrom(req)
-			if err != nil {
-				return nil, err
-			}
-			cfg.Trials = capTrials(req.Trials, 20)
-			var pts []BatchPoint
-			seen := map[float64]bool{}
-			for _, snr := range []float64{0, req.SNR, 25} {
-				if seen[snr] {
-					continue
-				}
-				seen[snr] = true
-				pt, err := BatchObserveComparison(cfg, snr)
-				if err != nil {
-					return nil, err
-				}
-				pts = append(pts, pt)
-			}
-			res := sim.NewResult("batch")
-			res.Notef("batched vs per-symbol transmission path (bit-identical decodes, wall-clock only)")
-			res.Notef("effective config: %d trials (this experiment caps trials at 20)", cfg.Trials)
-			res.Add(FormatBatch(pts))
-			return res, nil
-		},
-	})
 }
 
 // runFigure2Scenario reproduces every curve of Figure 2: the bounds, the

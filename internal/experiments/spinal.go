@@ -20,6 +20,7 @@ import (
 	"spinal/internal/channel"
 	"spinal/internal/constellation"
 	"spinal/internal/core"
+	"spinal/internal/impair"
 	"spinal/internal/rng"
 	"spinal/internal/sim"
 	"spinal/internal/stats"
@@ -261,7 +262,7 @@ func SpinalRateAtSNR(cfg SpinalConfig, snrDB float64) (RatePoint, error) {
 // symbols.
 func runGenieTrial(cfg SpinalConfig, params core.Params, sched core.Schedule, lease *core.LeasedDecoder, snrDB float64, trial uint64) (int, bool) {
 	chSrc := rng.New(cfg.Seed ^ (0xbb67ae8584caa73b * (trial + 1)))
-	radio, err := channel.NewQuantizedAWGN(snrDB, cfg.ADCBits, chSrc)
+	radio, err := impair.NewQuantizedAWGN(snrDB, cfg.ADCBits, chSrc)
 	if err != nil {
 		return 0, false
 	}

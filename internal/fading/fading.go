@@ -1,7 +1,7 @@
 // Package fading models time-varying wireless channels: SNR traces that
-// evolve over the duration of a transmission, the channels that apply them
-// symbol by symbol, and the delayed/noisy SNR estimators that reactive
-// bit-rate adaptation has to rely on.
+// evolve over the duration of a transmission (impair.NewTraceNoise and the
+// impair trace stages apply them symbol by symbol), and the delayed/noisy SNR
+// estimators that reactive bit-rate adaptation has to rely on.
 //
 // The introduction of the paper motivates rateless codes precisely with these
 // dynamics: channel conditions change "even at time-scales shorter than a
@@ -260,51 +260,6 @@ func (d *Doppler) SNRdB(i int) float64 {
 // Name implements Trace.
 func (d *Doppler) Name() string {
 	return fmt.Sprintf("doppler(avg %.0fdB, fd=%.3g)", d.avgSNRdB, d.fd)
-}
-
-// Channel applies a trace to transmitted symbols: symbol i experiences AWGN
-// at trace.SNRdB(i). It implements the same Corrupt contract as the static
-// channels in internal/channel, tracking the symbol index internally.
-type Channel struct {
-	trace Trace
-	src   *rng.Rand
-	pos   int
-}
-
-// NewChannel returns a symbol channel driven by the trace, with its own noise
-// stream derived from seed.
-func NewChannel(trace Trace, seed uint64) (*Channel, error) {
-	if trace == nil {
-		return nil, fmt.Errorf("fading: nil trace")
-	}
-	return &Channel{trace: trace, src: rng.New(seed)}, nil
-}
-
-// Corrupt adds noise at the SNR the trace dictates for the current symbol.
-func (c *Channel) Corrupt(x complex128) complex128 {
-	snr := math.Pow(10, c.trace.SNRdB(c.pos)/10)
-	c.pos++
-	sigma2 := 1 / snr
-	return x + c.src.ComplexNormal(sigma2)
-}
-
-// CorruptBlock corrupts a block of symbols into dst, advancing the trace per
-// symbol exactly as scalar Corrupt calls would; dst and src have equal length
-// and may alias. It implements the same block contract as the channels in
-// internal/channel.
-func (c *Channel) CorruptBlock(dst, src []complex128) {
-	for i, x := range src {
-		dst[i] = c.Corrupt(x)
-	}
-}
-
-// Position returns how many symbols have passed through the channel.
-func (c *Channel) Position() int { return c.pos }
-
-// Sigma2 returns the complex noise variance the channel will apply to the
-// next symbol — the instantaneous quality the trace currently dictates.
-func (c *Channel) Sigma2() float64 {
-	return math.Pow(10, -c.trace.SNRdB(c.pos)/10)
 }
 
 // Estimator models the SNR measurement a reactive rate-adaptation scheme

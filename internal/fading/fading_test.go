@@ -130,43 +130,6 @@ func TestWalkBounds(t *testing.T) {
 	}
 }
 
-func TestChannelNoiseTracksTrace(t *testing.T) {
-	// With a good/bad trace, the measured noise power over symbols sent in
-	// each state should differ by roughly the SNR gap.
-	g, _ := NewGilbertElliott(25, 5, 500, 500, 11)
-	ch, err := NewChannel(g, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var goodPower, badPower float64
-	var goodN, badN int
-	for i := 0; i < 100000; i++ {
-		snr := g.SNRdB(i)
-		y := ch.Corrupt(0)
-		p := real(y)*real(y) + imag(y)*imag(y)
-		if snr == 25 {
-			goodPower += p
-			goodN++
-		} else {
-			badPower += p
-			badN++
-		}
-	}
-	if goodN == 0 || badN == 0 {
-		t.Fatal("trace did not visit both states")
-	}
-	ratio := (badPower / float64(badN)) / (goodPower / float64(goodN))
-	if ratio < 50 || ratio > 200 {
-		t.Fatalf("noise power ratio between bad and good states = %v, want about 100", ratio)
-	}
-	if ch.Position() != 100000 {
-		t.Fatalf("Position = %d", ch.Position())
-	}
-	if _, err := NewChannel(nil, 1); err == nil {
-		t.Error("nil trace accepted")
-	}
-}
-
 func TestEstimatorDelayAndNoise(t *testing.T) {
 	// A step trace: SNR jumps from 20 to 0 dB at symbol 1000. With a delay of
 	// 200 symbols and no measurement error, the estimator must report the old

@@ -3,7 +3,7 @@ package harq
 import (
 	"testing"
 
-	"spinal/internal/channel"
+	"spinal/internal/impair"
 	"spinal/internal/ldpc"
 	"spinal/internal/rng"
 )
@@ -38,8 +38,8 @@ func TestRunFrameCleanChannelOneRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, _ := channel.NewAWGNdB(20, rng.New(1))
-	res, err := s.RunFrame(ch.Corrupt, ch.Sigma2(), rng.New(2))
+	ch, _ := impair.NewAWGN(20, rng.New(1))
+	res, err := s.RunFrame(ch.Corrupt, ch.NoiseVariance(), rng.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,12 +59,12 @@ func TestRunFrameCombiningGain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, _ := channel.NewAWGNdB(7, rng.New(3))
+	ch, _ := impair.NewAWGN(7, rng.New(3))
 	src := rng.New(4)
 	delivered, multiRound := 0, 0
 	const frames = 10
 	for i := 0; i < frames; i++ {
-		res, err := s.RunFrame(ch.Corrupt, ch.Sigma2(), src)
+		res, err := s.RunFrame(ch.Corrupt, ch.NoiseVariance(), src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,8 +88,8 @@ func TestRunFrameGivesUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, _ := channel.NewAWGNdB(-5, rng.New(5))
-	res, err := s.RunFrame(ch.Corrupt, ch.Sigma2(), rng.New(6))
+	ch, _ := impair.NewAWGN(-5, rng.New(5))
+	res, err := s.RunFrame(ch.Corrupt, ch.NoiseVariance(), rng.New(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +106,8 @@ func TestRunFrameNilArguments(t *testing.T) {
 	if _, err := s.RunFrame(nil, 0.1, rng.New(1)); err == nil {
 		t.Error("nil channel accepted")
 	}
-	ch, _ := channel.NewAWGNdB(10, rng.New(1))
-	if _, err := s.RunFrame(ch.Corrupt, ch.Sigma2(), nil); err == nil {
+	ch, _ := impair.NewAWGN(10, rng.New(1))
+	if _, err := s.RunFrame(ch.Corrupt, ch.NoiseVariance(), nil); err == nil {
 		t.Error("nil source accepted")
 	}
 }

@@ -7,6 +7,11 @@
 // the paper's case for rateless codes is exactly that the code should not
 // need to know which stack it is facing.
 //
+// This package is the repo's only implementation of a noisy symbol channel.
+// NewAWGN, NewQuantizedAWGN (AWGN behind the §5 ADC) and NewTraceNoise build
+// the textbook single-stage pipelines from a caller-owned random source; the
+// spec grammar below builds everything else from a seed.
+//
 // A Pipeline implements both the facade block-channel contract
 // (CorruptBlock/NoiseVariance/Name, so it drops into spinal.Code.TransmitOver
 // and the genie experiments) and the scalar channel.SymbolChannel contract
@@ -20,6 +25,7 @@ package impair
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"spinal/internal/fading"
@@ -141,11 +147,12 @@ func (s *noiseStage) Apply(dst, src []complex128) {
 func (s *noiseStage) Variance() float64 { return s.sigma2(s.pos) }
 func (s *noiseStage) Name() string      { return s.name }
 
-// snrNoise builds an additive stage from an SNR-in-dB profile.
-func snrNoise(name string, seed uint64, snrdB func(i int) float64) *noiseStage {
+// snrNoise builds an additive stage from an SNR-in-dB profile, drawing its
+// noise from src.
+func snrNoise(name string, src *rng.Rand, snrdB func(i int) float64) *noiseStage {
 	return &noiseStage{
 		name:   name,
-		src:    rng.New(seed),
+		src:    src,
 		sigma2: func(i int) float64 { return 1 / mathx.DBToLinear(snrdB(i)) },
 	}
 }
@@ -154,8 +161,99 @@ func snrNoise(name string, seed uint64, snrdB func(i int) float64) *noiseStage {
 // stream and the trace's own randomness derive from distinct sub-seeds so the
 // trace shape does not depend on how many symbols have been corrupted.
 func traceNoise(name string, seed uint64, trace fading.Trace) *noiseStage {
-	return snrNoise(name, seed^0xa54ff53a5f1d36f1, trace.SNRdB)
+	return snrNoise(name, rng.New(seed^0xa54ff53a5f1d36f1), trace.SNRdB)
 }
+
+// NewAWGN returns the one-stage pipeline that adds complex white Gaussian
+// noise at snrDB (relative to the unit-energy constellation), drawing its
+// noise from src. Callers that also draw other randomness from src (info
+// bits, say) keep their stream order.
+func NewAWGN(snrDB float64, src *rng.Rand) (*Pipeline, error) {
+	st, err := awgnStage(snrDB, src)
+	if err != nil {
+		return nil, err
+	}
+	return NewPipeline(st), nil
+}
+
+// NewQuantizedAWGN returns the paper's §5 receive path: AWGN at snrDB
+// followed by an ADC that quantizes each dimension to adcBits. The ADC's
+// full-scale range covers the unit-energy linear constellation (peak
+// amplitude √1.5) plus four per-dimension noise standard deviations.
+func NewQuantizedAWGN(snrDB float64, adcBits int, src *rng.Rand) (*Pipeline, error) {
+	st, err := awgnStage(snrDB, src)
+	if err != nil {
+		return nil, err
+	}
+	limit := math.Sqrt(1.5) + 4*math.Sqrt(st.Variance()/2)
+	q, err := newADC(adcBits, limit)
+	if err != nil {
+		return nil, err
+	}
+	return NewPipeline(st, q), nil
+}
+
+// NewTraceNoise returns the one-stage pipeline in which symbol i experiences
+// AWGN at trace.SNRdB(i), drawing its noise from src. NoiseVariance reports
+// the variance the trace dictates for the next symbol.
+func NewTraceNoise(trace fading.Trace, src *rng.Rand) (*Pipeline, error) {
+	if trace == nil {
+		return nil, fmt.Errorf("impair: nil trace")
+	}
+	if src == nil {
+		return nil, fmt.Errorf("impair: nil random source")
+	}
+	return NewPipeline(snrNoise(trace.Name(), src, trace.SNRdB)), nil
+}
+
+// awgnStage is the fixed-SNR additive stage behind NewAWGN, NewQuantizedAWGN
+// and the grammar's awgn, with its variance computed once.
+func awgnStage(snrDB float64, src *rng.Rand) (*noiseStage, error) {
+	if err := checkDB("awgn", "snr", snrDB); err != nil {
+		return nil, err
+	}
+	if src == nil {
+		return nil, fmt.Errorf("impair: nil random source")
+	}
+	sigma2 := 1 / mathx.DBToLinear(snrDB)
+	return &noiseStage{
+		name:   fmt.Sprintf("awgn(snr=%g)", snrDB),
+		src:    src,
+		sigma2: func(int) float64 { return sigma2 },
+	}, nil
+}
+
+// adcStage models the receiver's analog-to-digital converter: each dimension
+// is clipped to [-limit, limit] and rounded to the centre of one of 2^bits
+// uniform levels. The paper's evaluation quantizes to 14 bits (§5). The
+// limit is always derived from a validated SNR, so only bits is checked.
+type adcStage struct {
+	bits        int
+	limit, step float64
+}
+
+func newADC(bits int, limit float64) (*adcStage, error) {
+	if bits < 1 || bits > 32 {
+		return nil, fmt.Errorf("impair: ADC bits must be in [1,32], got %d", bits)
+	}
+	levels := float64(uint64(1) << uint(bits))
+	return &adcStage{bits: bits, limit: limit, step: 2 * limit / levels}, nil
+}
+
+func (s *adcStage) quantize(v float64) float64 {
+	v = mathx.Clamp(v, -s.limit, s.limit-s.step/2)
+	idx := math.Floor((v + s.limit) / s.step)
+	return -s.limit + (idx+0.5)*s.step
+}
+
+func (s *adcStage) Apply(dst, src []complex128) {
+	for i, x := range src {
+		dst[i] = complex(s.quantize(real(x)), s.quantize(imag(x)))
+	}
+}
+
+func (s *adcStage) Variance() float64 { return 0 }
+func (s *adcStage) Name() string      { return fmt.Sprintf("adc(bits=%d)", s.bits) }
 
 // spikeStage adds strong interference in bursts with Markov arrivals: each
 // symbol, an idle stage enters a spike with probability prob, and an active
@@ -244,11 +342,14 @@ func buildStage(sp StageSpec, seed uint64) (Stage, error) {
 	var st Stage
 	switch sp.Stage {
 	case "awgn":
-		snr := a.get("snr", 10)
-		st = snrNoise(fmt.Sprintf("awgn(snr=%g)", snr), seed, func(int) float64 { return snr })
+		ns, err := awgnStage(a.db("snr", 10), rng.New(seed))
+		if err != nil {
+			return nil, err
+		}
+		st = ns
 	case "ge":
-		good := a.get("good", 15)
-		bad := a.get("bad", 0)
+		good := a.db("good", 15)
+		bad := a.db("bad", 0)
 		dgood := int(a.get("dgood", 300))
 		dbad := int(a.get("dbad", 100))
 		tr, err := fading.NewGilbertElliott(good, bad, dgood, dbad, seed^0x1f83d9abfb41bd6b)
@@ -257,7 +358,7 @@ func buildStage(sp StageSpec, seed uint64) (Stage, error) {
 		}
 		st = traceNoise(fmt.Sprintf("ge(good=%g,bad=%g,dgood=%d,dbad=%d)", good, bad, dgood, dbad), seed, tr)
 	case "rayleigh":
-		avg := a.get("avg", 15)
+		avg := a.db("avg", 15)
 		tc := int(a.get("tc", 64))
 		tr, err := fading.NewRayleighBlock(avg, tc, seed^0x1f83d9abfb41bd6b)
 		if err != nil {
@@ -265,7 +366,7 @@ func buildStage(sp StageSpec, seed uint64) (Stage, error) {
 		}
 		st = traceNoise(fmt.Sprintf("rayleigh(avg=%g,tc=%d)", avg, tc), seed, tr)
 	case "doppler":
-		avg := a.get("avg", 15)
+		avg := a.db("avg", 15)
 		fd := a.get("fd", 0.01)
 		tr, err := fading.NewDoppler(avg, fd, seed^0x1f83d9abfb41bd6b)
 		if err != nil {
@@ -273,8 +374,8 @@ func buildStage(sp StageSpec, seed uint64) (Stage, error) {
 		}
 		st = traceNoise(fmt.Sprintf("doppler(avg=%g,fd=%g)", avg, fd), seed, tr)
 	case "walk":
-		lo := a.get("min", 0)
-		hi := a.get("max", 20)
+		lo := a.db("min", 0)
+		hi := a.db("max", 20)
 		step := a.get("step", 0.5)
 		tr, err := fading.NewWalk(lo, hi, step, seed^0x1f83d9abfb41bd6b)
 		if err != nil {
@@ -282,13 +383,13 @@ func buildStage(sp StageSpec, seed uint64) (Stage, error) {
 		}
 		st = traceNoise(fmt.Sprintf("walk(min=%g,max=%g,step=%g)", lo, hi, step), seed, tr)
 	case "ramp":
-		from := a.get("from", 20)
-		to := a.get("to", 5)
+		from := a.db("from", 20)
+		to := a.db("to", 5)
 		over := int(a.get("over", 5000))
 		if over < 1 {
 			return nil, fmt.Errorf("impair: ramp over=%d must be at least one symbol", over)
 		}
-		st = snrNoise(fmt.Sprintf("ramp(from=%g,to=%g,over=%d)", from, to, over), seed,
+		st = snrNoise(fmt.Sprintf("ramp(from=%g,to=%g,over=%d)", from, to, over), rng.New(seed),
 			func(i int) float64 {
 				if i >= over {
 					return to
@@ -296,10 +397,10 @@ func buildStage(sp StageSpec, seed uint64) (Stage, error) {
 				return from + (to-from)*float64(i)/float64(over)
 			})
 	case "step":
-		from := a.get("from", 20)
-		to := a.get("to", 5)
+		from := a.db("from", 20)
+		to := a.db("to", 5)
 		at := int(a.get("at", 2500))
-		st = snrNoise(fmt.Sprintf("step(from=%g,to=%g,at=%d)", from, to, at), seed,
+		st = snrNoise(fmt.Sprintf("step(from=%g,to=%g,at=%d)", from, to, at), rng.New(seed),
 			func(i int) float64 {
 				if i < at {
 					return from
@@ -309,7 +410,7 @@ func buildStage(sp StageSpec, seed uint64) (Stage, error) {
 	case "spike":
 		prob := a.get("prob", 0.01)
 		dwell := a.get("dwell", 20)
-		db := a.get("db", 0) // signal-to-interference ratio while spiking
+		db := a.db("db", 0) // signal-to-interference ratio while spiking
 		if prob < 0 || prob > 1 {
 			return nil, fmt.Errorf("impair: spike prob=%g out of [0,1]", prob)
 		}
@@ -348,23 +449,32 @@ func buildStage(sp StageSpec, seed uint64) (Stage, error) {
 }
 
 // args validates a stage's argument map: get consumes known keys and err
-// reports any the stage did not recognize, so typos fail loudly instead of
-// silently selecting defaults.
+// reports the first non-finite value get read and any key the stage did not
+// recognize, so typos and NaN/±Inf fail loudly instead of silently selecting
+// defaults or poisoning the symbol stream.
 type args struct {
 	stage string
 	m     map[string]float64
 	used  []string
+	bad   error
 }
 
 func (a *args) get(key string, def float64) float64 {
 	a.used = append(a.used, key)
-	if v, ok := a.m[key]; ok {
-		return v
+	v, ok := a.m[key]
+	if !ok {
+		return def
 	}
-	return def
+	if err := finite(a.stage, key, v); err != nil && a.bad == nil {
+		a.bad = err
+	}
+	return v
 }
 
 func (a *args) err() error {
+	if a.bad != nil {
+		return a.bad
+	}
 	for k := range a.m {
 		known := false
 		for _, u := range a.used {
@@ -376,6 +486,38 @@ func (a *args) err() error {
 		if !known {
 			return fmt.Errorf("impair: stage %q has no argument %q", a.stage, k)
 		}
+	}
+	return nil
+}
+
+// db reads a dB-valued argument (an SNR or signal-to-interference ratio).
+func (a *args) db(key string, def float64) float64 {
+	v := a.get(key, def)
+	if err := checkDB(a.stage, key, v); err != nil && a.bad == nil {
+		a.bad = err
+	}
+	return v
+}
+
+// finite rejects NaN and ±Inf stage arguments.
+func finite(stage, key string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("impair: stage %q argument %s=%v is not finite", stage, key, v)
+	}
+	return nil
+}
+
+// maxDB bounds dB arguments so that every noise variance a stage can derive
+// from one, 10^(-dB/10) times the traces' deepest fade, is a finite float64.
+const maxDB = 1000
+
+// checkDB accepts finite dB values within ±maxDB.
+func checkDB(stage, key string, v float64) error {
+	if err := finite(stage, key, v); err != nil {
+		return err
+	}
+	if math.Abs(v) > maxDB {
+		return fmt.Errorf("impair: stage %q argument %s=%v dB is outside ±%d dB", stage, key, v, maxDB)
 	}
 	return nil
 }

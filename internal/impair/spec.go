@@ -6,14 +6,11 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"spinal/internal/link"
 )
 
 // This file is the declarative form of the pipeline: a compact flag-parsable
-// spec string and an equivalent JSON encoding, shared with the link layer's
-// FaultProfile so one config syntax drives both the symbol-level stages and
-// the frame-level chaos knobs.
+// spec string and an equivalent JSON encoding. link.ParseFaultProfile reads
+// the frame-level chaos knobs in the same two forms.
 //
 // Spec grammar (whitespace around tokens is ignored):
 //
@@ -170,94 +167,4 @@ func (s *Spec) Build(seed uint64) (*Pipeline, error) {
 // a stack against each of its stages alone.
 func (s *Spec) Single(i int) *Spec {
 	return &Spec{Stages: []StageSpec{s.Stages[i]}}
-}
-
-// ParseFaultProfile parses one direction's frame-level fault schedule in the
-// same two forms the pipeline spec uses: a key=value list
-//
-//	drop=0.05,dup=0.02,reorder=0.1,depth=4,corrupt=0.01,bits=8,err=0.01,
-//	stall=64:8,ge=0.05:0.3:0.02:0.9
-//
-// (stall is every:frames; ge is good2bad:bad2good:goodloss:badloss) or, when
-// the input starts with '{', the JSON form of link.FaultProfile. The empty
-// string is the clean profile.
-func ParseFaultProfile(s string) (link.FaultProfile, error) {
-	var p link.FaultProfile
-	trimmed := strings.TrimSpace(s)
-	if trimmed == "" {
-		return p, nil
-	}
-	if strings.HasPrefix(trimmed, "{") {
-		if err := json.Unmarshal([]byte(trimmed), &p); err != nil {
-			return p, fmt.Errorf("impair: fault profile: %v", err)
-		}
-		return p, nil
-	}
-	for _, kv := range strings.Split(trimmed, ",") {
-		key, val, ok := strings.Cut(kv, "=")
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		if !ok || key == "" {
-			return p, fmt.Errorf("impair: fault knob %q is not key=value", kv)
-		}
-		switch key {
-		case "drop", "dup", "reorder", "corrupt", "err":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f < 0 || f > 1 {
-				return p, fmt.Errorf("impair: fault knob %s=%q is not a probability", key, val)
-			}
-			switch key {
-			case "drop":
-				p.DropProb = f
-			case "dup":
-				p.DupProb = f
-			case "reorder":
-				p.ReorderProb = f
-			case "corrupt":
-				p.CorruptProb = f
-			case "err":
-				p.ErrProb = f
-			}
-		case "depth", "bits":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 0 {
-				return p, fmt.Errorf("impair: fault knob %s=%q is not a count", key, val)
-			}
-			if key == "depth" {
-				p.ReorderDepth = n
-			} else {
-				p.CorruptBits = n
-			}
-		case "stall":
-			every, frames, ok := strings.Cut(val, ":")
-			if !ok {
-				return p, fmt.Errorf("impair: stall=%q is not every:frames", val)
-			}
-			e, err1 := strconv.Atoi(strings.TrimSpace(every))
-			f, err2 := strconv.Atoi(strings.TrimSpace(frames))
-			if err1 != nil || err2 != nil || e < 0 || f < 0 {
-				return p, fmt.Errorf("impair: stall=%q is not every:frames", val)
-			}
-			p.StallEvery, p.StallFrames = e, f
-		case "ge":
-			fields := strings.Split(val, ":")
-			if len(fields) != 4 {
-				return p, fmt.Errorf("impair: ge=%q is not good2bad:bad2good:goodloss:badloss", val)
-			}
-			var vals [4]float64
-			for i, f := range fields {
-				v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-				if err != nil || v < 0 || v > 1 {
-					return p, fmt.Errorf("impair: ge=%q is not four probabilities", val)
-				}
-				vals[i] = v
-			}
-			p.GE = &link.GilbertElliott{
-				GoodToBad: vals[0], BadToGood: vals[1],
-				GoodLoss: vals[2], BadLoss: vals[3],
-			}
-		default:
-			return p, fmt.Errorf("impair: unknown fault knob %q", key)
-		}
-	}
-	return p, nil
 }

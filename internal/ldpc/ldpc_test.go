@@ -4,7 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"spinal/internal/channel"
+	"spinal/internal/impair"
 	"spinal/internal/modem"
 	"spinal/internal/rng"
 )
@@ -229,7 +229,7 @@ func TestDecoderCorrectsNoise(t *testing.T) {
 	dec, _ := NewDecoder(c, 40)
 	mod := modem.NewBPSK()
 	src := rng.New(11)
-	ch, _ := channel.NewAWGNdB(4, src)
+	ch, _ := impair.NewAWGN(4, src)
 	bsrc := rng.New(12)
 	for trial := 0; trial < 10; trial++ {
 		info := make([]byte, c.K())
@@ -243,7 +243,7 @@ func TestDecoderCorrectsNoise(t *testing.T) {
 		}
 		rx := make([]complex128, len(syms))
 		ch.CorruptBlock(rx, syms)
-		llr := mod.Demodulate(rx, ch.Sigma2())
+		llr := mod.Demodulate(rx, ch.NoiseVariance())
 		res, err := dec.Decode(llr)
 		if err != nil {
 			t.Fatal(err)
@@ -266,7 +266,7 @@ func TestDecoderFailsFarBelowThreshold(t *testing.T) {
 	dec, _ := NewDecoder(c, 40)
 	mod := modem.NewBPSK()
 	src := rng.New(21)
-	ch, _ := channel.NewAWGNdB(-6, src)
+	ch, _ := impair.NewAWGN(-6, src)
 	bsrc := rng.New(22)
 	failures := 0
 	const trials = 10
@@ -278,7 +278,7 @@ func TestDecoderFailsFarBelowThreshold(t *testing.T) {
 		cw, _ := c.Encode(info)
 		syms, _ := mod.Modulate(cw)
 		ch.CorruptBlock(syms, syms)
-		llr := mod.Demodulate(syms, ch.Sigma2())
+		llr := mod.Demodulate(syms, ch.NoiseVariance())
 		res, _ := dec.Decode(llr)
 		correct := res.Converged
 		if correct {
@@ -305,7 +305,7 @@ func TestDecoderHigherOrderModulation(t *testing.T) {
 	dec, _ := NewDecoder(c, 40)
 	mod, _ := modem.NewQAM(16)
 	src := rng.New(31)
-	ch, _ := channel.NewAWGNdB(18, src)
+	ch, _ := impair.NewAWGN(18, src)
 	bsrc := rng.New(32)
 	for trial := 0; trial < 5; trial++ {
 		info := make([]byte, c.K())
@@ -318,7 +318,7 @@ func TestDecoderHigherOrderModulation(t *testing.T) {
 			t.Fatal(err)
 		}
 		ch.CorruptBlock(syms, syms)
-		llr := mod.Demodulate(syms, ch.Sigma2())
+		llr := mod.Demodulate(syms, ch.NoiseVariance())
 		res, _ := dec.Decode(llr)
 		if !res.Converged {
 			t.Fatalf("trial %d: QAM-16 rate-3/4 frame failed at 18 dB", trial)
@@ -354,12 +354,12 @@ func BenchmarkDecodeRate12BPSK(b *testing.B) {
 	dec, _ := NewDecoder(c, 40)
 	mod := modem.NewBPSK()
 	src := rng.New(1)
-	ch, _ := channel.NewAWGNdB(2, src)
+	ch, _ := impair.NewAWGN(2, src)
 	info := make([]byte, c.K())
 	cw, _ := c.Encode(info)
 	syms, _ := mod.Modulate(cw)
 	ch.CorruptBlock(syms, syms)
-	llr := mod.Demodulate(syms, ch.Sigma2())
+	llr := mod.Demodulate(syms, ch.NoiseVariance())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := dec.Decode(llr); err != nil {

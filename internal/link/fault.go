@@ -1,8 +1,12 @@
 package link
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -52,6 +56,117 @@ type FaultProfile struct {
 func (p FaultProfile) enabled() bool {
 	return p.DropProb > 0 || p.DupProb > 0 || p.ReorderProb > 0 || p.CorruptProb > 0 ||
 		p.GE != nil || (p.StallEvery > 0 && p.StallFrames > 0) || p.ErrProb > 0
+}
+
+// ParseFaultProfile parses one direction's fault schedule from a key=value
+// list
+//
+//	drop=0.05,dup=0.02,reorder=0.1,depth=4,corrupt=0.01,bits=8,err=0.01,
+//	stall=64:8,ge=0.05:0.3:0.02:0.9
+//
+// (stall is every:frames; ge is good2bad:bad2good:goodloss:badloss) or, when
+// the input starts with '{', from the JSON form of FaultProfile. The empty
+// string is the clean profile. Both forms pass the same range checks: every
+// probability in [0,1] and every count non-negative.
+func ParseFaultProfile(s string) (FaultProfile, error) {
+	var p FaultProfile
+	trimmed := strings.TrimSpace(s)
+	var err error
+	if strings.HasPrefix(trimmed, "{") {
+		if jerr := json.Unmarshal([]byte(trimmed), &p); jerr != nil {
+			err = fmt.Errorf("link: fault profile: %v", jerr)
+		}
+	} else if trimmed != "" {
+		err = p.parseKnobs(trimmed)
+	}
+	if err == nil {
+		err = p.validate()
+	}
+	if err != nil {
+		return FaultProfile{}, err
+	}
+	return p, nil
+}
+
+// parseKnobs reads the key=value form into p without range checks.
+func (p *FaultProfile) parseKnobs(s string) error {
+	probs := map[string]*float64{
+		"drop": &p.DropProb, "dup": &p.DupProb, "reorder": &p.ReorderProb,
+		"corrupt": &p.CorruptProb, "err": &p.ErrProb,
+	}
+	counts := map[string]*int{"depth": &p.ReorderDepth, "bits": &p.CorruptBits}
+	for _, kv := range strings.Split(s, ",") {
+		key, val, ok := strings.Cut(kv, "=")
+		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
+		if !ok || key == "" {
+			return fmt.Errorf("link: fault knob %q is not key=value", kv)
+		}
+		if dst, ok := probs[key]; ok {
+			f, err := strconv.ParseFloat(val, 64)
+			if err != nil {
+				return fmt.Errorf("link: fault knob %s=%q is not a number", key, val)
+			}
+			*dst = f
+			continue
+		}
+		if dst, ok := counts[key]; ok {
+			n, err := strconv.Atoi(val)
+			if err != nil {
+				return fmt.Errorf("link: fault knob %s=%q is not a count", key, val)
+			}
+			*dst = n
+			continue
+		}
+		switch key {
+		case "stall":
+			every, frames, ok := strings.Cut(val, ":")
+			e, err1 := strconv.Atoi(strings.TrimSpace(every))
+			f, err2 := strconv.Atoi(strings.TrimSpace(frames))
+			if !ok || err1 != nil || err2 != nil {
+				return fmt.Errorf("link: stall=%q is not every:frames", val)
+			}
+			p.StallEvery, p.StallFrames = e, f
+		case "ge":
+			fields := strings.Split(val, ":")
+			if len(fields) != 4 {
+				return fmt.Errorf("link: ge=%q is not good2bad:bad2good:goodloss:badloss", val)
+			}
+			var v [4]float64
+			for i, f := range fields {
+				var err error
+				if v[i], err = strconv.ParseFloat(strings.TrimSpace(f), 64); err != nil {
+					return fmt.Errorf("link: ge=%q is not four numbers", val)
+				}
+			}
+			p.GE = &GilbertElliott{GoodToBad: v[0], BadToGood: v[1], GoodLoss: v[2], BadLoss: v[3]}
+		default:
+			return fmt.Errorf("link: unknown fault knob %q", key)
+		}
+	}
+	return nil
+}
+
+// validate range-checks a parsed profile. The comparisons are written so
+// that NaN fails them.
+func (p FaultProfile) validate() error {
+	names := []string{"drop", "dup", "reorder", "corrupt", "err"}
+	probs := []float64{p.DropProb, p.DupProb, p.ReorderProb, p.CorruptProb, p.ErrProb}
+	if g := p.GE; g != nil {
+		names = append(names, "ge good2bad", "ge bad2good", "ge goodloss", "ge badloss")
+		probs = append(probs, g.GoodToBad, g.BadToGood, g.GoodLoss, g.BadLoss)
+	}
+	for i, v := range probs {
+		if !(v >= 0 && v <= 1) {
+			return fmt.Errorf("link: fault profile %s=%v is not a probability", names[i], v)
+		}
+	}
+	names = []string{"depth", "bits", "stall every", "stall frames"}
+	for i, n := range []int{p.ReorderDepth, p.CorruptBits, p.StallEvery, p.StallFrames} {
+		if n < 0 {
+			return fmt.Errorf("link: fault profile %s=%d is negative", names[i], n)
+		}
+	}
+	return nil
 }
 
 // GilbertElliott is the classic two-state burst-loss model: the channel

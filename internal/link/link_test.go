@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"spinal/internal/channel"
+	"spinal/internal/impair"
 	"spinal/internal/rng"
 )
 
@@ -93,7 +93,7 @@ func TestLinkTransferOverAWGN(t *testing.T) {
 	defer a.Close()
 	cfg := Config{SymbolsPerFrame: 32}
 	sender, _ := NewSender(a, cfg)
-	radio, _ := channel.NewAWGNdB(15, rng.New(12))
+	radio, _ := impair.NewAWGN(15, rng.New(12))
 	receiver, _ := NewReceiver(b, cfg, radio)
 	stop := make(chan struct{})
 	delivered, wg := runReceiver(t, receiver, stop)
@@ -147,7 +147,7 @@ func TestLinkTransferWithFrameLossAndNoise(t *testing.T) {
 	defer a.Close()
 	cfg := Config{SymbolsPerFrame: 24, AckPoll: time.Millisecond}
 	sender, _ := NewSender(a, cfg)
-	radio, _ := channel.NewAWGNdB(10, rng.New(14))
+	radio, _ := impair.NewAWGN(10, rng.New(14))
 	receiver, _ := NewReceiver(b, cfg, radio)
 	stop := make(chan struct{})
 	delivered, wg := runReceiver(t, receiver, stop)
@@ -191,7 +191,7 @@ func TestLinkRateTracksChannelQuality(t *testing.T) {
 		defer a.Close()
 		cfg := Config{SymbolsPerFrame: 16, AckPoll: 40 * time.Millisecond}
 		sender, _ := NewSender(a, cfg)
-		radio, _ := channel.NewAWGNdB(snrDB, rng.New(seed+1))
+		radio, _ := impair.NewAWGN(snrDB, rng.New(seed+1))
 		receiver, _ := NewReceiver(b, cfg, radio)
 		stop := make(chan struct{})
 		_, wg := runReceiver(t, receiver, stop)
@@ -234,7 +234,7 @@ func TestLinkGivesUpOnDeadChannel(t *testing.T) {
 	defer a.Close()
 	cfg := Config{MaxPasses: 3, SymbolsPerFrame: 16, AckPoll: 100 * time.Microsecond, FinalWait: 5 * time.Millisecond}
 	sender, _ := NewSender(a, cfg)
-	radio, _ := channel.NewAWGNdB(-25, rng.New(41))
+	radio, _ := impair.NewAWGN(-25, rng.New(41))
 	receiver, _ := NewReceiver(b, cfg, radio)
 	stop := make(chan struct{})
 	_, wg := runReceiver(t, receiver, stop)

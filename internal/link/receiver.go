@@ -189,8 +189,9 @@ const evictSweepEvery = 32
 const receivePoll = 2 * time.Millisecond
 
 // NewReceiver returns a receiver that reads frames from tr and corrupts each
-// symbol with the given impairment before decoding (use a channel.AWGN to
-// model the radio, or nil for a perfect channel).
+// symbol with the given impairment before decoding (use an impair pipeline,
+// such as impair.NewQuantizedAWGN, to model the radio, or nil for a perfect
+// channel).
 func NewReceiver(tr Transport, cfg Config, impairment channel.SymbolChannel) (*Receiver, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("link: nil transport")

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"spinal/internal/impair"
 	"spinal/internal/link"
 	"spinal/internal/rng"
 )
@@ -17,10 +16,10 @@ import (
 // correctness; duplicates and bounded reorder only change the fold order of
 // CRC-gated observations.
 func TestStackedFaultsDeliverBitIdentical(t *testing.T) {
-	// The stacked profile in the shared config syntax: bounded reorder,
+	// The stacked profile in the key=value config syntax: bounded reorder,
 	// duplication, and Gilbert-Elliott bursts that drop every frame while the
 	// channel is bad.
-	profile, err := impair.ParseFaultProfile("reorder=0.25,depth=6,dup=0.15,ge=0.05:0.4:0:1")
+	profile, err := link.ParseFaultProfile("reorder=0.25,depth=6,dup=0.15,ge=0.05:0.4:0:1")
 	if err != nil {
 		t.Fatal(err)
 	}

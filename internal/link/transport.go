@@ -7,8 +7,8 @@
 // Frames travel over a Transport: either an in-memory pipe (for simulations
 // and tests, with configurable frame loss) or UDP datagrams (so a sender and
 // receiver can run as separate processes). The wireless channel itself is
-// simulated at the receiver by applying a symbol-level impairment
-// (channel.AWGN or similar) to the symbol payload of every received frame.
+// simulated at the receiver by applying a symbol-level impairment (an
+// internal/impair pipeline) to the symbol payload of every received frame.
 package link
 
 import (

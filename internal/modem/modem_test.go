@@ -5,7 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"spinal/internal/channel"
+	"spinal/internal/impair"
 	"spinal/internal/rng"
 )
 
@@ -133,7 +133,7 @@ func TestDemodulateUnderModerateNoise(t *testing.T) {
 			t.Fatal(err)
 		}
 		src := rng.New(42)
-		ch, _ := channel.NewAWGNdB(c.snrDB, src)
+		ch, _ := impair.NewAWGN(c.snrDB, src)
 		bits := make([]byte, m.BitsPerSymbol()*500)
 		bsrc := rng.New(7)
 		for i := range bits {
@@ -142,7 +142,7 @@ func TestDemodulateUnderModerateNoise(t *testing.T) {
 		syms, _ := m.Modulate(bits)
 		rx := make([]complex128, len(syms))
 		ch.CorruptBlock(rx, syms)
-		llr := m.Demodulate(rx, ch.Sigma2())
+		llr := m.Demodulate(rx, ch.NoiseVariance())
 		errs := 0
 		for i := range bits {
 			hard := byte(0)

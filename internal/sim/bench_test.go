@@ -12,10 +12,10 @@ import (
 // BenchmarkScenarioTrialScaling measures how the previously-serial
 // experiments scale once their trial loops run on the sharded sim runner:
 // the same scenario at 1 trial worker versus GOMAXPROCS. The adapt, harq and
-// batch scenarios all ran single-threaded before the unified engine; compare
+// bsc scenarios all ran single-threaded before the unified engine; compare
 // the two worker counts' ns/op to see the speedup.
 func BenchmarkScenarioTrialScaling(b *testing.B) {
-	for _, name := range []string{"adapt", "harq", "batch"} {
+	for _, name := range []string{"adapt", "harq", "bsc"} {
 		sc, ok := sim.Lookup(name)
 		if !ok {
 			b.Fatalf("scenario %q not registered", name)

@@ -31,8 +31,8 @@
 //
 // For simulations, Code.TransmitOver runs the whole rateless loop (encode,
 // send through a Channel, decode, stop on a verifier) and reports the
-// achieved rate; Code.Transmit is its closure-channel adapter kept for v0
-// callers, along with the scalar Next/Observe methods. The cmd/spinalsim
+// achieved rate; the scalar Next/Observe methods remain for symbol-at-a-time
+// callers. The cmd/spinalsim
 // tool and the benchmarks in this module regenerate the paper's Figure 2 and
 // related experiments on top of this API.
 package spinal
@@ -446,7 +446,8 @@ func (c *Code) Equal(a, b []byte) bool {
 	return core.EqualMessages(a, b, c.cfg.MessageBits)
 }
 
-// TransmitResult summarizes a rateless transmission simulated by Transmit.
+// TransmitResult summarizes a rateless transmission simulated by
+// TransmitOver or TransmitBitsOver.
 type TransmitResult struct {
 	// Decoded is the receiver's final message estimate.
 	Decoded []byte
@@ -509,22 +510,6 @@ func (c *Code) TransmitOver(message []byte, ch Channel, verify func([]byte) bool
 	return c.transmitResult(res), nil
 }
 
-// Transmit is the closure-channel adapter of TransmitOver, kept for v0
-// callers (see AWGNChannel and friends, or CorruptFunc to adapt a Channel).
-// Results are bit-identical to TransmitOver with the channel the closure
-// wraps.
-func (c *Code) Transmit(message []byte, ch func(complex128) complex128, verify func([]byte) bool, maxSymbols int) (*TransmitResult, error) {
-	sessionCfg, v, err := c.sessionConfig(message, verify, maxSymbols)
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.RunSymbolSession(sessionCfg, message, ch, v)
-	if err != nil {
-		return nil, err
-	}
-	return c.transmitResult(res), nil
-}
-
 // TransmitBitsOver is the binary-channel counterpart of TransmitOver: the
 // encoder emits one coded bit per channel use (the paper's BSC variant) and
 // the decoder uses the Hamming metric. The BitChannel must emit hard 0/1
@@ -535,21 +520,6 @@ func (c *Code) TransmitBitsOver(message []byte, ch BitChannel, verify func([]byt
 		return nil, err
 	}
 	res, err := core.RunBitChannelSession(sessionCfg, message, ch, v)
-	if err != nil {
-		return nil, err
-	}
-	return c.transmitResult(res), nil
-}
-
-// TransmitBits is the closure-channel adapter of TransmitBitsOver, kept for
-// v0 callers. The channel function receives and returns bits with values 0
-// or 1 (see BSCChannel).
-func (c *Code) TransmitBits(message []byte, ch func(byte) byte, verify func([]byte) bool, maxUses int) (*TransmitResult, error) {
-	sessionCfg, v, err := c.sessionConfig(message, verify, maxUses)
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.RunBitSession(sessionCfg, message, ch, v)
 	if err != nil {
 		return nil, err
 	}

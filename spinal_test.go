@@ -333,12 +333,12 @@ func TestTransmitOverAWGN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := spinal.AWGNChannel(15, 3)
+	ch, err := spinal.NewAWGN(15, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	msg := spinal.RandomMessage(96, 4)
-	res, err := code.Transmit(msg, ch, nil, 0)
+	res, err := code.TransmitOver(msg, ch, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,12 +360,12 @@ func TestTransmitWithCRCVerifier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, _ := spinal.AWGNChannel(18, 9)
+	ch, _ := spinal.NewAWGN(18, 9)
 	verify := func(decoded []byte) bool {
 		_, ok := spinal.VerifyCRC32(decoded)
 		return ok
 	}
-	res, err := code.Transmit(framed, ch, verify, 0)
+	res, err := code.TransmitOver(framed, ch, verify, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,14 +379,14 @@ func TestTransmitWithCRCVerifier(t *testing.T) {
 }
 
 func TestQuantizedChannelAndCapacities(t *testing.T) {
-	ch, err := spinal.QuantizedAWGNChannel(20, 14, 1)
+	ch, err := spinal.NewQuantizedAWGN(20, 14, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ch == nil {
 		t.Fatal("nil channel")
 	}
-	if _, err := spinal.QuantizedAWGNChannel(20, 0, 1); err == nil {
+	if _, err := spinal.NewQuantizedAWGN(20, 0, 1); err == nil {
 		t.Error("invalid ADC bits accepted")
 	}
 	if c := spinal.ShannonCapacity(30); c < 9.9 || c > 10.0 {
@@ -395,16 +395,16 @@ func TestQuantizedChannelAndCapacities(t *testing.T) {
 	if c := spinal.BSCCapacity(0.5); c != 0 {
 		t.Errorf("BSC capacity at p=0.5 = %v", c)
 	}
-	bsc, err := spinal.BSCChannel(0.1, 1)
+	bsc, err := spinal.NewBSC(0.1, 1)
 	if err != nil || bsc == nil {
 		t.Fatal("BSC channel construction failed")
 	}
-	if _, err := spinal.BSCChannel(0.9, 1); err == nil {
+	if _, err := spinal.NewBSC(0.9, 1); err == nil {
 		t.Error("invalid crossover accepted")
 	}
-	if _, err := spinal.AWGNChannel(-1000, 1); err != nil {
+	if _, err := spinal.NewAWGN(-1000, 1); err != nil {
 		// -1000 dB is tiny but still a positive linear SNR; must not error.
-		t.Errorf("AWGNChannel(-1000 dB) unexpectedly failed: %v", err)
+		t.Errorf("NewAWGN(-1000 dB) unexpectedly failed: %v", err)
 	}
 }
 
