@@ -300,30 +300,23 @@ func BenchmarkParallelDecode(b *testing.B) {
 
 // BenchmarkDecodeSymbolsPerSec is the single-core decoder throughput gate:
 // how many received channel symbols per second one worker folds through a
-// full from-root beam decode, for the exact float64 metric and the
-// quantized int32 metric across beam widths. The symbols/s metric is the
+// full from-root beam decode, across beam widths. The symbols/s metric is the
 // paper-facing unit (a receiver must decode at least as fast as symbols
 // arrive); nodes/s is the same run in the decoder's unit of work. CI's
 // bench-smoke job diffs this benchmark against the committed
 // BENCH_baseline.json with benchstat.
 func BenchmarkDecodeSymbolsPerSec(b *testing.B) {
 	params, pair, nSymbols := fromRootObservations(b)
-	for _, metric := range []core.CostMetric{core.CostFloat64, core.CostInt32} {
-		for _, beam := range []int{16, 64, 256} {
-			metric, beam := metric, beam
-			b.Run(fmt.Sprintf("metric=%s/B=%d", metric, beam), func(b *testing.B) {
-				dec, err := core.NewBeamDecoder(params, beam)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer dec.Close()
-				if err := dec.SetCostMetric(metric); err != nil {
-					b.Fatal(err)
-				}
-				dec.SetParallelism(1)
-				benchFromRoot(b, dec, pair, nSymbols)
-			})
-		}
+	for _, beam := range []int{16, 64, 256} {
+		b.Run(fmt.Sprintf("B=%d", beam), func(b *testing.B) {
+			dec, err := core.NewBeamDecoder(params, beam)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer dec.Close()
+			dec.SetParallelism(1)
+			benchFromRoot(b, dec, pair, nSymbols)
+		})
 	}
 }
 

@@ -61,8 +61,6 @@ func main() {
 		"per-flow decode budget: how far ahead of the least-spent flow (in decode nodes) a flow may run before its attempts are deferred (0 = off)")
 	stats := flag.Duration("stats", 0,
 		"emit a JSON engine-stats line to stderr at this interval (0 = off)")
-	metric := flag.String("metric", "",
-		"decoder cost metric: float64|int32 (empty = float64)")
 	search := flag.String("search", "",
 		"decoder search strategy: exact|approx (empty = exact)")
 	adaptive := flag.Bool("adaptive-search", false,
@@ -75,7 +73,7 @@ func main() {
 
 	if err := serve(*listen, *snr, *adc, *beam, *workers, *decWorkers, *count, *seed,
 		*maxFlows, *maxTracked, *pool, *ingestShards, *ingestBatch, *idleExpiry, *budget, *stats,
-		*metric, *search, *adaptive, *impairSpec, *faultSpec); err != nil {
+		*search, *adaptive, *impairSpec, *faultSpec); err != nil {
 		fmt.Fprintln(os.Stderr, "spinalrecv:", err)
 		os.Exit(1)
 	}
@@ -84,11 +82,7 @@ func main() {
 func serve(listen string, snr float64, adc, beam, workers, decWorkers, count int, seed uint64,
 	maxFlows, maxTracked, pool, ingestShards, ingestBatch int,
 	idleExpiry time.Duration, budget int64, statsEvery time.Duration,
-	metric, search string, adaptive bool, impairSpec, faultSpec string) error {
-	costMetric, err := core.ParseCostMetric(metric)
-	if err != nil {
-		return err
-	}
+	search string, adaptive bool, impairSpec, faultSpec string) error {
 	searchMode, err := core.ParseSearchMode(search)
 	if err != nil {
 		return err
@@ -160,7 +154,6 @@ func serve(listen string, snr float64, adc, beam, workers, decWorkers, count int
 		IngestBatch:        ingestBatch,
 		IdleExpiry:         idleExpiry,
 		FlowDecodeBudget:   budget,
-		CostMetric:         costMetric,
 		Search:             searchMode,
 		AdaptiveSearch:     adaptive,
 	}, radio)

@@ -56,7 +56,6 @@ type options struct {
 	workers      int
 	trialWorkers int
 	short        bool
-	metric       string
 	search       string
 	impair       string
 	cpuProfile   string
@@ -90,8 +89,6 @@ func run(args []string, out io.Writer) error {
 		"trial-runner worker goroutines (0 = GOMAXPROCS; results are bit-identical at any setting)")
 	fs.BoolVar(&opt.short, "short", false,
 		"run the scenario's abbreviated configuration (CI smoke); scenarios that do not declare it ignore it")
-	fs.StringVar(&opt.metric, "metric", "",
-		"decoder cost metric: float64|int32 (empty = float64); scenarios that do not declare it ignore it")
 	fs.StringVar(&opt.search, "search", "",
 		"decoder search strategy: exact|approx (empty = exact); scenarios that do not declare it ignore it")
 	fs.StringVar(&opt.impair, "impair", "",
@@ -180,7 +177,6 @@ func (o options) request() (sim.Request, error) {
 		Workers:      o.workers,
 		TrialWorkers: o.trialWorkers,
 		Short:        o.short,
-		Metric:       o.metric,
 		Search:       o.search,
 		Impair:       o.impair,
 		CPUProfile:   o.cpuProfile,

@@ -42,10 +42,9 @@ import (
 // serial decodes are bit-identical at any worker count. SetParallelism(1)
 // restores the exact single-threaded path.
 //
-// Search state lives in a structure-of-arrays engine (see engine.go),
-// instantiated per cost metric: the default exact float64 metric, and the
-// opt-in quantized int32 metric of SetCostMetric (fixed-point cost folds
-// with saturating adds — the arithmetic a hardware decoder would ship).
+// Search state lives in a structure-of-arrays engine (see engine.go). Path
+// costs are float64: squared Euclidean distance on AWGN, Hamming distance on
+// the BSC.
 type BeamDecoder struct {
 	p       Params
 	b       int
@@ -58,31 +57,21 @@ type BeamDecoder struct {
 	// float64 values, so decodes are unchanged.
 	dimTab  []float64
 	workers int
-	metric  CostMetric
 	// search is the tree-search strategy (see search.go); the zero value is
 	// the exact search.
 	search SearchMode
-	// quantTab is dimTab snapped onto the int32 metric's fixed-point grid,
-	// built lazily the first time the quantized metric is selected.
-	quantTab []int32
 
 	nodesExpanded  int
 	nodesRefreshed int
 	nodesSaved     int
 
-	// engF/engI are the per-metric search engines; engF always exists, engI
-	// is created the first time the int32 metric is selected. They share the
-	// worker pool.
-	engF *engine[float64, f64Ops]
-	engI *engine[int32, i32Ops]
+	eng  *engine
 	pool *decodePool
 
 	// Reusable coster values, so Decode does not allocate one per call when
 	// it passes them through the levelCoster interface.
-	awgnC  awgnCoster
-	bscC   bscCoster
-	qawgnC awgnQuantCoster
-	qbscC  bscQuantCoster
+	awgnC awgnCoster
+	bscC  bscCoster
 }
 
 // unlimited is the beam width used by the ML decoder.
@@ -147,7 +136,7 @@ func newBeamDecoder(p Params, beamWidth, maxCand int) (*BeamDecoder, error) {
 	if tm, ok := mapper.(constellation.TableMapper); ok {
 		d.dimTab = tm.DimTable()
 	}
-	d.engF = newEngine[float64, f64Ops](d)
+	d.eng = newEngine(d)
 	return d, nil
 }
 
@@ -165,56 +154,13 @@ func (d *BeamDecoder) SetMaxCandidates(n int) error {
 		return fmt.Errorf("core: max candidates %d must be at least the beam width %d", n, d.b)
 	}
 	d.maxCand = n
-	d.invalidateWorkspaces()
+	d.invalidateWorkspace()
 	return nil
 }
 
-// SetCostMetric selects the arithmetic path costs accumulate in: the exact
-// float64 default, or the opt-in quantized int32 metric (fixed-point grid,
-// saturating adds). Switching metrics invalidates the incremental workspace
-// — cached cost sums in one carrier do not describe the other — so the next
-// Decode rebuilds from the root. The int32 metric derives its integer symbol
-// grid from the mapper's per-dimension table and therefore requires a
-// table-backed mapper (every built-in mapper qualifies).
-func (d *BeamDecoder) SetCostMetric(m CostMetric) error {
-	switch m {
-	case CostFloat64:
-	case CostInt32:
-		if d.dimTab == nil {
-			return fmt.Errorf("core: the int32 cost metric requires a table-backed constellation mapper (%s is not)", d.mapper.Name())
-		}
-		if d.quantTab == nil {
-			tab := make([]int32, len(d.dimTab))
-			for i, v := range d.dimTab {
-				tab[i] = quantCoord(v)
-			}
-			d.quantTab = tab
-		}
-		if d.engI == nil {
-			d.engI = newEngine[int32, i32Ops](d)
-		}
-	default:
-		return fmt.Errorf("core: unknown cost metric %d", m)
-	}
-	if m == d.metric {
-		return nil
-	}
-	d.metric = m
-	d.invalidateWorkspaces()
-	return nil
-}
-
-// CostMetric reports the configured cost metric.
-func (d *BeamDecoder) CostMetric() CostMetric { return d.metric }
-
-// invalidateWorkspaces discards every engine's cached incremental state.
-func (d *BeamDecoder) invalidateWorkspaces() {
-	if d.engF != nil {
-		d.engF.ws.invalidate()
-	}
-	if d.engI != nil {
-		d.engI.ws.invalidate()
-	}
+// invalidateWorkspace discards the engine's cached incremental state.
+func (d *BeamDecoder) invalidateWorkspace() {
+	d.eng.ws.invalidate()
 }
 
 // NodesExpanded reports the number of tree nodes freshly expanded (one hash
@@ -241,8 +187,7 @@ type DecodeResult struct {
 	// Message is the most likely message found, packed LSB-first.
 	Message []byte
 	// Cost is the accumulated distance of the returned message's symbols to
-	// the observations (squared Euclidean for AWGN, Hamming for BSC; in grid
-	// units under the quantized int32 metric).
+	// the observations (squared Euclidean for AWGN, Hamming for BSC).
 	Cost float64
 	// NodesExpanded is the number of decoding-tree nodes freshly evaluated
 	// (hash replay plus full cost) in this attempt.
@@ -267,18 +212,10 @@ func (d *BeamDecoder) Decode(obs *Observations) (*DecodeResult, error) {
 		return nil, fmt.Errorf("core: observations sized for %d segments, decoder for %d",
 			obs.NumSegments(), d.p.NumSegments())
 	}
-	var out *DecodeResult
-	if d.metric == CostInt32 {
-		c := &d.qawgnC
-		c.d, c.obs, c.tab = d, obs, d.quantTab
-		out = d.engI.run(c, obs, obs.Generation(), obs.Epoch(), obs.cleanGen, obs.DirtyLevel())
-		c.obs = nil // do not pin the container between decodes
-	} else {
-		c := &d.awgnC
-		c.d, c.obs, c.tab = d, obs, d.dimTab
-		out = d.engF.run(c, obs, obs.Generation(), obs.Epoch(), obs.cleanGen, obs.DirtyLevel())
-		c.obs = nil
-	}
+	c := &d.awgnC
+	c.d, c.obs, c.tab = d, obs, d.dimTab
+	out := d.eng.run(c, obs, obs.Generation(), obs.Epoch(), obs.cleanGen, obs.DirtyLevel())
+	c.obs = nil // do not pin the container between decodes
 	obs.MarkClean()
 	return out, nil
 }
@@ -294,18 +231,10 @@ func (d *BeamDecoder) DecodeBits(obs *BitObservations) (*DecodeResult, error) {
 		return nil, fmt.Errorf("core: observations sized for %d segments, decoder for %d",
 			obs.NumSegments(), d.p.NumSegments())
 	}
-	var out *DecodeResult
-	if d.metric == CostInt32 {
-		c := &d.qbscC
-		c.d, c.obs = d, obs
-		out = d.engI.run(c, obs, obs.Generation(), obs.Epoch(), obs.cleanGen, obs.DirtyLevel())
-		c.obs = nil
-	} else {
-		c := &d.bscC
-		c.d, c.obs = d, obs
-		out = d.engF.run(c, obs, obs.Generation(), obs.Epoch(), obs.cleanGen, obs.DirtyLevel())
-		c.obs = nil
-	}
+	c := &d.bscC
+	c.d, c.obs = d, obs
+	out := d.eng.run(c, obs, obs.Generation(), obs.Epoch(), obs.cleanGen, obs.DirtyLevel())
+	c.obs = nil
 	obs.MarkClean()
 	return out, nil
 }
@@ -353,11 +282,11 @@ func (c *awgnCoster) prepareLevel(level int) {
 func (c *awgnCoster) costTail(local float64, spine uint64, level, from int) float64 {
 	loc := [1]float64{local}
 	sp := [1]uint64{spine}
-	c.costTailMany(loc[:], sp[:], level, from, nil)
+	c.costTailMany(loc[:], sp[:], level, from)
 	return loc[0]
 }
 
-func (c *awgnCoster) costTailMany(locals []float64, spines []uint64, level, from int, _ *foldScratch) {
+func (c *awgnCoster) costTailMany(locals []float64, spines []uint64, level, from int) {
 	n := len(c.starts)
 	if from >= n {
 		if from == 0 {
@@ -430,151 +359,6 @@ func (c *awgnCoster) costTailMany(locals []float64, spines []uint64, level, from
 	}
 }
 
-// awgnQuantCoster is the quantized int32 metric for AWGN observations:
-// observations and symbol coordinates are snapped onto the costQuantScale
-// fixed-point grid and per-term squared distances accumulate in the int32
-// carrier (saturating — non-negative terms make a single final clamp of the
-// int64 running sum exactly equivalent to per-term saturating adds).
-//
-// The fold is restructured around the integer grid. prepareLevel tabulates,
-// per observation and per dimension, the squared distance to every one of
-// the 2^c constellation coordinates — the fixed-point analogue of a
-// hardware distance LUT — so the per-child term is two table loads and an
-// add, with no subtraction or multiplication left in the loop. costTailMany
-// then iterates term-outer/child-inner: each observation's hash word index
-// is resolved once for the whole batch, and the inner loops are flat passes
-// over the batch whose hash computations pipeline across children instead
-// of serializing along each child's pass chain.
-type awgnQuantCoster struct {
-	d   *BeamDecoder
-	obs *Observations
-	tab []int32
-
-	// Per-level tables, rebuilt by prepareLevel and only read by the folds.
-	starts []uint32
-	// dI2/dQ2 are the per-observation squared-distance LUTs: row i (2^c
-	// entries at offset i*dim) maps a dimension's c-bit value to the squared
-	// grid distance from observation i's coordinate. Entries fit uint32:
-	// coordinates are clamped to +/-costQuantMax, so a difference is at most
-	// 2^17-2 in magnitude and its square below 2^34... per-dimension
-	// differences are at most 2*costQuantMax = 2^16-2, squared below 2^32.
-	dI2 []uint32
-	dQ2 []uint32
-}
-
-func (c *awgnQuantCoster) numObs(level int) int { return len(c.obs.spines[level]) }
-
-func (c *awgnQuantCoster) prepareLevel(level int) {
-	obs := c.obs.spines[level]
-	n := len(obs)
-	dim := 1 << uint(c.d.p.C)
-	c.starts = sized(c.starts, n)
-	c.dI2 = sized(c.dI2, n*dim)
-	c.dQ2 = sized(c.dQ2, n*dim)
-	tab := c.tab
-	for i := range obs {
-		c.starts[i] = uint32(2 * c.d.p.C * obs[i].pass)
-		qI := quantCoord(real(obs[i].y))
-		qQ := quantCoord(imag(obs[i].y))
-		rowI := c.dI2[i*dim : (i+1)*dim]
-		rowQ := c.dQ2[i*dim : (i+1)*dim]
-		for v, t := range tab {
-			dI := int64(qI - t)
-			rowI[v] = uint32(dI * dI)
-			dQ := int64(qQ - t)
-			rowQ[v] = uint32(dQ * dQ)
-		}
-	}
-}
-
-// quantFoldChunk bounds the batch slice the interchanged fold processes per
-// outer pass, keeping its word/accumulator scratch (the caller's
-// foldScratch) inside the L1/L2 caches even when a refresh folds a whole
-// cached level at once.
-const quantFoldChunk = 1024
-
-func (c *awgnQuantCoster) costTailMany(locals []int32, spines []uint64, level, from int, scr *foldScratch) {
-	n := len(c.starts)
-	if from >= n {
-		if from == 0 {
-			clear(locals) // an empty full fold still owns the output
-		}
-		return
-	}
-	for len(spines) > quantFoldChunk {
-		c.costChunk(locals[:quantFoldChunk], spines[:quantFoldChunk], from, scr)
-		locals = locals[quantFoldChunk:]
-		spines = spines[quantFoldChunk:]
-	}
-	c.costChunk(locals, spines, from, scr)
-}
-
-func (c *awgnQuantCoster) costChunk(locals []int32, spines []uint64, from int, scr *foldScratch) {
-	n := len(c.starts)
-	cc := uint(c.d.p.C)
-	dim := 1 << cc
-	mask := uint32(dim - 1)
-	width := uint32(2 * c.d.p.C)
-	wmask := uint32(uint64(1)<<width - 1)
-	fam := c.d.family
-	m := len(spines)
-	scr.words = sized(scr.words, m)
-	scr.acc = sized(scr.acc, m)
-	words := scr.words[:m]
-	acc := scr.acc[:m:m]
-	if from == 0 {
-		clear(acc)
-	} else {
-		for j, l := range locals {
-			acc[j] = int64(l)
-		}
-	}
-	curIdx := ^uint32(0)
-	for i := from; i < n; i++ {
-		start := c.starts[i]
-		idx := start >> 6
-		off := start & 63
-		rowI := c.dI2[i*dim : (i+1)*dim]
-		rowQ := c.dQ2[i*dim : (i+1)*dim : (i+1)*dim]
-		// Bounds-check-elimination hints: every lookup index is masked to at
-		// most mask, and words/acc run in lockstep.
-		_, _ = rowI[mask], rowQ[mask]
-		if idx != curIdx {
-			for j, spine := range spines {
-				words[j] = fam.Word(spine, idx)
-			}
-			curIdx = idx
-		}
-		if off+width <= 64 {
-			shift := 64 - off - width
-			aa := acc[:len(words)]
-			for j := range words {
-				word := uint32(words[j]>>shift) & wmask
-				aa[j] += int64(rowI[word>>cc&mask]) + int64(rowQ[word&mask])
-			}
-		} else {
-			// The range straddles into the next word; roll the word buffer
-			// forward to it, since later passes start there.
-			hiBits := 64 - off
-			loBits := width - hiBits
-			hmask := uint64(1)<<hiBits - 1
-			ww := words[:len(spines)]
-			aa := acc[:len(spines)]
-			for j, spine := range spines {
-				w2 := fam.Word(spine, idx+1)
-				word := uint32((ww[j]&hmask)<<loBits | w2>>(64-loBits))
-				ww[j] = w2
-				aa[j] += int64(rowI[word>>cc&mask]) + int64(rowQ[word&mask])
-			}
-			curIdx = idx + 1
-		}
-	}
-	final := acc[:len(locals)]
-	for j := range locals {
-		locals[j] = sat32(final[j])
-	}
-}
-
 // bscCoster is the exact Hamming metric for binary-channel observations,
 // with the same hash-word memoization as the AWGN fold.
 type bscCoster struct {
@@ -586,7 +370,7 @@ func (c *bscCoster) numObs(level int) int { return len(c.obs.spines[level]) }
 
 func (c *bscCoster) prepareLevel(level int) {}
 
-func (c *bscCoster) costTailMany(locals []float64, spines []uint64, level, from int, _ *foldScratch) {
+func (c *bscCoster) costTailMany(locals []float64, spines []uint64, level, from int) {
 	obs := c.obs.spines[level]
 	if from >= len(obs) {
 		if from == 0 {
@@ -616,50 +400,5 @@ func (c *bscCoster) costTailMany(locals []float64, spines []uint64, level, from 
 			}
 		}
 		locals[j] = local
-	}
-}
-
-// bscQuantCoster is the int32 Hamming metric. Hamming distances are already
-// integers, so this is the exact BSC metric in the integer carrier; it
-// exists so the metric knob applies uniformly to both channel kinds.
-type bscQuantCoster struct {
-	d   *BeamDecoder
-	obs *BitObservations
-}
-
-func (c *bscQuantCoster) numObs(level int) int { return len(c.obs.spines[level]) }
-
-func (c *bscQuantCoster) prepareLevel(level int) {}
-
-func (c *bscQuantCoster) costTailMany(locals []int32, spines []uint64, level, from int, _ *foldScratch) {
-	obs := c.obs.spines[level]
-	if from >= len(obs) {
-		if from == 0 {
-			clear(locals) // an empty full fold still owns the output
-		}
-		return
-	}
-	fam := c.d.family
-	tail := obs[from:]
-	for j, spine := range spines {
-		// Mismatch counts are non-negative, so an int64 count with one final
-		// clamp equals per-term saturating adds.
-		var acc int64
-		if from > 0 {
-			acc = int64(locals[j])
-		}
-		wi := ^uint32(0)
-		var w uint64
-		for i := range tail {
-			p := uint32(tail[i].pass)
-			if idx := p >> 6; idx != wi {
-				w = fam.Word(spine, idx)
-				wi = idx
-			}
-			if byte(w>>(63-p&63))&1 != tail[i].bit {
-				acc++
-			}
-		}
-		locals[j] = sat32(acc)
 	}
 }

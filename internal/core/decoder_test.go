@@ -431,10 +431,10 @@ func TestNodesExpandedBounded(t *testing.T) {
 }
 
 func TestSelectorKeepsLowestCosts(t *testing.T) {
-	sel := newSelector[float64](3)
+	sel := newSelector(3)
 	costs := []float64{5, 1, 9, 3, 7, 2, 8}
 	for i, c := range costs {
-		sel.offer(cand[float64]{cost: c, key: packKey(0, uint16(i))})
+		sel.offer(cand{cost: c, key: packKey(0, uint16(i))})
 	}
 	items := sel.canonical()
 	if len(items) != 3 {
@@ -448,9 +448,9 @@ func TestSelectorKeepsLowestCosts(t *testing.T) {
 }
 
 func TestSelectorFewerThanKeep(t *testing.T) {
-	sel := newSelector[float64](10)
+	sel := newSelector(10)
 	for i := 0; i < 4; i++ {
-		sel.offer(cand[float64]{cost: float64(i), key: packKey(0, uint16(i))})
+		sel.offer(cand{cost: float64(i), key: packKey(0, uint16(i))})
 	}
 	if len(sel.canonical()) != 4 {
 		t.Fatalf("selector dropped items below capacity")
@@ -462,7 +462,7 @@ func TestSelectorManyOffersExactMembership(t *testing.T) {
 	// exactly the keep-smallest, in canonical key order.
 	const keep = 32
 	const n = 10000
-	sel := newSelector[float64](keep)
+	sel := newSelector(keep)
 	src := rng.New(7)
 	type ref struct {
 		cost float64
@@ -473,7 +473,7 @@ func TestSelectorManyOffersExactMembership(t *testing.T) {
 		c := src.Float64()
 		key := packKey(int32(i/8), uint16(i%8))
 		refs = append(refs, ref{c, key})
-		sel.offer(cand[float64]{cost: c, key: key, spine: uint64(i)})
+		sel.offer(cand{cost: c, key: key, spine: uint64(i)})
 	}
 	sort.Slice(refs, func(i, j int) bool {
 		if refs[i].cost != refs[j].cost {

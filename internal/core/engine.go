@@ -2,13 +2,13 @@ package core
 
 import "slices"
 
-// This file is the beam decoder's generic search engine, instantiated once
-// per cost metric (float64 and int32). The data layout is structure-of-
-// arrays end to end: frontiers are parallel slices of spine values, packed
-// costs and packed (parent, seg) keys, and cached child expansions are
-// parallel spine/local-cost slices whose (parent, seg) identity is implied
-// by the parent-major index — so the expansion and selection loops run
-// flat over dense arrays instead of chasing per-node structs.
+// This file is the beam decoder's search engine. The data layout is
+// structure-of-arrays end to end: frontiers are parallel slices of spine
+// values, path costs and packed (parent, seg) keys, and cached child
+// expansions are parallel spine/local-cost slices whose (parent, seg)
+// identity is implied by the parent-major index — so the expansion and
+// selection loops run flat over dense arrays instead of chasing per-node
+// structs.
 //
 // Selection is candidate-buffered quickselect rather than a bounded heap:
 // expansion loops append (cost, key, spine) candidates — after a warm-up, a
@@ -26,8 +26,8 @@ import "slices"
 // packed (parent, seg) identity, and its spine value. key orders candidates
 // exactly like the (parent, seg) tie-break: parent in the high bits, segment
 // in the low 16 (segments are at most 2^16 because k <= 16).
-type cand[C costValue] struct {
-	cost  C
+type cand struct {
+	cost  float64
 	key   int64
 	spine uint64
 }
@@ -45,7 +45,7 @@ func packKey(parent int32, seg uint16) int64 {
 // what makes sharded (parallel) expansion bit-identical to serial expansion:
 // each shard retains its own keep-smallest subset, and the keep-smallest of
 // the union of those subsets equals the keep-smallest of the whole level.
-func candLess[C costValue](a, b *cand[C]) bool {
+func candLess(a, b *cand) bool {
 	if a.cost != b.cost {
 		return a.cost < b.cost
 	}
@@ -57,23 +57,23 @@ func candLess[C costValue](a, b *cand[C]) bool {
 // candidates that cannot beat the current keep-th smallest are rejected with
 // a single compare — and compaction quickselects the buffer down to the
 // keep-smallest set. Buffers are reused across levels and attempts.
-type selector[C costValue] struct {
+type selector struct {
 	keep    int
 	limit   int
-	nodes   []cand[C]
+	nodes   []cand
 	bounded bool
-	bound   cand[C]
+	bound   cand
 }
 
-func newSelector[C costValue](keep int) *selector[C] {
-	s := &selector[C]{}
+func newSelector(keep int) *selector {
+	s := &selector{}
 	s.reset(keep)
 	return s
 }
 
 // reset empties the selector and sets its retention bound, keeping the
 // underlying buffer.
-func (s *selector[C]) reset(keep int) {
+func (s *selector) reset(keep int) {
 	s.keep = keep
 	limit := 2 * keep
 	if limit < 1024 {
@@ -94,9 +94,9 @@ func (s *selector[C]) reset(keep int) {
 // final keep-smallest set. The rejection path is kept small enough to inline
 // into the expansion loops — at steady state most candidates die on this one
 // predictable compare — with the accept path split into push.
-func (s *selector[C]) offer(n cand[C]) {
+func (s *selector) offer(n cand) {
 	// The condition is !candLess(&n, &s.bound), expanded so the rejection
-	// path fits the inlining budget of the generic shape instantiation.
+	// path fits the inlining budget.
 	if s.bounded && (n.cost > s.bound.cost || (n.cost == s.bound.cost && n.key >= s.bound.key)) {
 		return
 	}
@@ -108,7 +108,7 @@ func (s *selector[C]) offer(n cand[C]) {
 // compare is the per-candidate steady state, the append is not.
 //
 //go:noinline
-func (s *selector[C]) push(n cand[C]) {
+func (s *selector) push(n cand) {
 	s.nodes = append(s.nodes, n)
 	if len(s.nodes) >= s.limit {
 		s.compact()
@@ -117,7 +117,7 @@ func (s *selector[C]) push(n cand[C]) {
 
 // compact quickselects the buffer down to the keep smallest candidates and
 // tightens the rejection bound to their maximum.
-func (s *selector[C]) compact() {
+func (s *selector) compact() {
 	if len(s.nodes) <= s.keep {
 		return
 	}
@@ -129,7 +129,7 @@ func (s *selector[C]) compact() {
 
 // pending returns the buffered candidates (a superset of the final
 // selection, at most limit-1 of them) for merging into another selector.
-func (s *selector[C]) pending() []cand[C] {
+func (s *selector) pending() []cand {
 	return s.nodes
 }
 
@@ -139,12 +139,12 @@ func (s *selector[C]) pending() []cand[C] {
 // whose membership is unchanged between attempts compares structurally equal
 // even though every cost moved. This is the only full sort on the selection
 // path, and it touches at most the surviving `keep` nodes.
-func (s *selector[C]) canonical() []cand[C] {
+func (s *selector) canonical() []cand {
 	if len(s.nodes) > s.keep {
 		selectSmallest(s.nodes, s.keep)
 		s.nodes = s.nodes[:s.keep]
 	}
-	slices.SortFunc(s.nodes, func(a, b cand[C]) int {
+	slices.SortFunc(s.nodes, func(a, b cand) int {
 		switch {
 		case a.key < b.key:
 			return -1
@@ -161,7 +161,7 @@ func (s *selector[C]) canonical() []cand[C] {
 // elements (under candLess) with a[k-1] their maximum. Iterative quickselect
 // with median-of-three pivots; small ranges fall through to insertion sort.
 // Keys are unique, so there are no equal elements to worry about.
-func selectSmallest[C costValue](a []cand[C], k int) {
+func selectSmallest(a []cand, k int) {
 	lo, hi := 0, len(a)
 	target := k - 1
 	for hi-lo > 16 {
@@ -210,24 +210,24 @@ func selectSmallest[C costValue](a []cand[C], k int) {
 // frontier is one level's surviving nodes in structure-of-arrays layout:
 // spine values, packed path costs, and packed (parent, seg) keys, all in
 // canonical key order.
-type frontier[C costValue] struct {
+type frontier struct {
 	spine []uint64
-	cost  []C
+	cost  []float64
 	key   []int64
 }
 
-func (f *frontier[C]) len() int { return len(f.spine) }
+func (f *frontier) len() int { return len(f.spine) }
 
-func (f *frontier[C]) clear() {
+func (f *frontier) clear() {
 	f.spine, f.cost, f.key = f.spine[:0], f.cost[:0], f.key[:0]
 }
 
-func (f *frontier[C]) parent(i int) int32 { return int32(f.key[i] >> 16) }
-func (f *frontier[C]) seg(i int) uint16   { return uint16(f.key[i] & 0xffff) }
+func (f *frontier) parent(i int) int32 { return int32(f.key[i] >> 16) }
+func (f *frontier) seg(i int) uint16   { return uint16(f.key[i] & 0xffff) }
 
 // setFromCands replaces the frontier contents with a selection output
 // (already in canonical key order), reusing the backing arrays.
-func (f *frontier[C]) setFromCands(nodes []cand[C]) {
+func (f *frontier) setFromCands(nodes []cand) {
 	n := len(nodes)
 	f.spine = sized(f.spine, n)
 	f.cost = sized(f.cost, n)
@@ -244,7 +244,7 @@ func (f *frontier[C]) setFromCands(nodes []cand[C]) {
 // Costs are deliberately not compared: downstream caches reconstruct
 // cumulative costs from the parent frontier at selection time, so only
 // structural change invalidates them.
-func (f *frontier[C]) sameAsCands(nodes []cand[C]) bool {
+func (f *frontier) sameAsCands(nodes []cand) bool {
 	if len(f.spine) != len(nodes) {
 		return false
 	}
@@ -268,21 +268,21 @@ func sized[T any](s []T, n int) []T {
 // The cached child expansion is stored as parallel spine/local-cost slices
 // in deterministic parent-major, segment-minor order, so child i's identity
 // is (parent i/nSeg, seg i%nSeg) — no per-child parent or segment storage.
-type cachedLevel[C costValue] struct {
+type cachedLevel struct {
 	// childSpine/childLocal are the full expansion of the parent frontier;
 	// childObs observations at this level are folded into each child's local
 	// cost. valid reports whether they correspond to the frontier the level
 	// was last expanded from.
 	childSpine []uint64
-	childLocal []C
+	childLocal []float64
 	childObs   int
 	valid      bool
 	// front is the selection output of the latest attempt at this level;
 	// prev is the one before it (the frontier the next level's cached
 	// children were expanded from). The two are swapped, not copied, when
 	// the level is re-selected.
-	front frontier[C]
-	prev  frontier[C]
+	front frontier
+	prev  frontier
 }
 
 // maxCachedChildren bounds the memory the workspace spends per level: an
@@ -297,7 +297,7 @@ var maxCachedChildren = 1 << 17
 // workspace is the persistent state that makes repeated decode attempts
 // incremental. It is owned by one engine and keyed to one observation
 // container at a time.
-type workspace[C costValue] struct {
+type workspace struct {
 	// obs identifies the observation container the cached state was built
 	// from; a different container (or channel kind) resets the workspace.
 	obs any
@@ -307,29 +307,29 @@ type workspace[C costValue] struct {
 	// epoch, after which cached cost sums no longer describe the contents.
 	epoch uint64
 	// levels caches frontiers and expansions per tree level.
-	levels []cachedLevel[C]
+	levels []cachedLevel
 	// complete reports that the last attempt ran to completion, making the
 	// cached state trustworthy.
 	complete bool
 	// sel is the reusable top-keep selector.
-	sel selector[C]
+	sel selector
 	// segs is the reusable backtrack buffer.
 	segs []uint64
 	// scratchSpine/scratchLocal are the reusable assembly buffers of a level
 	// rebuilt from spine-matched blocks; they swap places with the level's
 	// cached arrays.
 	scratchSpine []uint64
-	scratchLocal []C
+	scratchLocal []float64
 	// pidx is a reusable spine→index table over a parent frontier (at most
 	// MaxCandidates entries), used to match persisting parents between
 	// attempts so their children blocks can be reused wholesale.
 	pidx spineIndex
 	// scr is the serial path's expansion scratch.
-	scr expandScratch[C]
+	scr expandScratch
 }
 
 // invalidate discards all cached state (the buffers are kept for reuse).
-func (ws *workspace[C]) invalidate() {
+func (ws *workspace) invalidate() {
 	ws.obs = nil
 	ws.complete = false
 	for i := range ws.levels {
@@ -341,9 +341,9 @@ func (ws *workspace[C]) invalidate() {
 
 // prepare sizes the workspace for nseg levels and decides which level the
 // beam search must resume from for this attempt.
-func (ws *workspace[C]) prepare(obs any, epoch, cleanGen uint64, dirty, nseg int) int {
+func (ws *workspace) prepare(obs any, epoch, cleanGen uint64, dirty, nseg int) int {
 	if len(ws.levels) != nseg {
-		ws.levels = make([]cachedLevel[C], nseg)
+		ws.levels = make([]cachedLevel, nseg)
 		ws.complete = false
 		ws.obs = nil
 	}
@@ -368,10 +368,10 @@ func (ws *workspace[C]) prepare(obs any, epoch, cleanGen uint64, dirty, nseg int
 }
 
 // levelCoster computes observation costs for hypothesized spine values at a
-// tree level, in the engine's cost carrier. costTailMany extends the
-// accumulated local cost of each spine in a batch with the terms of
-// observations idx >= from, folded one term at a time in recording order; a
-// full fold starts from zeroed locals with from = 0. The incremental refresh
+// tree level. costTailMany extends the accumulated local cost of each spine
+// in a batch with the terms of observations idx >= from, folded one term at a
+// time in recording order; a full fold starts from zeroed locals with
+// from = 0. The incremental refresh
 // extends cached sums with exactly the additions a from-scratch fold would
 // perform, in the same order — that is what makes incremental and
 // from-scratch decodes bit-identical. (Batch order across spines is
@@ -382,42 +382,30 @@ func (ws *workspace[C]) prepare(obs any, epoch, cleanGen uint64, dirty, nseg int
 //
 // The concurrency contract: prepareLevel runs single-threaded before a level
 // is expanded, and may stage per-level scratch on the coster (flattened
-// observation arrays; the quantized costers also snap the level's
-// observations onto the integer grid). After prepareLevel, costTailMany only
-// reads the coster — the sharded folds call it concurrently — and keeps any
-// batch scratch in the caller-owned scr, of which every shard has its own.
-type levelCoster[C costValue] interface {
+// observation arrays). After prepareLevel, costTailMany only reads the
+// coster — the sharded folds call it concurrently.
+type levelCoster interface {
 	numObs(level int) int
 	prepareLevel(level int)
-	costTailMany(locals []C, spines []uint64, level, from int, scr *foldScratch)
-}
-
-// foldScratch is batch scratch for a coster's fold, owned by the caller so
-// concurrent folds never share it: the engine keeps one per shard and one
-// for its serial path.
-type foldScratch struct {
-	words []uint64
-	acc   []int64
+	costTailMany(locals []float64, spines []uint64, level, from int)
 }
 
 // expandScratch is one worker's private expansion scratch: the one-block
-// buffers a children block passes through when its level is not retained
-// (whose local half also reconstitutes path costs when it is), and the
-// cost-fold scratch. The serial path owns one, every shard another.
-type expandScratch[C costValue] struct {
+// buffers a children block passes through when its level is not retained.
+// The serial path owns one, every shard another.
+type expandScratch struct {
 	spine []uint64
-	local []C
-	fold  foldScratch
+	local []float64
 }
 
 // levelJob is the level expansion in flight: its per-level inputs, where
 // each parent's children block comes from and where it goes (see
 // expandRange), and the shard geometry. It lives on the engine so
 // dispatching a sharded expansion allocates nothing.
-type levelJob[C costValue] struct {
-	coster levelCoster[C]
-	lv     *cachedLevel[C]
-	parent *frontier[C]
+type levelJob struct {
+	coster levelCoster
+	lv     *cachedLevel
+	parent *frontier
 	t      int
 	nObs   int
 	nSeg   int
@@ -429,45 +417,43 @@ type levelJob[C costValue] struct {
 	// outSpine/outLocal receive the blocks at their parent-major offsets;
 	// nil streams them through the worker's one-block buffer.
 	outSpine []uint64
-	outLocal []C
+	outLocal []float64
 	chunk    int
 	keep     int
 }
 
 // parShard is one worker's private per-level workspace, reused across levels
 // and attempts.
-type parShard[C costValue] struct {
-	sel       selector[C]
+type parShard struct {
+	sel       selector
 	expanded  int
 	refreshed int
-	scr       expandScratch[C]
+	scr       expandScratch
 }
 
-// engine is one cost metric's instantiation of the beam search: the
-// workspace, the root frontier, and the per-worker shard state. The decoder
-// owns one engine per metric it has been asked to run and shares the worker
-// pool between them.
-type engine[C costValue, O costOps[C]] struct {
-	d   *BeamDecoder
-	ops O
+// engine is the beam search state: the workspace, the root frontier, and
+// the per-worker shard state. The decoder owns one engine and its worker
+// pool.
+type engine struct {
+	d *BeamDecoder
 
-	ws   workspace[C]
-	root frontier[C]
+	ws   workspace
+	root frontier
 
-	par       []parShard[C]
-	job       levelJob[C]
+	par       []parShard
+	job       levelJob
 	shardBody func(worker int)
 }
 
 // newEngine returns an engine whose root frontier is the virtual level -1:
 // the single root node with the agreed initial spine value s0 = 0, zero
 // cost, and parent index -1.
-func newEngine[C costValue, O costOps[C]](d *BeamDecoder) *engine[C, O] {
-	return &engine[C, O]{
+func newEngine(d *BeamDecoder) *engine {
+	return &engine{
 		d: d,
-		root: frontier[C]{
+		root: frontier{
 			spine: []uint64{0},
-			cost:  []C{0},
+			cost:  []float64{0},
 			key:   []int64{packKey(-1, 0)},
 		},
 	}
@@ -476,7 +462,7 @@ func newEngine[C costValue, O costOps[C]](d *BeamDecoder) *engine[C, O] {
 // run executes the level-by-level beam search, resuming from the first dirty
 // level when the workspace holds a completed previous attempt for the same
 // observation container.
-func (e *engine[C, O]) run(coster levelCoster[C], obs any, gen, epoch, cleanGen uint64, dirty int) *DecodeResult {
+func (e *engine) run(coster levelCoster, obs any, gen, epoch, cleanGen uint64, dirty int) *DecodeResult {
 	d := e.d
 	nseg := d.p.NumSegments()
 	ws := &e.ws
@@ -536,7 +522,7 @@ func (e *engine[C, O]) run(coster levelCoster[C], obs any, gen, epoch, cleanGen 
 		ws.sel.reset(keep)
 
 		need := parent.len() * nSeg
-		e.job = levelJob[C]{coster: coster, lv: lv, parent: parent, t: t, nObs: nObs, nSeg: nSeg, keep: keep}
+		e.job = levelJob{coster: coster, lv: lv, parent: parent, t: t, nObs: nObs, nSeg: nSeg, keep: keep}
 		j := &e.job
 		switch {
 		case parentOK && lv.valid:
@@ -642,7 +628,7 @@ func (e *engine[C, O]) run(coster levelCoster[C], obs any, gen, epoch, cleanGen 
 	ws.complete = true
 	return &DecodeResult{
 		Message:        msg,
-		Cost:           float64(leaves.cost[best]),
+		Cost:           leaves.cost[best],
 		NodesExpanded:  d.nodesExpanded,
 		NodesRefreshed: d.nodesRefreshed,
 		NodesSaved:     d.nodesSaved,
@@ -665,7 +651,7 @@ func (e *engine[C, O]) run(coster levelCoster[C], obs any, gen, epoch, cleanGen 
 // was sharded. Blocks land in j.outSpine/outLocal at their parent-major
 // offset or, when those are nil, in scr's one-block buffer, which is offered
 // and then overwritten by the next parent.
-func (e *engine[C, O]) expandRange(j *levelJob[C], lo, hi int, sel *selector[C], scr *expandScratch[C]) (expanded, refreshed int) {
+func (e *engine) expandRange(j *levelJob, lo, hi int, sel *selector, scr *expandScratch) (expanded, refreshed int) {
 	if lo >= hi {
 		return 0, 0
 	}
@@ -673,7 +659,7 @@ func (e *engine[C, O]) expandRange(j *levelJob[C], lo, hi int, sel *selector[C],
 	scr.spine = sized(scr.spine, nSeg)
 	scr.local = sized(scr.local, nSeg)
 	if j.inPlace && lv.childObs < j.nObs {
-		j.coster.costTailMany(j.outLocal[lo*nSeg:hi*nSeg], j.outSpine[lo*nSeg:hi*nSeg], j.t, lv.childObs, &scr.fold)
+		j.coster.costTailMany(j.outLocal[lo*nSeg:hi*nSeg], j.outSpine[lo*nSeg:hi*nSeg], j.t, lv.childObs)
 	}
 	for pi := lo; pi < hi; pi++ {
 		ps := j.parent.spine[pi]
@@ -694,32 +680,28 @@ func (e *engine[C, O]) expandRange(j *levelJob[C], lo, hi int, sel *selector[C],
 		case src >= 0:
 			copy(blockS, lv.childSpine[src:src+nSeg])
 			copy(blockL, lv.childLocal[src:src+nSeg])
-			j.coster.costTailMany(blockL, blockS, j.t, lv.childObs, &scr.fold)
+			j.coster.costTailMany(blockL, blockS, j.t, lv.childObs)
 			refreshed += nSeg
 		default:
 			for seg := range blockS {
 				blockS[seg] = e.d.family.Next(ps, uint64(seg))
 			}
-			j.coster.costTailMany(blockL, blockS, j.t, 0, &scr.fold) // from = 0 overwrites
+			j.coster.costTailMany(blockL, blockS, j.t, 0) // from = 0 overwrites
 			expanded += nSeg
 		}
-		// Reconstitute the path costs in the one-block buffer in one batched
-		// add: a retained block keeps its local sums, a streamed block is
-		// that buffer already. The selector's rejection test is replicated
-		// inline (see selector.offer) so the common rejected candidate costs
-		// one compare, no call.
-		costs := scr.local
-		if j.outSpine != nil {
-			copy(costs, blockL)
-		}
-		e.ops.AddTo(costs, j.parent.cost[pi])
+		// Reconstitute each child's path cost (parent cost + local sum) and
+		// offer it. The selector's rejection test is replicated inline (see
+		// selector.offer) so the common rejected candidate costs one compare,
+		// no call.
+		base := j.parent.cost[pi]
 		keyBase := int64(pi) << 16
-		for seg, cost := range costs {
+		for seg, local := range blockL {
+			cost := base + local
 			key := keyBase | int64(seg)
 			if sel.bounded && (cost > sel.bound.cost || (cost == sel.bound.cost && key >= sel.bound.key)) {
 				continue
 			}
-			sel.push(cand[C]{cost: cost, key: key, spine: blockS[seg]})
+			sel.push(cand{cost: cost, key: key, spine: blockS[seg]})
 		}
 	}
 	return expanded, refreshed
@@ -732,10 +714,10 @@ func (e *engine[C, O]) expandRange(j *levelJob[C], lo, hi int, sel *selector[C],
 // is concatenation plus the global selector's own compaction: under the
 // total order the surviving membership is unique whatever the merge order,
 // and the level loop's canonical() sort fixes the frontier layout.
-func (e *engine[C, O]) runRegion(w int) {
+func (e *engine) runRegion(w int) {
 	d := e.d
 	if len(e.par) != d.workers {
-		e.par = make([]parShard[C], d.workers)
+		e.par = make([]parShard, d.workers)
 	}
 	d.ensurePool()
 	if e.shardBody == nil {
@@ -756,7 +738,7 @@ func (e *engine[C, O]) runRegion(w int) {
 // runShard is the body every worker executes: carve this shard's parents out
 // of the level job and expand them into the shard-private selector and
 // counters.
-func (e *engine[C, O]) runShard(shard int) {
+func (e *engine) runShard(shard int) {
 	j := &e.job
 	sh := &e.par[shard]
 	sh.sel.reset(j.keep)

@@ -39,7 +39,7 @@ func incrementalCases() []incrementalCase {
 // incremental decodes are checked against.
 func decodeAttempt(dec *BeamDecoder, obs *Observations, fromRoot bool) (*DecodeResult, error) {
 	if fromRoot {
-		dec.invalidateWorkspaces()
+		dec.invalidateWorkspace()
 	}
 	return dec.Decode(obs)
 }
@@ -47,7 +47,7 @@ func decodeAttempt(dec *BeamDecoder, obs *Observations, fromRoot bool) (*DecodeR
 // decodeBitsAttempt is the binary-channel counterpart of decodeAttempt.
 func decodeBitsAttempt(dec *BeamDecoder, obs *BitObservations, fromRoot bool) (*DecodeResult, error) {
 	if fromRoot {
-		dec.invalidateWorkspaces()
+		dec.invalidateWorkspace()
 	}
 	return dec.DecodeBits(obs)
 }

@@ -6,11 +6,10 @@ import (
 )
 
 // This file is the decoder's worker pool: a set of helper goroutines owned by
-// one BeamDecoder and shared by its per-metric engines, which shard each
-// level expansion across them (see engine.runRegion). The dispatch path
-// allocates nothing at steady state: the level job is an engine field
-// rather than a closure, the helpers are signalled over empty-struct
-// channels, and the WaitGroup is pooled. That keeps per-symbol decode
+// one BeamDecoder, across which its engine shards each level expansion (see
+// engine.runRegion). The dispatch path allocates nothing at steady state:
+// the level job is an engine field rather than a closure, the helpers are
+// signalled over empty-struct channels, and the WaitGroup is pooled. That keeps per-symbol decode
 // attempts — the link receiver's hot loop — free of GC pressure.
 //
 // Correctness of sharding rests on the selector's strict total order (see

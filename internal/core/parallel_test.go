@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -16,7 +15,7 @@ import (
 // DecodeResult that is byte-identical to the serial decode — same message,
 // same cost, same NodesExpanded/NodesRefreshed/NodesSaved accounting —
 // resuming incrementally, decoding from the root or retaining no level, over
-// both channel kinds, both cost metrics and both search modes.
+// both channel kinds and both search modes.
 
 // forceParallel lowers the sharding thresholds so that even the small trees
 // used by tests exercise the multi-worker paths, restoring them afterwards.
@@ -48,7 +47,7 @@ const (
 
 // decodeVariant is one (parallelism, mode) decoder configuration fed the
 // same symbol stream as the serial reference; every variant of a set shares
-// one (metric, search mode).
+// one search mode.
 type decodeVariant struct {
 	workers int
 	mode    string
@@ -56,16 +55,13 @@ type decodeVariant struct {
 	last    *DecodeResult
 }
 
-func newVariants(t *testing.T, p Params, beam int, metric CostMetric, mode SearchMode) []*decodeVariant {
+func newVariants(t *testing.T, p Params, beam int, mode SearchMode) []*decodeVariant {
 	t.Helper()
 	var vs []*decodeVariant
 	for _, vm := range []string{variantIncremental, variantFromRoot, variantUncached} {
 		for _, w := range parallelisms() {
 			dec, err := NewBeamDecoder(p, beam)
 			if err != nil {
-				t.Fatal(err)
-			}
-			if err := dec.SetCostMetric(metric); err != nil {
 				t.Fatal(err)
 			}
 			if err := dec.SetSearchMode(mode); err != nil {
@@ -125,27 +121,24 @@ func checkVariants(t *testing.T, p Params, vs []*decodeVariant, attempt int) {
 	}
 }
 
-// forMetricsAndModes runs body as one subtest per (cost metric, search
-// mode).
-func forMetricsAndModes(t *testing.T, body func(t *testing.T, metric CostMetric, mode SearchMode)) {
+// forModes runs body as one subtest per search mode.
+func forModes(t *testing.T, body func(t *testing.T, mode SearchMode)) {
 	t.Helper()
-	for _, metric := range costMetrics {
-		for _, mode := range searchModes {
-			t.Run(fmt.Sprintf("%v/%v", metric, mode), func(t *testing.T) { body(t, metric, mode) })
-		}
+	for _, mode := range searchModes {
+		t.Run(mode.String(), func(t *testing.T) { body(t, mode) })
 	}
 }
 
 // TestParallelMatchesSerialAWGN interleaves Observe and Decode over an AWGN
 // channel for every (parallelism, variant mode) combination, under every
-// (metric, search mode), and checks each attempt against the serial
+// search mode, and checks each attempt against the serial
 // incremental reference.
 func TestParallelMatchesSerialAWGN(t *testing.T) {
 	forceParallel(t)
 	for _, tc := range incrementalCases() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			forMetricsAndModes(t, func(t *testing.T, metric CostMetric, mode SearchMode) {
+			forModes(t, func(t *testing.T, mode SearchMode) {
 				p := tc.params
 				sched := caseSchedule(t, tc)
 				msg := RandomMessage(rng.New(p.Seed^0x5eed), p.MessageBits)
@@ -153,7 +146,7 @@ func TestParallelMatchesSerialAWGN(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				vs := newVariants(t, p, 8, metric, mode)
+				vs := newVariants(t, p, 8, mode)
 				type stream struct {
 					ch  *impair.Pipeline
 					obs *Observations
@@ -202,7 +195,7 @@ func TestParallelMatchesSerialBSC(t *testing.T) {
 	for _, tc := range incrementalCases() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			forMetricsAndModes(t, func(t *testing.T, metric CostMetric, mode SearchMode) {
+			forModes(t, func(t *testing.T, mode SearchMode) {
 				p := tc.params
 				sched := caseSchedule(t, tc)
 				msg := RandomMessage(rng.New(p.Seed^0xcafe), p.MessageBits)
@@ -210,7 +203,7 @@ func TestParallelMatchesSerialBSC(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				vs := newVariants(t, p, 8, metric, mode)
+				vs := newVariants(t, p, 8, mode)
 				type stream struct {
 					bsc *channel.BSC
 					obs *BitObservations
@@ -255,12 +248,11 @@ func TestParallelMatchesSerialBSC(t *testing.T) {
 }
 
 // TestParallelDecodeProperty is the quick-check form of the equivalence
-// claim: for arbitrary parameters, messages, observation counts, cost
-// metrics and search modes, a 3-worker decode equals the serial decode bit
-// for bit.
+// claim: for arbitrary parameters, messages, observation counts and search
+// modes, a 3-worker decode equals the serial decode bit for bit.
 func TestParallelDecodeProperty(t *testing.T) {
 	forceParallel(t)
-	prop := func(seed uint64, kRaw, bitsRaw, obsCount uint8, int32Metric, approx bool) bool {
+	prop := func(seed uint64, kRaw, bitsRaw, obsCount uint8, approx bool) bool {
 		k := int(kRaw%6) + 2
 		bits := int(bitsRaw%48) + 8
 		p := Params{K: k, C: 8, MessageBits: bits, Seed: seed | 1}
@@ -269,16 +261,13 @@ func TestParallelDecodeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		metric, mode := CostFloat64, SearchExact
-		if int32Metric {
-			metric = CostInt32
-		}
+		mode := SearchExact
 		if approx {
 			mode = SearchApprox
 		}
 		newDec := func(workers int) *BeamDecoder {
 			dec, err := NewBeamDecoder(p, 8)
-			if err != nil || dec.SetCostMetric(metric) != nil || dec.SetSearchMode(mode) != nil {
+			if err != nil || dec.SetSearchMode(mode) != nil {
 				return nil
 			}
 			dec.SetParallelism(workers)

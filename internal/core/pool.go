@@ -16,12 +16,12 @@ import (
 // LeasedDecoder.Release puts it back. A released pair is reset before it is
 // cached — Observations.Reset bumps the container's epoch, which forces the
 // decoder's next Decode to rebuild from the root, and any per-lease tuning
-// (the unobserved-level cap, the cost metric, the search strategy) is
-// reverted to construction defaults — so a pooled decoder is bit-identical in
-// behaviour to a freshly constructed one; only allocations and goroutine
-// pools are recycled. The total number of idle decoders is
-// bounded by the pool capacity: releases beyond it close the decoder and
-// drop it instead of caching it.
+// (the unobserved-level cap, the search strategy) is reverted to
+// construction defaults — so a pooled decoder is bit-identical in behaviour
+// to a freshly constructed one; only allocations and goroutine pools are
+// recycled. The total number of idle decoders is bounded by the pool
+// capacity: releases beyond it close the decoder and drop it instead of
+// caching it.
 //
 // All methods are safe for concurrent use. A capacity of zero or less
 // disables caching entirely (every Lease builds, every Release closes),
@@ -96,10 +96,10 @@ func (l *LeasedDecoder) Bits() (*BitObservations, error) {
 // Reset returns the lease to fresh-decoder behaviour without returning it
 // to the pool: the observation containers are cleared (the epoch bump
 // forces the next Decode to rebuild from the root) and any per-lease
-// decoder tuning — the unobserved-level cap, the cost metric, the search
-// strategy — reverts to construction defaults. A caller holding one lease
-// across many trials (the experiment runner's per-worker reuse) therefore
-// gets bit-identical results to leasing a fresh decoder per trial.
+// decoder tuning — the unobserved-level cap, the search strategy — reverts
+// to construction defaults. A caller holding one lease across many trials
+// (the experiment runner's per-worker reuse) therefore gets bit-identical
+// results to leasing a fresh decoder per trial.
 // Parallelism is left alone — it never changes decode results, and every
 // pooled consumer sets it explicitly.
 func (l *LeasedDecoder) Reset() {
@@ -107,12 +107,11 @@ func (l *LeasedDecoder) Reset() {
 	if l.bitObs != nil {
 		l.bitObs.Reset()
 	}
-	l.Dec.SetCostMetric(CostFloat64) // cannot fail: float64 is always valid
 	l.Dec.SetSearchMode(SearchExact) // cannot fail: exact is always valid
 	def := DefaultMaxCandidates(l.Dec.p, l.Dec.b)
 	if l.Dec.maxCand != def {
 		l.Dec.maxCand = def
-		l.Dec.invalidateWorkspaces()
+		l.Dec.invalidateWorkspace()
 	}
 }
 

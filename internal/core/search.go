@@ -23,7 +23,7 @@ type SearchMode uint8
 const (
 	// SearchExact is the full beam search of the HotNets'11 paper —
 	// bit-identical to the decoder as it existed before approximate modes,
-	// at every worker count and cost metric.
+	// at every worker count.
 	SearchExact SearchMode = iota
 	// SearchApprox is the exact search plus the bubble cap: an unobserved
 	// level keeps only the children of its W = max(2, B/8) cheapest parents.
@@ -78,7 +78,7 @@ func (d *BeamDecoder) SetSearchMode(m SearchMode) error {
 		return nil
 	}
 	d.search = m
-	d.invalidateWorkspaces()
+	d.invalidateWorkspace()
 	return nil
 }
 

@@ -13,10 +13,9 @@ import (
 // This file pins the exact-search decoder to golden fingerprints recorded
 // from the decoder as it stood before the approximate-search modes landed.
 // SearchExact must remain bit-identical to that decoder — same messages, same
-// costs, same NodesExpanded/NodesRefreshed — at every worker count, for both
-// cost metrics, resuming incrementally or decoding every attempt from the
-// root. Any engine change that
-// perturbs the exact path trips these constants.
+// costs, same NodesExpanded/NodesRefreshed — at every worker count,
+// resuming incrementally or decoding every attempt from the root. Any engine
+// change that perturbs the exact path trips these constants.
 
 // exactPinParams is the fixed operating point the fingerprints are recorded
 // at: the Figure 2 code geometry with a shorter message so the matrix of
@@ -93,7 +92,7 @@ func bscPinStream(t *testing.T, trial int) (msg []byte, byPass [][]byte) {
 // and exact cost bits — identical across worker counts AND incremental
 // on/off) and one over the work counters (NodesExpanded/NodesRefreshed —
 // identical across worker counts, different between incremental on/off).
-func exactFingerprints(t *testing.T, metric CostMetric, workers int, incremental, bits bool) (result, work uint64) {
+func exactFingerprints(t *testing.T, workers int, incremental, bits bool) (result, work uint64) {
 	t.Helper()
 	p := exactPinParams()
 	dec, err := NewBeamDecoder(p, exactPinBeam)
@@ -101,9 +100,6 @@ func exactFingerprints(t *testing.T, metric CostMetric, workers int, incremental
 		t.Fatal(err)
 	}
 	defer dec.Close()
-	if err := dec.SetCostMetric(metric); err != nil {
-		t.Fatal(err)
-	}
 	dec.SetParallelism(workers)
 
 	hr, hw := fnv.New64a(), fnv.New64a()
@@ -154,32 +150,24 @@ func exactFingerprints(t *testing.T, metric CostMetric, workers int, incremental
 }
 
 // Golden fingerprints recorded from the pre-approximate-search decoder.
-// Keyed by channel kind and metric (results) plus incremental mode (work).
+// Keyed by channel kind (results) plus incremental mode (work); "float64"
+// names the path-cost arithmetic they were recorded with.
 var exactPinResultGolden = map[string]uint64{
 	"awgn/float64": 0x1268fe4ab3350bfd,
-	"awgn/int32":   0x5909429cf57ce3a4,
-	// The Hamming metric is integer-exact in both carriers, so the BSC
-	// fingerprints coincide across metrics.
-	"bsc/float64": 0x4ecfefbb8904a834,
-	"bsc/int32":   0x4ecfefbb8904a834,
+	"bsc/float64":  0x4ecfefbb8904a834,
 }
 
 var exactPinWorkGolden = map[string]uint64{
-	// Node counts are structural (frontier sizes), so they coincide across
-	// metrics, and every from-scratch run expands the same tree shape.
+	// Every from-scratch run expands the same tree shape.
 	"awgn/float64/inc":     0x288650d93a80269c,
 	"awgn/float64/scratch": 0x9e2c2d02c5e24b85,
-	"awgn/int32/inc":       0x288650d93a80269c,
-	"awgn/int32/scratch":   0x9e2c2d02c5e24b85,
 	"bsc/float64/inc":      0x84105db0776089b8,
 	"bsc/float64/scratch":  0x9e2c2d02c5e24b85,
-	"bsc/int32/inc":        0x84105db0776089b8,
-	"bsc/int32/scratch":    0x9e2c2d02c5e24b85,
 }
 
 // TestExactSearchPinnedToPreApproxDecoder is the satellite-3 pin: exact-mode
-// decodes across workers {1,3,GOMAXPROCS} × metric {float64,int32} ×
-// incremental {on,off} × channel {AWGN,BSC} must reproduce the golden
+// decodes across workers {1,3,GOMAXPROCS} × incremental {on,off} × channel
+// {AWGN,BSC} must reproduce the golden
 // fingerprints recorded before the approximate-search engine changes.
 func TestExactSearchPinnedToPreApproxDecoder(t *testing.T) {
 	for _, bits := range []bool{false, true} {
@@ -187,24 +175,22 @@ func TestExactSearchPinnedToPreApproxDecoder(t *testing.T) {
 		if bits {
 			kind = "bsc"
 		}
-		for _, metric := range []CostMetric{CostFloat64, CostInt32} {
-			for _, incremental := range []bool{true, false} {
-				mode := "inc"
-				if !incremental {
-					mode = "scratch"
+		for _, incremental := range []bool{true, false} {
+			mode := "inc"
+			if !incremental {
+				mode = "scratch"
+			}
+			for _, workers := range exactPinWorkers() {
+				result, work := exactFingerprints(t, workers, incremental, bits)
+				rKey := kind + "/float64"
+				wKey := rKey + "/" + mode
+				if want := exactPinResultGolden[rKey]; result != want {
+					t.Errorf("result fingerprint %s (workers=%d inc=%v) = %#016x, want %#016x",
+						rKey, workers, incremental, result, want)
 				}
-				for _, workers := range exactPinWorkers() {
-					result, work := exactFingerprints(t, metric, workers, incremental, bits)
-					rKey := fmt.Sprintf("%s/%s", kind, metric)
-					wKey := fmt.Sprintf("%s/%s/%s", kind, metric, mode)
-					if want := exactPinResultGolden[rKey]; result != want {
-						t.Errorf("result fingerprint %s (workers=%d inc=%v) = %#016x, want %#016x",
-							rKey, workers, incremental, result, want)
-					}
-					if want := exactPinWorkGolden[wKey]; work != want {
-						t.Errorf("work fingerprint %s (workers=%d) = %#016x, want %#016x",
-							wKey, workers, work, want)
-					}
+				if want := exactPinWorkGolden[wKey]; work != want {
+					t.Errorf("work fingerprint %s (workers=%d) = %#016x, want %#016x",
+						wKey, workers, work, want)
 				}
 			}
 		}

@@ -11,10 +11,6 @@ import (
 // searchModes is every search strategy, exact first.
 var searchModes = []SearchMode{SearchExact, SearchApprox}
 
-// costMetrics is every cost metric; the determinism tests run each case
-// under both, since the carriers have separate fold implementations.
-var costMetrics = []CostMetric{CostFloat64, CostInt32}
-
 // TestParseSearchMode checks the CLI spellings, their round trip through
 // String, and that every other spelling — including the retired
 // gap[:G]/lookahead[:M] grammar — is rejected with an error naming the valid
@@ -92,41 +88,36 @@ func TestBubbleParents(t *testing.T) {
 // approximate mode: two noiseless passes still decode exactly.
 func TestApproxModesRoundTripNoiseless(t *testing.T) {
 	p := exactPinParams()
-	for _, metric := range costMetrics {
-		msg, _ := awgnPinStream(t, 0)
-		enc, err := NewEncoder(p, msg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err := NewBeamDecoder(p, exactPinBeam)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := dec.SetCostMetric(metric); err != nil {
-			t.Fatal(err)
-		}
-		if err := dec.SetSearchMode(SearchApprox); err != nil {
-			t.Fatal(err)
-		}
-		obs, err := NewObservations(p.NumSegments())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for pass := 0; pass < 2; pass++ {
-			for s := 0; s < p.NumSegments(); s++ {
-				if err := obs.Add(SymbolPos{Spine: s, Pass: pass}, enc.Symbol(s, pass)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			out, err := dec.Decode(obs)
-			if err != nil {
+	msg, _ := awgnPinStream(t, 0)
+	enc, err := NewEncoder(p, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := NewBeamDecoder(p, exactPinBeam)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dec.Close()
+	if err := dec.SetSearchMode(SearchApprox); err != nil {
+		t.Fatal(err)
+	}
+	obs, err := NewObservations(p.NumSegments())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		for s := 0; s < p.NumSegments(); s++ {
+			if err := obs.Add(SymbolPos{Spine: s, Pass: pass}, enc.Symbol(s, pass)); err != nil {
 				t.Fatal(err)
 			}
-			if pass == 1 && !EqualMessages(out.Message, msg, p.MessageBits) {
-				t.Errorf("metric %v: noiseless round trip failed", metric)
-			}
 		}
-		dec.Close()
+		out, err := dec.Decode(obs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pass == 1 && !EqualMessages(out.Message, msg, p.MessageBits) {
+			t.Error("noiseless round trip failed")
+		}
 	}
 }
 
@@ -139,16 +130,13 @@ func capParams() Params { return Params{K: 4, C: 8, MessageBits: 48, Seed: Defau
 const capBeam = 16
 
 // newCapDecoder returns a capParams decoder configured for one test case.
-func newCapDecoder(t *testing.T, metric CostMetric, mode SearchMode, workers int) *BeamDecoder {
+func newCapDecoder(t *testing.T, mode SearchMode, workers int) *BeamDecoder {
 	t.Helper()
 	dec, err := NewBeamDecoder(capParams(), capBeam)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(dec.Close)
-	if err := dec.SetCostMetric(metric); err != nil {
-		t.Fatal(err)
-	}
 	if err := dec.SetSearchMode(mode); err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +173,11 @@ func capStream(t *testing.T, seed uint64, sigma float64, passes int, obs []*Obse
 }
 
 // pinSearchTranscript decodes two seeded capParams transmissions symbol by
-// symbol under one (metric, mode, incremental, workers) configuration and
-// returns every attempt's result.
-func pinSearchTranscript(t *testing.T, metric CostMetric, mode SearchMode, incremental bool, workers int) []DecodeResult {
+// symbol under one (mode, incremental, workers) configuration and returns
+// every attempt's result.
+func pinSearchTranscript(t *testing.T, mode SearchMode, incremental bool, workers int) []DecodeResult {
 	t.Helper()
-	dec := newCapDecoder(t, metric, mode, workers)
+	dec := newCapDecoder(t, mode, workers)
 	var outs []DecodeResult
 	for trial := uint64(1); trial <= 2; trial++ {
 		obs, err := NewObservations(capParams().NumSegments())
@@ -214,28 +202,26 @@ func sameResult(a, b *DecodeResult) bool {
 }
 
 // TestApproxDeterministicAcrossWorkers checks that decodes are bit-identical
-// — results and every work counter — at every worker count, under metric ×
-// search mode × incremental on/off: the bubble cap is decided in the
+// — results and every work counter — at every worker count, under search
+// mode × incremental on/off: the bubble cap is decided in the
 // single-threaded section of the level loop.
 func TestApproxDeterministicAcrossWorkers(t *testing.T) {
 	forceParallel(t)
-	for _, metric := range costMetrics {
-		for _, mode := range searchModes {
-			for _, incremental := range []bool{true, false} {
-				var ref []DecodeResult
-				for _, workers := range exactPinWorkers() {
-					got := pinSearchTranscript(t, metric, mode, incremental, workers)
-					if ref == nil {
-						ref = got
-						continue
-					}
-					for i := range got {
-						g, r := &got[i], &ref[i]
-						if !sameResult(g, r) || g.NodesExpanded != r.NodesExpanded ||
-							g.NodesRefreshed != r.NodesRefreshed || g.NodesSaved != r.NodesSaved {
-							t.Fatalf("%v/%v incremental=%v: workers=%d diverged at attempt %d:\n%+v\nvs\n%+v",
-								metric, mode, incremental, workers, i, *g, *r)
-						}
+	for _, mode := range searchModes {
+		for _, incremental := range []bool{true, false} {
+			var ref []DecodeResult
+			for _, workers := range exactPinWorkers() {
+				got := pinSearchTranscript(t, mode, incremental, workers)
+				if ref == nil {
+					ref = got
+					continue
+				}
+				for i := range got {
+					g, r := &got[i], &ref[i]
+					if !sameResult(g, r) || g.NodesExpanded != r.NodesExpanded ||
+						g.NodesRefreshed != r.NodesRefreshed || g.NodesSaved != r.NodesSaved {
+						t.Fatalf("%v incremental=%v: workers=%d diverged at attempt %d:\n%+v\nvs\n%+v",
+							mode, incremental, workers, i, *g, *r)
 					}
 				}
 			}
@@ -245,18 +231,16 @@ func TestApproxDeterministicAcrossWorkers(t *testing.T) {
 
 // TestApproxIncrementalMatchesScratch checks that the bubble cap composes
 // with incremental reuse exactly: resumed attempts produce the same
-// messages and costs as from-scratch ones, for both metrics and modes. (The
-// work counters legitimately differ.)
+// messages and costs as from-scratch ones, for both modes. (The work
+// counters legitimately differ.)
 func TestApproxIncrementalMatchesScratch(t *testing.T) {
-	for _, metric := range costMetrics {
-		for _, mode := range searchModes {
-			inc := pinSearchTranscript(t, metric, mode, true, 1)
-			scratch := pinSearchTranscript(t, metric, mode, false, 1)
-			for i := range inc {
-				if !sameResult(&inc[i], &scratch[i]) {
-					t.Fatalf("%v/%v: incremental diverged from scratch at attempt %d: %+v vs %+v",
-						metric, mode, i, inc[i], scratch[i])
-				}
+	for _, mode := range searchModes {
+		inc := pinSearchTranscript(t, mode, true, 1)
+		scratch := pinSearchTranscript(t, mode, false, 1)
+		for i := range inc {
+			if !sameResult(&inc[i], &scratch[i]) {
+				t.Fatalf("%v: incremental diverged from scratch at attempt %d: %+v vs %+v",
+					mode, i, inc[i], scratch[i])
 			}
 		}
 	}
@@ -266,8 +250,7 @@ func TestApproxIncrementalMatchesScratch(t *testing.T) {
 // bubble cap: symbols arrive one at a time in striped order, and on every
 // attempt where each level has at least one observation the approximate
 // decode returns the exact decode's message and cost while expanding no more
-// nodes. It sweeps noise levels, both metrics, incremental on/off and two
-// worker counts.
+// nodes. It sweeps noise levels, incremental on/off and two worker counts.
 func TestApproxEqualsExactOnceObserved(t *testing.T) {
 	forceParallel(t)
 	nseg := capParams().NumSegments()
@@ -277,41 +260,39 @@ func TestApproxEqualsExactOnceObserved(t *testing.T) {
 		trials, passes = 2, 4
 	}
 	compared, saved := 0, 0
-	for _, metric := range costMetrics {
-		for _, incremental := range []bool{true, false} {
-			for _, workers := range []int{1, 3} {
-				exactDec := newCapDecoder(t, metric, SearchExact, workers)
-				approxDec := newCapDecoder(t, metric, SearchApprox, workers)
-				for si, sigma := range sigmas {
-					for trial := 0; trial < trials; trial++ {
-						var obs [2]*Observations
-						for i := range obs {
-							var err error
-							if obs[i], err = NewObservations(nseg); err != nil {
-								t.Fatal(err)
-							}
+	for _, incremental := range []bool{true, false} {
+		for _, workers := range []int{1, 3} {
+			exactDec := newCapDecoder(t, SearchExact, workers)
+			approxDec := newCapDecoder(t, SearchApprox, workers)
+			for si, sigma := range sigmas {
+				for trial := 0; trial < trials; trial++ {
+					var obs [2]*Observations
+					for i := range obs {
+						var err error
+						if obs[i], err = NewObservations(nseg); err != nil {
+							t.Fatal(err)
 						}
-						seed := uint64(si*trials+trial+1) * 0x9e3779b97f4a7c15
-						capStream(t, seed, sigma, passes, obs[:], func(sent int) {
-							exact, err := decodeAttempt(exactDec, obs[0], !incremental)
-							if err != nil {
-								t.Fatal(err)
-							}
-							approx, err := decodeAttempt(approxDec, obs[1], !incremental)
-							if err != nil {
-								t.Fatal(err)
-							}
-							saved += approx.NodesSaved
-							if sent < nseg {
-								return // some level is still unobserved
-							}
-							compared++
-							if !sameResult(exact, approx) || approx.NodesExpanded > exact.NodesExpanded {
-								t.Fatalf("%v inc=%v workers=%d sigma=%v trial %d symbol %d: approx %+v, exact %+v",
-									metric, incremental, workers, sigma, trial, sent, *approx, *exact)
-							}
-						})
 					}
+					seed := uint64(si*trials+trial+1) * 0x9e3779b97f4a7c15
+					capStream(t, seed, sigma, passes, obs[:], func(sent int) {
+						exact, err := decodeAttempt(exactDec, obs[0], !incremental)
+						if err != nil {
+							t.Fatal(err)
+						}
+						approx, err := decodeAttempt(approxDec, obs[1], !incremental)
+						if err != nil {
+							t.Fatal(err)
+						}
+						saved += approx.NodesSaved
+						if sent < nseg {
+							return // some level is still unobserved
+						}
+						compared++
+						if !sameResult(exact, approx) || approx.NodesExpanded > exact.NodesExpanded {
+							t.Fatalf("inc=%v workers=%d sigma=%v trial %d symbol %d: approx %+v, exact %+v",
+								incremental, workers, sigma, trial, sent, *approx, *exact)
+						}
+					})
 				}
 			}
 		}
@@ -370,76 +351,65 @@ func TestApproxSavesNodes(t *testing.T) {
 	}
 }
 
-// TestLeasedDecoderMatchesFreshAcrossMetricAndSearch is the pool property: a
-// pooled decoder that previously ran under any (metric, search) tuning must,
-// after Release and re-Lease, decode exactly like a freshly constructed
-// decoder under every (metric, search) combination.
-func TestLeasedDecoderMatchesFreshAcrossMetricAndSearch(t *testing.T) {
+// TestLeasedDecoderMatchesFreshAcrossSearch is the pool property: a pooled
+// decoder that previously ran under any search mode must, after Release and
+// re-Lease, decode exactly like a freshly constructed decoder under every
+// search mode.
+func TestLeasedDecoderMatchesFreshAcrossSearch(t *testing.T) {
 	p := exactPinParams()
 	pool := NewDecoderPool(2)
-	for _, metric := range costMetrics {
-		for _, search := range searchModes {
-			lease, err := pool.Lease(p, exactPinBeam)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := lease.Dec.SearchMode(); got != SearchExact {
-				t.Fatalf("leased decoder came back with search mode %v", got)
-			}
-			if got := lease.Dec.CostMetric(); got != CostFloat64 {
-				t.Fatalf("leased decoder came back with metric %v", got)
-			}
-			if err := lease.Dec.SetCostMetric(metric); err != nil {
-				t.Fatal(err)
-			}
-			if err := lease.Dec.SetSearchMode(search); err != nil {
-				t.Fatal(err)
-			}
-			lease.Dec.SetParallelism(1)
-
-			fresh, err := NewBeamDecoder(p, exactPinBeam)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := fresh.SetCostMetric(metric); err != nil {
-				t.Fatal(err)
-			}
-			if err := fresh.SetSearchMode(search); err != nil {
-				t.Fatal(err)
-			}
-			fresh.SetParallelism(1)
-			freshObs, err := NewObservations(p.NumSegments())
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			_, byPass := awgnPinStream(t, 2)
-			for pass, row := range byPass {
-				for s, y := range row {
-					if err := lease.Obs.Add(SymbolPos{Spine: s, Pass: pass}, y); err != nil {
-						t.Fatal(err)
-					}
-					if err := freshObs.Add(SymbolPos{Spine: s, Pass: pass}, y); err != nil {
-						t.Fatal(err)
-					}
-				}
-				got, err := lease.Dec.Decode(lease.Obs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := fresh.Decode(freshObs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Cost != want.Cost || got.NodesExpanded != want.NodesExpanded ||
-					got.NodesRefreshed != want.NodesRefreshed || got.NodesSaved != want.NodesSaved ||
-					!EqualMessages(got.Message, want.Message, p.MessageBits) {
-					t.Fatalf("metric %v search %v pass %d: leased diverged from fresh: %+v vs %+v",
-						metric, search, pass, got, want)
-				}
-			}
-			fresh.Close()
-			lease.Release()
+	for _, search := range searchModes {
+		lease, err := pool.Lease(p, exactPinBeam)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if got := lease.Dec.SearchMode(); got != SearchExact {
+			t.Fatalf("leased decoder came back with search mode %v", got)
+		}
+		if err := lease.Dec.SetSearchMode(search); err != nil {
+			t.Fatal(err)
+		}
+		lease.Dec.SetParallelism(1)
+
+		fresh, err := NewBeamDecoder(p, exactPinBeam)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.SetSearchMode(search); err != nil {
+			t.Fatal(err)
+		}
+		fresh.SetParallelism(1)
+		freshObs, err := NewObservations(p.NumSegments())
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		_, byPass := awgnPinStream(t, 2)
+		for pass, row := range byPass {
+			for s, y := range row {
+				if err := lease.Obs.Add(SymbolPos{Spine: s, Pass: pass}, y); err != nil {
+					t.Fatal(err)
+				}
+				if err := freshObs.Add(SymbolPos{Spine: s, Pass: pass}, y); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := lease.Dec.Decode(lease.Obs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.Decode(freshObs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Cost != want.Cost || got.NodesExpanded != want.NodesExpanded ||
+				got.NodesRefreshed != want.NodesRefreshed || got.NodesSaved != want.NodesSaved ||
+				!EqualMessages(got.Message, want.Message, p.MessageBits) {
+				t.Fatalf("search %v pass %d: leased diverged from fresh: %+v vs %+v",
+					search, pass, got, want)
+			}
+		}
+		fresh.Close()
+		lease.Release()
 	}
 }

@@ -156,9 +156,6 @@ type SessionConfig struct {
 	// (runtime.GOMAXPROCS); 1 forces the serial path. Results are
 	// bit-identical at any setting.
 	Parallelism int
-	// CostMetric selects the decoder's cost arithmetic: the exact CostFloat64
-	// default, or the quantized CostInt32 metric (see BeamDecoder.SetCostMetric).
-	CostMetric CostMetric
 	// Search selects the decoder's tree-search strategy: the exact beam
 	// search (the zero value) or the approximate mode (see
 	// BeamDecoder.SetSearchMode).
@@ -321,10 +318,6 @@ func sessionDecoder(cfg SessionConfig) (dec *BeamDecoder, lease *LeasedDecoder, 
 			release()
 			return nil, nil, nil, err
 		}
-	}
-	if err := dec.SetCostMetric(cfg.CostMetric); err != nil {
-		release()
-		return nil, nil, nil, err
 	}
 	if err := dec.SetSearchMode(cfg.Search); err != nil {
 		release()

@@ -108,7 +108,6 @@ func frontierAtSNR(cfg SpinalConfig, params core.Params, sched core.Schedule, sn
 			Schedule:    sched,
 			MaxSymbols:  cfg.MaxPasses * params.NumSegments(),
 			Parallelism: trialParallelism(cfg),
-			CostMetric:  cfg.Metric,
 			Search:      sc,
 			Pool:        w.Pool(),
 		}, msg, radio, core.GenieVerifier(msg, cfg.MessageBits))

@@ -63,9 +63,6 @@ func spinalRateOverSpec(cfg SpinalConfig, spec *impair.Spec) (ImpairPoint, error
 		if err != nil {
 			return genieTrial{}, err
 		}
-		if err := lease.Dec.SetCostMetric(cfg.Metric); err != nil {
-			return genieTrial{}, err
-		}
 		if cfg.Workers > 0 {
 			lease.Dec.SetParallelism(cfg.Workers)
 		} else {

@@ -19,15 +19,15 @@ import (
 
 // Flag-name groups shared by the scenario declarations.
 var (
-	codeFlags  = []string{"trials", "beam", "k", "c", "m", "adc", "seed", "mapper", "schedule", "workers", "trial-workers", "metric", "search"}
+	codeFlags  = []string{"trials", "beam", "k", "c", "m", "adc", "seed", "mapper", "schedule", "workers", "trial-workers", "search"}
 	sweepFlags = append([]string{"snr-min", "snr-max", "snr-step"}, codeFlags...)
 	pointFlags = append([]string{"snr"}, codeFlags...)
 )
 
 // spinalConfigFrom maps the generic request knobs onto a SpinalConfig,
 // mirroring the historical spinalsim flag handling: zero-valued knobs keep
-// the Figure 2 defaults. The only error sources are unknown -metric or
-// -search spellings.
+// the Figure 2 defaults. The only error source is an unknown -search
+// spelling.
 func spinalConfigFrom(req sim.Request) (SpinalConfig, error) {
 	cfg := Figure2Config()
 	if req.Trials > 0 {
@@ -59,11 +59,6 @@ func spinalConfigFrom(req sim.Request) (SpinalConfig, error) {
 	}
 	cfg.Workers = req.Workers
 	cfg.TrialWorkers = req.TrialWorkers
-	metric, err := core.ParseCostMetric(req.Metric)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Metric = metric
 	search, err := core.ParseSearchMode(req.Search)
 	if err != nil {
 		return cfg, err
@@ -114,37 +109,6 @@ func init() {
 			}
 			res := sim.NewResult("spinal")
 			res.Add(FormatRateCurve("spinal", pts))
-			return res, nil
-		},
-	})
-	sim.Register(sim.Scenario{
-		Name:        "quantcost",
-		Description: "rate tariff of the quantized int32 cost metric vs exact float64 across the SNR sweep",
-		Flags:       append([]string{"snr-min", "snr-max", "snr-step", "short"}, codeFlags...),
-		Schema:      QuantCostColumns(),
-		Run: func(req sim.Request) (*sim.Result, error) {
-			cfg, err := spinalConfigFrom(req)
-			if err != nil {
-				return nil, err
-			}
-			snrs := snrsFrom(req)
-			if req.Short {
-				if cfg.Trials > 10 {
-					cfg.Trials = 10
-				}
-				snrs = []float64{0, 10, 20}
-			}
-			pts, err := QuantCostComparison(cfg, snrs)
-			if err != nil {
-				return nil, err
-			}
-			res := sim.NewResult("quantcost")
-			res.Add(FormatQuantCost(pts))
-			res.Notef("identical per-trial seeds under both metrics: the tariff isolates the cost arithmetic")
-			if req.Short {
-				res.Notef("effective config: %d trials at %d SNR points (-short caps trials and the sweep)",
-					cfg.Trials, len(snrs))
-			}
 			return res, nil
 		},
 	})

@@ -12,7 +12,7 @@ import (
 var registryNames = []string{
 	"figure2", "spinal", "bounds", "ldpc", "conv", "bsc", "beam", "puncture",
 	"adc", "mapper", "theorem1", "fountain", "harq", "adapt", "fixedrate",
-	"parallel", "multiflow", "quantcost",
+	"parallel", "multiflow",
 	"impairsweep", "churnload", "bakeoff", "frontier", "saturate",
 }
 

@@ -51,10 +51,6 @@ type SpinalConfig struct {
 	// across. Zero means GOMAXPROCS. Results are bit-identical at any
 	// setting.
 	TrialWorkers int
-	// Metric is the decoder cost arithmetic (core.CostFloat64, the exact
-	// default, or core.CostInt32 — the fixed-point metric whose rate
-	// tariff the quantcost scenario measures).
-	Metric core.CostMetric
 	// Search is the decoder's tree-search strategy (the zero value is the
 	// exact beam search; see core.SearchMode). The frontier scenario
 	// measures the work the approximate mode saves.
@@ -206,12 +202,9 @@ func SpinalRateAtSNR(cfg SpinalConfig, snrDB float64) (RatePoint, error) {
 		if err != nil {
 			return genieTrial{}, err
 		}
-		// Validate the metric and search strategy against the decoder once
-		// up front; runGenieTrial re-applies both after every lease.Reset
-		// (which reverts per-lease tuning to the exact defaults).
-		if err := lease.Dec.SetCostMetric(cfg.Metric); err != nil {
-			return genieTrial{}, err
-		}
+		// Validate the search strategy against the decoder once up front;
+		// runGenieTrial re-applies it after every lease.Reset (which reverts
+		// per-lease tuning to the exact defaults).
 		if err := lease.Dec.SetSearchMode(cfg.Search); err != nil {
 			return genieTrial{}, err
 		}
@@ -299,13 +292,10 @@ func runGenieTrialOver(cfg SpinalConfig, params core.Params, sched core.Schedule
 	decodes := func(prefix int) bool {
 		// Reset clears the leased container and bumps its epoch, so every
 		// prefix decodes from the root exactly as a fresh container would.
-		// It also reverts the cost metric and search strategy, so
-		// non-default ones are re-applied (the caller already validated
-		// them against the decoder).
+		// It also reverts the search strategy, so a non-default one is
+		// re-applied (the caller already validated it against the
+		// decoder).
 		lease.Reset()
-		if lease.Dec.SetCostMetric(cfg.Metric) != nil {
-			return false
-		}
 		if lease.Dec.SetSearchMode(cfg.Search) != nil {
 			return false
 		}

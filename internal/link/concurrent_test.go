@@ -262,7 +262,7 @@ func TestReceiverEvictsDeliveredStates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if recv.SymbolsReceived(1) != 0 {
+	if recv.FlowSymbolsReceived(0, 1) != 0 {
 		t.Fatal("delivered state for message 1 still tracked past the grace period")
 	}
 	if recv.TrackedMessages() != 1 { // only message 2 remains
@@ -296,10 +296,10 @@ func TestReceiverCapsTrackedStates(t *testing.T) {
 	if got := recv.TrackedMessages(); got > 3 {
 		t.Fatalf("tracked %d states, cap is 3", got)
 	}
-	if recv.SymbolsReceived(1) != 0 || recv.SymbolsReceived(2) != 0 {
+	if recv.FlowSymbolsReceived(0, 1) != 0 || recv.FlowSymbolsReceived(0, 2) != 0 {
 		t.Fatal("oldest states were not the ones evicted")
 	}
-	if recv.SymbolsReceived(5) == 0 {
+	if recv.FlowSymbolsReceived(0, 5) == 0 {
 		t.Fatal("newest state was evicted instead of the oldest")
 	}
 

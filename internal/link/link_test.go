@@ -2,6 +2,7 @@ package link
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -43,7 +44,28 @@ func runReceiver(t *testing.T, r *Receiver, stop <-chan struct{}) (<-chan Delive
 	return out, &wg
 }
 
+// waitGoroutines polls until the goroutine count falls back to want, failing
+// the test if it is still above it after a generous grace period.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		got := runtime.NumGoroutine()
+		if got <= want {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines still running after Close, want %d:\n%s", got, want, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestLinkTransferNoiseless also checks that Close stops every goroutine the
+// receiver started.
 func TestLinkTransferNoiseless(t *testing.T) {
+	before := runtime.NumGoroutine()
 	a, b, err := NewPipePair(0, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -80,6 +102,8 @@ func TestLinkTransferNoiseless(t *testing.T) {
 	close(stop)
 	a.Close()
 	wg.Wait()
+	receiver.Close()
+	waitGoroutines(t, before)
 }
 
 func TestLinkTransferOverAWGN(t *testing.T) {
@@ -132,6 +156,7 @@ func TestLinkTransferOverAWGN(t *testing.T) {
 	close(stop)
 	a.Close()
 	wg.Wait()
+	receiver.Close()
 }
 
 func TestLinkTransferWithFrameLossAndNoise(t *testing.T) {
@@ -171,6 +196,7 @@ func TestLinkTransferWithFrameLossAndNoise(t *testing.T) {
 	close(stop)
 	a.Close()
 	wg.Wait()
+	receiver.Close()
 }
 
 func TestLinkRateTracksChannelQuality(t *testing.T) {
@@ -199,6 +225,7 @@ func TestLinkRateTracksChannelQuality(t *testing.T) {
 			close(stop)
 			a.Close()
 			wg.Wait()
+			receiver.Close()
 		}()
 		payload := bytes.Repeat([]byte("rate probe "), 4)
 		report, err := sender.Send(7, payload)
@@ -253,6 +280,7 @@ func TestLinkGivesUpOnDeadChannel(t *testing.T) {
 	close(stop)
 	a.Close()
 	wg.Wait()
+	receiver.Close()
 }
 
 func TestSenderValidation(t *testing.T) {
@@ -295,6 +323,7 @@ func TestReceiverValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer r.Close()
 	// Malformed and mismatched frames must be dropped, not crash the loop.
 	if _, err := r.HandleFrame([]byte{frameMagic, typeData, 0}); err == nil {
 		t.Error("truncated frame accepted")
@@ -317,7 +346,7 @@ func TestReceiverValidation(t *testing.T) {
 	if _, err := r.HandleFrame(buf); err == nil {
 		t.Error("out-of-range start index accepted")
 	}
-	if got := r.SymbolsReceived(123); got != 0 {
-		t.Errorf("SymbolsReceived for unknown message = %d", got)
+	if got := r.FlowSymbolsReceived(0, 123); got != 0 {
+		t.Errorf("FlowSymbolsReceived for unknown message = %d", got)
 	}
 }

@@ -555,15 +555,10 @@ func (r *Receiver) stateFor(v *FrameView) (*msgState, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Release resets leased decoders to the float64 default, so the metric
-	// is (re)applied on every lease.
-	if err := lease.Dec.SetCostMetric(r.cfg.CostMetric); err != nil {
-		lease.Release()
-		return nil, err
-	}
-	// Likewise for the search strategy: leases come back exact, so the
-	// configured base strategy is installed here. Under AdaptiveSearch the
-	// engine may override it per attempt from budget pressure.
+	// Release resets leased decoders to the exact search, so the
+	// configured base strategy is installed on every lease. Under
+	// AdaptiveSearch the engine may override it per attempt from budget
+	// pressure.
 	if err := lease.Dec.SetSearchMode(r.cfg.Search); err != nil {
 		lease.Release()
 		return nil, err
@@ -744,10 +739,6 @@ func (r *Receiver) FlowSymbolsReceived(flowID, msgID uint32) int {
 	return 0
 }
 
-// SymbolsReceived is FlowSymbolsReceived for flow 0, the implicit flow of
-// v0 point-to-point links.
-func (r *Receiver) SymbolsReceived(msgID uint32) int { return r.FlowSymbolsReceived(0, msgID) }
-
 // FlowNodesExpanded reports the total decoding-tree nodes freshly expanded
 // across all decode attempts for a message of a flow — the receiver's
 // computational cost for the packet. With the incremental decoder this stays
@@ -765,9 +756,6 @@ func (r *Receiver) FlowNodesExpanded(flowID, msgID uint32) int64 {
 	}
 	return 0
 }
-
-// NodesExpanded is FlowNodesExpanded for flow 0.
-func (r *Receiver) NodesExpanded(msgID uint32) int64 { return r.FlowNodesExpanded(0, msgID) }
 
 // TrackedMessages reports how many per-message decoding states the receiver
 // currently retains across all flows.

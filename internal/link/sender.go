@@ -118,17 +118,12 @@ type Config struct {
 	// receiver's Receive loop, so it needs no timer goroutine. Zero
 	// disables idle expiry.
 	IdleExpiry time.Duration
-	// CostMetric selects the receiver decoders' cost arithmetic: the exact
-	// float64 default or the quantized int32 metric
-	// (core.BeamDecoder.SetCostMetric). Receiver-local — it does not need
-	// to match the sender.
-	CostMetric core.CostMetric
 	// Search selects the receiver decoders' tree-search strategy: the exact
 	// beam search (the zero value) or the approximate mode
-	// (core.BeamDecoder.SetSearchMode). Receiver-local, like CostMetric —
-	// the CRC guards delivery, so an approximate decode can never deliver a
-	// wrong payload. When AdaptiveSearch is set this is only the baseline
-	// for unpressured flows.
+	// (core.BeamDecoder.SetSearchMode). Receiver-local — it does not need
+	// to match the sender, and the CRC guards delivery, so an approximate
+	// decode can never deliver a wrong payload. When AdaptiveSearch is set
+	// this is only the baseline for unpressured flows.
 	Search core.SearchMode
 	// AdaptiveSearch lets the receiver pick each flow's search strategy
 	// from decode-budget pressure: flows whose attempts are being deferred

@@ -59,10 +59,6 @@ type Request struct {
 	// fewer flows/messages/rounds, tuned so CI smoke jobs finish quickly.
 	// Scenarios that declare the flag scale down; the rest ignore it.
 	Short bool
-	// Metric names the decoder cost metric (-metric): "float64" (default)
-	// or "int32" (core.ParseCostMetric spellings). Scenarios that declare
-	// the flag pass it to their decoders; the rest ignore it.
-	Metric string
 	// Search names the decoder search strategy (-search): "exact"
 	// (default) or "approx" (core.ParseSearchMode spellings). Scenarios
 	// that declare the flag pass it to their decoders; the rest ignore it.

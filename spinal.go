@@ -77,12 +77,6 @@ type Config struct {
 	// path. Decoding results are bit-identical at any setting — the knob
 	// trades goroutines for wall-clock time only.
 	Workers int
-	// CostMetric selects the decoder's cost arithmetic: CostFloat64 (the
-	// exact default) or CostInt32, which folds path costs on a fixed-point
-	// grid with saturating adds — the arithmetic a hardware decoder would
-	// ship — for a small, measured rate tariff (see the `quantcost`
-	// scenario). Requires one of the built-in (table-backed) mappers.
-	CostMetric CostMetric
 	// Search selects the decoder's tree-search strategy: the exact beam
 	// search (the zero value, bit-identical to the decoder before the
 	// approximate mode existed) or SearchApprox, which caps the breadth of
@@ -91,20 +85,6 @@ type Config struct {
 	// Parse CLI spellings with ParseSearchMode.
 	Search SearchMode
 }
-
-// CostMetric selects the decoder's cost arithmetic; see Config.CostMetric.
-type CostMetric = core.CostMetric
-
-const (
-	// CostFloat64 is the exact float64 metric (the default).
-	CostFloat64 = core.CostFloat64
-	// CostInt32 is the quantized fixed-point metric.
-	CostInt32 = core.CostInt32
-)
-
-// ParseCostMetric resolves the CLI spelling of a cost metric ("float64" or
-// "int32"; the empty string selects the default).
-func ParseCostMetric(s string) (CostMetric, error) { return core.ParseCostMetric(s) }
 
 // SearchMode selects the decoder's tree-search strategy; see Config.Search.
 type SearchMode = core.SearchMode
@@ -326,12 +306,8 @@ func (p *DecoderPool) Lease(c *Code) (*Decoder, error) {
 	// Always set parallelism: a cached decoder carries its previous
 	// lessee's setting, and Workers == 0 must mean the fresh-decoder
 	// default (GOMAXPROCS), not whatever came before. (Release resets the
-	// cost metric and search strategy to their defaults, so only
-	// non-default values need applying here.)
-	if err := lease.Dec.SetCostMetric(c.cfg.CostMetric); err != nil {
-		lease.Release()
-		return nil, err
-	}
+	// search strategy to its default, so only a non-default value needs
+	// applying here.)
 	if err := lease.Dec.SetSearchMode(c.cfg.Search); err != nil {
 		lease.Release()
 		return nil, err
@@ -364,9 +340,6 @@ type Decoder struct {
 func (c *Code) NewDecoder() (*Decoder, error) {
 	dec, err := core.NewBeamDecoder(c.params, c.cfg.BeamWidth)
 	if err != nil {
-		return nil, err
-	}
-	if err := dec.SetCostMetric(c.cfg.CostMetric); err != nil {
 		return nil, err
 	}
 	if err := dec.SetSearchMode(c.cfg.Search); err != nil {
@@ -476,7 +449,6 @@ func (c *Code) sessionConfig(message []byte, verify func([]byte) bool, maxSymbol
 		Schedule:    sched,
 		MaxSymbols:  maxSymbols,
 		Parallelism: c.cfg.Workers,
-		CostMetric:  c.cfg.CostMetric,
 		Search:      c.cfg.Search,
 	}, core.Verifier(verify), nil
 }
