@@ -31,10 +31,10 @@ type Mapper interface {
 
 // TableMapper is implemented by mappers whose two dimensions are mapped
 // independently through a shared per-dimension coordinate table, i.e.
-// Map(word) == complex(tab[word>>c&mask], tab[word&mask]). Every mapper in
-// this package qualifies; the beam decoder uses the table to replace the
-// per-symbol interface call in its cost fold with two array loads, and to
-// derive the integer symbol grid of its quantized cost metric.
+// Map(word) == complex(tab[word>>c&mask], tab[word&mask]) with a table of
+// 2^c entries. Every mapper in this package qualifies; the beam decoder uses
+// the table to replace the per-symbol interface call in its cost fold with
+// two array loads.
 type TableMapper interface {
 	Mapper
 	// DimTable returns the per-dimension coordinate table, indexed by the

@@ -51,10 +51,10 @@ type BeamDecoder struct {
 	maxCand int
 	family  hash.Family
 	mapper  constellation.Mapper
-	// dimTab is the mapper's per-dimension coordinate table (nil for custom
-	// mappers that do not expose one). The cost folds use it to replace the
-	// per-symbol Mapper.Map interface call with two array loads — the same
-	// float64 values, so decodes are unchanged.
+	// dimTab is the mapper's per-dimension coordinate table of 2^c entries
+	// (nil for custom mappers that do not expose one). The cost folds use it
+	// to replace the per-symbol Mapper.Map interface call with two array
+	// loads — the same float64 values, so decodes are unchanged.
 	dimTab  []float64
 	workers int
 	// search is the tree-search strategy (see search.go); the zero value is
@@ -133,7 +133,7 @@ func newBeamDecoder(p Params, beamWidth, maxCand int) (*BeamDecoder, error) {
 		mapper:  mapper,
 		workers: runtime.GOMAXPROCS(0),
 	}
-	if tm, ok := mapper.(constellation.TableMapper); ok {
+	if tm, ok := mapper.(constellation.TableMapper); ok && len(tm.DimTable()) == 1<<p.C {
 		d.dimTab = tm.DimTable()
 	}
 	d.eng = newEngine(d)
@@ -239,27 +239,54 @@ func (d *BeamDecoder) DecodeBits(obs *BitObservations) (*DecodeResult, error) {
 	return out, nil
 }
 
+// foldChunk is the number of spines the cost kernels walk together. A
+// chunk's expansion words live in a stack buffer of this size, so a fold
+// allocates nothing.
+const foldChunk = 64
+
+// noWord marks a chunk whose word buffer holds no expansion word yet; word
+// indices are 32-bit, so it matches none.
+const noWord = ^uint64(0)
+
+// replayWords sets w[j] to word idx of the expansion of spines[j]: one loop
+// of independent hash chains, which the CPU overlaps.
+func replayWords(w []uint64, fam hash.Family, spines []uint64, idx uint32) {
+	spines = spines[:len(w)]
+	for j, s := range spines {
+		w[j] = fam.Word(s, idx)
+	}
+}
+
 // awgnCoster is the exact float64 squared-Euclidean metric for AWGN
-// observations. prepareLevel stages the level's observations as flat
-// coordinate/bit-offset arrays so the sharded cost folds run over dense
-// float64 slices, and the fold extracts each pass's 2c coded bits from a
-// hash word cached in registers, recomputing it only when the word index
-// changes (passes read the expansion in ascending order, so that is once per
-// 64 bits). When the mapper exposes its per-dimension table the fold reads
-// symbol coordinates straight from it — two array loads instead of an
-// interface call. All of it is value-preserving: the same hash words, the
-// same table float64s, the same add order, so this path computes
-// bit-identical costs to the plain symbolFor replay it descends from.
+// observations. prepareLevel stages the level's received coordinates and
+// the bit offset 2c·pass at which each pass reads the spine expansion,
+// computed in 64 bits exactly as the encoder's BitRange computes it.
+//
+// costTailMany is observation-major: it walks its spines in chunks of
+// foldChunk, and for each observation it runs one loop over the chunk that
+// extracts every spine's 2c-bit symbol word from the chunk's expansion
+// words and adds the observation's term dI²+dQ² to that spine's sum. The
+// expansion words are recomputed only when the observation's word index
+// changes (passes read the expansion in ascending order, so about once per
+// 64 bits); a pass that straddles two words has its own loop, which also
+// advances them to the next word. Each loop runs over independent spines,
+// so hash replay, table loads and adds of different spines overlap instead
+// of waiting on one another, as they would in a walk of one spine through
+// all its observations. Every spine still receives its terms one at a time
+// in recording order, starting from zero or from its cached sum, so each
+// cost has exactly the bits of the sequential symbolFor replay. With the
+// mapper's per-dimension table a symbol costs two array loads; a custom
+// mapper without one goes through Mapper.Map.
 type awgnCoster struct {
 	d   *BeamDecoder
 	obs *Observations
 	tab []float64
 
 	// Per-level scratch staged by prepareLevel: received coordinates and the
-	// starting bit offset of each observation's pass in the spine expansion.
+	// bit offset of each observation's pass in the spine expansion.
 	yI     []float64
 	yQ     []float64
-	starts []uint32
+	starts []uint
 }
 
 func (c *awgnCoster) numObs(level int) int { return len(c.obs.spines[level]) }
@@ -270,97 +297,94 @@ func (c *awgnCoster) prepareLevel(level int) {
 	c.yI = sized(c.yI, n)
 	c.yQ = sized(c.yQ, n)
 	c.starts = sized(c.starts, n)
+	width := 2 * c.d.p.C
 	for i := range obs {
 		c.yI[i] = real(obs[i].y)
 		c.yQ[i] = imag(obs[i].y)
-		c.starts[i] = uint32(2 * c.d.p.C * obs[i].pass)
+		c.starts[i] = uint(width * obs[i].pass)
 	}
-}
-
-// costTail is the scalar fold; the decoder's hot paths go through
-// costTailMany, this exists for in-package oracles and tests.
-func (c *awgnCoster) costTail(local float64, spine uint64, level, from int) float64 {
-	loc := [1]float64{local}
-	sp := [1]uint64{spine}
-	c.costTailMany(loc[:], sp[:], level, from)
-	return loc[0]
 }
 
 func (c *awgnCoster) costTailMany(locals []float64, spines []uint64, level, from int) {
-	n := len(c.starts)
-	if from >= n {
-		if from == 0 {
-			clear(locals) // an empty full fold still owns the output
-		}
+	if from == 0 {
+		clear(locals) // a full fold owns its output
+	}
+	if from >= len(c.starts) {
 		return
 	}
-	tab := c.tab
-	if tab == nil {
-		// Custom mapper without a dimension table: replay through the Mapper
-		// interface, still with word-level memoization of the expansion.
-		width := uint(2 * c.d.p.C)
-		var ex hash.Expander
-		for j, spine := range spines {
-			ex.Reset(c.d.family, spine)
-			var local float64
-			if from > 0 {
-				local = locals[j]
-			}
-			for i := from; i < n; i++ {
-				x := c.d.mapper.Map(uint32(ex.BitRange(uint(c.starts[i]), width)))
-				dI := c.yI[i] - real(x)
-				dQ := c.yQ[i] - imag(x)
-				local += dI*dI + dQ*dQ
-			}
-			locals[j] = local
-		}
-		return
+	var w [foldChunk]uint64
+	for lo := 0; lo < len(spines); lo += foldChunk {
+		hi := min(lo+foldChunk, len(spines))
+		c.foldChunk(locals[lo:hi], spines[lo:hi], w[:hi-lo], from)
 	}
+}
+
+// foldChunk adds the terms of observations from.. to the sums loc of one
+// chunk of spines, with w as the chunk's expansion-word buffer.
+func (c *awgnCoster) foldChunk(loc []float64, spines, w []uint64, from int) {
+	loc, spines = loc[:len(w)], spines[:len(w)]
+	fam, mapper, tab := c.d.family, c.d.mapper, c.tab
+	m := uint(len(tab) - 1) // len(tab) == 2^c, so m masks one dimension
 	cc := uint(c.d.p.C)
-	mask := uint32(1)<<cc - 1
-	width := uint32(2 * c.d.p.C)
-	wmask := uint32(uint64(1)<<width - 1)
-	fam := c.d.family
-	starts := c.starts[from:n]
-	yI := c.yI[from:n]
-	yQ := c.yQ[from:n:n]
-	for j, spine := range spines {
-		var local float64
-		if from > 0 {
-			local = locals[j]
+	width := 2 * cc
+	wmask := uint64(1)<<width - 1
+	wi := noWord // index of the expansion word held in w
+	for i := from; i < len(c.starts); i++ {
+		start := c.starts[i]
+		idx, off := uint32(start/64), start%64
+		if uint64(idx) != wi {
+			replayWords(w, fam, spines, idx)
+			wi = uint64(idx)
 		}
-		wi := ^uint32(0) // cached word index; all-ones is never valid here
-		var w uint64
-		for i, start := range starts {
-			idx := start >> 6
-			off := start & 63
-			if idx != wi {
-				w = fam.Word(spine, idx)
-				wi = idx
+		// Shift counts are masked to 63, so the compiler emits bare shifts;
+		// a non-empty table lets it drop the bounds checks on its loads.
+		yI, yQ := c.yI[i], c.yQ[i]
+		if off+width <= 64 {
+			sh := (64 - off - width) & 63
+			for j, x := range w {
+				s := uint32(x >> sh & wmask)
+				var dI, dQ float64
+				if len(tab) != 0 {
+					dI = yI - tab[uint(s>>(cc&31))&m]
+					dQ = yQ - tab[uint(s)&m]
+				} else {
+					p := mapper.Map(s)
+					dI, dQ = yI-real(p), yQ-imag(p)
+				}
+				loc[j] += dI*dI + dQ*dQ
 			}
-			var word uint32
-			if off+width <= 64 {
-				word = uint32(w>>(64-off-width)) & wmask
-			} else {
-				// The range straddles into the next word; advance the cache
-				// to it, since later passes start there.
-				hiBits := 64 - off
-				loBits := width - hiBits
-				hi := w & (uint64(1)<<hiBits - 1)
-				w = fam.Word(spine, idx+1)
-				wi = idx + 1
-				word = uint32(hi<<loBits | w>>(64-loBits))
+		} else {
+			// The pass straddles into the next word; advance the chunk's
+			// words to it, since later passes start there.
+			hiBits := 64 - off
+			loBits := (width - hiBits) & 63
+			loShift := (64 - loBits) & 63
+			hiMask := uint64(1)<<hiBits - 1
+			next := idx + 1
+			wi = uint64(next)
+			for j, sp := range spines {
+				hi := w[j] & hiMask
+				x := fam.Word(sp, next)
+				w[j] = x
+				s := uint32(hi<<loBits | x>>loShift)
+				var dI, dQ float64
+				if len(tab) != 0 {
+					dI = yI - tab[uint(s>>(cc&31))&m]
+					dQ = yQ - tab[uint(s)&m]
+				} else {
+					p := mapper.Map(s)
+					dI, dQ = yI-real(p), yQ-imag(p)
+				}
+				loc[j] += dI*dI + dQ*dQ
 			}
-			dI := yI[i] - tab[word>>cc&mask]
-			dQ := yQ[i] - tab[word&mask]
-			local += dI*dI + dQ*dQ
 		}
-		locals[j] = local
 	}
 }
 
 // bscCoster is the exact Hamming metric for binary-channel observations,
-// with the same hash-word memoization as the AWGN fold.
+// folded observation-major like the AWGN metric: pass p's coded bit is bit
+// p%64 (MSB-first) of word p/64 of the expansion, and for each observation
+// the chunk's words are recomputed only when that word index changes.
 type bscCoster struct {
 	d   *BeamDecoder
 	obs *BitObservations
@@ -371,34 +395,32 @@ func (c *bscCoster) numObs(level int) int { return len(c.obs.spines[level]) }
 func (c *bscCoster) prepareLevel(level int) {}
 
 func (c *bscCoster) costTailMany(locals []float64, spines []uint64, level, from int) {
+	if from == 0 {
+		clear(locals) // a full fold owns its output
+	}
 	obs := c.obs.spines[level]
 	if from >= len(obs) {
-		if from == 0 {
-			clear(locals) // an empty full fold still owns the output
-		}
 		return
 	}
-	fam := c.d.family
 	tail := obs[from:]
-	for j, spine := range spines {
-		var local float64
-		if from > 0 {
-			local = locals[j]
-		}
-		wi := ^uint32(0)
-		var w uint64
+	fam := c.d.family
+	var w [foldChunk]uint64
+	for lo := 0; lo < len(spines); lo += foldChunk {
+		hi := min(lo+foldChunk, len(spines))
+		ws, loc, sp := w[:hi-lo], locals[lo:hi], spines[lo:hi]
+		loc = loc[:len(ws)]
+		wi := noWord
 		for i := range tail {
-			// One coded bit per pass: bit p is bit p%64 (MSB-first) of word
-			// p/64 of the expansion.
-			p := uint32(tail[i].pass)
-			if idx := p >> 6; idx != wi {
-				w = fam.Word(spine, idx)
-				wi = idx
+			p := uint(tail[i].pass)
+			if idx := uint32(p / 64); uint64(idx) != wi {
+				replayWords(ws, fam, sp, idx)
+				wi = uint64(idx)
 			}
-			if byte(w>>(63-p&63))&1 != tail[i].bit {
-				local++
+			// A mismatch adds 1, a match adds 0: the same sums as counting.
+			sh, bit := 63-p%64, uint64(tail[i].bit)
+			for j, x := range ws {
+				loc[j] += float64(x>>sh&1 ^ bit)
 			}
 		}
-		locals[j] = local
 	}
 }
