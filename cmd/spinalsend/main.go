@@ -11,6 +11,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -27,26 +28,38 @@ func main() {
 	passes := flag.Int("max-passes", 60, "give-up bound in encoding passes")
 	flow := flag.Uint64("flow", 0,
 		"flow identity carried in every frame so one receiver can serve many senders (0 = derive from the process id)")
-	legacy := flag.Bool("v0", false, "emit legacy v0 frames (no flow id) for pre-flow receivers")
 	flush := flag.Int("flush", 0,
 		"data frames coalesced into one sendmmsg-style batched transmit (0 = default, 1 = frame per send)")
 	deadline := flag.Duration("deadline", 0,
 		"wall-clock budget per packet: give up with a deadline error instead of transmitting forever (0 = no deadline)")
 	flag.Parse()
 
-	flowID := uint32(*flow)
-	if flowID == 0 && !*legacy {
-		// Distinct concurrent spinalsend processes get distinct flows without
-		// any coordination.
-		flowID = uint32(os.Getpid())
+	flowID, err := resolveFlow(*flow, os.Getpid())
+	if err == nil {
+		err = send(*to, *local, *text, *file, *repeat, *chunk, *passes, flowID, *flush, *deadline)
 	}
-	if err := send(*to, *local, *text, *file, *repeat, *chunk, *passes, flowID, *legacy, *flush, *deadline); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "spinalsend:", err)
 		os.Exit(1)
 	}
 }
 
-func send(to, local, text, file string, repeat, chunk, passes int, flowID uint32, legacy bool, flush int, deadline time.Duration) error {
+// resolveFlow turns the -flow value into the flow id carried on the wire.
+// Zero derives the flow from the process id, so distinct concurrent
+// spinalsend processes get distinct flows without any coordination. A value
+// that does not fit the 32-bit wire field is an error, not a silent wrap
+// onto some other flow.
+func resolveFlow(flow uint64, pid int) (uint32, error) {
+	if flow > math.MaxUint32 {
+		return 0, fmt.Errorf("-flow %d exceeds the 32-bit flow id (max %d)", flow, uint32(math.MaxUint32))
+	}
+	if flow == 0 {
+		return uint32(pid), nil
+	}
+	return uint32(flow), nil
+}
+
+func send(to, local, text, file string, repeat, chunk, passes int, flowID uint32, flush int, deadline time.Duration) error {
 	if text == "" && file == "" {
 		return fmt.Errorf("nothing to send: pass -text or -file")
 	}
@@ -78,14 +91,10 @@ func send(to, local, text, file string, repeat, chunk, passes int, flowID uint32
 		return err
 	}
 	defer tr.Close()
-	if legacy {
-		flowID = 0
-	}
 	sender, err := link.NewSender(tr, link.Config{
 		MaxPasses:    passes,
 		AckPoll:      2 * time.Millisecond,
 		FlowID:       flowID,
-		LegacyV0:     legacy,
 		FlushFrames:  flush,
 		SendDeadline: deadline,
 	})

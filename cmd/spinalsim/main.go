@@ -12,7 +12,7 @@
 //	spinalsim -exp figure2 -snr-step 5 -trials 100
 //	spinalsim -exp bsc -json | jq '.tables[0].rows'
 //	spinalsim -exp beam -snr 10
-//	spinalsim -exp multiflow -csv
+//	spinalsim -exp saturate -csv
 //
 // Pass -csv for comma-separated values or -json for machine-readable output.
 package main
@@ -72,7 +72,7 @@ func run(args []string, out io.Writer) error {
 	fs.Float64Var(&opt.snrMin, "snr-min", -10, "sweep start (dB)")
 	fs.Float64Var(&opt.snrMax, "snr-max", 40, "sweep end (dB)")
 	fs.Float64Var(&opt.snrStep, "snr-step", 5, "sweep step (dB)")
-	fs.Float64Var(&opt.snr, "snr", 10, "single SNR (dB) for beam/adc/multiflow/saturate experiments")
+	fs.Float64Var(&opt.snr, "snr", 10, "single SNR (dB) for beam/adc/saturate experiments")
 	fs.IntVar(&opt.trials, "trials", 100, "messages per spinal data point")
 	fs.IntVar(&opt.frames, "frames", 60, "frames per LDPC/convolutional/HARQ data point")
 	fs.IntVar(&opt.beam, "beam", 16, "decoder beam width B")

@@ -64,12 +64,12 @@ func TestRunUnknownExperiment(t *testing.T) {
 // registered name must surface the intended scenario.
 func TestRunUnknownExperimentSuggests(t *testing.T) {
 	var out strings.Builder
-	err := run([]string{"-exp", "multifow"}, &out)
+	err := run([]string{"-exp", "chaossok"}, &out)
 	if err == nil {
 		t.Fatal("typoed experiment accepted")
 	}
-	if !strings.Contains(err.Error(), `"multiflow"`) {
-		t.Fatalf("error %q does not suggest multiflow", err.Error())
+	if !strings.Contains(err.Error(), `"chaossoak"`) {
+		t.Fatalf("error %q does not suggest chaossoak", err.Error())
 	}
 }
 
@@ -79,7 +79,7 @@ func TestRunList(t *testing.T) {
 	if err := run([]string{"-exp", "list"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"figure2", "spinal", "bsc", "multiflow", "parallel", "description"} {
+	for _, want := range []string{"figure2", "spinal", "bsc", "saturate", "chaossoak", "description"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("list output missing %q:\n%s", want, out.String())
 		}
@@ -148,18 +148,6 @@ func TestRunJSONResult(t *testing.T) {
 	// JSON mode must emit nothing but the JSON document.
 	if strings.Contains(out.String(), "# completed") {
 		t.Fatal("JSON output polluted by the completion comment")
-	}
-}
-
-func TestRunMultiFlow(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-exp", "multiflow", "-snr", "18", "-trials", "1"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"flows", "goodput_bps", "fairness"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("multiflow output missing %q:\n%s", want, out.String())
-		}
 	}
 }
 

@@ -177,60 +177,6 @@ func FormatFountain(pts []OverheadPoint) *sim.Table {
 	return t
 }
 
-// ParallelColumns is the point schema of the parallel-decode scaling sweep.
-func ParallelColumns() []sim.Column {
-	return []sim.Column{
-		sim.Col("workers", "%d"),
-		sim.Col("B", "%d"),
-		sim.VolatileCol("elapsed_ms", "%.1f"),
-		sim.VolatileCol("speedup", "%.2f"),
-		sim.Col("nodes", "%d"),
-		sim.VolatileCol("nodes_per_sec", "%.3g"),
-		sim.Col("delivered", "%d"),
-		sim.Col("trials", "%d"),
-	}
-}
-
-// FormatParallel renders a parallel-decode scaling sweep.
-func FormatParallel(points []ParallelDecodePoint) *sim.Table {
-	t := sim.NewTable("", ParallelColumns()...)
-	for _, p := range points {
-		t.AddRow(p.Workers, p.BeamWidth, float64(p.Elapsed.Microseconds())/1000,
-			p.Speedup, p.NodesExpanded, p.NodesPerSec, p.Delivered, p.Trials)
-	}
-	return t
-}
-
-// MultiFlowColumns is the point schema of the multi-flow scaling sweep.
-// Everything downstream of wall-clock scheduling (timings, goodput, pool
-// traffic, the symbols counted at delivery time) is volatile; the delivered
-// count and the flow/message axes are reproducible.
-func MultiFlowColumns() []sim.Column {
-	return []sim.Column{
-		sim.Col("flows", "%d"),
-		sim.Col("msgs", "%d"),
-		sim.Col("delivered", "%d"),
-		sim.VolatileCol("elapsed_ms", "%.1f"),
-		sim.VolatileCol("goodput_bps", "%.3g"),
-		sim.VolatileCol("speedup", "%.2f"),
-		sim.VolatileCol("rate", "%.2f"),
-		sim.VolatileCol("fairness", "%.3f"),
-		sim.VolatileCol("pool_hit", "%d"),
-		sim.VolatileCol("pool_miss", "%d"),
-	}
-}
-
-// FormatMultiFlow renders a multi-flow scaling sweep.
-func FormatMultiFlow(points []MultiFlowPoint) *sim.Table {
-	t := sim.NewTable("", MultiFlowColumns()...)
-	for _, p := range points {
-		t.AddRow(p.Flows, p.Flows*p.MessagesPerFlow, p.Delivered,
-			float64(p.Elapsed.Microseconds())/1000, p.GoodputBitsPerSec,
-			p.Speedup, p.AggregateRate, p.Fairness, p.PoolHits, p.PoolMisses)
-	}
-	return t
-}
-
 // AdaptationColumns is the point schema of the adaptation comparison.
 func AdaptationColumns() []sim.Column {
 	return []sim.Column{
@@ -270,32 +216,6 @@ func FormatFixedRate(pts []FixedRatePoint) *sim.Table {
 	t := sim.NewTable("", FixedRateColumns()...)
 	for _, p := range pts {
 		t.AddRow(p.SNRdB, p.Passes, p.Rate, p.Throughput, p.FER, p.RatelessRate)
-	}
-	return t
-}
-
-// WireSoakColumns is the point schema of the wire-path soak.
-func WireSoakColumns() []sim.Column {
-	return []sim.Column{
-		sim.Col("mode", "%s"),
-		sim.Col("flows", "%d"),
-		sim.Col("frames", "%d"),
-		sim.Col("delivered", "%d"),
-		sim.Col("acks", "%d"),
-		sim.VolatileCol("elapsed_ms", "%.2f"),
-		sim.VolatileCol("frames_per_sec", "%.0f"),
-		sim.VolatileCol("allocs_per_frame", "%.4f"),
-		sim.VolatileCol("p99_rtt_us", "%.1f"),
-	}
-}
-
-// FormatWireSoak renders the wire-path soak.
-func FormatWireSoak(pts []WireSoakPoint) *sim.Table {
-	t := sim.NewTable("", WireSoakColumns()...)
-	for _, p := range pts {
-		t.AddRow(p.Mode, p.Flows, p.Frames, p.Delivered, p.Acks,
-			float64(p.Elapsed.Microseconds())/1000, p.FramesPerSec,
-			p.AllocsPerFrame, float64(p.P99RTT.Nanoseconds())/1000)
 	}
 	return t
 }

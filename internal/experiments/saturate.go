@@ -33,7 +33,7 @@ type SaturatePoint struct {
 	Elapsed time.Duration
 	// GoodputBitsPerSec is delivered payload bits per wall-clock second.
 	GoodputBitsPerSec float64
-	// Fairness is Jain's index over per-flow goodputs (see multiflow).
+	// Fairness is Jain's index over per-flow goodputs (see flowRates).
 	Fairness float64
 	// Deferrals counts decode-scheduler decisions that skipped an
 	// over-budget flow; under adaptive search they double as the pressure
@@ -91,7 +91,7 @@ func SaturateComparison(cfg SpinalConfig, snrDB float64, flows, messagesPerFlow 
 }
 
 // saturateRun replays the precomputed frames through one receiver mode. The
-// send loop is the multiflow round-robin: each live flow offers one frame
+// send loop is a round-robin: each live flow offers one frame
 // per round, deliveries are drained between rounds, and a flow advances to
 // its next message on delivery or budget exhaustion.
 func saturateRun(cfg SpinalConfig, snrDB float64, msgs [][]*mfMessage, payloadLen int, budget int64, adaptive bool) (SaturatePoint, error) {

@@ -395,63 +395,6 @@ func init() {
 		},
 	})
 	sim.Register(sim.Scenario{
-		Name:        "parallel",
-		Description: "parallel beam-decode scaling across decoder worker counts (bit-identical decodes)",
-		Flags:       codeFlags,
-		Schema:      ParallelColumns(),
-		Run: func(req sim.Request) (*sim.Result, error) {
-			cfg, err := spinalConfigFrom(req)
-			if err != nil {
-				return nil, err
-			}
-			cfg.Schedule = "sequential" // the natural low-SNR operating point
-			cfg.Trials = capTrials(req.Trials, 20)
-			pts, err := ParallelDecodeComparison(cfg, 0, []int{1, 2, 4, 8})
-			if err != nil {
-				return nil, err
-			}
-			res := sim.NewResult("parallel")
-			res.Notef("parallel decode scaling at 0 dB (bit-identical decodes, wall-clock only)")
-			res.Notef("effective config: %d trials, %s schedule, B=%d (this experiment fixes the schedule and bounds trials)",
-				cfg.Trials, cfg.Schedule, cfg.BeamWidth)
-			res.Add(FormatParallel(pts))
-			return res, nil
-		},
-	})
-	sim.Register(sim.Scenario{
-		Name:        "multiflow",
-		Description: "flow-multiplexed link engine: goodput, fairness and pool reuse as flows grow",
-		Flags:       append([]string{"snr"}, codeFlags...),
-		Schema:      MultiFlowColumns(),
-		Run: func(req sim.Request) (*sim.Result, error) {
-			cfg, err := spinalConfigFrom(req)
-			if err != nil {
-				return nil, err
-			}
-			if req.K == 0 || req.K == 8 {
-				// The -k default; many concurrent decodes make k=8 slow, so
-				// this experiment runs k=4 unless -k selects something else.
-				cfg.K = 4
-			}
-			snr := req.SNR
-			msgs := 4
-			if req.Trials > 0 && req.Trials < 100 {
-				msgs = req.Trials // let -trials scale messages per flow
-			}
-			pts, err := MultiFlowComparison(cfg, snr, []int{1, 4, 16, 64}, msgs)
-			if err != nil {
-				return nil, err
-			}
-			res := sim.NewResult("multiflow")
-			res.Notef("flow-multiplexed link engine at %.1f dB: aggregate goodput, per-flow fairness, decoder-pool reuse", snr)
-			res.Notef("every delivered payload is verified bit-identical to a dedicated single-flow receiver")
-			res.Notef("effective config: k=%d, %d messages per flow (this experiment defaults k to 4; pass -k to override)",
-				cfg.K, msgs)
-			res.Add(FormatMultiFlow(pts))
-			return res, nil
-		},
-	})
-	sim.Register(sim.Scenario{
 		Name:        "frontier",
 		Description: "approximate-search frontier: rate vs nodes expanded for exact/approx on identical seeds",
 		Flags:       append([]string{"snr-min", "snr-max", "snr-step", "short"}, codeFlags...),
@@ -523,33 +466,6 @@ func init() {
 			res.Notef("gate: adaptive goodput should beat all-exact with Jain fairness within 5%% (wall-clock dependent; CRC keeps approximate decodes safe)")
 			res.Notef("effective config: k=%d (this experiment defaults k to 4; pass -k to override)", cfg.K)
 			res.Add(FormatSaturate(pts))
-			return res, nil
-		},
-	})
-	sim.Register(sim.Scenario{
-		Name:        "wiresoak",
-		Description: "zero-copy wire path soak: steady-state frames/s, allocs/frame and ack round-trip p99, batched vs unbatched",
-		Flags:       []string{"trials", "frames", "seed"},
-		Schema:      WireSoakColumns(),
-		Run: func(req sim.Request) (*sim.Result, error) {
-			flows := capTrials(req.Trials, 4)
-			rounds := req.Frames
-			if rounds < 1 || rounds > 2000 {
-				rounds = 200
-			}
-			seed := req.Seed
-			if seed == 0 {
-				seed = 1
-			}
-			pts, err := WireSoak(seed, flows, rounds)
-			if err != nil {
-				return nil, err
-			}
-			res := sim.NewResult("wiresoak")
-			res.Notef("steady-state wire path soak: %d flows, %d rounds of %d retransmitted frames each", flows, rounds, flows*wireSoakBurst)
-			res.Notef("warmup delivers every message first; the soak then exercises ingest, in-place parse and arena-backed ack repeat")
-			res.Notef("allocs_per_frame is a whole-process malloc count over the soak; the wire path itself contributes zero")
-			res.Add(FormatWireSoak(pts))
 			return res, nil
 		},
 	})

@@ -12,7 +12,6 @@ import (
 var registryNames = []string{
 	"figure2", "spinal", "bounds", "ldpc", "conv", "bsc", "beam", "puncture",
 	"adc", "mapper", "theorem1", "fountain", "harq", "adapt", "fixedrate",
-	"parallel", "multiflow",
 	"impairsweep", "churnload", "bakeoff", "frontier", "saturate",
 }
 
@@ -21,7 +20,7 @@ var registryNames = []string{
 func smokeRequest() sim.Request {
 	req := sim.DefaultRequest()
 	req.SNRs = []float64{10}
-	req.SNR = 18 // the multiflow/beam operating point; 18 dB delivers reliably
+	req.SNR = 18 // the beam/saturate operating point; 18 dB delivers reliably
 	req.Trials = 2
 	req.Frames = 4
 	return req

@@ -43,11 +43,14 @@ func newTestStream(t *testing.T, cfg Config, msgID uint32, payload []byte) *test
 	return &testStream{msgID: msgID, message: message, enc: enc, sched: sched, params: params}
 }
 
-// frame marshals the next `count` symbols of the stream.
-func (s *testStream) frame(t *testing.T, cfg Config, count int) []byte {
+// frame marshals the next `count` symbols of the stream as a frame of the
+// given flow.
+func (s *testStream) frame(t *testing.T, cfg Config, flow uint32, count int) []byte {
 	t.Helper()
 	cfg = cfg.withDefaults()
 	f := &DataFrame{
+		Version:     FrameV1,
+		FlowID:      flow,
 		MsgID:       s.msgID,
 		MessageBits: uint32(s.params.MessageBits),
 		K:           uint8(cfg.K),
@@ -112,7 +115,7 @@ func TestReceiverDecodesInterleavedMessagesConcurrently(t *testing.T) {
 			if rest := 2*s.params.NumSegments() - sent; rest < count {
 				count = rest
 			}
-			if err := far.Send(s.frame(t, cfg, count)); err != nil {
+			if err := far.Send(s.frame(t, cfg, 0, count)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -143,9 +146,18 @@ func TestReceiverDecodesInterleavedMessagesConcurrently(t *testing.T) {
 // TestReceiverConcurrentMatchesSingleWorker runs the same interleaved frame
 // sequence through a 1-worker and a 4-worker receiver and checks the
 // delivered payloads agree — concurrency must not change per-message
-// results.
+// results. The sequence mixes several messages of one flow with several
+// flows of two messages each, so the decode workers also interleave flows.
 func TestReceiverConcurrentMatchesSingleWorker(t *testing.T) {
-	run := func(workers int) map[uint32][]byte {
+	type key struct{ flow, msg uint32 }
+	var keys []key
+	for id := uint32(10); id < 14; id++ {
+		keys = append(keys, key{0, id})
+	}
+	for flow := uint32(21); flow < 24; flow++ {
+		keys = append(keys, key{flow, 1}, key{flow, 2})
+	}
+	run := func(workers int) map[key][]byte {
 		far, near, err := NewPipePair(0, 72)
 		if err != nil {
 			t.Fatal(err)
@@ -157,19 +169,19 @@ func TestReceiverConcurrentMatchesSingleWorker(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer recv.Close()
-		var streams []*testStream
-		for id := uint32(10); id < 14; id++ {
-			streams = append(streams, newTestStream(t, cfg,
-				id, []byte(fmt.Sprintf("payload for message %d", id))))
+		streams := make([]*testStream, len(keys))
+		for i, k := range keys {
+			streams[i] = newTestStream(t, cfg,
+				k.msg, []byte(fmt.Sprintf("payload %d of flow %d", k.msg, k.flow)))
 		}
 		for round := 0; round < 8; round++ {
-			for _, s := range streams {
-				if err := far.Send(s.frame(t, cfg, 8)); err != nil {
+			for i, s := range streams {
+				if err := far.Send(s.frame(t, cfg, keys[i].flow, 8)); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		got := map[uint32][]byte{}
+		got := map[key][]byte{}
 		deadline := time.Now().Add(5 * time.Second)
 		for len(got) < len(streams) && time.Now().Before(deadline) {
 			d, err := recv.Receive(100 * time.Millisecond)
@@ -179,18 +191,18 @@ func TestReceiverConcurrentMatchesSingleWorker(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got[d.MsgID] = d.Payload
+			got[key{d.FlowID, d.MsgID}] = d.Payload
 		}
 		return got
 	}
 	serial := run(1)
 	concurrent := run(4)
-	if len(serial) != 4 {
-		t.Fatalf("single-worker receiver delivered %d/4 messages", len(serial))
+	if len(serial) != len(keys) {
+		t.Fatalf("single-worker receiver delivered %d/%d messages", len(serial), len(keys))
 	}
-	for id, want := range serial {
-		if !bytes.Equal(concurrent[id], want) {
-			t.Fatalf("message %d: 4-worker payload differs from 1-worker payload", id)
+	for k, want := range serial {
+		if !bytes.Equal(concurrent[k], want) {
+			t.Fatalf("flow %d message %d: 4-worker payload differs from 1-worker payload", k.flow, k.msg)
 		}
 	}
 }
@@ -216,7 +228,7 @@ func TestReceiverEvictsDeliveredStates(t *testing.T) {
 	s1 := newTestStream(t, cfg, 1, []byte("evict me after the grace period"))
 	var delivered *Delivered
 	for delivered == nil && s1.next < 3*s1.params.NumSegments() {
-		delivered, err = recv.HandleFrame(s1.frame(t, cfg, 16))
+		delivered, err = recv.HandleFrame(s1.frame(t, cfg, 0, 16))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +242,7 @@ func TestReceiverEvictsDeliveredStates(t *testing.T) {
 
 	// A duplicate frame for the delivered message must repeat the ack.
 	dup := newTestStream(t, cfg, 1, []byte("evict me after the grace period"))
-	if _, err := recv.HandleFrame(dup.frame(t, cfg, 8)); err != nil {
+	if _, err := recv.HandleFrame(dup.frame(t, cfg, 0, 8)); err != nil {
 		t.Fatal(err)
 	}
 	ackBuf := make([]byte, maxFrameSize)
@@ -258,7 +270,7 @@ func TestReceiverEvictsDeliveredStates(t *testing.T) {
 	// Push unrelated traffic past the grace period; message 1 must be gone.
 	other := newTestStream(t, cfg, 2, bytes.Repeat([]byte{7}, 40))
 	for i := 0; i < doneGraceFrames+evictSweepEvery+2; i++ {
-		if _, err := recv.HandleFrame(other.frame(t, cfg, 1)); err != nil {
+		if _, err := recv.HandleFrame(other.frame(t, cfg, 0, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -289,7 +301,7 @@ func TestReceiverCapsTrackedStates(t *testing.T) {
 	for id := uint32(1); id <= 5; id++ {
 		s := newTestStream(t, cfg, id, []byte(fmt.Sprintf("capped message %d", id)))
 		// One symbol only: the message stays undecodable and in flight.
-		if _, err := recv.HandleFrame(s.frame(t, cfg, 1)); err != nil {
+		if _, err := recv.HandleFrame(s.frame(t, cfg, 0, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -307,7 +319,7 @@ func TestReceiverCapsTrackedStates(t *testing.T) {
 	s1 := newTestStream(t, cfg, 1, []byte("capped message 1"))
 	var delivered *Delivered
 	for delivered == nil && s1.next < 3*s1.params.NumSegments() {
-		delivered, err = recv.HandleFrame(s1.frame(t, cfg, 16))
+		delivered, err = recv.HandleFrame(s1.frame(t, cfg, 0, 16))
 		if err != nil {
 			t.Fatal(err)
 		}

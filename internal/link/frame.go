@@ -9,26 +9,20 @@ import (
 // Wire format. All integers are big-endian.
 //
 //	byte 0: magic (0xA5)
-//	byte 1: frame type
+//	byte 1: frame type (3 = data, 4 = ack)
+//	bytes 2-5: flow id, the sender's identity
+//	bytes 6-9: message id
 //
-// Two generations of the format coexist on the wire. The original (v0)
-// frames identify a message by MsgID alone — one implicit point-to-point
-// flow. The v1 frames prepend a 32-bit FlowID (the sender's identity) to
-// both data and ack payloads so that many logical flows can share one
-// receiver and one transport socket. The generation is carried in the frame
-// type byte, so a v1 engine parses v0 frames unchanged and treats them as
-// flow 0; v0 receivers simply drop the unknown v1 types.
-//
-// Data frames carry everything the receiver needs to decode statelessly:
-// code parameters, the schedule, the index of the first symbol in the frame
-// and the symbol samples as float32 I/Q pairs. Acks carry the flow and
-// message ids and a status byte (1 = decoded, 0 = negative/shed).
+// The flow id lets many logical flows share one receiver and one transport
+// socket: (flow, message) is the demux key. Data frames then carry
+// everything the receiver needs to decode statelessly: code parameters, the
+// schedule, the index of the first symbol in the frame and the symbol
+// samples as float32 I/Q pairs. Acks end with a status byte (1 = decoded,
+// 0 = negative/shed). Any other type byte is rejected.
 const (
 	frameMagic byte = 0xA5
-	typeData   byte = 1 // v0 data: no flow id
-	typeAck    byte = 2 // v0 ack: no flow id
-	typeDataV1 byte = 3 // v1 data: 32-bit flow id before the message id
-	typeAckV1  byte = 4 // v1 ack: 32-bit flow id before the message id
+	typeDataV1 byte = 3
+	typeAckV1  byte = 4
 
 	// ScheduleSequential and ScheduleStriped8 identify the transmission
 	// schedules supported on the wire.
@@ -36,35 +30,26 @@ const (
 	ScheduleStriped8   uint8 = 1
 )
 
-// Frame versions, carried implicitly in the frame type byte.
-const (
-	// FrameV0 is the original point-to-point format without flow ids.
-	FrameV0 uint8 = 0
-	// FrameV1 is the flow-multiplexed format.
-	FrameV1 uint8 = 1
-)
+// FrameV1 is the flow-multiplexed wire format, the only one spoken.
+const FrameV1 uint8 = 1
 
-// dataHeaderLen is the number of bytes before the symbol samples in a v0
-// data frame; v1 inserts a 4-byte flow id after the type byte.
+// dataHeaderLen is the number of bytes before the symbol samples in a data
+// frame; ackLen is the length of an ack frame.
 const (
-	dataHeaderLen   = 2 + 4 + 4 + 1 + 1 + 1 + 8 + 4 + 2
-	dataHeaderLenV1 = dataHeaderLen + 4
-	ackLen          = 7
-	ackLenV1        = ackLen + 4
+	dataHeaderLen = 2 + 4 + 4 + 4 + 1 + 1 + 1 + 8 + 4 + 2
+	ackLen        = 2 + 4 + 4 + 1
 )
 
 // MaxSymbolsPerFrame is the largest number of symbols a single data frame
-// can carry within the transport frame-size limit. It is derived from the
-// larger (v1) header so the bound holds for either generation.
-const MaxSymbolsPerFrame = (maxFrameSize - dataHeaderLenV1) / 8
+// can carry within the transport frame-size limit.
+const MaxSymbolsPerFrame = (maxFrameSize - dataHeaderLen) / 8
 
 // DataFrame is one burst of coded symbols for a message.
 type DataFrame struct {
-	// Version selects the wire encoding: FrameV0 (legacy, requires FlowID
-	// zero) or FrameV1. ParseFrame records the generation it saw.
+	// Version must be FrameV1; ParseFrame sets it.
 	Version uint8
 	// FlowID identifies the sender; (FlowID, MsgID) is the demux key at a
-	// multi-flow receiver. Flow 0 is the implicit flow of v0 senders.
+	// multi-flow receiver.
 	FlowID      uint32
 	MsgID       uint32
 	MessageBits uint32
@@ -77,19 +62,17 @@ type DataFrame struct {
 }
 
 // AckFrame is the receiver's feedback for a message. Decoded=false is a
-// negative acknowledgement: a v1 receiver sends it when it sheds a flow
+// negative acknowledgement: the receiver sends it when it sheds a flow
 // under admission control, telling the sender to stop transmitting.
 type AckFrame struct {
-	Version uint8
 	FlowID  uint32
 	MsgID   uint32
 	Decoded bool
 }
 
-// AppendTo appends the frame's wire encoding (in the generation selected by
-// Version) to dst and returns the extended slice. It is the hot-path marshal:
-// appending into a leased arena buffer produces a frame with no allocation at
-// all once the buffer is warm.
+// AppendTo appends the frame's wire encoding to dst and returns the extended
+// slice. It is the hot-path marshal: appending into a leased arena buffer
+// produces a frame with no allocation at all once the buffer is warm.
 func (f *DataFrame) AppendTo(dst []byte) ([]byte, error) {
 	if len(f.Symbols) == 0 {
 		return nil, fmt.Errorf("link: data frame with no symbols")
@@ -97,18 +80,11 @@ func (f *DataFrame) AppendTo(dst []byte) ([]byte, error) {
 	if len(f.Symbols) > MaxSymbolsPerFrame {
 		return nil, fmt.Errorf("link: %d symbols exceed the per-frame limit %d", len(f.Symbols), MaxSymbolsPerFrame)
 	}
-	switch f.Version {
-	case FrameV1:
-		dst = append(dst, frameMagic, typeDataV1)
-		dst = binary.BigEndian.AppendUint32(dst, f.FlowID)
-	case FrameV0:
-		if f.FlowID != 0 {
-			return nil, fmt.Errorf("link: v0 frames cannot carry flow %d", f.FlowID)
-		}
-		dst = append(dst, frameMagic, typeData)
-	default:
+	if f.Version != FrameV1 {
 		return nil, fmt.Errorf("link: unknown frame version %d", f.Version)
 	}
+	dst = append(dst, frameMagic, typeDataV1)
+	dst = binary.BigEndian.AppendUint32(dst, f.FlowID)
 	dst = binary.BigEndian.AppendUint32(dst, f.MsgID)
 	dst = binary.BigEndian.AppendUint32(dst, f.MessageBits)
 	dst = append(dst, f.K, f.C, f.Schedule)
@@ -122,29 +98,17 @@ func (f *DataFrame) AppendTo(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// Marshal serializes the data frame in the generation selected by Version.
-// It is a thin allocating wrapper over AppendTo, kept for tests and cold
-// paths; hot paths append into leased buffers instead.
+// Marshal serializes the data frame. It is a thin allocating wrapper over
+// AppendTo, kept for tests and cold paths; hot paths append into leased
+// buffers instead.
 func (f *DataFrame) Marshal() ([]byte, error) {
-	headerLen := dataHeaderLenV1
-	if f.Version == FrameV0 {
-		headerLen = dataHeaderLen
-	}
-	return f.AppendTo(make([]byte, 0, headerLen+8*len(f.Symbols)))
+	return f.AppendTo(make([]byte, 0, dataHeaderLen+8*len(f.Symbols)))
 }
 
 // AppendTo appends the ack's wire encoding to dst and returns the extended
 // slice — the allocation-free counterpart of Marshal for the per-frame ack
 // path.
 func (f *AckFrame) AppendTo(dst []byte) []byte {
-	if f.Version == FrameV0 {
-		dst = append(dst, frameMagic, typeAck)
-		dst = binary.BigEndian.AppendUint32(dst, f.MsgID)
-		if f.Decoded {
-			return append(dst, 1)
-		}
-		return append(dst, 0)
-	}
 	dst = append(dst, frameMagic, typeAckV1)
 	dst = binary.BigEndian.AppendUint32(dst, f.FlowID)
 	dst = binary.BigEndian.AppendUint32(dst, f.MsgID)
@@ -154,16 +118,9 @@ func (f *AckFrame) AppendTo(dst []byte) []byte {
 	return append(dst, 0)
 }
 
-// Marshal serializes the ack frame in the generation selected by Version.
-// An unknown version falls back to v1; a v0 ack with a non-zero flow id is
-// truncated to the flow-less encoding (the legacy sender it addresses
-// matches on MsgID alone).
+// Marshal serializes the ack frame.
 func (f *AckFrame) Marshal() []byte {
-	size := ackLenV1
-	if f.Version == FrameV0 {
-		size = ackLen
-	}
-	return f.AppendTo(make([]byte, 0, size))
+	return f.AppendTo(make([]byte, 0, ackLen))
 }
 
 // FrameKind discriminates the two frame families a FrameView can hold.
@@ -189,9 +146,7 @@ const (
 // meant to be reused across frames: unmarshaling overwrites every field and
 // performs no allocation.
 type FrameView struct {
-	Kind    FrameKind
-	Version uint8
-	// FlowID is 0 for v0 frames, which carry no flow id on the wire.
+	Kind   FrameKind
 	FlowID uint32
 	MsgID  uint32
 
@@ -226,85 +181,54 @@ func UnmarshalFrameInPlace(buf []byte, v *FrameView) error {
 		return fmt.Errorf("link: bad frame magic %#x", buf[0])
 	}
 	switch buf[1] {
-	case typeData:
-		return v.unmarshalData(buf, FrameV0)
 	case typeDataV1:
-		return v.unmarshalData(buf, FrameV1)
-	case typeAck:
-		return v.unmarshalAck(buf, FrameV0)
+		return v.unmarshalData(buf)
 	case typeAckV1:
-		return v.unmarshalAck(buf, FrameV1)
+		return v.unmarshalAck(buf)
 	default:
 		return fmt.Errorf("link: unknown frame type %d", buf[1])
 	}
 }
 
-func (v *FrameView) unmarshalData(buf []byte, version uint8) error {
-	headerLen := dataHeaderLen
-	if version == FrameV1 {
-		headerLen = dataHeaderLenV1
-	}
-	if len(buf) < headerLen {
+func (v *FrameView) unmarshalData(buf []byte) error {
+	if len(buf) < dataHeaderLen {
 		return fmt.Errorf("link: data frame header truncated (%d bytes)", len(buf))
 	}
-	off := 2
-	flow := uint32(0)
-	if version == FrameV1 {
-		flow = binary.BigEndian.Uint32(buf[off:])
-		off += 4
-	}
-	count := int(binary.BigEndian.Uint16(buf[off+23:]))
+	count := int(binary.BigEndian.Uint16(buf[29:]))
 	if count == 0 {
 		return fmt.Errorf("link: data frame with zero symbols")
 	}
-	if len(buf) != headerLen+8*count {
+	if len(buf) != dataHeaderLen+8*count {
 		return fmt.Errorf("link: data frame length %d does not match %d symbols", len(buf), count)
 	}
 	*v = FrameView{
 		Kind:        KindData,
-		Version:     version,
-		FlowID:      flow,
-		MsgID:       binary.BigEndian.Uint32(buf[off:]),
-		MessageBits: binary.BigEndian.Uint32(buf[off+4:]),
-		K:           buf[off+8],
-		C:           buf[off+9],
-		Schedule:    buf[off+10],
-		Seed:        binary.BigEndian.Uint64(buf[off+11:]),
-		StartIndex:  binary.BigEndian.Uint32(buf[off+19:]),
+		FlowID:      binary.BigEndian.Uint32(buf[2:]),
+		MsgID:       binary.BigEndian.Uint32(buf[6:]),
+		MessageBits: binary.BigEndian.Uint32(buf[10:]),
+		K:           buf[14],
+		C:           buf[15],
+		Schedule:    buf[16],
+		Seed:        binary.BigEndian.Uint64(buf[17:]),
+		StartIndex:  binary.BigEndian.Uint32(buf[25:]),
 		NumSymbols:  count,
-		sym:         buf[headerLen:],
+		sym:         buf[dataHeaderLen:],
 	}
 	return nil
 }
 
-func (v *FrameView) unmarshalAck(buf []byte, version uint8) error {
-	if version == FrameV1 {
-		if len(buf) != ackLenV1 {
-			return fmt.Errorf("link: v1 ack frame has %d bytes, want %d", len(buf), ackLenV1)
-		}
-		if buf[10] > 1 {
-			return fmt.Errorf("link: ack status byte %d invalid", buf[10])
-		}
-		*v = FrameView{
-			Kind:    KindAck,
-			Version: FrameV1,
-			FlowID:  binary.BigEndian.Uint32(buf[2:]),
-			MsgID:   binary.BigEndian.Uint32(buf[6:]),
-			Decoded: buf[10] == 1,
-		}
-		return nil
-	}
+func (v *FrameView) unmarshalAck(buf []byte) error {
 	if len(buf) != ackLen {
 		return fmt.Errorf("link: ack frame has %d bytes, want %d", len(buf), ackLen)
 	}
-	if buf[6] > 1 {
-		return fmt.Errorf("link: ack status byte %d invalid", buf[6])
+	if buf[10] > 1 {
+		return fmt.Errorf("link: ack status byte %d invalid", buf[10])
 	}
 	*v = FrameView{
 		Kind:    KindAck,
-		Version: FrameV0,
-		MsgID:   binary.BigEndian.Uint32(buf[2:]),
-		Decoded: buf[6] == 1,
+		FlowID:  binary.BigEndian.Uint32(buf[2:]),
+		MsgID:   binary.BigEndian.Uint32(buf[6:]),
+		Decoded: buf[10] == 1,
 	}
 	return nil
 }
@@ -341,7 +265,7 @@ func (v *FrameView) Ack() AckFrame {
 	if v.Kind != KindAck {
 		panic("link: Ack on a non-ack frame view")
 	}
-	return AckFrame{Version: v.Version, FlowID: v.FlowID, MsgID: v.MsgID, Decoded: v.Decoded}
+	return AckFrame{FlowID: v.FlowID, MsgID: v.MsgID, Decoded: v.Decoded}
 }
 
 // Data materializes the view as an allocating *DataFrame with its own symbol
@@ -352,7 +276,7 @@ func (v *FrameView) Data() *DataFrame {
 		panic("link: Data on a non-data frame view")
 	}
 	f := &DataFrame{
-		Version:     v.Version,
+		Version:     FrameV1,
 		FlowID:      v.FlowID,
 		MsgID:       v.MsgID,
 		MessageBits: v.MessageBits,
@@ -368,10 +292,9 @@ func (v *FrameView) Data() *DataFrame {
 }
 
 // ParseFrame decodes a received frame into either *DataFrame or *AckFrame.
-// Both v0 and v1 frames are accepted; v0 frames come back with FlowID 0 and
-// Version FrameV0. It is the allocating wrapper over UnmarshalFrameInPlace —
-// one parser, two calling conventions — kept for tests, tools and the
-// sender's ack path, where a copied-out frame is the right shape.
+// It is the allocating wrapper over UnmarshalFrameInPlace — one parser, two
+// calling conventions — kept for tests, tools and the sender's ack path,
+// where a copied-out frame is the right shape.
 func ParseFrame(buf []byte) (interface{}, error) {
 	var v FrameView
 	if err := UnmarshalFrameInPlace(buf, &v); err != nil {

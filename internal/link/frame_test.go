@@ -8,6 +8,7 @@ import (
 
 func TestDataFrameRoundTrip(t *testing.T) {
 	f := &DataFrame{
+		Version:     FrameV1,
 		MsgID:       42,
 		MessageBits: 288,
 		K:           8,
@@ -47,6 +48,7 @@ func TestDataFrameRoundTrip(t *testing.T) {
 func TestDataFrameRoundTripProperty(t *testing.T) {
 	prop := func(msgID uint32, bits uint16, start uint16, re, im float32) bool {
 		f := &DataFrame{
+			Version:     FrameV1,
 			MsgID:       msgID,
 			MessageBits: uint32(bits) + 1,
 			K:           8,
@@ -111,21 +113,9 @@ func TestDataFrameV1RoundTrip(t *testing.T) {
 	}
 }
 
-func TestDataFrameV0RejectsFlow(t *testing.T) {
-	f := &DataFrame{Version: FrameV0, FlowID: 3, MsgID: 1, MessageBits: 32, K: 8, C: 10, Seed: 1, Symbols: []complex128{1}}
-	if _, err := f.Marshal(); err == nil {
-		t.Error("v0 frame with a non-zero flow id accepted")
-	}
-	f.Version = 9
-	f.FlowID = 0
-	if _, err := f.Marshal(); err == nil {
-		t.Error("unknown frame version accepted")
-	}
-}
-
 func TestAckFrameV1RoundTrip(t *testing.T) {
 	for _, decoded := range []bool{true, false} {
-		a := &AckFrame{Version: FrameV1, FlowID: 77, MsgID: 7, Decoded: decoded}
+		a := &AckFrame{FlowID: 77, MsgID: 7, Decoded: decoded}
 		parsed, err := ParseFrame(a.Marshal())
 		if err != nil {
 			t.Fatal(err)
@@ -134,49 +124,35 @@ func TestAckFrameV1RoundTrip(t *testing.T) {
 		if !ok {
 			t.Fatalf("wrong type %T", parsed)
 		}
-		if got.Version != FrameV1 || got.FlowID != 77 || got.MsgID != 7 || got.Decoded != decoded {
+		if got.FlowID != 77 || got.MsgID != 7 || got.Decoded != decoded {
 			t.Fatalf("v1 ack mismatch: %+v", got)
 		}
 	}
 }
 
-func TestParseFrameV0ReportsFlowZero(t *testing.T) {
-	data := &DataFrame{MsgID: 5, MessageBits: 32, K: 8, C: 10, Seed: 1, Symbols: []complex128{1}}
-	buf, err := data.Marshal()
+// retiredV0Frames returns a well-formed data frame and ack of the retired
+// flow-less wire generation: type bytes 1 and 2, the current layout without
+// the flow id. Both must be rejected as unknown frame types.
+func retiredV0Frames() (data, ack []byte) {
+	d := &DataFrame{
+		Version: FrameV1, MsgID: 7, MessageBits: 64, K: 8, C: 10,
+		Schedule: ScheduleStriped8, Seed: 42, StartIndex: 16,
+		Symbols: []complex128{1 + 1i, -2 - 0.5i},
+	}
+	buf, err := d.Marshal()
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	parsed, err := ParseFrame(buf)
-	if err != nil {
-		t.Fatal(err)
+	dropFlow := func(frame []byte, typ byte) []byte {
+		return append([]byte{frameMagic, typ}, frame[6:]...)
 	}
-	got := parsed.(*DataFrame)
-	if got.Version != FrameV0 || got.FlowID != 0 {
-		t.Fatalf("v0 data frame parsed as version %d flow %d", got.Version, got.FlowID)
-	}
-	ack := parsed42(t, (&AckFrame{MsgID: 42, Decoded: true}).Marshal())
-	if ack.Version != FrameV0 || ack.FlowID != 0 {
-		t.Fatalf("v0 ack parsed as version %d flow %d", ack.Version, ack.FlowID)
-	}
-}
-
-func parsed42(t *testing.T, buf []byte) *AckFrame {
-	t.Helper()
-	parsed, err := ParseFrame(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ack, ok := parsed.(*AckFrame)
-	if !ok {
-		t.Fatalf("wrong type %T", parsed)
-	}
-	return ack
+	return dropFlow(buf, 1), dropFlow((&AckFrame{MsgID: 3, Decoded: true}).Marshal(), 2)
 }
 
 func TestParseFrameRejectsOversize(t *testing.T) {
 	huge := make([]byte, maxFrameSize+1)
 	huge[0] = frameMagic
-	huge[1] = typeData
+	huge[1] = typeDataV1
 	if _, err := ParseFrame(huge); err == nil {
 		t.Error("frame above the transport limit accepted")
 	}
@@ -200,13 +176,16 @@ func TestAckFrameRoundTrip(t *testing.T) {
 }
 
 func TestParseFrameRejectsGarbage(t *testing.T) {
+	v0data, v0ack := retiredV0Frames()
 	cases := [][]byte{
 		nil,
 		{0x00},
-		{0x00, 0x01, 0x02},           // bad magic
-		{frameMagic, 0x09, 0, 0, 0},  // unknown type
-		{frameMagic, typeAck, 0, 0},  // short ack
-		{frameMagic, typeData, 1, 2}, // truncated data header
+		{0x00, 0x01, 0x02},             // bad magic
+		{frameMagic, 0x09, 0, 0, 0},    // unknown type
+		{frameMagic, typeAckV1, 0, 0},  // short ack
+		{frameMagic, typeDataV1, 1, 2}, // truncated data header
+		v0data,                         // retired type 1
+		v0ack,                          // retired type 2
 	}
 	for i, c := range cases {
 		if _, err := ParseFrame(c); err == nil {
@@ -216,7 +195,7 @@ func TestParseFrameRejectsGarbage(t *testing.T) {
 }
 
 func TestParseDataFrameLengthMismatch(t *testing.T) {
-	f := &DataFrame{MsgID: 1, MessageBits: 32, K: 8, C: 10, Seed: 1, Symbols: []complex128{1}}
+	f := &DataFrame{Version: FrameV1, MsgID: 1, MessageBits: 32, K: 8, C: 10, Seed: 1, Symbols: []complex128{1}}
 	buf, _ := f.Marshal()
 	if _, err := ParseFrame(buf[:len(buf)-3]); err == nil {
 		t.Error("truncated symbol payload accepted")
@@ -224,9 +203,17 @@ func TestParseDataFrameLengthMismatch(t *testing.T) {
 }
 
 func TestMarshalLimits(t *testing.T) {
-	f := &DataFrame{MsgID: 1, MessageBits: 32, K: 8, C: 10, Seed: 1}
+	f := &DataFrame{Version: FrameV1, MsgID: 1, MessageBits: 32, K: 8, C: 10, Seed: 1}
 	if _, err := f.Marshal(); err == nil {
 		t.Error("empty symbol list accepted")
+	}
+	for _, version := range []uint8{0, 2, 9} {
+		bad := *f
+		bad.Version = version
+		bad.Symbols = []complex128{1}
+		if _, err := bad.Marshal(); err == nil {
+			t.Errorf("frame version %d accepted", version)
+		}
 	}
 	f.Symbols = make([]complex128, MaxSymbolsPerFrame+1)
 	if _, err := f.Marshal(); err == nil {

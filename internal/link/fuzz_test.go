@@ -21,32 +21,27 @@ func hasNaNSymbol(f *DataFrame) bool {
 // does accept must survive a marshal/parse round trip unchanged (the two
 // directions of the wire format agree with each other).
 func FuzzUnmarshalFrame(f *testing.F) {
-	// Seed corpus: a valid frame of every type and generation, plus the
-	// classic hostile shapes (truncations, bad magic, absurd counts).
-	v0data := &DataFrame{
-		MsgID: 7, MessageBits: 64, K: 8, C: 10,
-		Schedule: ScheduleStriped8, Seed: 42, StartIndex: 16,
-		Symbols: []complex128{1 + 1i, -2 - 0.5i},
-	}
-	if buf, err := v0data.Marshal(); err == nil {
-		f.Add(buf)
-	}
-	v1data := &DataFrame{
+	// Seed corpus: a valid frame of every type, the retired flow-less
+	// generation's data and ack bytes, plus the classic hostile shapes
+	// (truncations, bad magic, absurd counts).
+	data := &DataFrame{
 		Version: FrameV1, FlowID: 9, MsgID: 7, MessageBits: 64, K: 8, C: 10,
 		Schedule: ScheduleSequential, Seed: 42, StartIndex: 0,
 		Symbols: []complex128{0.25i},
 	}
-	if buf, err := v1data.Marshal(); err == nil {
+	if buf, err := data.Marshal(); err == nil {
 		f.Add(buf)
 	}
-	f.Add((&AckFrame{Version: FrameV0, MsgID: 3, Decoded: true}).Marshal())
-	f.Add((&AckFrame{Version: FrameV1, FlowID: 12, MsgID: 3}).Marshal())
+	f.Add((&AckFrame{MsgID: 3, Decoded: true}).Marshal())
+	f.Add((&AckFrame{FlowID: 12, MsgID: 3}).Marshal())
+	v0data, v0ack := retiredV0Frames()
+	f.Add(v0data)
+	f.Add(v0ack)
 	f.Add([]byte{})
 	f.Add([]byte{frameMagic})
-	f.Add([]byte{frameMagic, typeData, 0xFF, 0xFF})
 	f.Add([]byte{frameMagic, typeDataV1, 0, 0, 0, 1, 0xFF, 0xFF})
 	f.Add([]byte{frameMagic, typeAckV1, 0, 0, 0, 0, 0, 0, 0, 0})
-	f.Add(bytes.Repeat([]byte{frameMagic}, dataHeaderLenV1))
+	f.Add(bytes.Repeat([]byte{frameMagic}, dataHeaderLen))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The in-place parser and ParseFrame must agree on accept/reject —
@@ -105,7 +100,7 @@ func FuzzUnmarshalFrame(f *testing.F) {
 			for i := range data {
 				data[i] ^= 0xFF
 			}
-			if ack.FlowID != fr.FlowID || ack.MsgID != fr.MsgID || ack.Decoded != fr.Decoded || ack.Version != fr.Version {
+			if ack.FlowID != fr.FlowID || ack.MsgID != fr.MsgID || ack.Decoded != fr.Decoded {
 				t.Fatalf("copied-out ack corrupted by buffer mutation: %+v vs %+v", ack, fr)
 			}
 			for i := range data {
@@ -134,9 +129,9 @@ func FuzzReceiverIngest(f *testing.F) {
 	if frames, err := EncodeFrames(fuzzCfg, 2, 9, bytes.Repeat([]byte{0xA5}, 48), 4, 1, nil); err == nil {
 		f.Add(frames[0], frames[0]) // duplicate delivery of one fragment
 	}
-	f.Add((&AckFrame{Version: FrameV1, FlowID: 1, MsgID: 1, Decoded: true}).Marshal(), []byte{})
+	f.Add((&AckFrame{FlowID: 1, MsgID: 1, Decoded: true}).Marshal(), []byte{})
 	f.Add([]byte{frameMagic, typeDataV1, 0xFF, 0xFF}, []byte{frameMagic})
-	f.Add(bytes.Repeat([]byte{frameMagic}, dataHeaderLenV1), []byte{0x00, 0x01, 0x02})
+	f.Add(bytes.Repeat([]byte{frameMagic}, dataHeaderLen), []byte{0x00, 0x01, 0x02})
 
 	f.Fuzz(func(t *testing.T, first, second []byte) {
 		near, far, err := NewPipePair(0, 42)

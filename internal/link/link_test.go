@@ -325,22 +325,22 @@ func TestReceiverValidation(t *testing.T) {
 	}
 	defer r.Close()
 	// Malformed and mismatched frames must be dropped, not crash the loop.
-	if _, err := r.HandleFrame([]byte{frameMagic, typeData, 0}); err == nil {
+	if _, err := r.HandleFrame([]byte{frameMagic, typeDataV1, 0}); err == nil {
 		t.Error("truncated frame accepted")
 	}
-	evil := &DataFrame{MsgID: 1, MessageBits: 1 << 30, K: 8, C: 10, Seed: 0, Symbols: []complex128{1}}
+	evil := &DataFrame{Version: FrameV1, MsgID: 1, MessageBits: 1 << 30, K: 8, C: 10, Seed: 0, Symbols: []complex128{1}}
 	buf, _ := evil.Marshal()
 	if _, err := r.HandleFrame(buf); err == nil {
 		t.Error("absurd message size accepted")
 	}
-	wrongSeed := &DataFrame{MsgID: 1, MessageBits: 64, K: 8, C: 10, Seed: 12345, Symbols: []complex128{1}}
+	wrongSeed := &DataFrame{Version: FrameV1, MsgID: 1, MessageBits: 64, K: 8, C: 10, Seed: 12345, Symbols: []complex128{1}}
 	buf, _ = wrongSeed.Marshal()
 	if _, err := r.HandleFrame(buf); err == nil {
 		t.Error("frame with foreign seed accepted")
 	}
 	// A hostile StartIndex must be rejected, not wrap negative on 32-bit
 	// platforms and panic in the schedule's batch position fill.
-	hugeStart := &DataFrame{MsgID: 2, MessageBits: 64, K: 8, C: 10, Seed: 0,
+	hugeStart := &DataFrame{Version: FrameV1, MsgID: 2, MessageBits: 64, K: 8, C: 10, Seed: 0,
 		StartIndex: 1 << 31, Symbols: []complex128{1}}
 	buf, _ = hugeStart.Marshal()
 	if _, err := r.HandleFrame(buf); err == nil {

@@ -9,8 +9,8 @@ import (
 )
 
 // Tests for the flow-multiplexed link engine: many senders over one socket,
-// v0 backward compatibility, admission control, and the equivalence of
-// multi-flow decoding with dedicated single-flow receivers.
+// admission control, and the equivalence of multi-flow decoding with
+// dedicated single-flow receivers.
 
 // TestReceiverServesManyFlowsOverUDP runs 16 concurrent senders — each its
 // own UDP transport and flow identity, as separate spinalsend processes
@@ -123,70 +123,6 @@ func TestReceiverServesManyFlowsOverUDP(t *testing.T) {
 	}
 }
 
-// TestLegacyV0EndToEnd checks the backward-compat guarantee: a v0 (pre-flow)
-// sender decodes end-to-end against the v1 engine, landing on flow 0 and
-// receiving v0-framed acks it understands.
-func TestLegacyV0EndToEnd(t *testing.T) {
-	a, b, err := NewPipePair(0, 81)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	scfg := Config{LegacyV0: true}
-	sender, err := NewSender(a, scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recv, err := NewReceiver(b, Config{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recv.Close()
-	stop := make(chan struct{})
-	delivered, wg := runReceiver(t, recv, stop)
-
-	payload := []byte("a v0 sender against the multi-flow engine")
-	report, err := sender.Send(3, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !report.Acked {
-		t.Fatal("v0 transfer not acknowledged by the v1 engine")
-	}
-	select {
-	case d := <-delivered:
-		if d.FlowID != 0 {
-			t.Fatalf("v0 sender delivered on flow %d, want 0", d.FlowID)
-		}
-		if d.MsgID != 3 || !bytes.Equal(d.Payload, payload) {
-			t.Fatalf("delivered wrong packet: %+v", d)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("packet never delivered to the application")
-	}
-	close(stop)
-	a.Close()
-	wg.Wait()
-}
-
-// v1TestStream wraps testStream to emit v1 frames for a given flow.
-func v1Frame(t *testing.T, s *testStream, cfg Config, flow uint32, count int) []byte {
-	t.Helper()
-	buf := s.frame(t, cfg, count)
-	parsed, err := ParseFrame(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := parsed.(*DataFrame)
-	f.Version = FrameV1
-	f.FlowID = flow
-	out, err := f.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
 // TestMultiFlowMatchesDedicatedReceiver is the equivalence check behind the
 // shared engine: interleaving many flows through one receiver must deliver,
 // per flow, exactly what a dedicated single-flow receiver delivers for the
@@ -212,7 +148,7 @@ func TestMultiFlowMatchesDedicatedReceiver(t *testing.T) {
 		s := newTestStream(t, cfg, 1, payload(f))
 		var d *Delivered
 		for d == nil && s.next < 3*s.params.NumSegments() {
-			d, err = recv.HandleFrame(v1Frame(t, s, cfg, f, 8))
+			d, err = recv.HandleFrame(s.frame(t, cfg, f, 8))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -247,7 +183,7 @@ func TestMultiFlowMatchesDedicatedReceiver(t *testing.T) {
 			if shared[f] != nil {
 				continue
 			}
-			d, err := recv.HandleFrame(v1Frame(t, streams[f], cfg, f, 8))
+			d, err := recv.HandleFrame(streams[f].frame(t, cfg, f, 8))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -282,7 +218,7 @@ func TestMultiFlowMatchesDedicatedReceiver(t *testing.T) {
 	s2 := newTestStream(t, cfg, 2, payload(1))
 	var d2 *Delivered
 	for d2 == nil && s2.next < 3*s2.params.NumSegments() {
-		d2, err = recv.HandleFrame(v1Frame(t, s2, cfg, 1, 8))
+		d2, err = recv.HandleFrame(s2.frame(t, cfg, 1, 8))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,7 +251,7 @@ func TestFlowAdmissionShedsOldest(t *testing.T) {
 	// must shed flow 1 (oldest activity).
 	for f := uint32(1); f <= 4; f++ {
 		s := newTestStream(t, cfg, 1, []byte(fmt.Sprintf("flow %d", f)))
-		if _, err := recv.HandleFrame(v1Frame(t, s, cfg, f, 1)); err != nil {
+		if _, err := recv.HandleFrame(s.frame(t, cfg, f, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -354,7 +290,7 @@ func TestFlowAdmissionShedsOldest(t *testing.T) {
 	s1 := newTestStream(t, cfg, 1, []byte("flow 1"))
 	var delivered *Delivered
 	for delivered == nil && s1.next < 3*s1.params.NumSegments() {
-		delivered, err = recv.HandleFrame(v1Frame(t, s1, cfg, 1, 16))
+		delivered, err = recv.HandleFrame(s1.frame(t, cfg, 1, 16))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,12 +318,12 @@ func TestPerFlowTrackedCap(t *testing.T) {
 
 	// Flow 9 keeps a message in flight; flow 7 churns through many.
 	other := newTestStream(t, cfg, 50, []byte("bystander message"))
-	if _, err := recv.HandleFrame(v1Frame(t, other, cfg, 9, 1)); err != nil {
+	if _, err := recv.HandleFrame(other.frame(t, cfg, 9, 1)); err != nil {
 		t.Fatal(err)
 	}
 	for id := uint32(1); id <= 4; id++ {
 		s := newTestStream(t, cfg, id, []byte(fmt.Sprintf("churn %d", id)))
-		if _, err := recv.HandleFrame(v1Frame(t, s, cfg, 7, 1)); err != nil {
+		if _, err := recv.HandleFrame(s.frame(t, cfg, 7, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -422,13 +358,13 @@ func TestGlobalCapEvictionKeepsCurrentFlow(t *testing.T) {
 	}
 	defer recv.Close()
 	s1 := newTestStream(t, cfg, 1, []byte("first message"))
-	if _, err := recv.HandleFrame(v1Frame(t, s1, cfg, 6, 1)); err != nil {
+	if _, err := recv.HandleFrame(s1.frame(t, cfg, 6, 1)); err != nil {
 		t.Fatal(err)
 	}
 	// Admitting message 2 on the same flow evicts message 1 (the cap is 1)
 	// and must not drop flow 6 itself.
 	s2 := newTestStream(t, cfg, 2, []byte("second message"))
-	if _, err := recv.HandleFrame(v1Frame(t, s2, cfg, 6, 1)); err != nil {
+	if _, err := recv.HandleFrame(s2.frame(t, cfg, 6, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if recv.TrackedFlows() != 1 || recv.FlowSymbolsReceived(6, 2) == 0 {
@@ -453,7 +389,7 @@ func TestInvalidFrameCannotShedFlows(t *testing.T) {
 	defer recv.Close()
 	for f := uint32(1); f <= 2; f++ {
 		s := newTestStream(t, cfg, 1, []byte("legit"))
-		if _, err := recv.HandleFrame(v1Frame(t, s, cfg, f, 1)); err != nil {
+		if _, err := recv.HandleFrame(s.frame(t, cfg, f, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -498,7 +434,7 @@ func TestSenderStopsOnNack(t *testing.T) {
 				continue
 			}
 			if data, ok := parsed.(*DataFrame); ok {
-				nack := &AckFrame{Version: FrameV1, FlowID: data.FlowID, MsgID: data.MsgID, Decoded: false}
+				nack := &AckFrame{FlowID: data.FlowID, MsgID: data.MsgID, Decoded: false}
 				if b.Send(nack.Marshal()) != nil {
 					return
 				}

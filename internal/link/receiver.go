@@ -22,11 +22,10 @@ import (
 // a packet as soon as the decoded message passes its CRC.
 //
 // Incoming frames are demultiplexed by (FlowID, MsgID) into per-message
-// state machines grouped per flow. Legacy v0 frames carry no flow id and
-// land on flow 0, so a v1 receiver serves v0 senders unchanged. When the
-// transport can address individual peers (PacketTransport, e.g. UDP), each
-// flow's acks are sent to the source address of that flow's frames, which is
-// what lets one UDP socket serve many independent sender processes.
+// state machines grouped per flow. When the transport can address
+// individual peers (PacketTransport, e.g. UDP), each flow's acks are sent to
+// the source address of that flow's frames, which is what lets one UDP
+// socket serve many independent sender processes.
 //
 // Decoding runs on a bounded pool of worker goroutines so that attempts for
 // distinct in-flight messages proceed concurrently with frame ingest: the
@@ -47,7 +46,7 @@ import (
 // caps the total across flows the same way, and MaxFlows caps the number of
 // concurrently tracked flows — admitting a new flow beyond it sheds the flow
 // with the oldest activity, sending a negative ack for each of its
-// undelivered messages so a v1 sender stops retransmitting promptly. A frame
+// undelivered messages so the sender stops retransmitting promptly. A frame
 // for an evicted message or shed flow simply starts fresh state, so shedding
 // costs work but never correctness. The one observable consequence is that
 // delivery is at-least-once rather than exactly-once: if a sender whose ack
@@ -83,7 +82,7 @@ type Receiver struct {
 
 // Delivered is one successfully decoded packet.
 type Delivered struct {
-	// FlowID identifies the sender the packet came from (0 for v0 senders).
+	// FlowID identifies the sender the packet came from.
 	FlowID  uint32
 	MsgID   uint32
 	Payload []byte
@@ -141,7 +140,6 @@ type flowState struct {
 type msgState struct {
 	flow    uint32
 	id      uint32
-	wireV1  bool // ack with the frame generation the sender speaks
 	params  core.Params
 	sched   core.Schedule
 	minUses int
@@ -575,7 +573,6 @@ func (r *Receiver) stateFor(v *FrameView) (*msgState, error) {
 	st := &msgState{
 		flow:    v.FlowID,
 		id:      v.MsgID,
-		wireV1:  v.Version == FrameV1,
 		params:  params,
 		sched:   sched,
 		minUses: (params.MessageBits + 2*params.C - 1) / (2 * params.C),
@@ -667,7 +664,7 @@ func (r *Receiver) evictForCap(scope, keep *flowState) {
 
 // shedOldestFlow applies flow-level admission control: the flow with the
 // oldest activity is dropped wholesale to admit a new one, and each of its
-// undelivered messages gets a negative ack so a v1 sender stops
+// undelivered messages gets a negative ack so the sender stops
 // retransmitting into the void. Shedding never loses data for good — a
 // sender that keeps transmitting simply re-admits the flow with fresh state.
 func (r *Receiver) shedOldestFlow() {
@@ -1247,21 +1244,15 @@ func (e *flowEngine) attempt(st *msgState) (*Delivered, error) {
 }
 
 // sendAckFor transmits an acknowledgement for a message — positive on
-// decode, negative when admission control sheds the flow. The ack mirrors
-// the frame generation the sender used, and is directed at the flow's
-// source address when the transport can address peers. It may be called
-// from any worker and from the ingest path; transports are safe for
-// concurrent Send.
+// decode, negative when admission control sheds the flow. The ack is
+// directed at the flow's source address when the transport can address
+// peers. It may be called from any worker and from the ingest path;
+// transports are safe for concurrent Send.
 func (e *flowEngine) sendAckFor(st *msgState, decoded bool) error {
 	st.mu.Lock()
 	addr := st.addr
-	v1 := st.wireV1
 	st.mu.Unlock()
-	version := FrameV0
-	if v1 {
-		version = FrameV1
-	}
-	ack := AckFrame{Version: version, FlowID: st.flow, MsgID: st.id, Decoded: decoded}
+	ack := AckFrame{FlowID: st.flow, MsgID: st.id, Decoded: decoded}
 	lb := e.acks.Lease()
 	frame := ack.AppendTo(lb.Data[:0])
 	var err error
@@ -1277,8 +1268,8 @@ func (e *flowEngine) sendAckFor(st *msgState, decoded bool) error {
 	return nil
 }
 
-// ackMarshalCap sizes the engine's ack-marshal arena buffers; the largest
-// ack (v1) is 11 bytes.
+// ackMarshalCap sizes the engine's ack-marshal arena buffers; an ack is
+// ackLen (11) bytes.
 const ackMarshalCap = 32
 
 // stop shuts the workers down, letting them drain queued attempts first.

@@ -86,13 +86,9 @@ type Config struct {
 	// core.DefaultDecoderPoolCapacity; a negative value disables pooling
 	// (every message builds a fresh decoder, as the pre-flow receiver did).
 	PoolCapacity int
-	// FlowID is the sender's flow identity, carried in every v1 data frame
-	// so one receiver can serve many senders. Zero is a valid flow (and the
-	// flow v0 senders implicitly use).
+	// FlowID is the sender's flow identity, carried in every data frame so
+	// one receiver can serve many senders. Zero is a valid flow.
 	FlowID uint32
-	// LegacyV0 makes the sender emit v0 (pre-flow) frames, for
-	// interoperating with pre-v1 receivers. Requires FlowID 0.
-	LegacyV0 bool
 	// IngestBatch is how many frames the receiver pulls from the transport
 	// per batched receive call (BatchTransport); zero selects
 	// DefaultIngestBatch. Transports without batch support ignore it.
@@ -266,9 +262,6 @@ func (c Config) validate() error {
 	if c.AdaptiveSearch && c.FlowDecodeBudget == 0 {
 		return fmt.Errorf("link: AdaptiveSearch requires a FlowDecodeBudget (the budget ledger is the pressure signal)")
 	}
-	if c.LegacyV0 && c.FlowID != 0 {
-		return fmt.Errorf("link: legacy v0 framing cannot carry flow %d", c.FlowID)
-	}
 	if c.IngestBatch < 1 || c.IngestBatch > MaxIngestBatch {
 		return fmt.Errorf("link: IngestBatch must be in [1,%d], got %d", MaxIngestBatch, c.IngestBatch)
 	}
@@ -385,10 +378,6 @@ func (s *Sender) Send(msgID uint32, payload []byte) (*SendReport, error) {
 		return nil, err
 	}
 
-	version := FrameV1
-	if s.cfg.LegacyV0 {
-		version = FrameV0
-	}
 	report := &SendReport{}
 	maxSymbols := s.cfg.MaxPasses * params.NumSegments()
 	next := 0
@@ -420,7 +409,7 @@ func (s *Sender) Send(msgID uint32, payload []byte) (*SendReport, error) {
 			syms[i] = enc.SymbolAt(sched.Pos(next + i))
 		}
 		frame := DataFrame{
-			Version:     version,
+			Version:     FrameV1,
 			FlowID:      s.cfg.FlowID,
 			MsgID:       msgID,
 			MessageBits: uint32(messageBits),
@@ -613,8 +602,7 @@ func (s *Sender) waitForAck(report *SendReport, msgID uint32, wait time.Duration
 			}
 			continue
 		}
-		// v0 acks carry flow 0, which is exactly this sender's flow when it
-		// speaks v0; acks for other flows on a shared transport are ignored.
+		// Acks for other flows on a shared transport are ignored.
 		if s.view.Kind == KindAck && s.view.MsgID == msgID && s.view.FlowID == s.cfg.FlowID {
 			if s.view.Decoded {
 				return true, false, nil
@@ -628,7 +616,7 @@ func (s *Sender) waitForAck(report *SendReport, msgID uint32, wait time.Duration
 	}
 }
 
-// EncodeFrames builds the complete v1 frame sequence a sender with this
+// EncodeFrames builds the complete frame sequence a sender with this
 // configuration would emit for one payload over `passes` encoding passes,
 // without transmitting anything. A non-nil corrupt function is applied to
 // every symbol before it is marshalled, so experiments can bake a

@@ -82,7 +82,7 @@ func Names() []string {
 
 // Suggest returns registered names close to the (unknown) name, nearest
 // first: substring matches, then names within a small edit distance. It is
-// what turns `-exp multifow` into `did you mean "multiflow"?`.
+// what turns `-exp chaossok` into `did you mean "chaossoak"?`.
 func Suggest(name string) []string {
 	type cand struct {
 		name string
