@@ -711,12 +711,11 @@ func BenchmarkLinkProtocol(b *testing.B) {
 }
 
 // BenchmarkMultiFlow measures the flow-multiplexed link engine's aggregate
-// decode throughput as concurrent flows share one receiver, with the shared
-// decoder pool on (decoders recycled across messages and flows) and off
-// (every message builds a fresh decoder, the pre-flow behaviour). Frames are
-// fed through the deterministic synchronous path so the numbers isolate
-// engine and pool overhead rather than goroutine scheduling noise; each flow
-// streams two messages so the pooled configuration actually reuses decoders.
+// decode throughput as concurrent flows share one receiver and its decoder
+// pool (decoders recycled across messages and flows). Frames are fed through
+// the deterministic synchronous path so the numbers isolate engine and pool
+// overhead rather than goroutine scheduling noise; each flow streams two
+// messages so the pool actually reuses decoders.
 func BenchmarkMultiFlow(b *testing.B) {
 	const messagesPerFlow = 2
 	payload := make([]byte, 16)
@@ -742,63 +741,56 @@ func BenchmarkMultiFlow(b *testing.B) {
 			return all
 		}
 		all := build()
-		for _, pooled := range []bool{true, false} {
-			name := fmt.Sprintf("flows=%d/pool=%v", flows, pooled)
-			b.Run(name, func(b *testing.B) {
-				poolCap := 0 // default capacity
-				if !pooled {
-					poolCap = -1 // disable pooling
+		b.Run(fmt.Sprintf("flows=%d", flows), func(b *testing.B) {
+			totalMsgs := flows * messagesPerFlow
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				_, near, err := link.NewPipePair(0, 1)
+				if err != nil {
+					b.Fatal(err)
 				}
-				totalMsgs := flows * messagesPerFlow
-				start := time.Now()
-				for i := 0; i < b.N; i++ {
-					_, near, err := link.NewPipePair(0, 1)
-					if err != nil {
-						b.Fatal(err)
-					}
-					recv, err := link.NewReceiver(near, link.Config{K: 4, C: 8, PoolCapacity: poolCap}, nil)
-					if err != nil {
-						b.Fatal(err)
-					}
-					delivered := 0
-					cur := make([]int, flows)  // current message per flow
-					next := make([]int, flows) // next frame of that message
-					for delivered < totalMsgs {
-						progressed := false
-						for f := 0; f < flows; f++ {
-							if cur[f] >= messagesPerFlow {
-								continue
-							}
-							mf := all[f][cur[f]]
-							if next[f] >= len(mf.frames) {
-								b.Fatalf("flow %d msg %d not delivered within its noiseless frames", f+1, cur[f]+1)
-							}
-							d, err := recv.HandleFrame(mf.frames[next[f]])
-							if err != nil {
-								b.Fatal(err)
-							}
-							next[f]++
-							progressed = true
-							if d != nil {
-								delivered++
-								cur[f]++
-								next[f] = 0
-							}
+				recv, err := link.NewReceiver(near, link.Config{K: 4, C: 8}, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				delivered := 0
+				cur := make([]int, flows)  // current message per flow
+				next := make([]int, flows) // next frame of that message
+				for delivered < totalMsgs {
+					progressed := false
+					for f := 0; f < flows; f++ {
+						if cur[f] >= messagesPerFlow {
+							continue
 						}
-						if !progressed {
-							b.Fatal("benchmark made no progress")
+						mf := all[f][cur[f]]
+						if next[f] >= len(mf.frames) {
+							b.Fatalf("flow %d msg %d not delivered within its noiseless frames", f+1, cur[f]+1)
+						}
+						d, err := recv.HandleFrame(mf.frames[next[f]])
+						if err != nil {
+							b.Fatal(err)
+						}
+						next[f]++
+						progressed = true
+						if d != nil {
+							delivered++
+							cur[f]++
+							next[f] = 0
 						}
 					}
-					recv.Close()
-					near.Close()
+					if !progressed {
+						b.Fatal("benchmark made no progress")
+					}
 				}
-				elapsed := time.Since(start).Seconds()
-				if elapsed > 0 {
-					b.ReportMetric(float64(b.N*totalMsgs)/elapsed, "msgs/sec")
-					b.ReportMetric(float64(b.N*totalMsgs*len(payload)*8)/elapsed, "bits/sec")
-				}
-			})
-		}
+				recv.Close()
+				near.Close()
+			}
+			elapsed := time.Since(start).Seconds()
+			if elapsed > 0 {
+				b.ReportMetric(float64(b.N*totalMsgs)/elapsed, "msgs/sec")
+				b.ReportMetric(float64(b.N*totalMsgs*len(payload)*8)/elapsed, "bits/sec")
+			}
+		})
 	}
 }
 

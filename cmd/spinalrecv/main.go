@@ -24,7 +24,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"time"
 
@@ -42,19 +41,11 @@ func main() {
 	beam := flag.Int("beam", 16, "decoder beam width B")
 	workers := flag.Int("workers", 0,
 		"decode worker pool size: how many distinct in-flight packets decode concurrently (0 = GOMAXPROCS)")
-	decWorkers := flag.Int("decoder-workers", 0,
-		"per-packet decoder parallelism (0 = serial per packet; results are bit-identical at any setting)")
 	count := flag.Int("count", 0, "exit after this many packets (0 = run forever)")
 	seed := flag.Uint64("noise-seed", 1, "seed for the simulated radio noise")
 	maxFlows := flag.Int("max-flows", 0,
 		"cap on concurrently tracked flows; the oldest flow is shed (and NACKed) beyond it (0 = default)")
 	maxTracked := flag.Int("max-tracked", 0, "cap on tracked messages across all flows (0 = default)")
-	pool := flag.Int("pool", 0,
-		"decoder-pool capacity: idle decoders kept for reuse across flows (0 = default, negative = disable pooling)")
-	ingestShards := flag.Int("ingest-shards", 1,
-		"SO_REUSEPORT ingest sockets sharing the listen port; >1 runs the sharded reactor (Linux/BSD)")
-	ingestBatch := flag.Int("ingest-batch", 0,
-		"frames pulled from the socket per receive call via recvmmsg-style batching (0 = default)")
 	idleExpiry := flag.Duration("idle-expiry", 0,
 		"expire flows with no frame for this long, NACKing their in-flight packets (0 = never)")
 	budget := flag.Int64("budget", 0,
@@ -71,44 +62,28 @@ func main() {
 		"frame-level fault profile applied to received frames, e.g. \"drop=0.05,reorder=0.1,depth=4\" or the JSON form of link.FaultProfile")
 	flag.Parse()
 
-	if err := serve(*listen, *snr, *adc, *beam, *workers, *decWorkers, *count, *seed,
-		*maxFlows, *maxTracked, *pool, *ingestShards, *ingestBatch, *idleExpiry, *budget, *stats,
+	if err := serve(*listen, *snr, *adc, *beam, *workers, *count, *seed,
+		*maxFlows, *maxTracked, *idleExpiry, *budget, *stats,
 		*search, *adaptive, *impairSpec, *faultSpec); err != nil {
 		fmt.Fprintln(os.Stderr, "spinalrecv:", err)
 		os.Exit(1)
 	}
 }
 
-func serve(listen string, snr float64, adc, beam, workers, decWorkers, count int, seed uint64,
-	maxFlows, maxTracked, pool, ingestShards, ingestBatch int,
-	idleExpiry time.Duration, budget int64, statsEvery time.Duration,
+func serve(listen string, snr float64, adc, beam, workers, count int, seed uint64,
+	maxFlows, maxTracked int, idleExpiry time.Duration, budget int64, statsEvery time.Duration,
 	search string, adaptive bool, impairSpec, faultSpec string) error {
 	searchMode, err := core.ParseSearchMode(search)
 	if err != nil {
 		return err
 	}
-	// A single shard binds one plain UDP socket; more shards run the
-	// SO_REUSEPORT reactor, which spreads kernel-side demux across sockets
-	// while frames still funnel into the one flow-demuxed receiver.
-	var tr link.BatchPacketTransport
-	if ingestShards > 1 {
-		reactor, err := link.NewReactor(link.ReactorConfig{
-			Addr:   listen,
-			Shards: ingestShards,
-			Batch:  ingestBatch,
-		})
-		if err != nil {
-			return err
-		}
-		tr = reactor
-	} else {
-		udp, err := link.NewUDP(listen, "")
-		if err != nil {
-			return err
-		}
-		tr = udp
+	// One UDP socket serves every flow; on Linux the receiver drains it in
+	// recvmmsg batches.
+	udp, err := link.NewUDP(listen, "")
+	if err != nil {
+		return err
 	}
-	defer tr.Close()
+	defer udp.Close()
 
 	// The simulated radio: AWGN plus ADC by default, or a declarative
 	// impairment pipeline when -impair is set. Either way the receiver sees a
@@ -134,39 +109,32 @@ func serve(listen string, snr float64, adc, beam, workers, decWorkers, count int
 		radio = q
 	}
 	// Frame-level faults wrap the transport the receiver reads from; the
-	// wrapped transport loses batch ingest, which is fine for a fault-injected
-	// test run.
-	var recvTr link.Transport = tr
+	// wrapper keeps the socket's batch and per-peer capabilities, so ingest
+	// still runs in batches with acks routed to each sender.
+	var recvTr link.Transport = udp
 	if faultSpec != "" {
 		profile, err := link.ParseFaultProfile(faultSpec)
 		if err != nil {
 			return err
 		}
-		recvTr = link.NewFaultTransport(tr, link.FaultProfile{}, profile, seed^0x1f83d9abfb41bd6b)
+		recvTr = link.NewFaultTransport(udp, link.FaultProfile{}, profile, seed^0x1f83d9abfb41bd6b)
 	}
 	recv, err := link.NewReceiver(recvTr, link.Config{
-		BeamWidth:          beam,
-		DecodeWorkers:      workers,
-		DecoderParallelism: decWorkers,
-		MaxFlows:           maxFlows,
-		MaxTracked:         maxTracked,
-		PoolCapacity:       pool,
-		IngestBatch:        ingestBatch,
-		IdleExpiry:         idleExpiry,
-		FlowDecodeBudget:   budget,
-		Search:             searchMode,
-		AdaptiveSearch:     adaptive,
+		BeamWidth:        beam,
+		DecodeWorkers:    workers,
+		MaxFlows:         maxFlows,
+		MaxTracked:       maxTracked,
+		IdleExpiry:       idleExpiry,
+		FlowDecodeBudget: budget,
+		Search:           searchMode,
+		AdaptiveSearch:   adaptive,
 	}, radio)
 	if err != nil {
 		return err
 	}
 	defer recv.Close()
-	addr := listen
-	if la, ok := tr.(interface{ LocalAddr() net.Addr }); ok {
-		addr = la.LocalAddr().String()
-	}
-	fmt.Printf("spinalrecv: listening on %s (%d ingest shard(s)), simulating %s, serving multiplexed flows\n",
-		addr, ingestShards, radioDesc)
+	fmt.Printf("spinalrecv: listening on %s, simulating %s, serving multiplexed flows\n",
+		udp.LocalAddr(), radioDesc)
 
 	// Stats lines come from this goroutine — the one driving Receive — which
 	// is the EngineStats contract; no ticker goroutine races the engine.

@@ -6,8 +6,8 @@ import (
 )
 
 // Arena is a pool of fixed-capacity frame buffers with explicit lease and
-// release accounting — the allocator of the GC-free wire path. Every buffer
-// a hot path touches (ingest datagrams, marshalled data frames, acks) is
+// release accounting — the allocator of the GC-free wire path. Every
+// outgoing buffer a hot path touches (marshalled data frames, acks) is
 // leased from an arena and released when the bytes have been consumed, so
 // the steady state recycles a bounded working set instead of creating
 // garbage per frame.
@@ -19,7 +19,7 @@ import (
 // assert the ledger balances.
 //
 // An arena never blocks: leasing beyond the free list allocates a fresh
-// buffer (counted as a miss), and releasing beyond MaxFree lets the buffer
+// buffer (counted as a miss), and releasing beyond maxFree lets the buffer
 // go to the garbage collector (counted as a discard), which bounds the idle
 // memory a traffic burst can pin.
 type Arena struct {
@@ -33,8 +33,7 @@ type Arena struct {
 }
 
 // ArenaBuf is one leased buffer. Data has the arena's full buffer capacity;
-// callers slice it as needed (append into Data[:0], or fill Data[:n]) and
-// may even swap Data for another slice of at least the same capacity — the
+// callers slice it as needed (append into Data[:0], or fill Data[:n]). The
 // storage, not the slice header, is what the arena recycles.
 type ArenaBuf struct {
 	Data     []byte
@@ -49,8 +48,8 @@ type ArenaStats struct {
 	Leases uint64 `json:"leases"`
 	Misses uint64 `json:"misses"`
 	// Releases counts every Release; Discards counts the subset dropped to
-	// the garbage collector because the free list was full (or the buffer
-	// came back undersized after a swap).
+	// the garbage collector because the free list was full (or Data came
+	// back with less than the arena's buffer capacity).
 	Releases uint64 `json:"releases"`
 	Discards uint64 `json:"discards"`
 	// Outstanding is the current number of leased-but-unreleased buffers.
@@ -59,31 +58,18 @@ type ArenaStats struct {
 	Free int `json:"free"`
 }
 
-// DefaultArenaFree is the default bound on an arena's idle free list.
-const DefaultArenaFree = 256
-
 // NewArena returns an arena of bufCap-byte buffers (0 selects the transport
-// frame-size limit) keeping at most maxFree idle buffers (0 selects
-// DefaultArenaFree; negative keeps none, making the arena a pure ledger).
+// frame-size limit) keeping at most maxFree (positive) idle buffers.
 func NewArena(bufCap, maxFree int) *Arena {
 	if bufCap <= 0 {
 		bufCap = maxFrameSize
 	}
-	switch {
-	case maxFree == 0:
-		maxFree = DefaultArenaFree
-	case maxFree < 0:
-		maxFree = 0
-	}
 	return &Arena{bufCap: bufCap, maxFree: maxFree}
 }
 
-// BufCap returns the capacity of the arena's buffers.
-func (a *Arena) BufCap() int { return a.bufCap }
-
-// Lease returns a buffer with len(Data) == cap(Data) == BufCap. It panics on
-// a closed arena — leasing after Close is a lifecycle bug, not a recoverable
-// condition.
+// Lease returns a buffer with len(Data) == cap(Data) == the arena's buffer
+// capacity. It panics on a closed arena — leasing after Close is a lifecycle
+// bug, not a recoverable condition.
 func (a *Arena) Lease() *ArenaBuf {
 	a.mu.Lock()
 	if a.closed {
@@ -122,8 +108,8 @@ func (b *ArenaBuf) Release() {
 	b.released = true
 	a.outstanding--
 	a.stats.Releases++
-	// A swapped-in replacement slice must still hold a full frame; anything
-	// smaller is discarded so a later lease cannot hand out a short buffer.
+	// Data reassigned to a smaller slice is discarded so a later lease
+	// cannot hand out a short buffer.
 	if len(a.free) < a.maxFree && cap(b.Data) >= a.bufCap && !a.closed {
 		b.Data = b.Data[:cap(b.Data)]
 		a.free = append(a.free, b)
@@ -141,13 +127,6 @@ func (a *Arena) Stats() ArenaStats {
 	s.Outstanding = a.outstanding
 	s.Free = len(a.free)
 	return s
-}
-
-// Outstanding reports how many leased buffers have not been released.
-func (a *Arena) Outstanding() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.outstanding
 }
 
 // Close drops the free list and reports an error when leases are still

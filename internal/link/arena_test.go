@@ -47,7 +47,7 @@ func TestArenaLeakDetectedAtClose(t *testing.T) {
 	}
 	// A release after close balances the ledger (and is discarded).
 	leaked.Release()
-	if got := a.Outstanding(); got != 0 {
+	if got := a.Stats().Outstanding; got != 0 {
 		t.Fatalf("outstanding after late release: %d", got)
 	}
 }
@@ -80,10 +80,10 @@ func TestArenaFreeListBounded(t *testing.T) {
 	}
 }
 
-// TestArenaSwappedStorage pins the swap contract the reactor relies on: a
-// lease whose Data was exchanged for another full-capacity slice recycles
-// the replacement storage, while an undersized replacement is discarded
-// rather than handed to the next lease.
+// TestArenaSwappedStorage pins Release's capacity check: a lease whose Data
+// was reassigned to another full-capacity slice recycles that storage, while
+// an undersized replacement is discarded rather than handed to the next
+// lease.
 func TestArenaSwappedStorage(t *testing.T) {
 	a := NewArena(64, 4)
 	b := a.Lease()

@@ -348,22 +348,50 @@ func TestReceiverCloseStopsWorkers(t *testing.T) {
 	}
 }
 
-// TestReceiverConfigValidation covers the new configuration knobs.
+// invalidConfigs are configurations validate must reject; both NewSender
+// and NewReceiver run it.
+var invalidConfigs = []struct {
+	name string
+	cfg  Config
+}{
+	{"negative DecodeWorkers", Config{DecodeWorkers: -1}},
+	{"negative MaxTracked", Config{MaxTracked: -3}},
+	{"negative AckPoll with explicit AckPollMax", Config{AckPoll: -time.Millisecond, AckPollMax: time.Millisecond}},
+	{"negative AckPoll", Config{AckPoll: -time.Millisecond}},
+	{"AckPollMax below AckPoll", Config{AckPoll: 2 * time.Millisecond, AckPollMax: time.Millisecond}},
+	{"negative FinalWait", Config{FinalWait: -time.Second}},
+	{"negative SendDeadline", Config{SendDeadline: -time.Second}},
+	{"FlushFrames over the bound", Config{FlushFrames: maxFlushFrames + 1}},
+}
+
+// TestReceiverConfigValidation checks that NewReceiver rejects every
+// invalid configuration and accepts a valid one.
 func TestReceiverConfigValidation(t *testing.T) {
 	_, near, _ := NewPipePair(0, 76)
 	defer near.Close()
-	if _, err := NewReceiver(near, Config{DecodeWorkers: -1}, nil); err == nil {
-		t.Error("negative DecodeWorkers accepted")
+	for _, tc := range invalidConfigs {
+		if r, err := NewReceiver(near, tc.cfg, nil); err == nil {
+			r.Close()
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
-	if _, err := NewReceiver(near, Config{DecoderParallelism: -2}, nil); err == nil {
-		t.Error("negative DecoderParallelism accepted")
-	}
-	if _, err := NewReceiver(near, Config{MaxTracked: -3}, nil); err == nil {
-		t.Error("negative MaxTracked accepted")
-	}
-	r, err := NewReceiver(near, Config{DecodeWorkers: 2, DecoderParallelism: 2, MaxTracked: 8}, nil)
+	r, err := NewReceiver(near, Config{DecodeWorkers: 2, MaxTracked: 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
+}
+
+// TestSenderConfigValidation runs the same table through NewSender.
+func TestSenderConfigValidation(t *testing.T) {
+	far, _, _ := NewPipePair(0, 77)
+	defer far.Close()
+	for _, tc := range invalidConfigs {
+		if _, err := NewSender(far, tc.cfg); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	if _, err := NewSender(far, Config{AckPoll: time.Millisecond, FinalWait: time.Second}); err != nil {
+		t.Fatal(err)
+	}
 }

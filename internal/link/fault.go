@@ -533,7 +533,7 @@ func faultReceiveBatch(bufs [][]byte, timeout time.Duration,
 	return got, nil
 }
 
-// faultBatchPacket is the full capability set (UDP, Reactor, Pipe wrapped
+// faultBatchPacket is the full capability set (UDP, or Pipe wrapped
 // together with per-peer addressing).
 type faultBatchPacket struct {
 	faultPacket

@@ -39,7 +39,7 @@ import (
 // Decoders are not built per message: they are leased from a shared
 // core.DecoderPool keyed by code parameters, so the (expensive) incremental
 // workspaces and goroutine pools are recycled across messages and across
-// flows. The pool's capacity is Config.PoolCapacity.
+// flows. The pool keeps up to core.DefaultDecoderPoolCapacity idle decoders.
 //
 // Bounded state, three ways: MaxTrackedPerFlow caps the in-flight messages
 // of each flow (oldest evicted first, delivered before in-flight), MaxTracked
@@ -70,9 +70,9 @@ type Receiver struct {
 	// goroutine only): positions and impaired values, index-aligned.
 	scratchPos []core.SymbolPos
 	scratchY   []complex128
-	// rxBufs/rxAddrs are the ingest batch: Config.IngestBatch full-capacity
-	// frame buffers (storage may be swapped by arena-backed transports) and
-	// their source addresses. view is the reused in-place frame parse.
+	// rxBufs/rxAddrs are the ingest batch: ingestBatch full-capacity frame
+	// buffers and their source addresses. view is the reused in-place frame
+	// parse.
 	rxBufs  [][]byte
 	rxAddrs []net.Addr
 	view    FrameView
@@ -202,19 +202,12 @@ func NewReceiver(tr Transport, cfg Config, impairment channel.SymbolChannel) (*R
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	poolCap := cfg.PoolCapacity
-	switch {
-	case poolCap == 0:
-		poolCap = core.DefaultDecoderPoolCapacity
-	case poolCap < 0:
-		poolCap = 0 // pooling disabled: every lease builds, every release closes
-	}
 	r := &Receiver{
 		tr:         tr,
 		cfg:        cfg,
 		impairment: impairment,
 		flows:      map[uint32]*flowState{},
-		pool:       core.NewDecoderPool(poolCap),
+		pool:       core.NewDecoderPool(core.DefaultDecoderPoolCapacity),
 		eng:        newFlowEngine(tr, workers, cfg.FlowDecodeBudget, cfg.Search, cfg.AdaptiveSearch),
 	}
 	if pt, ok := tr.(PacketTransport); ok {
@@ -226,7 +219,7 @@ func NewReceiver(tr Transport, cfg Config, impairment channel.SymbolChannel) (*R
 	if bpt, ok := tr.(BatchPacketTransport); ok {
 		r.bptr = bpt
 	}
-	batch := cfg.IngestBatch
+	batch := ingestBatch
 	if r.btr == nil && r.bptr == nil {
 		batch = 1 // single-frame transport: one reused buffer
 	}
@@ -273,7 +266,7 @@ func (r *Receiver) Close() error {
 // To keep the decoders from falling behind fast senders, Receive drains
 // every frame queued on the transport into the per-message pending buffers
 // and hands decode attempts to the worker pool; it never decodes inline.
-// On a BatchTransport the drain moves Config.IngestBatch frames per
+// On a BatchTransport the drain moves up to ingestBatch frames per
 // transport call.
 func (r *Receiver) Receive(timeout time.Duration) (*Delivered, error) {
 	deadline := time.Now().Add(timeout)
@@ -528,9 +521,9 @@ func (r *Receiver) stateFor(v *FrameView) (*msgState, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	if cost := int64(params.NumSegments()) << uint(v.K); r.cfg.MaxDecodeCost > 0 && cost > r.cfg.MaxDecodeCost {
+	if cost := int64(params.NumSegments()) << uint(v.K); cost > maxDecodeCost {
 		return nil, fmt.Errorf("link: frame advertises decode cost %d (k=%d, %d segments) beyond cap %d",
-			cost, v.K, params.NumSegments(), r.cfg.MaxDecodeCost)
+			cost, v.K, params.NumSegments(), maxDecodeCost)
 	}
 	sched, err := scheduleFor(v.Schedule, params.NumSegments())
 	if err != nil {
@@ -561,15 +554,10 @@ func (r *Receiver) stateFor(v *FrameView) (*msgState, error) {
 		lease.Release()
 		return nil, err
 	}
-	// Per-message decodes default to the serial path: the receiver's
-	// parallelism comes from decoding distinct messages concurrently, and a
-	// goroutine pool per tracked message would mostly add churn. Raise
-	// Config.DecoderParallelism to shard single large decodes too.
-	par := r.cfg.DecoderParallelism
-	if par == 0 {
-		par = 1
-	}
-	lease.Dec.SetParallelism(par)
+	// Per-message decodes run serially: the receiver's parallelism comes
+	// from decoding distinct messages concurrently, and a goroutine pool per
+	// tracked message would mostly add churn.
+	lease.Dec.SetParallelism(1)
 	st := &msgState{
 		flow:    v.FlowID,
 		id:      v.MsgID,

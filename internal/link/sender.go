@@ -49,11 +49,6 @@ type Config struct {
 	// wrapping ErrDeadline. Zero means no deadline (give up only on the
 	// MaxPasses budget).
 	SendDeadline time.Duration
-	// SendRetries is how many consecutive transient transport errors one
-	// send or ack-wait operation absorbs (with a short pause) before Send
-	// fails. ErrClosed is always fatal. Zero selects 8; negative disables
-	// retries, restoring fail-on-first-error.
-	SendRetries int
 	// FinalWait is how long the sender keeps listening for a late
 	// acknowledgement after it has emitted its last frame, covering the time
 	// the receiver needs to catch up on decoding; zero selects one second.
@@ -64,11 +59,6 @@ type Config struct {
 	// worker, which keeps its incremental decode workspace valid. Zero
 	// selects runtime.GOMAXPROCS.
 	DecodeWorkers int
-	// DecoderParallelism is the per-message decoder's internal worker count
-	// (BeamDecoder.SetParallelism). Zero selects 1 — on a receiver the
-	// useful parallelism usually comes from decoding distinct messages
-	// concurrently, not from sharding one message's tree.
-	DecoderParallelism int
 	// MaxTracked caps how many per-message decoding states the receiver
 	// retains at once across all flows; the oldest (delivered first) are
 	// evicted when the cap is hit. Zero selects DefaultMaxTracked.
@@ -81,18 +71,9 @@ type Config struct {
 	// activity and NACKs its undelivered messages. Zero selects
 	// DefaultMaxFlows.
 	MaxFlows int
-	// PoolCapacity bounds the receiver's shared decoder pool: how many idle
-	// decoders are kept for reuse across messages and flows. Zero selects
-	// core.DefaultDecoderPoolCapacity; a negative value disables pooling
-	// (every message builds a fresh decoder, as the pre-flow receiver did).
-	PoolCapacity int
 	// FlowID is the sender's flow identity, carried in every data frame so
 	// one receiver can serve many senders. Zero is a valid flow.
 	FlowID uint32
-	// IngestBatch is how many frames the receiver pulls from the transport
-	// per batched receive call (BatchTransport); zero selects
-	// DefaultIngestBatch. Transports without batch support ignore it.
-	IngestBatch int
 	// FlushFrames is how many data frames the sender coalesces into one
 	// SendBatch before it pauses to poll for an ack; zero selects 1, the
 	// classic frame-by-frame cadence. Larger values amortize syscalls at
@@ -127,28 +108,29 @@ type Config struct {
 	// mode, and revert to Config.Search once the pressure drains. Requires
 	// FlowDecodeBudget, which supplies the pressure signal.
 	AdaptiveSearch bool
-	// MaxDecodeCost caps the decode work a single frame may advertise,
-	// measured as 2^K times the segment count of the message it describes.
-	// The wire format admits parameters (K=12 with a maximum-length
-	// message) whose beam decode runs minutes per attempt, so one hostile
-	// frame could otherwise pin a decode worker — a cheap denial of
-	// service against the receiver. Frames over the cap are rejected at
-	// admission, before any state is allocated. Zero selects
-	// DefaultMaxDecodeCost, which admits every configuration this
-	// repository ships with ~4x headroom; negative disables the cap.
-	MaxDecodeCost int64
 }
 
-// DefaultMaxDecodeCost is the default Config.MaxDecodeCost: roughly 4x the
-// advertised decode cost of the largest legitimate configuration (K=8 with a
-// MaxPayload-sized message).
-const DefaultMaxDecodeCost = 1 << 21
+// maxDecodeCost caps the decode work a single frame may advertise, measured
+// as 2^K times the segment count of the message it describes. The wire
+// format admits parameters (K=12 with a maximum-length message) whose beam
+// decode runs minutes per attempt, so one hostile frame could otherwise pin
+// a decode worker — a cheap denial of service against the receiver. Frames
+// over the cap are rejected at admission, before any state is allocated.
+// The cap is roughly 4x the advertised decode cost of the largest legitimate
+// configuration (K=8 with a MaxPayload-sized message).
+const maxDecodeCost = 1 << 21
 
-// DefaultIngestBatch is the default receiver batch size per receive call.
-const DefaultIngestBatch = 32
+// ingestBatch is how many frames the receiver pulls from a BatchTransport
+// per receive call (the recvmmsg batch size on Linux UDP).
+const ingestBatch = 32
 
-// MaxIngestBatch bounds IngestBatch and FlushFrames.
-const MaxIngestBatch = 1024
+// sendRetries is how many consecutive transient transport errors one send
+// or ack-wait operation absorbs (with a short pause) before Send fails.
+// ErrClosed is always fatal.
+const sendRetries = 8
+
+// maxFlushFrames bounds Config.FlushFrames.
+const maxFlushFrames = 1024
 
 // DefaultMaxTracked is the default cap on simultaneously tracked messages at
 // the receiver, across all flows.
@@ -186,11 +168,6 @@ func (c Config) withDefaults() Config {
 	if c.AckPollMax == 0 {
 		c.AckPollMax = 16 * c.AckPoll
 	}
-	if c.SendRetries == 0 {
-		c.SendRetries = 8
-	} else if c.SendRetries < 0 {
-		c.SendRetries = 0
-	}
 	if c.FinalWait == 0 {
 		c.FinalWait = time.Second
 	}
@@ -203,14 +180,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxFlows == 0 {
 		c.MaxFlows = DefaultMaxFlows
 	}
-	if c.IngestBatch == 0 {
-		c.IngestBatch = DefaultIngestBatch
-	}
 	if c.FlushFrames == 0 {
 		c.FlushFrames = 1
-	}
-	if c.MaxDecodeCost == 0 {
-		c.MaxDecodeCost = DefaultMaxDecodeCost
 	}
 	return c
 }
@@ -235,9 +206,6 @@ func (c Config) validate() error {
 	if c.DecodeWorkers < 0 {
 		return fmt.Errorf("link: DecodeWorkers must be >= 0, got %d", c.DecodeWorkers)
 	}
-	if c.DecoderParallelism < 0 {
-		return fmt.Errorf("link: DecoderParallelism must be >= 0, got %d", c.DecoderParallelism)
-	}
 	if c.MaxTracked < 0 {
 		return fmt.Errorf("link: MaxTracked must be >= 0, got %d", c.MaxTracked)
 	}
@@ -247,11 +215,17 @@ func (c Config) validate() error {
 	if c.MaxFlows < 0 {
 		return fmt.Errorf("link: MaxFlows must be >= 0, got %d", c.MaxFlows)
 	}
+	if c.AckPoll < 0 {
+		return fmt.Errorf("link: AckPoll must be >= 0, got %v", c.AckPoll)
+	}
 	if c.AckPollMax < c.AckPoll {
 		return fmt.Errorf("link: AckPollMax %v below AckPoll %v", c.AckPollMax, c.AckPoll)
 	}
 	if c.SendDeadline < 0 {
 		return fmt.Errorf("link: SendDeadline must be >= 0, got %v", c.SendDeadline)
+	}
+	if c.FinalWait < 0 {
+		return fmt.Errorf("link: FinalWait must be >= 0, got %v", c.FinalWait)
 	}
 	if c.FlowDecodeBudget < 0 {
 		return fmt.Errorf("link: FlowDecodeBudget must be >= 0, got %d", c.FlowDecodeBudget)
@@ -262,11 +236,8 @@ func (c Config) validate() error {
 	if c.AdaptiveSearch && c.FlowDecodeBudget == 0 {
 		return fmt.Errorf("link: AdaptiveSearch requires a FlowDecodeBudget (the budget ledger is the pressure signal)")
 	}
-	if c.IngestBatch < 1 || c.IngestBatch > MaxIngestBatch {
-		return fmt.Errorf("link: IngestBatch must be in [1,%d], got %d", MaxIngestBatch, c.IngestBatch)
-	}
-	if c.FlushFrames < 1 || c.FlushFrames > MaxIngestBatch {
-		return fmt.Errorf("link: FlushFrames must be in [1,%d], got %d", MaxIngestBatch, c.FlushFrames)
+	if c.FlushFrames < 1 || c.FlushFrames > maxFlushFrames {
+		return fmt.Errorf("link: FlushFrames must be in [1,%d], got %d", maxFlushFrames, c.FlushFrames)
 	}
 	return nil
 }
@@ -512,7 +483,7 @@ func (s *Sender) jitter(wait time.Duration) time.Duration {
 // flush hands the queued frames to the transport — one SendBatch when the
 // transport supports it, a send loop otherwise — and returns their marshal
 // buffers to the arena. Transient transport errors (anything but ErrClosed)
-// are retried in place up to Config.SendRetries times, resuming from the
+// are retried in place up to sendRetries times, resuming from the
 // first unsent frame, so a momentary stall or injected fault does not fail
 // the whole message.
 func (s *Sender) flush(deadline time.Time) error {
@@ -533,7 +504,7 @@ func (s *Sender) flush(deadline time.Time) error {
 			retries = 0
 			continue
 		}
-		if errors.Is(err, ErrClosed) || retries >= s.cfg.SendRetries {
+		if errors.Is(err, ErrClosed) || retries >= sendRetries {
 			break
 		}
 		retries++
@@ -562,7 +533,7 @@ func (s *Sender) flush(deadline time.Time) error {
 // receiver shed this flow under admission control — reports shed, telling
 // Send to stop retransmitting. Frames that are not this message's ack are
 // counted in report.AckFramesIgnored; transient receive errors are retried
-// up to Config.SendRetries times before failing the send.
+// up to sendRetries times before failing the send.
 func (s *Sender) waitForAck(report *SendReport, msgID uint32, wait time.Duration, sendDeadline time.Time) (acked, shed bool, err error) {
 	buf := s.ackBuf
 	end := time.Now().Add(wait)
@@ -586,7 +557,7 @@ func (s *Sender) waitForAck(report *SendReport, msgID uint32, wait time.Duration
 		default:
 			// Transient fault (e.g. an injected transport error): ride it
 			// out and keep listening, bounded by the retry budget.
-			if retries >= s.cfg.SendRetries {
+			if retries >= sendRetries {
 				return false, false, fmt.Errorf("link: waiting for ack: %w", err)
 			}
 			retries++

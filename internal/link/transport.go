@@ -57,10 +57,7 @@ type BatchTransport interface {
 	Transport
 	// ReceiveBatch fills up to len(bufs) frames, one frame per buffer, and
 	// returns how many were received. Each bufs[i] is used to its full
-	// capacity and re-sliced to the frame length on return; implementations
-	// may swap bufs[i] for different backing storage of at least the same
-	// capacity (the arena swap contract), so callers must use the returned
-	// slice headers, not retain aliases of the originals. The timeout
+	// capacity and re-sliced to the frame length on return. The timeout
 	// bounds the wait for the first frame only — once at least one frame
 	// is in hand the call returns with whatever else is immediately
 	// available, and a zero timeout polls without blocking. ErrTimeout is
@@ -74,8 +71,8 @@ type BatchTransport interface {
 }
 
 // BatchPacketTransport combines batched I/O with per-peer addressing: the
-// multi-socket ingest path reads frame bursts with their source addresses so
-// acks can be directed back to the sender each frame came from.
+// receiver reads frame bursts with their source addresses so acks can be
+// directed back to the sender each frame came from.
 type BatchPacketTransport interface {
 	PacketTransport
 	BatchTransport

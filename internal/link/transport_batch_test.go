@@ -252,82 +252,3 @@ func TestErrTimeoutErrorsIs(t *testing.T) {
 		}
 	}
 }
-
-// TestReactorShardedIngest drives frames from several senders through a
-// two-shard reactor and checks every frame surfaces exactly once with its
-// source address, acks flow back, and Close detects no buffer leak.
-func TestReactorShardedIngest(t *testing.T) {
-	r, err := NewReactor(ReactorConfig{Addr: "127.0.0.1:0", Shards: 2, Batch: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const senders = 3
-	const perSender = 20
-	socks := make([]*UDP, senders)
-	for i := range socks {
-		s, err := NewUDP("127.0.0.1:0", r.LocalAddr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		socks[i] = s
-		for j := 0; j < perSender; j++ {
-			if err := s.Send([]byte(fmt.Sprintf("s%d-f%02d", i, j))); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	seen := map[string]string{}
-	bufs := mkBatchBufs(16)
-	addrs := make([]net.Addr, 16)
-	deadline := time.Now().Add(5 * time.Second)
-	for len(seen) < senders*perSender && time.Now().Before(deadline) {
-		got, err := r.ReceiveBatchFrom(bufs, addrs, 100*time.Millisecond)
-		if err != nil {
-			if errors.Is(err, ErrTimeout) {
-				continue
-			}
-			t.Fatal(err)
-		}
-		for i := 0; i < got; i++ {
-			if addrs[i] == nil {
-				t.Fatal("reactor frame without source address")
-			}
-			if prev, dup := seen[string(bufs[i])]; dup {
-				t.Fatalf("frame %q seen twice (from %s and %s)", bufs[i], prev, addrs[i])
-			}
-			seen[string(bufs[i])] = addrs[i].String()
-			// Ack straight back to the specific sender.
-			if err := r.SendTo([]byte("ok:"+string(bufs[i])), addrs[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if len(seen) != senders*perSender {
-		t.Fatalf("reactor surfaced %d frames, want %d", len(seen), senders*perSender)
-	}
-	for i, s := range socks {
-		wantFrom := s.LocalAddr().String()
-		for key, from := range seen {
-			if key[:2] == fmt.Sprintf("s%d", i) && from != wantFrom {
-				t.Fatalf("frame %q attributed to %s, want %s", key, from, wantFrom)
-			}
-		}
-		// Each sender got at least one ack back.
-		buf := make([]byte, MaxFrameSize)
-		n, err := s.Receive(buf, 2*time.Second)
-		if err != nil {
-			t.Fatalf("sender %d never saw an ack: %v", i, err)
-		}
-		if string(buf[:3]) != "ok:" {
-			t.Fatalf("sender %d ack = %q", i, buf[:n])
-		}
-	}
-	st := r.Stats()
-	if st.Frames != uint64(senders*perSender) {
-		t.Fatalf("reactor stats counted %d frames, want %d (dropped %d)", st.Frames, senders*perSender, st.Dropped)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatalf("reactor close (arena leak?): %v", err)
-	}
-}

@@ -22,29 +22,22 @@ func (t unbatchedPipe) Close() error { return t.p.Close() }
 // BenchmarkWirePath measures the steady-state socket→decoder wire path:
 // retransmitted frames of a delivered message flow through ingest, the
 // in-place parse and the arena-backed ack repeat, and the sender drains the
-// acks. The pipe variants cover the full receiver path across batch sizes
-// against the unbatched baseline; the reactor variants cover the
-// SO_REUSEPORT UDP ingest across shard counts at the transport level. Run
-// with -benchmem: the pipe steady state allocates nothing per frame.
+// acks. The pipe variants cover the full receiver path, batched against
+// the unbatched baseline. The udp variants time 32-frame loopback bursts at
+// the transport level: one Send/ReceiveFrom per frame against the
+// SendBatch/ReceiveBatchFrom path (sendmmsg/recvmmsg on Linux) that the
+// receiver and a flushing sender use. Run with -benchmem: the pipe steady
+// state allocates nothing per frame.
 func BenchmarkWirePath(b *testing.B) {
-	b.Run("pipe/unbatched", func(b *testing.B) { benchPipeWirePath(b, 1, false) })
-	for _, batch := range []int{8, 32, 128} {
-		b.Run(fmt.Sprintf("pipe/batch=%d", batch), func(b *testing.B) {
-			benchPipeWirePath(b, batch, true)
-		})
-	}
-	b.Run("udp/unbatched", func(b *testing.B) { benchUDPUnbatched(b, 32) })
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("reactor/shards=%d/batch=32", shards), func(b *testing.B) {
-			benchReactorWirePath(b, shards, 32)
-		})
-	}
+	b.Run("pipe/unbatched", func(b *testing.B) { benchPipeWirePath(b, false) })
+	b.Run(fmt.Sprintf("pipe/batch=%d", ingestBatch), func(b *testing.B) { benchPipeWirePath(b, true) })
+	b.Run("udp/unbatched", func(b *testing.B) { benchUDPWirePath(b, false) })
+	b.Run(fmt.Sprintf("udp/batch=%d", ingestBatch), func(b *testing.B) { benchUDPWirePath(b, true) })
 }
 
-// benchUDPUnbatched is the syscall-per-frame UDP baseline the recvmmsg
-// reactor rows are compared against: the same burst moves through one
-// ReceiveFrom call per frame.
-func benchUDPUnbatched(b *testing.B, batch int) {
+// benchUDPWirePath moves ingestBatch-frame bursts over loopback UDP, either
+// one syscall per frame or through the batch calls.
+func benchUDPWirePath(b *testing.B, batched bool) {
 	recv, err := NewUDP("127.0.0.1:0", "")
 	if err != nil {
 		b.Fatal(err)
@@ -60,23 +53,52 @@ func benchUDPUnbatched(b *testing.B, batch int) {
 	for i := range frame {
 		frame[i] = byte(i)
 	}
-	buf := make([]byte, MaxFrameSize)
-	moveBurst := func() (int, error) {
-		for i := 0; i < batch; i++ {
-			if err := send.Send(frame); err != nil {
-				return 0, err
+	burst := make([][]byte, ingestBatch)
+	for i := range burst {
+		burst[i] = frame
+	}
+	bufs := mkBatchBufs(ingestBatch)
+	addrs := make([]net.Addr, ingestBatch)
+	sendBurst := func() error {
+		if !batched {
+			for _, fr := range burst {
+				if err := send.Send(fr); err != nil {
+					return err
+				}
 			}
+			return nil
+		}
+		if n, err := send.SendBatch(burst); err != nil || n != len(burst) {
+			return fmt.Errorf("SendBatch = %d, %v", n, err)
+		}
+		return nil
+	}
+	receive := func() (int, error) {
+		if !batched {
+			_, _, err := recv.ReceiveFrom(bufs[0], 100*time.Millisecond)
+			return 1, err
+		}
+		for i := range bufs {
+			bufs[i] = bufs[i][:cap(bufs[i])]
+		}
+		return recv.ReceiveBatchFrom(bufs, addrs, 100*time.Millisecond)
+	}
+	// moveBurst counts frames actually moved; UDP may drop under load, so a
+	// timed-out remainder is resent rather than failed.
+	moveBurst := func() (int, error) {
+		if err := sendBurst(); err != nil {
+			return 0, err
 		}
 		moved := 0
-		for moved < batch {
-			_, _, err := recv.ReceiveFrom(buf, 100*time.Millisecond)
+		for moved < len(burst) {
+			got, err := receive()
 			if errors.Is(err, ErrTimeout) {
 				return moved, nil // dropped remainder; caller resends
 			}
 			if err != nil {
 				return moved, err
 			}
-			moved++
+			moved += got
 		}
 		return moved, nil
 	}
@@ -100,8 +122,12 @@ func benchUDPUnbatched(b *testing.B, batch int) {
 	}
 }
 
-func benchPipeWirePath(b *testing.B, batch int, batched bool) {
-	cfg := Config{SymbolsPerFrame: 16, IngestBatch: batch}
+func benchPipeWirePath(b *testing.B, batched bool) {
+	cfg := Config{SymbolsPerFrame: 16}
+	batch := 1
+	if batched {
+		batch = ingestBatch
+	}
 	far, near, err := NewPipePair(0, 1)
 	if err != nil {
 		b.Fatal(err)
@@ -181,72 +207,5 @@ func benchPipeWirePath(b *testing.B, batch int, batched bool) {
 	b.StopTimer()
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(b.N*batch)/secs, "frames/s")
-	}
-}
-
-func benchReactorWirePath(b *testing.B, shards, batch int) {
-	r, err := NewReactor(ReactorConfig{Addr: "127.0.0.1:0", Shards: shards, Batch: batch})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer r.Close()
-	send, err := NewUDP("127.0.0.1:0", r.LocalAddr().String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer send.Close()
-
-	frame := make([]byte, 512)
-	for i := range frame {
-		frame[i] = byte(i)
-	}
-	burst := make([][]byte, batch)
-	for i := range burst {
-		burst[i] = frame
-	}
-	bufs := make([][]byte, batch)
-	for i := range bufs {
-		bufs[i] = make([]byte, MaxFrameSize)
-	}
-	addrs := make([]net.Addr, batch)
-	// moveBurst counts frames actually moved; UDP may drop under load, so a
-	// timed-out remainder is resent rather than failed.
-	moveBurst := func() (int, error) {
-		if n, err := send.SendBatch(burst); err != nil || n != batch {
-			return 0, fmt.Errorf("SendBatch = %d, %v", n, err)
-		}
-		moved := 0
-		for moved < batch {
-			for i := range bufs {
-				bufs[i] = bufs[i][:cap(bufs[i])]
-			}
-			got, err := r.ReceiveBatchFrom(bufs, addrs, 100*time.Millisecond)
-			if errors.Is(err, ErrTimeout) {
-				return moved, nil // dropped remainder; caller resends
-			}
-			if err != nil {
-				return moved, err
-			}
-			moved += got
-		}
-		return moved, nil
-	}
-	if _, err := moveBurst(); err != nil {
-		b.Fatal(err)
-	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	total := 0
-	for i := 0; i < b.N; i++ {
-		moved, err := moveBurst()
-		if err != nil {
-			b.Fatal(err)
-		}
-		total += moved
-	}
-	b.StopTimer()
-	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(total)/secs, "frames/s")
 	}
 }

@@ -2,8 +2,6 @@ package link
 
 import (
 	"bytes"
-	"errors"
-	"fmt"
 	"testing"
 	"time"
 )
@@ -218,90 +216,5 @@ func TestSteadyStateAckAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ack-repeat path allocated %.2f times per frame, want 0", allocs)
-	}
-}
-
-// TestReactorFeedsReceiver wires the sharded reactor to a Receiver end to
-// end: frames encoded by EncodeFrames arrive over real UDP sockets through
-// two SO_REUSEPORT shards, and the delivered payload matches the reference
-// frame-at-a-time path exactly.
-func TestReactorFeedsReceiver(t *testing.T) {
-	cfg := Config{SymbolsPerFrame: 24}
-	payload := []byte("over the reactor, across two shards")
-	frames, err := EncodeFrames(cfg, 6, 3, payload, cfg.SymbolsPerFrame, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, _ := newTestReceiver(t, cfg)
-	want, err := ref.HandleFrames(frames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != 1 {
-		t.Fatalf("reference delivered %d packets, want 1", len(want))
-	}
-
-	reactor, err := NewReactor(ReactorConfig{Addr: "127.0.0.1:0", Shards: 2, Batch: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReceiver(reactor, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	sender, err := NewUDP("127.0.0.1:0", reactor.LocalAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sender.Close()
-
-	done := make(chan error, 1)
-	go func() {
-		// Retransmit passes until the receiver acks; UDP may drop locally.
-		for pass := 0; pass < 50; pass++ {
-			if _, err := sender.SendBatch(frames); err != nil {
-				done <- err
-				return
-			}
-			buf := make([]byte, MaxFrameSize)
-			if n, err := sender.Receive(buf, 100*time.Millisecond); err == nil {
-				var v FrameView
-				if UnmarshalFrameInPlace(buf[:n], &v) == nil && v.Kind == KindAck && v.Decoded {
-					done <- nil
-					return
-				}
-			} else if !errors.Is(err, ErrTimeout) {
-				done <- err
-				return
-			}
-		}
-		done <- fmt.Errorf("no ack after 50 passes")
-	}()
-
-	var got *Delivered
-	deadline := time.Now().Add(10 * time.Second)
-	for got == nil && time.Now().Before(deadline) {
-		d, err := r.Receive(time.Second)
-		if errors.Is(err, ErrTimeout) {
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = d
-	}
-	if got == nil {
-		t.Fatal("receiver never delivered over the reactor")
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("sender: %v", err)
-	}
-	if got.FlowID != want[0].FlowID || got.MsgID != want[0].MsgID || !bytes.Equal(got.Payload, want[0].Payload) {
-		t.Fatalf("reactor delivery (flow %d msg %d, %d bytes) differs from reference", got.FlowID, got.MsgID, len(got.Payload))
-	}
-	r.Close()
-	if err := reactor.Close(); err != nil {
-		t.Fatalf("reactor close: %v", err)
 	}
 }
