@@ -281,12 +281,13 @@ func TestCostFoldAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkCostFold measures the AWGN cost kernel alone, in ns per node
-// (one spine's fold), over a 256-spine range split into the engine's
-// 2^K-child blocks. A full fold (from = 0) replays the hash expansion of
-// obs observations, as a freshly expanded node does; a tail fold adds one
-// new observation to a level that already folded obs of them, as a cached
-// refresh does.
+// BenchmarkCostFold measures the AWGN cost kernel, in ns per node (one
+// spine's fold), over a 256-spine range split into the engine's 2^K-child
+// blocks. A full fold (from = 0) replays the hash expansion of obs
+// observations; a fresh rebuild is what a freshly expanded node costs: the
+// parent's children are hashed (hash.Family.Children) and then given a full
+// fold; a tail fold adds one new observation to a level that already folded
+// obs of them, as a cached refresh does.
 func BenchmarkCostFold(b *testing.B) {
 	const nodes = 256
 	r := rng.New(9)
@@ -297,7 +298,7 @@ func BenchmarkCostFold(b *testing.B) {
 	locals := make([]float64, nodes)
 	for _, k := range []int{4, 8} {
 		for _, nObs := range []int{1, 4, 8} {
-			for _, mode := range []string{"full", "tail"} {
+			for _, mode := range []string{"fresh", "full", "tail"} {
 				b.Run(fmt.Sprintf("K=%d/obs=%d/%s", k, nObs, mode), func(b *testing.B) {
 					p := Params{K: k, C: 10, MessageBits: 2 * k, Seed: 11}
 					d, _ := NewBeamDecoder(p, 16)
@@ -312,10 +313,18 @@ func BenchmarkCostFold(b *testing.B) {
 					c := awgnCosterFor(d, obs)
 					c.prepareLevel(0)
 					block := 1 << k
+					// A fresh rebuild hashes each block from its own parent
+					// into kids; the other modes fold the fixed spines.
+					kids := make([]uint64, nodes)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						for lo := 0; lo < nodes; lo += block {
-							c.costTailMany(locals[lo:lo+block], spines[lo:lo+block], 0, from)
+							sp := spines[lo : lo+block]
+							if mode == "fresh" {
+								sp = kids[lo : lo+block]
+								d.family.Children(sp, spines[lo])
+							}
+							c.costTailMany(locals[lo:lo+block], sp, 0, from)
 						}
 					}
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nodes), "ns/node")

@@ -248,15 +248,6 @@ const foldChunk = 64
 // indices are 32-bit, so it matches none.
 const noWord = ^uint64(0)
 
-// replayWords sets w[j] to word idx of the expansion of spines[j]: one loop
-// of independent hash chains, which the CPU overlaps.
-func replayWords(w []uint64, fam hash.Family, spines []uint64, idx uint32) {
-	spines = spines[:len(w)]
-	for j, s := range spines {
-		w[j] = fam.Word(s, idx)
-	}
-}
-
 // awgnCoster is the exact float64 squared-Euclidean metric for AWGN
 // observations. prepareLevel stages the level's received coordinates and
 // the bit offset 2c·pass at which each pass reads the spine expansion,
@@ -266,17 +257,19 @@ func replayWords(w []uint64, fam hash.Family, spines []uint64, idx uint32) {
 // foldChunk, and for each observation it runs one loop over the chunk that
 // extracts every spine's 2c-bit symbol word from the chunk's expansion
 // words and adds the observation's term dI²+dQ² to that spine's sum. The
-// expansion words are recomputed only when the observation's word index
-// changes (passes read the expansion in ascending order, so about once per
-// 64 bits); a pass that straddles two words has its own loop, which also
-// advances them to the next word. Each loop runs over independent spines,
-// so hash replay, table loads and adds of different spines overlap instead
-// of waiting on one another, as they would in a walk of one spine through
-// all its observations. Every spine still receives its terms one at a time
-// in recording order, starting from zero or from its cached sum, so each
-// cost has exactly the bits of the sequential symbolFor replay. With the
-// mapper's per-dimension table a symbol costs two array loads; a custom
-// mapper without one goes through Mapper.Map.
+// expansion words are recomputed, with one batched hash.Family.Words call,
+// only when the observation's word index changes (passes read the expansion
+// in ascending order, so about once per 64 bits); a pass that straddles two
+// words fetches the next words into a second buffer with one Words call,
+// has its own loop, and leaves those words in the chunk's buffer. Each loop
+// runs over independent spines, so hash replay, table loads and adds of
+// different spines overlap instead of waiting on one another, as they would
+// in a walk of one spine through all its observations. Every spine still
+// receives its terms one at a time in recording order, starting from zero or
+// from its cached sum, so each cost has exactly the bits of the sequential
+// symbolFor replay. With the mapper's per-dimension table a symbol costs two
+// array loads; a custom mapper without one goes through Mapper.Map, in loops
+// of its own.
 type awgnCoster struct {
 	d   *BeamDecoder
 	obs *Observations
@@ -312,17 +305,18 @@ func (c *awgnCoster) costTailMany(locals []float64, spines []uint64, level, from
 	if from >= len(c.starts) {
 		return
 	}
-	var w [foldChunk]uint64
+	var w, nw [foldChunk]uint64
 	for lo := 0; lo < len(spines); lo += foldChunk {
 		hi := min(lo+foldChunk, len(spines))
-		c.foldChunk(locals[lo:hi], spines[lo:hi], w[:hi-lo], from)
+		c.foldChunk(locals[lo:hi], spines[lo:hi], w[:hi-lo], nw[:hi-lo], from)
 	}
 }
 
 // foldChunk adds the terms of observations from.. to the sums loc of one
-// chunk of spines, with w as the chunk's expansion-word buffer.
-func (c *awgnCoster) foldChunk(loc []float64, spines, w []uint64, from int) {
-	loc, spines = loc[:len(w)], spines[:len(w)]
+// chunk of spines, with w as the chunk's expansion-word buffer and nw as the
+// buffer a straddling pass fetches the next words into.
+func (c *awgnCoster) foldChunk(loc []float64, spines, w, nw []uint64, from int) {
+	loc, spines, nw = loc[:len(w)], spines[:len(w)], nw[:len(w)]
 	fam, mapper, tab := c.d.family, c.d.mapper, c.tab
 	m := uint(len(tab) - 1) // len(tab) == 2^c, so m masks one dimension
 	cc := uint(c.d.p.C)
@@ -333,51 +327,56 @@ func (c *awgnCoster) foldChunk(loc []float64, spines, w []uint64, from int) {
 		start := c.starts[i]
 		idx, off := uint32(start/64), start%64
 		if uint64(idx) != wi {
-			replayWords(w, fam, spines, idx)
+			fam.Words(w, spines, idx)
 			wi = uint64(idx)
 		}
 		// Shift counts are masked to 63, so the compiler emits bare shifts;
 		// a non-empty table lets it drop the bounds checks on its loads.
+		// The table and custom-mapper loops are separate, so the table loop
+		// carries no per-spine branch or interface call.
 		yI, yQ := c.yI[i], c.yQ[i]
 		if off+width <= 64 {
 			sh := (64 - off - width) & 63
-			for j, x := range w {
-				s := uint32(x >> sh & wmask)
-				var dI, dQ float64
-				if len(tab) != 0 {
-					dI = yI - tab[uint(s>>(cc&31))&m]
-					dQ = yQ - tab[uint(s)&m]
-				} else {
-					p := mapper.Map(s)
-					dI, dQ = yI-real(p), yQ-imag(p)
+			if len(tab) != 0 {
+				for j, x := range w {
+					s := uint(x >> sh & wmask)
+					dI := yI - tab[s>>(cc&31)&m]
+					dQ := yQ - tab[s&m]
+					loc[j] += dI*dI + dQ*dQ
 				}
+			} else {
+				for j, x := range w {
+					p := mapper.Map(uint32(x >> sh & wmask))
+					dI, dQ := yI-real(p), yQ-imag(p)
+					loc[j] += dI*dI + dQ*dQ
+				}
+			}
+			continue
+		}
+		// The pass straddles into the next word: fetch the chunk's next
+		// words in one batch, fold, and keep them in w, since later passes
+		// start there.
+		hiBits := 64 - off
+		loBits := (width - hiBits) & 63
+		loShift := (64 - loBits) & 63
+		hiMask := uint64(1)<<hiBits - 1
+		fam.Words(nw, spines, idx+1)
+		if len(tab) != 0 {
+			for j, x := range nw {
+				s := uint((w[j]&hiMask)<<loBits | x>>loShift)
+				dI := yI - tab[s>>(cc&31)&m]
+				dQ := yQ - tab[s&m]
 				loc[j] += dI*dI + dQ*dQ
 			}
 		} else {
-			// The pass straddles into the next word; advance the chunk's
-			// words to it, since later passes start there.
-			hiBits := 64 - off
-			loBits := (width - hiBits) & 63
-			loShift := (64 - loBits) & 63
-			hiMask := uint64(1)<<hiBits - 1
-			next := idx + 1
-			wi = uint64(next)
-			for j, sp := range spines {
-				hi := w[j] & hiMask
-				x := fam.Word(sp, next)
-				w[j] = x
-				s := uint32(hi<<loBits | x>>loShift)
-				var dI, dQ float64
-				if len(tab) != 0 {
-					dI = yI - tab[uint(s>>(cc&31))&m]
-					dQ = yQ - tab[uint(s)&m]
-				} else {
-					p := mapper.Map(s)
-					dI, dQ = yI-real(p), yQ-imag(p)
-				}
+			for j, x := range nw {
+				p := mapper.Map(uint32((w[j]&hiMask)<<loBits | x>>loShift))
+				dI, dQ := yI-real(p), yQ-imag(p)
 				loc[j] += dI*dI + dQ*dQ
 			}
 		}
+		copy(w, nw)
+		wi = uint64(idx + 1)
 	}
 }
 
@@ -413,7 +412,7 @@ func (c *bscCoster) costTailMany(locals []float64, spines []uint64, level, from 
 		for i := range tail {
 			p := uint(tail[i].pass)
 			if idx := uint32(p / 64); uint64(idx) != wi {
-				replayWords(ws, fam, sp, idx)
+				fam.Words(ws, sp, idx)
 				wi = uint64(idx)
 			}
 			// A mismatch adds 1, a match adds 0: the same sums as counting.

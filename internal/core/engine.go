@@ -76,10 +76,14 @@ func newSelector(keep int) *selector {
 func (s *selector) reset(keep int) {
 	s.keep = keep
 	limit := 2 * keep
-	if limit < 1024 {
-		// Amortize compaction for small beams: scanning ~1k candidates per
-		// quickselect costs less than per-offer heap maintenance would.
-		limit = 1024
+	if limit < 128 {
+		// Amortize compaction for small beams. Until the first compaction
+		// there is no rejection bound, so every offer is pushed: a floor of
+		// 1024 pushed a quarter of a 4096-child level before any candidate
+		// could be rejected. At 128, on linkbench awgn-link (K=8, B=16, 2
+		// vCPUs), cpu_ms_per_msg fell from 13.2 to 11.5 ms, 10 of 12
+		// alternating pairs.
+		limit = 128
 	}
 	if keep >= unlimited {
 		limit = int(^uint(0) >> 1) // ML decoder: never compact
@@ -644,7 +648,8 @@ func (e *engine) run(coster levelCoster, obs any, gen, epoch, cleanGen uint64, d
 //     folded — one batched tail fold over the whole range;
 //   - matched (j.match): the cached block of the old parent with the same
 //     spine value, copied into place and extended the same way;
-//   - fresh: hash replay of the parent's children with a full cost fold.
+//   - fresh: hash replay of the parent's children (one batched
+//     hash.Family.Children call) with a full cost fold.
 //
 // Every fold adds the same terms, in recording order, that a from-root fold
 // would, so the result depends neither on the source nor on how the level
@@ -683,9 +688,7 @@ func (e *engine) expandRange(j *levelJob, lo, hi int, sel *selector, scr *expand
 			j.coster.costTailMany(blockL, blockS, j.t, lv.childObs)
 			refreshed += nSeg
 		default:
-			for seg := range blockS {
-				blockS[seg] = e.d.family.Next(ps, uint64(seg))
-			}
+			e.d.family.Children(blockS, ps)
 			j.coster.costTailMany(blockL, blockS, j.t, 0) // from = 0 overwrites
 			expanded += nSeg
 		}

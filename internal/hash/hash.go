@@ -12,6 +12,11 @@
 //   - Word / BitRange: the "infinite precision" expansion of a spine value into
 //     a pseudo-random bit stream, realized by repeated hashing of the spine
 //     value with known salts (the construction suggested in §3.1 of the paper).
+//   - Children / Words: the same two functions over a batch, for the decoder's
+//     hash replay. Children hashes every child of one parent spine value and
+//     Words one expansion word of many spine values. Each computes the terms
+//     shared by the whole batch once and hashes the batch in one loop, with no
+//     call per value, and returns exactly what Next and Word return.
 //
 // The family is keyed by a seed shared by encoder and decoder. Hash values are
 // fully deterministic given (seed, inputs), which is what lets the decoder
@@ -79,6 +84,35 @@ func (f Family) Word(s uint64, idx uint32) uint64 {
 	h = mix64(h + (uint64(idx)+1)*saltMul)
 	h = mix64(h ^ bits.RotateLeft64(s, 31) ^ uint64(idx)*phi64)
 	return h
+}
+
+// Children sets dst[seg] = f.Next(s, seg) for every seg < len(dst): the
+// spine values of all children of the parent spine value s, for segments
+// 0, 1, ..., len(dst)-1. The terms that depend only on s and the seed are
+// computed once for the batch.
+func (f Family) Children(dst []uint64, s uint64) {
+	h := (s ^ f.seed) + phi64
+	rs := bits.RotateLeft64(f.seed, 47)
+	for seg := range dst {
+		g := uint64(seg)
+		x := mix64(h + g*sqrt3_64)
+		dst[seg] = mix64(x ^ bits.RotateLeft64(g, 29) ^ rs)
+	}
+}
+
+// Words sets dst[j] = f.Word(spines[j], idx) for every j < len(spines); dst
+// must be at least as long as spines. The salts that depend only on idx and
+// the seed are computed once for the batch, and the values are hashed in one
+// loop of independent chains, which the CPU overlaps.
+func (f Family) Words(dst, spines []uint64, idx uint32) {
+	dst = dst[:len(spines)]
+	rs := bits.RotateLeft64(f.seed, 13)
+	salt := (uint64(idx) + 1) * saltMul
+	ip := uint64(idx) * phi64
+	for j, s := range spines {
+		x := mix64((s ^ rs) + salt)
+		dst[j] = mix64(x ^ bits.RotateLeft64(s, 31) ^ ip)
+	}
 }
 
 // BitRange extracts n bits (1 <= n <= 64) of the expansion of spine value s,

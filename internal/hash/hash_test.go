@@ -2,6 +2,7 @@ package hash
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -181,6 +182,53 @@ func TestNextCollisionFreeOverSegments(t *testing.T) {
 	}
 }
 
+// TestBatchMatchesScalar pins Children and Words to Next and Word bit for
+// bit: random seeds (seed 0 included), every segment below 2^16 of one
+// parent, and word indices at both ends of the 32-bit range, where the salt
+// arithmetic would first go wrong.
+func TestBatchMatchesScalar(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	seeds := []uint64{0, 1, ^uint64(0)}
+	for i := 0; i < 5; i++ {
+		seeds = append(seeds, r.Uint64())
+	}
+	kids := make([]uint64, 1<<16)
+	spines := make([]uint64, 257)
+	words := make([]uint64, len(spines))
+	for _, seed := range seeds {
+		f := NewFamily(seed)
+		for _, parent := range []uint64{0, r.Uint64()} {
+			f.Children(kids, parent)
+			for seg, got := range kids {
+				if want := f.Next(parent, uint64(seg)); got != want {
+					t.Fatalf("seed %x: Children(%x)[%d] = %x, Next = %x", seed, parent, seg, got, want)
+				}
+			}
+		}
+		for j := range spines {
+			spines[j] = r.Uint64()
+		}
+		spines[0] = 0
+		for _, idx := range []uint32{0, 1, 1 << 31, math.MaxUint32 - 1, math.MaxUint32} {
+			// A batch of every length up to the buffer's, each a prefix.
+			for _, n := range []int{0, 1, 63, 64, 65, len(spines)} {
+				clear(words)
+				f.Words(words, spines[:n], idx)
+				for j, got := range words[:n] {
+					if want := f.Word(spines[j], idx); got != want {
+						t.Fatalf("seed %x idx %d: Words[%d] = %x, Word = %x", seed, idx, j, got, want)
+					}
+				}
+				for j, got := range words[n:] {
+					if got != 0 {
+						t.Fatalf("seed %x idx %d: Words over %d spines wrote dst[%d]", seed, idx, n, n+j)
+					}
+				}
+			}
+		}
+	}
+}
+
 func popcount(x uint64) int {
 	n := 0
 	for x != 0 {
@@ -206,6 +254,40 @@ func BenchmarkWord(b *testing.B) {
 		acc ^= f.Word(uint64(i), uint32(i)&7)
 	}
 	sinkU64 = acc
+}
+
+// BenchmarkChildren reports the cost of one child spine value when a
+// parent's 2^8 children are hashed together, for comparison with
+// BenchmarkNext.
+func BenchmarkChildren(b *testing.B) {
+	f := NewFamily(42)
+	kids := make([]uint64, 256)
+	s := uint64(1)
+	for i := 0; i < b.N; i++ {
+		f.Children(kids, s)
+		s = kids[i&0xff]
+	}
+	sinkU64 = s
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(kids)), "ns/value")
+}
+
+// BenchmarkWords reports the cost of one expansion word when a 64-spine
+// chunk is hashed together, as the decoder's cost fold does, for comparison
+// with BenchmarkWord.
+func BenchmarkWords(b *testing.B) {
+	f := NewFamily(42)
+	spines := make([]uint64, 64)
+	for j := range spines {
+		spines[j] = uint64(j) * phi64
+	}
+	words := make([]uint64, len(spines))
+	var acc uint64
+	for i := 0; i < b.N; i++ {
+		f.Words(words, spines, uint32(i)&7)
+		acc ^= words[i&63]
+	}
+	sinkU64 = acc
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(spines)), "ns/value")
 }
 
 var sinkU64 uint64

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 )
@@ -470,6 +471,62 @@ func TestReceiverRejectsHostileDecodeCost(t *testing.T) {
 	}
 	if _, err := recv.HandleFrame(buf); err != nil {
 		t.Fatalf("legitimate max-size frame rejected: %v", err)
+	}
+}
+
+// TestReceiverRejectsNonFiniteSamples pins the ingest check on sample
+// values: a frame carrying one NaN or infinite coordinate is dropped with an
+// error before it touches any state — it neither creates a message nor adds
+// symbols to one in flight — so the message still decodes from its clean
+// frames afterwards.
+func TestReceiverRejectsNonFiniteSamples(t *testing.T) {
+	cfg := Config{SymbolsPerFrame: 16}
+	r, _ := newTestReceiver(t, cfg)
+	payload := []byte("finite samples only")
+	frames := encodeTestFrames(t, cfg, 3, 7, payload, cfg.SymbolsPerFrame, 3)
+	poison := func(raw []byte, y complex128) []byte {
+		t.Helper()
+		fr, err := ParseFrame(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		df := fr.(*DataFrame)
+		df.Symbols[len(df.Symbols)/2] = y
+		buf, err := df.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	bad := []complex128{complex(math.NaN(), 0), complex(0, math.NaN()), complex(math.Inf(1), 0), complex(0, math.Inf(-1))}
+	// A poisoned first frame must not create the message.
+	for _, y := range bad {
+		if _, err := r.HandleFrame(poison(frames[0], y)); err == nil {
+			t.Fatalf("frame with sample %v accepted", y)
+		}
+	}
+	if n := r.TrackedMessages(); n != 0 {
+		t.Fatalf("rejected frames created %d tracked messages", n)
+	}
+	// Nor may a poisoned frame of a message in flight add to it.
+	if _, err := r.HandleFrame(frames[0]); err != nil {
+		t.Fatal(err)
+	}
+	before := r.FlowSymbolsReceived(3, 7)
+	for _, y := range bad {
+		if _, err := r.HandleFrame(poison(frames[1], y)); err == nil {
+			t.Fatalf("frame with sample %v accepted mid-message", y)
+		}
+		if got := r.FlowSymbolsReceived(3, 7); got != before {
+			t.Fatalf("rejected frame changed symbols received: %d -> %d", before, got)
+		}
+	}
+	ds, err := r.HandleFrames(frames[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ds) != 1 || !bytes.Equal(ds[0].Payload, payload) {
+		t.Fatalf("clean frames after rejected ones delivered %+v, want %q", ds, payload)
 	}
 }
 

@@ -249,6 +249,19 @@ func (v *FrameView) SymbolsInto(dst []complex128) {
 	}
 }
 
+// symbolsFinite reports whether every float32 coordinate of the data frame's
+// symbols is finite: a float32 is NaN or infinite exactly when its exponent
+// bits are all ones.
+func (v *FrameView) symbolsFinite() bool {
+	const exp = 0x7f800000
+	for i := 0; i+4 <= len(v.sym); i += 4 {
+		if binary.BigEndian.Uint32(v.sym[i:])&exp == exp {
+			return false
+		}
+	}
+	return true
+}
+
 // SymbolAt decodes the i-th symbol of a data frame view.
 func (v *FrameView) SymbolAt(i int) complex128 {
 	if v.Kind != KindData {

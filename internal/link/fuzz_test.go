@@ -129,6 +129,16 @@ func FuzzReceiverIngest(f *testing.F) {
 	if frames, err := EncodeFrames(fuzzCfg, 2, 9, bytes.Repeat([]byte{0xA5}, 48), 4, 1, nil); err == nil {
 		f.Add(frames[0], frames[0]) // duplicate delivery of one fragment
 	}
+	// A frame with a NaN sample, followed by its clean twin.
+	if frames, err := EncodeFrames(fuzzCfg, 3, 4, []byte("nan sample"), 8, 1, nil); err == nil {
+		if fr, err := ParseFrame(frames[0]); err == nil {
+			df := fr.(*DataFrame)
+			df.Symbols[0] = complex(math.NaN(), 0)
+			if nan, err := df.Marshal(); err == nil {
+				f.Add(nan, frames[0])
+			}
+		}
+	}
 	f.Add((&AckFrame{FlowID: 1, MsgID: 1, Decoded: true}).Marshal(), []byte{})
 	f.Add([]byte{frameMagic, typeDataV1, 0xFF, 0xFF}, []byte{frameMagic})
 	f.Add(bytes.Repeat([]byte{frameMagic}, dataHeaderLen), []byte{0x00, 0x01, 0x02})

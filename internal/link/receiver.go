@@ -407,6 +407,14 @@ func (r *Receiver) addFrame(raw []byte, from net.Addr) (*msgState, bool, error) 
 	if v.Kind != KindData {
 		return nil, false, nil // stray ack: ignore
 	}
+	// A NaN or infinite sample would give every child at its level a
+	// non-finite cost that spreads to every path below it and stays in the
+	// cached sums, so the message could never decode; finite costs are also
+	// what makes the beam's candidate order a strict total order. Drop the
+	// frame before it creates or touches any state.
+	if !v.symbolsFinite() {
+		return nil, false, fmt.Errorf("link: flow %d message %d: non-finite symbol sample", v.FlowID, v.MsgID)
+	}
 	st, err := r.stateFor(v)
 	if err != nil {
 		return nil, false, err
