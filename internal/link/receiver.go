@@ -6,7 +6,9 @@ import (
 	"math"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"spinal/internal/channel"
@@ -138,10 +140,15 @@ type flowState struct {
 // ingest goroutine communicates with the workers through the mu-guarded
 // pending buffer.
 type msgState struct {
-	flow    uint32
-	id      uint32
-	params  core.Params
-	sched   core.Schedule
+	flow   uint32
+	id     uint32
+	params core.Params
+	sched  core.Schedule
+	code   codeKey
+	// minUses is the per-message attempt gate: no decode runs until the
+	// observations hold this many symbols. It is the noiseless bound
+	// ⌈n/2c⌉ raised to the flow's learned decode threshold (see
+	// decodeHistory), fixed when the state is created.
 	minUses int
 
 	// decodeMu serializes decode attempts (any pool worker and the
@@ -566,12 +573,22 @@ func (r *Receiver) stateFor(v *FrameView) (*msgState, error) {
 	// from decoding distinct messages concurrently, and a goroutine pool per
 	// tracked message would mostly add churn.
 	lease.Dec.SetParallelism(1)
+	// The first attempt waits for the flow's learned threshold, capped at
+	// the MaxPasses budget so a history that outgrew the channel can never
+	// hold back a message past the last symbol its sender emits.
+	code := codeKey{k: params.K, c: params.C, schedule: v.Schedule}
+	minUses := noiselessUses(params)
+	if q := r.eng.decodeThreshold(v.FlowID, code); q > 0 {
+		nseg := params.NumSegments()
+		minUses = max(minUses, min(int(q*float64(nseg)), r.cfg.MaxPasses*nseg))
+	}
 	st := &msgState{
 		flow:    v.FlowID,
 		id:      v.MsgID,
 		params:  params,
 		sched:   sched,
-		minUses: (params.MessageBits + 2*params.C - 1) / (2 * params.C),
+		code:    code,
+		minUses: minUses,
 		lease:   lease,
 	}
 	fs.states[v.MsgID] = st
@@ -734,9 +751,10 @@ func (r *Receiver) FlowSymbolsReceived(flowID, msgID uint32) int {
 
 // FlowNodesExpanded reports the total decoding-tree nodes freshly expanded
 // across all decode attempts for a message of a flow — the receiver's
-// computational cost for the packet. With the incremental decoder this stays
-// near the cost of a single full decode regardless of how many frames
-// triggered attempts.
+// computational cost for the packet. Every attempt counts: an attempt that
+// fails its CRC check costs about as much as the one that succeeds, because
+// most nodes of a resumed decode are fresh, which is why the flow's decode
+// threshold holds back attempts that cannot succeed yet.
 func (r *Receiver) FlowNodesExpanded(flowID, msgID uint32) int64 {
 	fs, ok := r.flows[flowID]
 	if !ok {
@@ -787,6 +805,12 @@ type EngineStats struct {
 	// BudgetDeferrals counts decode-scheduler decisions that skipped an
 	// over-budget flow.
 	BudgetDeferrals uint64 `json:"budget_deferrals"`
+	// DecodeAttempts counts executed decode attempts; DecodeSkips counts
+	// batches folded into a message's observations without an attempt
+	// because the flow's decode threshold held it back (the message was
+	// past the noiseless bound but below the threshold).
+	DecodeAttempts uint64 `json:"decode_attempts"`
+	DecodeSkips    uint64 `json:"decode_skips"`
 	// SearchAttempts counts executed decode attempts by the search mode
 	// they ran under (keys are the -search spellings: exact, approx).
 	// Modes that never ran are omitted.
@@ -804,12 +828,18 @@ type EngineStats struct {
 // EngineStats snapshots the receiver's operational counters.
 func (r *Receiver) EngineStats() EngineStats {
 	attempts, saved := r.eng.searchStats()
+	var total uint64
+	for _, n := range attempts {
+		total += n
+	}
 	return EngineStats{
 		TrackedFlows:    len(r.flows),
 		TrackedMessages: r.nmsgs,
 		ShedFlows:       r.shed,
 		ExpiredFlows:    r.expired,
 		BudgetDeferrals: r.eng.budgetDeferrals(),
+		DecodeAttempts:  total,
+		DecodeSkips:     r.eng.skips.Load(),
 		SearchAttempts:  attempts,
 		NodesSaved:      saved,
 		Pool:            r.pool.Stats(),
@@ -865,6 +895,11 @@ type flowEngine struct {
 	// decoders' estimates of expansions avoided by approximate search.
 	modeAttempts [2]uint64
 	nodesSaved   int64
+	// hist holds each tracked flow's decode history (the first-attempt
+	// threshold); entries are forgotten with the flow. skips counts
+	// attempts the threshold held back.
+	hist  map[uint32]*decodeHistory
+	skips atomic.Uint64
 	// outstanding counts attempt tokens submitted but not yet fully
 	// processed (result recorded); while it is zero, Receive can block for
 	// its whole timeout instead of polling for worker results.
@@ -895,6 +930,7 @@ func newFlowEngine(tr Transport, workers int, budget int64, base core.SearchMode
 		base:     base,
 		adaptive: adaptive,
 		spent:    map[uint32]int64{},
+		hist:     map[uint32]*decodeHistory{},
 	}
 	if adaptive {
 		e.pressure = map[uint32]uint64{}
@@ -1069,7 +1105,104 @@ func (e *flowEngine) forgetFlow(flow uint32) {
 	e.mu.Lock()
 	delete(e.spent, flow)
 	delete(e.pressure, flow)
+	delete(e.hist, flow)
 	e.mu.Unlock()
+}
+
+// The decode threshold. A message attempts a decode only once it holds
+// enough symbols to decode, which the flow's recent messages predict
+// (RateMore, Iannucci et al., MobiCom'12, learns the same decode CDF).
+// Each flow records the symbol count at which each of its messages
+// decoded, per segment so that payload sizes share one history, and a new
+// message's first attempt waits for a low quantile of those records.
+const (
+	// historyLen is how many recent decodes a flow remembers.
+	historyLen = 16
+	// historyMin is how many records a flow needs before the threshold
+	// applies; with fewer, messages attempt from the noiseless bound.
+	historyMin = 4
+	// thresholdRank picks the quantile: the second-smallest record, so one
+	// lucky early decode does not pull every later message back to
+	// attempts that fail.
+	thresholdRank = 1
+	// probeEvery is the probe period in messages: every probeEvery-th
+	// message of a flow attempts from the noiseless bound, measuring the
+	// channel below the threshold.
+	probeEvery = 64
+)
+
+// codeKey is the part of a flow's code configuration that its decode
+// history is valid for; messages under another key restart the history.
+type codeKey struct {
+	k, c     int
+	schedule uint8
+}
+
+// decodeHistory is one flow's ring of recent decode points, in symbols per
+// segment, learned under one code configuration.
+type decodeHistory struct {
+	code   codeKey
+	passes [historyLen]float64
+	n      int    // records held, at most historyLen
+	next   int    // ring slot the next record overwrites
+	msgs   uint64 // messages that asked for a threshold; drives the probe
+}
+
+// threshold returns the thresholdRank-th smallest record, or 0 with fewer
+// than historyMin records.
+func (h *decodeHistory) threshold() float64 {
+	if h.n < historyMin {
+		return 0
+	}
+	sorted := h.passes
+	slices.Sort(sorted[:h.n])
+	return sorted[thresholdRank]
+}
+
+// decodeThreshold returns the first-attempt threshold, in symbols per
+// segment, for a new message of flow under code, or 0 when the message
+// attempts from the noiseless bound: the flow has too few records under
+// code, or the message is the flow's periodic probe.
+func (e *flowEngine) decodeThreshold(flow uint32, code codeKey) float64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	h := e.hist[flow]
+	if h == nil || h.code != code {
+		return 0
+	}
+	h.msgs++
+	if h.msgs%probeEvery == 0 {
+		return 0
+	}
+	return h.threshold()
+}
+
+// noteDecoded records that a message of flow decoded at passes symbols per
+// segment; held reports whether the threshold delayed its first attempt.
+// A held message decodes at or above the threshold whatever the channel
+// does, so only unheld messages (probes, and messages of a flow without
+// enough history) can show the channel improved: one that decodes below
+// the threshold restarts the history from its own record.
+func (e *flowEngine) noteDecoded(flow uint32, code codeKey, passes float64, held bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	h := e.hist[flow]
+	if h == nil {
+		h = &decodeHistory{code: code}
+		e.hist[flow] = h
+	}
+	if h.code != code || (!held && passes < h.threshold()) {
+		*h = decodeHistory{code: code}
+	}
+	h.passes[h.next] = passes
+	h.next = (h.next + 1) % historyLen
+	h.n = min(h.n+1, historyLen)
+}
+
+// noiselessUses is the noiseless bound ⌈n/2c⌉: the fewest symbols that could
+// carry the message at all, at 2c bits per symbol.
+func noiselessUses(p core.Params) int {
+	return (p.MessageBits + 2*p.C - 1) / (2 * p.C)
 }
 
 // budgetDeferrals reports how many scheduling decisions skipped an
@@ -1156,6 +1289,7 @@ func (e *flowEngine) attempt(st *msgState) (*Delivered, error) {
 
 	var out *core.DecodeResult
 	usedMode := core.SearchExact
+	var count int
 	err := func() error {
 		// The whole drained batch lands in the observations through one
 		// AddBatch: one generation bump and one dirty-level update per
@@ -1164,8 +1298,12 @@ func (e *flowEngine) attempt(st *msgState) (*Delivered, error) {
 			return err
 		}
 		// Attempt a decode once enough symbols could possibly carry the
-		// message.
-		if lease.Obs.Count() < st.minUses {
+		// message and the flow's history says the attempt can succeed.
+		count = lease.Obs.Count()
+		if count < st.minUses {
+			if count >= noiselessUses(st.params) {
+				e.skips.Add(1)
+			}
 			return nil
 		}
 		if e.adaptive {
@@ -1229,6 +1367,10 @@ func (e *flowEngine) attempt(st *msgState) (*Delivered, error) {
 	symbols := st.symbols
 	reclaim = st.lease
 	st.lease = nil
+	// Recorded under st.mu with evicted clear: the flow is still tracked, so
+	// forgetFlow runs after this and the history stays bounded by MaxFlows.
+	e.noteDecoded(st.flow, st.code, float64(count)/float64(st.params.NumSegments()),
+		st.minUses > noiselessUses(st.params))
 	st.mu.Unlock()
 	// Delivered: the decoder's job is done, return it to the pool for the
 	// next message (the ack-repeat path never decodes).
