@@ -170,8 +170,8 @@ func serve(listen string, snr float64, adc, beam, workers, count int, seed uint6
 	fmt.Printf("spinalrecv: served %d packets across %d tracked flows (decoder pool: %d hits, %d misses, %d shed flows)\n",
 		delivered, recv.TrackedFlows(), stats.Hits, stats.Misses, recv.ShedFlows())
 	if es := recv.EngineStats(); es.DecodeAttempts > 0 {
-		fmt.Printf("spinalrecv: %d decode attempts (%d held back by the decode threshold), search attempts by mode %v, ~%d tree expansions saved by approximate search\n",
-			es.DecodeAttempts, es.DecodeSkips, es.SearchAttempts, es.NodesSaved)
+		fmt.Printf("spinalrecv: %d decode attempts (%d held back by the decode threshold, %d new messages started at a learned threshold), search attempts by mode %v, ~%d tree expansions saved by approximate search\n",
+			es.DecodeAttempts, es.DecodeSkips, es.DecodeThresholded, es.SearchAttempts, es.NodesSaved)
 	}
 	return nil
 }

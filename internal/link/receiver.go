@@ -48,7 +48,9 @@ import (
 // caps the total across flows the same way, and MaxFlows caps the number of
 // concurrently tracked flows — admitting a new flow beyond it sheds the flow
 // with the oldest activity, sending a negative ack for each of its
-// undelivered messages so the sender stops retransmitting promptly. A frame
+// undelivered messages so the sender stops retransmitting promptly. The
+// flows' decode histories live in a table of their own, also capped at
+// MaxFlows, so a flow keeps its history when its tracked state goes. A frame
 // for an evicted message or shed flow simply starts fresh state, so shedding
 // costs work but never correctness. The one observable consequence is that
 // delivery is at-least-once rather than exactly-once: if a sender whose ack
@@ -68,6 +70,9 @@ type Receiver struct {
 	seq     uint64 // data frames processed; drives eviction (ingest goroutine only)
 	shed    uint64 // flows shed by admission control (ingest goroutine only)
 	expired uint64 // flows dropped by idle expiry (ingest goroutine only)
+	// thresholded counts new message states whose first attempt waits for
+	// the flow's learned decode threshold (ingest goroutine only).
+	thresholded uint64
 	// scratchPos/scratchY are the per-frame symbol batch buffers (ingest
 	// goroutine only): positions and impaired values, index-aligned.
 	scratchPos []core.SymbolPos
@@ -215,7 +220,7 @@ func NewReceiver(tr Transport, cfg Config, impairment channel.SymbolChannel) (*R
 		impairment: impairment,
 		flows:      map[uint32]*flowState{},
 		pool:       core.NewDecoderPool(core.DefaultDecoderPoolCapacity),
-		eng:        newFlowEngine(tr, workers, cfg.FlowDecodeBudget, cfg.Search, cfg.AdaptiveSearch),
+		eng:        newFlowEngine(tr, workers, cfg.FlowDecodeBudget, cfg.Search, cfg.AdaptiveSearch, cfg.MaxFlows),
 	}
 	if pt, ok := tr.(PacketTransport); ok {
 		r.ptr = pt
@@ -245,8 +250,8 @@ func NewReceiver(tr Transport, cfg Config, impairment channel.SymbolChannel) (*R
 // Close stops the decode workers (waiting for queued attempts to finish) and
 // then returns every tracked message's decoder lease to the pool, so a
 // receiver closed after a chaotic run leaves the pool's Outstanding counter
-// at zero. It must not be called concurrently with Receive. The receiver
-// must not be used afterwards.
+// at zero, and empties the decode-history table. It must not be called
+// concurrently with Receive. The receiver must not be used afterwards.
 func (r *Receiver) Close() error {
 	r.eng.stop()
 	// The workers have drained: no attempt is in flight, so every surviving
@@ -264,6 +269,9 @@ func (r *Receiver) Close() error {
 		r.eng.forgetFlow(id)
 	}
 	r.nmsgs = 0
+	r.eng.mu.Lock()
+	clear(r.eng.hist)
+	r.eng.mu.Unlock()
 	return nil
 }
 
@@ -581,6 +589,7 @@ func (r *Receiver) stateFor(v *FrameView) (*msgState, error) {
 	if q := r.eng.decodeThreshold(v.FlowID, code); q > 0 {
 		nseg := params.NumSegments()
 		minUses = max(minUses, min(int(q*float64(nseg)), r.cfg.MaxPasses*nseg))
+		r.thresholded++
 	}
 	st := &msgState{
 		flow:    v.FlowID,
@@ -811,6 +820,9 @@ type EngineStats struct {
 	// past the noiseless bound but below the threshold).
 	DecodeAttempts uint64 `json:"decode_attempts"`
 	DecodeSkips    uint64 `json:"decode_skips"`
+	// DecodeThresholded counts new messages whose first attempt used the
+	// flow's learned decode threshold rather than the noiseless bound.
+	DecodeThresholded uint64 `json:"decode_thresholded"`
 	// SearchAttempts counts executed decode attempts by the search mode
 	// they ran under (keys are the -search spellings: exact, approx).
 	// Modes that never ran are omitted.
@@ -833,17 +845,18 @@ func (r *Receiver) EngineStats() EngineStats {
 		total += n
 	}
 	return EngineStats{
-		TrackedFlows:    len(r.flows),
-		TrackedMessages: r.nmsgs,
-		ShedFlows:       r.shed,
-		ExpiredFlows:    r.expired,
-		BudgetDeferrals: r.eng.budgetDeferrals(),
-		DecodeAttempts:  total,
-		DecodeSkips:     r.eng.skips.Load(),
-		SearchAttempts:  attempts,
-		NodesSaved:      saved,
-		Pool:            r.pool.Stats(),
-		AckArena:        r.eng.acks.Stats(),
+		TrackedFlows:      len(r.flows),
+		TrackedMessages:   r.nmsgs,
+		ShedFlows:         r.shed,
+		ExpiredFlows:      r.expired,
+		BudgetDeferrals:   r.eng.budgetDeferrals(),
+		DecodeAttempts:    total,
+		DecodeSkips:       r.eng.skips.Load(),
+		DecodeThresholded: r.thresholded,
+		SearchAttempts:    attempts,
+		NodesSaved:        saved,
+		Pool:              r.pool.Stats(),
+		AckArena:          r.eng.acks.Stats(),
 	}
 }
 
@@ -895,11 +908,16 @@ type flowEngine struct {
 	// decoders' estimates of expansions avoided by approximate search.
 	modeAttempts [2]uint64
 	nodesSaved   int64
-	// hist holds each tracked flow's decode history (the first-attempt
-	// threshold); entries are forgotten with the flow. skips counts
+	// hist holds the decode histories (the first-attempt thresholds) of at
+	// most histCap flows. Entries outlive the flow's tracked state, so a flow
+	// that returns after its states aged out still attempts at its learned
+	// threshold; a new flow in a full table evicts the least recently used
+	// entry. histClock stamps each entry's reads and writes. skips counts
 	// attempts the threshold held back.
-	hist  map[uint32]*decodeHistory
-	skips atomic.Uint64
+	hist      map[uint32]*decodeHistory
+	histCap   int
+	histClock uint64
+	skips     atomic.Uint64
 	// outstanding counts attempt tokens submitted but not yet fully
 	// processed (result recorded); while it is zero, Receive can block for
 	// its whole timeout instead of polling for worker results.
@@ -918,7 +936,7 @@ type flowQueue struct {
 	inRing bool
 }
 
-func newFlowEngine(tr Transport, workers int, budget int64, base core.SearchMode, adaptive bool) *flowEngine {
+func newFlowEngine(tr Transport, workers int, budget int64, base core.SearchMode, adaptive bool, histCap int) *flowEngine {
 	if workers < 1 {
 		workers = 1
 	}
@@ -931,6 +949,7 @@ func newFlowEngine(tr Transport, workers int, budget int64, base core.SearchMode
 		adaptive: adaptive,
 		spent:    map[uint32]int64{},
 		hist:     map[uint32]*decodeHistory{},
+		histCap:  histCap,
 	}
 	if adaptive {
 		e.pressure = map[uint32]uint64{}
@@ -1099,13 +1118,13 @@ func (e *flowEngine) noteSpend(flow uint32, nodes int64) {
 	e.mu.Unlock()
 }
 
-// forgetFlow drops a flow's spend ledger entry when the receiver stops
-// tracking the flow, so the ledger stays bounded by the live-flow cap.
+// forgetFlow drops a flow's spend ledger and search pressure when the
+// receiver stops tracking the flow, so both stay bounded by the live-flow
+// cap. The flow's decode history is kept: the history table bounds itself.
 func (e *flowEngine) forgetFlow(flow uint32) {
 	e.mu.Lock()
 	delete(e.spent, flow)
 	delete(e.pressure, flow)
-	delete(e.hist, flow)
 	e.mu.Unlock()
 }
 
@@ -1146,6 +1165,7 @@ type decodeHistory struct {
 	n      int    // records held, at most historyLen
 	next   int    // ring slot the next record overwrites
 	msgs   uint64 // messages that asked for a threshold; drives the probe
+	used   uint64 // histClock at the last read or write; the LRU order
 }
 
 // threshold returns the thresholdRank-th smallest record, or 0 with fewer
@@ -1167,7 +1187,12 @@ func (e *flowEngine) decodeThreshold(flow uint32, code codeKey) float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	h := e.hist[flow]
-	if h == nil || h.code != code {
+	if h == nil {
+		return 0
+	}
+	e.histClock++
+	h.used = e.histClock
+	if h.code != code {
 		return 0
 	}
 	h.msgs++
@@ -1188,15 +1213,34 @@ func (e *flowEngine) noteDecoded(flow uint32, code codeKey, passes float64, held
 	defer e.mu.Unlock()
 	h := e.hist[flow]
 	if h == nil {
+		if len(e.hist) >= e.histCap {
+			e.evictHistoryLocked()
+		}
 		h = &decodeHistory{code: code}
 		e.hist[flow] = h
 	}
 	if h.code != code || (!held && passes < h.threshold()) {
 		*h = decodeHistory{code: code}
 	}
+	e.histClock++
+	h.used = e.histClock
 	h.passes[h.next] = passes
 	h.next = (h.next + 1) % historyLen
 	h.n = min(h.n+1, historyLen)
+}
+
+// evictHistoryLocked drops the least recently used decode history. Stamps
+// are unique, so the victim never depends on map iteration order and a run
+// replays exactly from its seed. Callers hold e.mu.
+func (e *flowEngine) evictHistoryLocked() {
+	var victim uint32
+	oldest := uint64(math.MaxUint64)
+	for flow, h := range e.hist {
+		if h.used < oldest {
+			victim, oldest = flow, h.used
+		}
+	}
+	delete(e.hist, victim)
 }
 
 // noiselessUses is the noiseless bound ⌈n/2c⌉: the fewest symbols that could
@@ -1367,8 +1411,8 @@ func (e *flowEngine) attempt(st *msgState) (*Delivered, error) {
 	symbols := st.symbols
 	reclaim = st.lease
 	st.lease = nil
-	// Recorded under st.mu with evicted clear: the flow is still tracked, so
-	// forgetFlow runs after this and the history stays bounded by MaxFlows.
+	// Recorded under st.mu with evicted clear, so a message whose state was
+	// dropped never records; the history table holds at most MaxFlows flows.
 	e.noteDecoded(st.flow, st.code, float64(count)/float64(st.params.NumSegments()),
 		st.minUses > noiselessUses(st.params))
 	st.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -62,6 +63,11 @@ func (f *closedLoopFlow) send(t *testing.T, ch *impair.Pipeline, size int) int {
 	}
 	f.lost++
 	return 0
+}
+
+// join returns a closed-loop flow that shares f's receiver.
+func (f *closedLoopFlow) join(flow uint32) *closedLoopFlow {
+	return &closedLoopFlow{r: f.r, cfg: f.cfg, flow: flow, src: rng.New(uint64(flow))}
 }
 
 // threshold reads the flow's current decode threshold in symbols per
@@ -226,7 +232,7 @@ func TestDecodeThresholdCappedAtMaxPasses(t *testing.T) {
 // TestDecodeThresholdConcurrentFlows runs closed-loop flows through Receive
 // with four decode workers, so flows' histories are read by ingest while
 // workers record into them: every message must deliver intact, histories
-// must stay within the tracked flows, and Close must drop them all.
+// must stay within MaxFlows, and Close must drop them all.
 func TestDecodeThresholdConcurrentFlows(t *testing.T) {
 	const flows, msgs = 4, 12
 	far, near, err := NewPipePair(0, 5)
@@ -279,8 +285,8 @@ func TestDecodeThresholdConcurrentFlows(t *testing.T) {
 		recv.eng.mu.Lock()
 		n := len(recv.eng.hist)
 		recv.eng.mu.Unlock()
-		if n > recv.TrackedFlows() {
-			t.Fatalf("%d flow histories for %d tracked flows", n, recv.TrackedFlows())
+		if n > recv.cfg.MaxFlows {
+			t.Fatalf("%d flow histories, more than MaxFlows %d", n, recv.cfg.MaxFlows)
 		}
 	}
 	if len(seen) != flows*msgs {
@@ -289,5 +295,216 @@ func TestDecodeThresholdConcurrentFlows(t *testing.T) {
 	recv.Close()
 	if n := len(recv.eng.hist); n != 0 {
 		t.Fatalf("%d flow histories survive Close", n)
+	}
+}
+
+// TestDecodeThresholdOutlivesTrackedState lets a flow learn its threshold,
+// then goes quiet while another flow's frames age its delivered states out
+// of the grace window, so the receiver stops tracking it. The history must
+// survive that: the flow's next message is held back to the threshold.
+func TestDecodeThresholdOutlivesTrackedState(t *testing.T) {
+	a := newClosedLoopFlow(t, stepConfig, 1)
+	b := a.join(2)
+	ch := awgnPipeline(t, highSNR, 9)
+	for i := 0; i < 2*historyMin; i++ {
+		a.send(t, ch, stepPayload)
+	}
+	if a.threshold() == 0 {
+		t.Fatalf("no threshold after %d messages", 2*historyMin)
+	}
+	for a.r.flows[a.flow] != nil {
+		if b.next == 100 {
+			t.Fatalf("flow %d still tracked after %d messages of flow %d", a.flow, b.next, b.flow)
+		}
+		b.send(t, ch, stepPayload)
+	}
+	before := a.r.EngineStats()
+	a.send(t, ch, stepPayload)
+	after := a.r.EngineStats()
+	if n := after.DecodeThresholded - before.DecodeThresholded; n != 1 {
+		t.Errorf("returning flow's message used a learned threshold %d times, want 1", n)
+	}
+	if after.DecodeSkips == before.DecodeSkips {
+		t.Error("returning flow's message attempted before its threshold")
+	}
+	if a.lost+b.lost != 0 {
+		t.Fatalf("%d messages lost", a.lost+b.lost)
+	}
+}
+
+// TestDecodeThresholdInterleavedWorkGate pins the decode work of flows whose
+// frames interleave and who rest between messages for longer than the
+// receiver's grace window, the fading-flows pattern: the receiver forgets
+// most flows between their messages, and their histories must carry over.
+// Like TestDecodeThresholdWorkGate, attempts and nodes are pinned exactly.
+func TestDecodeThresholdInterleavedWorkGate(t *testing.T) {
+	const flows, msgs, rest = 16, 8, 32
+	cfg := stepConfig
+	cfg.SymbolsPerFrame = 5
+	r, _ := newTestReceiver(t, cfg)
+	cfg = cfg.withDefaults()
+	type flowRun struct {
+		id      uint32
+		ch      *impair.Pipeline
+		src     *rng.Rand
+		sent    uint32   // messages started
+		frames  [][]byte // frames of the message in flight, nil between messages
+		next    int      // next frame to send
+		payload []byte
+		idle    int // rounds left before the next message
+	}
+	runs := make([]*flowRun, flows)
+	for i := range runs {
+		// Mean SNRs spread over 6-21 dB, one flow per dB.
+		id := uint32(i + 1)
+		runs[i] = &flowRun{id: id, ch: awgnPipeline(t, float64(6+i), uint64(100+i)), src: rng.New(uint64(id))}
+	}
+	var nodes int64
+	delivered, returned := 0, 0
+	for busy := true; busy; {
+		busy = false
+		for _, f := range runs {
+			if f.frames == nil {
+				if f.idle > 0 {
+					f.idle--
+					busy = true
+					continue
+				}
+				if f.sent == msgs {
+					continue
+				}
+				if f.sent > 0 && r.flows[f.id] == nil {
+					returned++
+				}
+				f.sent++
+				f.payload = make([]byte, stepPayload)
+				f.src.Bytes(f.payload)
+				var err error
+				f.frames, err = EncodeFrames(cfg, f.id, f.sent, f.payload, cfg.SymbolsPerFrame, cfg.MaxPasses, f.ch.Corrupt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.next = 0
+			}
+			busy = true
+			ds, err := r.HandleFrames(f.frames[f.next : f.next+1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.next++
+			switch {
+			case len(ds) == 1 && ds[0].FlowID == f.id && ds[0].MsgID == f.sent && bytes.Equal(ds[0].Payload, f.payload):
+				nodes += r.FlowNodesExpanded(f.id, f.sent)
+				delivered++
+				f.frames, f.idle = nil, rest
+			case len(ds) != 0:
+				t.Fatalf("flow %d message %d: delivered %+v, want exactly its own payload", f.id, f.sent, ds)
+			case f.next == len(f.frames):
+				t.Fatalf("flow %d message %d never decoded", f.id, f.sent)
+			}
+		}
+	}
+	if delivered != flows*msgs {
+		t.Fatalf("delivered %d of %d messages", delivered, flows*msgs)
+	}
+	st := r.EngineStats()
+	t.Logf("%d messages, %d of %d returning to a forgotten flow: %.3f attempts/msg, %d nodes/msg, %d thresholded, %d skips",
+		delivered, returned, flows*(msgs-1), float64(st.DecodeAttempts)/float64(delivered), nodes/int64(delivered),
+		st.DecodeThresholded, st.DecodeSkips)
+	if 2*returned < flows*(msgs-1) {
+		t.Fatalf("only %d of %d messages found their flow forgotten: the gate does not test returning flows",
+			returned, flows*(msgs-1))
+	}
+	// Every message after a flow's first historyMin has history to use.
+	if want := uint64(flows * (msgs - historyMin)); st.DecodeThresholded != want {
+		t.Errorf("%d messages used a learned threshold, want %d", st.DecodeThresholded, want)
+	}
+	// Without histories that outlive the flows: 1515 attempts, 55073952 nodes.
+	const wantAttempts, wantNodes = 902, 28293856
+	if st.DecodeAttempts != wantAttempts {
+		t.Errorf("%d decode attempts, want exactly %d", st.DecodeAttempts, wantAttempts)
+	}
+	if nodes != wantNodes {
+		t.Errorf("decode work %d nodes over %d messages, want exactly %d", nodes, delivered, wantNodes)
+	}
+}
+
+// TestDecodeHistoryTableLRU sends 3×MaxFlows distinct flows through a
+// receiver with a small MaxFlows: the history table must never hold more
+// than MaxFlows flows, and a full table must evict the flow whose history
+// was least recently read (a new message asking for its threshold) or
+// written (a decode recorded).
+func TestDecodeHistoryTableLRU(t *testing.T) {
+	const maxFlows = 4
+	cfg := stepConfig
+	cfg.MaxFlows = maxFlows
+	first := newClosedLoopFlow(t, cfg, 1)
+	flows := map[uint32]*closedLoopFlow{1: first}
+	for id := uint32(2); id <= 3*maxFlows; id++ {
+		flows[id] = first.join(id)
+	}
+	ch := awgnPipeline(t, highSNR, 9)
+	held := func(want ...uint32) {
+		t.Helper()
+		e := first.r.eng
+		e.mu.Lock()
+		got := make([]uint32, 0, len(e.hist))
+		for id := range e.hist {
+			got = append(got, id)
+		}
+		e.mu.Unlock()
+		slices.Sort(got)
+		if len(got) > maxFlows {
+			t.Fatalf("%d histories, more than MaxFlows %d", len(got), maxFlows)
+		}
+		if want != nil && !slices.Equal(got, want) {
+			t.Fatalf("histories held for flows %v, want %v", got, want)
+		}
+	}
+	for id := uint32(1); id <= maxFlows; id++ {
+		flows[id].send(t, ch, stepPayload)
+	}
+	// Flow 1 keeps sending until the receiver forgets flows 2-4: their
+	// histories stay, and flow 1's recorded decodes make it the most recent.
+	for first.r.TrackedFlows() > 1 {
+		if first.next == 100 {
+			t.Fatalf("flows 2-%d still tracked after %d messages of flow 1", maxFlows, first.next)
+		}
+		first.send(t, ch, stepPayload)
+	}
+	held(1, 2, 3, 4)
+	flows[5].send(t, ch, stepPayload)
+	held(1, 3, 4, 5)
+	// A threshold read alone refreshes flow 3: the first frame of its next
+	// message asks for the threshold but cannot decode. Flow 6 evicts flow 4.
+	f3 := flows[3]
+	f3.next++
+	frames, err := EncodeFrames(f3.cfg, f3.flow, f3.next, make([]byte, stepPayload), f3.cfg.SymbolsPerFrame, f3.cfg.MaxPasses, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds, err := first.r.HandleFrames(frames[:1]); err != nil || len(ds) != 0 {
+		t.Fatalf("one frame of flow 3 delivered %+v (error %v), want nothing", ds, err)
+	}
+	flows[6].send(t, ch, stepPayload)
+	held(1, 3, 5, 6)
+	// A decode under another code restarts flow 1's history, and the
+	// restart counts as a use too: flow 7 evicts flow 5.
+	recoded := *first
+	recoded.cfg.C = 8
+	recoded.send(t, ch, stepPayload)
+	flows[7].send(t, ch, stepPayload)
+	held(1, 3, 6, 7)
+	for id := uint32(8); id <= 3*maxFlows; id++ {
+		flows[id].send(t, ch, stepPayload)
+		held()
+	}
+	held(9, 10, 11, 12)
+	lost := recoded.lost
+	for _, f := range flows {
+		lost += f.lost
+	}
+	if lost != 0 {
+		t.Fatalf("%d messages lost", lost)
 	}
 }
