@@ -272,32 +272,6 @@ func benchFromRoot(b *testing.B, dec *core.BeamDecoder, pair [2]*core.Observatio
 	b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/s")
 }
 
-// BenchmarkParallelDecode measures the wall-clock scaling of the sharded
-// decode engine: one full from-root beam decode of a low-SNR observation
-// set per iteration, swept over worker counts and beam widths. The decodes
-// are bit-identical at every worker count (the core determinism tests
-// enforce it); this benchmark isolates the time and allocation behavior.
-// Expect near-linear speedup for B >= 64 up to the machine's core count, and
-// a flat allocation profile — the per-worker workspaces are pooled across
-// attempts, so extra workers must not add per-attempt allocations.
-func BenchmarkParallelDecode(b *testing.B) {
-	params, pair, nSymbols := fromRootObservations(b)
-	for _, workers := range []int{1, 2, 4, 8} {
-		for _, beam := range []int{16, 64, 256} {
-			workers, beam := workers, beam
-			b.Run(fmt.Sprintf("workers=%d/B=%d", workers, beam), func(b *testing.B) {
-				dec, err := core.NewBeamDecoder(params, beam)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer dec.Close()
-				dec.SetParallelism(workers)
-				benchFromRoot(b, dec, pair, nSymbols)
-			})
-		}
-	}
-}
-
 // BenchmarkDecodeSymbolsPerSec is the single-core decoder throughput gate:
 // how many received channel symbols per second one worker folds through a
 // full from-root beam decode, across beam widths. The symbols/s metric is the
@@ -313,8 +287,6 @@ func BenchmarkDecodeSymbolsPerSec(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer dec.Close()
-			dec.SetParallelism(1)
 			benchFromRoot(b, dec, pair, nSymbols)
 		})
 	}
@@ -343,11 +315,9 @@ func BenchmarkApproxDecode(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				defer dec.Close()
 				if err := dec.SetSearchMode(mode); err != nil {
 					b.Fatal(err)
 				}
-				dec.SetParallelism(1)
 				benchFromRoot(b, dec, pair, nSymbols)
 			})
 		}

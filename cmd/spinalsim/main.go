@@ -53,7 +53,6 @@ type options struct {
 	seed         uint64
 	mapper       string
 	schedule     string
-	workers      int
 	trialWorkers int
 	short        bool
 	search       string
@@ -83,8 +82,6 @@ func run(args []string, out io.Writer) error {
 	fs.Uint64Var(&opt.seed, "seed", 0, "override experiment seed (0 = default)")
 	fs.StringVar(&opt.mapper, "mapper", "linear", "constellation mapper: linear|uniform|gaussian")
 	fs.StringVar(&opt.schedule, "schedule", "striped", "transmission schedule: striped|sequential")
-	fs.IntVar(&opt.workers, "workers", 0,
-		"decoder worker goroutines per level expansion (0 = automatic; results are bit-identical at any setting)")
 	fs.IntVar(&opt.trialWorkers, "trial-workers", 0,
 		"trial-runner worker goroutines (0 = GOMAXPROCS; results are bit-identical at any setting)")
 	fs.BoolVar(&opt.short, "short", false,
@@ -174,7 +171,6 @@ func (o options) request() (sim.Request, error) {
 		Seed:         o.seed,
 		Mapper:       o.mapper,
 		Schedule:     o.schedule,
-		Workers:      o.workers,
 		TrialWorkers: o.trialWorkers,
 		Short:        o.short,
 		Search:       o.search,

@@ -60,6 +60,19 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestRunRejectsRetiredFlags checks that flags whose knobs were deleted are
+// unknown, not silently ignored: -workers set the decoder's per-level
+// worker goroutines, -metric its path-cost arithmetic.
+func TestRunRejectsRetiredFlags(t *testing.T) {
+	for _, args := range [][]string{{"-workers", "2"}, {"-metric", "int32"}} {
+		var out strings.Builder
+		err := run(append([]string{"-exp", "bounds"}, args...), &out)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%v: got error %v, want an unknown-flag error", args, err)
+		}
+	}
+}
+
 // TestRunUnknownExperimentSuggests checks the near-match hint: a typo of a
 // registered name must surface the intended scenario.
 func TestRunUnknownExperimentSuggests(t *testing.T) {

@@ -128,9 +128,7 @@ func TestAddBatchMatchesAdd(t *testing.T) {
 	}
 
 	scalarDec, _ := NewBeamDecoder(p, 16)
-	defer scalarDec.Close()
 	batchDec, _ := NewBeamDecoder(p, 16)
-	defer batchDec.Close()
 	a, err := scalarDec.Decode(scalarObs)
 	if err != nil {
 		t.Fatal(err)
@@ -192,9 +190,7 @@ func TestBitAddBatchMatchesAdd(t *testing.T) {
 	}
 
 	scalarDec, _ := NewBeamDecoder(p, 16)
-	defer scalarDec.Close()
 	batchDec, _ := NewBeamDecoder(p, 16)
-	defer batchDec.Close()
 	a, err := scalarDec.DecodeBits(scalarObs)
 	if err != nil {
 		t.Fatal(err)

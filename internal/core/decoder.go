@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"spinal/internal/constellation"
 	"spinal/internal/hash"
@@ -33,14 +32,11 @@ import (
 // attempts, while producing bit-identical results (the refresh performs the
 // exact same floating-point additions, in the same order, that a full rerun
 // would). A container the decoder has not seen before decodes from the root.
-// Decoding is also parallel within each level: the parent frontier is
-// sharded across worker goroutines, each expanding into a private top-keep
-// selector, and a deterministic merge reduces the per-worker selections into
-// the global frontier. Because the selector orders nodes by a strict total
-// order — (cost, parent, seg) — the surviving set is the unique keep-smallest
-// set of the level regardless of how the work was sharded, so parallel and
-// serial decodes are bit-identical at any worker count. SetParallelism(1)
-// restores the exact single-threaded path.
+//
+// A decode runs entirely on its caller's goroutine, and a decoder is not safe
+// for concurrent use. Concurrency comes from decoding different messages at
+// once, each on its own decoder: the link receiver's decode workers and the
+// simulator's trial workers.
 //
 // Search state lives in a structure-of-arrays engine (see engine.go). Path
 // costs are float64: squared Euclidean distance on AWGN, Hamming distance on
@@ -55,8 +51,7 @@ type BeamDecoder struct {
 	// (nil for custom mappers that do not expose one). The cost folds use it
 	// to replace the per-symbol Mapper.Map interface call with two array
 	// loads — the same float64 values, so decodes are unchanged.
-	dimTab  []float64
-	workers int
+	dimTab []float64
 	// search is the tree-search strategy (see search.go); the zero value is
 	// the exact search.
 	search SearchMode
@@ -65,8 +60,7 @@ type BeamDecoder struct {
 	nodesRefreshed int
 	nodesSaved     int
 
-	eng  *engine
-	pool *decodePool
+	eng *engine
 
 	// Reusable coster values, so Decode does not allocate one per call when
 	// it passes them through the levelCoster interface.
@@ -131,7 +125,6 @@ func newBeamDecoder(p Params, beamWidth, maxCand int) (*BeamDecoder, error) {
 		maxCand: maxCand,
 		family:  p.family(),
 		mapper:  mapper,
-		workers: runtime.GOMAXPROCS(0),
 	}
 	if tm, ok := mapper.(constellation.TableMapper); ok && len(tm.DimTable()) == 1<<p.C {
 		d.dimTab = tm.DimTable()
@@ -139,6 +132,13 @@ func newBeamDecoder(p Params, beamWidth, maxCand int) (*BeamDecoder, error) {
 	d.eng = newEngine(d)
 	return d, nil
 }
+
+// SetParallelism does nothing: every decode runs on its caller's goroutine.
+//
+// Deprecated: it remains only because the linkbench replay still calls it,
+// and it is deleted together with link.DataFrame.Version in the next change
+// to the benchmark.
+func (d *BeamDecoder) SetParallelism(int) {}
 
 // BeamWidth returns the configured beam width B.
 func (d *BeamDecoder) BeamWidth() int { return d.b }

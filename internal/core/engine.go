@@ -15,12 +15,10 @@ import "slices"
 // single predictable bound test rejects most of them — and the buffer is
 // compacted to the keep-smallest set with an in-place quickselect when it
 // fills. Only the surviving <= keep nodes of a level are ever fully sorted
-// (by key, to canonicalize the frontier). Per-worker selections are merged
-// by concatenation into the global selector followed by one final
-// compaction. All of this is membership-equivalent to the previous heapsort
-// selector: the strict (cost, parent, seg) total order has no ties, so the
-// keep-smallest set of a level is unique no matter which algorithm retains
-// it or how the offers were sharded.
+// (by key, to canonicalize the frontier). All of this is
+// membership-equivalent to the previous heapsort selector: the strict
+// (cost, parent, seg) total order has no ties, so the keep-smallest set of a
+// level is unique no matter which algorithm retains it.
 
 // cand is one selection candidate: a child's reconstituted path cost, its
 // packed (parent, seg) identity, and its spine value. key orders candidates
@@ -41,10 +39,7 @@ func packKey(parent int32, seg uint16) int64 {
 // cost first, then the packed (parent, seg) key as the tie-break. Because
 // every (parent, seg) pair is unique within a level the order has no ties,
 // so the `keep` smallest candidates of a level are a unique set —
-// independent of the order in which they are offered. That independence is
-// what makes sharded (parallel) expansion bit-identical to serial expansion:
-// each shard retains its own keep-smallest subset, and the keep-smallest of
-// the union of those subsets equals the keep-smallest of the whole level.
+// independent of the order in which they are offered.
 func candLess(a, b *cand) bool {
 	if a.cost != b.cost {
 		return a.cost < b.cost
@@ -129,12 +124,6 @@ func (s *selector) compact() {
 	s.nodes = s.nodes[:s.keep]
 	s.bound = s.nodes[s.keep-1]
 	s.bounded = true
-}
-
-// pending returns the buffered candidates (a superset of the final
-// selection, at most limit-1 of them) for merging into another selector.
-func (s *selector) pending() []cand {
-	return s.nodes
 }
 
 // canonical compacts to the final keep-smallest set and sorts it by key —
@@ -293,7 +282,7 @@ type cachedLevel struct {
 // unobserved level expanded from a maxCand-wide parent frontier can produce
 // maxCand·2^k children, far more than is worth materializing. A level whose
 // expansion exceeds the bound is not retained: each children block passes
-// through a per-worker one-block buffer into the selector and is discarded,
+// through a one-block buffer into the selector and is discarded,
 // so the next attempt expands the level afresh. It is a variable only so
 // tests can lower it.
 var maxCachedChildren = 1 << 17
@@ -328,7 +317,7 @@ type workspace struct {
 	// MaxCandidates entries), used to match persisting parents between
 	// attempts so their children blocks can be reused wholesale.
 	pidx spineIndex
-	// scr is the serial path's expansion scratch.
+	// scr is the expansion scratch.
 	scr expandScratch
 }
 
@@ -382,30 +371,25 @@ func (ws *workspace) prepare(obs any, epoch, cleanGen uint64, dirty, nseg int) i
 // irrelevant: each spine's fold is independent.) Batching keeps the
 // engine-to-coster interface dispatch off the per-child path: the engine
 // issues one call per contiguous block of children, and the coster keeps its
-// per-level state in registers across the block.
-//
-// The concurrency contract: prepareLevel runs single-threaded before a level
-// is expanded, and may stage per-level scratch on the coster (flattened
-// observation arrays). After prepareLevel, costTailMany only reads the
-// coster — the sharded folds call it concurrently.
+// per-level state in registers across the block. prepareLevel runs before a
+// level is expanded and may stage per-level scratch on the coster (flattened
+// observation arrays) for costTailMany to read.
 type levelCoster interface {
 	numObs(level int) int
 	prepareLevel(level int)
 	costTailMany(locals []float64, spines []uint64, level, from int)
 }
 
-// expandScratch is one worker's private expansion scratch: the one-block
-// buffers a children block passes through when its level is not retained.
-// The serial path owns one, every shard another.
+// expandScratch is the one-block buffer a children block passes through
+// when its level is not retained.
 type expandScratch struct {
 	spine []uint64
 	local []float64
 }
 
-// levelJob is the level expansion in flight: its per-level inputs, where
-// each parent's children block comes from and where it goes (see
-// expandRange), and the shard geometry. It lives on the engine so
-// dispatching a sharded expansion allocates nothing.
+// levelJob is the level expansion in flight: its per-level inputs, and
+// where each parent's children block comes from and where it goes (see
+// expandLevel).
 type levelJob struct {
 	coster levelCoster
 	lv     *cachedLevel
@@ -419,34 +403,18 @@ type levelJob struct {
 	// cached block.
 	match bool
 	// outSpine/outLocal receive the blocks at their parent-major offsets;
-	// nil streams them through the worker's one-block buffer.
+	// nil streams them through the workspace's one-block buffer.
 	outSpine []uint64
 	outLocal []float64
-	chunk    int
-	keep     int
 }
 
-// parShard is one worker's private per-level workspace, reused across levels
-// and attempts.
-type parShard struct {
-	sel       selector
-	expanded  int
-	refreshed int
-	scr       expandScratch
-}
-
-// engine is the beam search state: the workspace, the root frontier, and
-// the per-worker shard state. The decoder owns one engine and its worker
-// pool.
+// engine is the beam search state: the workspace and the root frontier. The
+// decoder owns one engine.
 type engine struct {
 	d *BeamDecoder
 
 	ws   workspace
 	root frontier
-
-	par       []parShard
-	job       levelJob
-	shardBody func(worker int)
 }
 
 // newEngine returns an engine whose root frontier is the virtual level -1:
@@ -475,9 +443,6 @@ func (e *engine) run(coster levelCoster, obs any, gen, epoch, cleanGen uint64, d
 	d.nodesRefreshed = 0
 	d.nodesSaved = 0
 
-	// The bubble cap of the approximate search is decided per level in the
-	// single-threaded section of the level loop, so approximate decodes
-	// remain bit-identical at every worker count, exactly like exact ones.
 	approx := d.search == SearchApprox
 
 	// parentOK tracks whether the previous level's frontier is structurally
@@ -526,8 +491,7 @@ func (e *engine) run(coster levelCoster, obs any, gen, epoch, cleanGen uint64, d
 		ws.sel.reset(keep)
 
 		need := parent.len() * nSeg
-		e.job = levelJob{coster: coster, lv: lv, parent: parent, t: t, nObs: nObs, nSeg: nSeg, keep: keep}
-		j := &e.job
+		j := &levelJob{coster: coster, lv: lv, parent: parent, t: t, nObs: nObs, nSeg: nSeg}
 		switch {
 		case parentOK && lv.valid:
 			// The cached expansion lines up index for index: fold in only the
@@ -563,13 +527,9 @@ func (e *engine) run(coster levelCoster, obs any, gen, epoch, cleanGen uint64, d
 			// without retaining them.
 			lv.valid = false
 		}
-		if w := d.workersFor(need); w > 1 {
-			e.runRegion(w)
-		} else {
-			x, r := e.expandRange(j, 0, parent.len(), &ws.sel, &ws.scr)
-			d.nodesExpanded += x
-			d.nodesRefreshed += r
-		}
+		x, r := e.expandLevel(j)
+		d.nodesExpanded += x
+		d.nodesRefreshed += r
 		if j.match {
 			ws.scratchSpine, ws.scratchLocal = lv.childSpine[:0], lv.childLocal[:0]
 		}
@@ -639,34 +599,33 @@ func (e *engine) run(coster levelCoster, obs any, gen, epoch, cleanGen uint64, d
 	}
 }
 
-// expandRange expands parents [lo, hi) of the level job j into sel and
-// returns the (freshly expanded, refreshed) node counts. Each parent's
-// children block comes from one of three sources:
+// expandLevel expands every parent of the level job j into the workspace's
+// selector and returns the (freshly expanded, refreshed) node counts. Each
+// parent's children block comes from one of three sources:
 //
 //   - in place (j.inPlace): the cached block at the same index, its cost sums
 //     extended with the observations that arrived since the level was last
-//     folded — one batched tail fold over the whole range;
+//     folded — one batched tail fold over the whole level;
 //   - matched (j.match): the cached block of the old parent with the same
 //     spine value, copied into place and extended the same way;
 //   - fresh: hash replay of the parent's children (one batched
 //     hash.Family.Children call) with a full cost fold.
 //
 // Every fold adds the same terms, in recording order, that a from-root fold
-// would, so the result depends neither on the source nor on how the level
-// was sharded. Blocks land in j.outSpine/outLocal at their parent-major
-// offset or, when those are nil, in scr's one-block buffer, which is offered
-// and then overwritten by the next parent.
-func (e *engine) expandRange(j *levelJob, lo, hi int, sel *selector, scr *expandScratch) (expanded, refreshed int) {
-	if lo >= hi {
-		return 0, 0
-	}
+// would, so the result does not depend on the source. Blocks land in
+// j.outSpine/outLocal at their parent-major offset or, when those are nil,
+// in the one-block scratch buffer, which is offered and then overwritten by
+// the next parent.
+func (e *engine) expandLevel(j *levelJob) (expanded, refreshed int) {
 	lv, nSeg := j.lv, j.nSeg
+	sel, scr := &e.ws.sel, &e.ws.scr
 	scr.spine = sized(scr.spine, nSeg)
 	scr.local = sized(scr.local, nSeg)
+	n := j.parent.len()
 	if j.inPlace && lv.childObs < j.nObs {
-		j.coster.costTailMany(j.outLocal[lo*nSeg:hi*nSeg], j.outSpine[lo*nSeg:hi*nSeg], j.t, lv.childObs)
+		j.coster.costTailMany(j.outLocal[:n*nSeg], j.outSpine[:n*nSeg], j.t, lv.childObs)
 	}
-	for pi := lo; pi < hi; pi++ {
+	for pi := 0; pi < n; pi++ {
 		ps := j.parent.spine[pi]
 		blockS, blockL := scr.spine, scr.local
 		if j.outSpine != nil {
@@ -708,45 +667,4 @@ func (e *engine) expandRange(j *levelJob, lo, hi int, sel *selector, scr *expand
 		}
 	}
 	return expanded, refreshed
-}
-
-// runRegion executes the level job on w workers — the calling goroutine is
-// worker 0, the pool helpers take the rest — then merges the per-shard
-// selections into the global selector (ws.sel, already reset by the level
-// loop) and folds the shard work counters into the decoder totals. The merge
-// is concatenation plus the global selector's own compaction: under the
-// total order the surviving membership is unique whatever the merge order,
-// and the level loop's canonical() sort fixes the frontier layout.
-func (e *engine) runRegion(w int) {
-	d := e.d
-	if len(e.par) != d.workers {
-		e.par = make([]parShard, d.workers)
-	}
-	d.ensurePool()
-	if e.shardBody == nil {
-		e.shardBody = e.runShard // one closure for the engine's lifetime
-	}
-	e.job.chunk = (e.job.parent.len() + w - 1) / w
-	d.pool.dispatch(w, e.shardBody)
-	for i := 0; i < w; i++ {
-		sh := &e.par[i]
-		for _, n := range sh.sel.pending() {
-			e.ws.sel.offer(n)
-		}
-		d.nodesExpanded += sh.expanded
-		d.nodesRefreshed += sh.refreshed
-	}
-}
-
-// runShard is the body every worker executes: carve this shard's parents out
-// of the level job and expand them into the shard-private selector and
-// counters.
-func (e *engine) runShard(shard int) {
-	j := &e.job
-	sh := &e.par[shard]
-	sh.sel.reset(j.keep)
-	n := j.parent.len()
-	lo := min(shard*j.chunk, n)
-	hi := min(lo+j.chunk, n)
-	sh.expanded, sh.refreshed = e.expandRange(j, lo, hi, &sh.sel, &sh.scr)
 }

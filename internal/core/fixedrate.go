@@ -70,7 +70,6 @@ func (f *FixedRateCode) Decode(received []complex128) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer dec.Close()
 	obs, err := NewObservations(f.params.NumSegments())
 	if err != nil {
 		return nil, err

@@ -65,6 +65,27 @@ func withCacheBound(n int) func() {
 	return func() { maxCachedChildren = old }
 }
 
+// newModeDecoder returns a B = 8 decoder for p under the given search mode.
+func newModeDecoder(t *testing.T, p Params, mode SearchMode) *BeamDecoder {
+	t.Helper()
+	dec, err := NewBeamDecoder(p, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.SetSearchMode(mode); err != nil {
+		t.Fatal(err)
+	}
+	return dec
+}
+
+// forModes runs body as one subtest per search mode.
+func forModes(t *testing.T, body func(t *testing.T, mode SearchMode)) {
+	t.Helper()
+	for _, mode := range searchModes {
+		t.Run(mode.String(), func(t *testing.T) { body(t, mode) })
+	}
+}
+
 // boundedDecoder is an incremental decoder that always decodes under a
 // lowered maxCachedChildren.
 type boundedDecoder struct {
@@ -76,16 +97,11 @@ type boundedDecoder struct {
 // and 128 = B·2^4, which retains the observed levels of the k = 4 cases but
 // streams their wider unobserved ones, so levels move between the two
 // outputs from one attempt to the next.
-func newBoundedDecoders(t *testing.T, p Params) []boundedDecoder {
+func newBoundedDecoders(t *testing.T, p Params, mode SearchMode) []boundedDecoder {
 	t.Helper()
 	var bds []boundedDecoder
 	for _, bound := range []int{smallCacheBound, 128} {
-		dec, err := NewBeamDecoder(p, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(dec.Close)
-		bds = append(bds, boundedDecoder{bound: bound, dec: dec})
+		bds = append(bds, boundedDecoder{bound: bound, dec: newModeDecoder(t, p, mode)})
 	}
 	return bds
 }
@@ -110,6 +126,18 @@ func (b boundedDecoder) check(t *testing.T, p Params, attempt int, want *DecodeR
 	}
 }
 
+// checkFromRoot requires a from-root attempt of a reused decoder to equal a
+// fresh decoder's decode of the same observations: message, cost and every
+// work counter.
+func checkFromRoot(t *testing.T, p Params, attempt int, got, want *DecodeResult) {
+	t.Helper()
+	if !EqualMessages(got.Message, want.Message, p.MessageBits) || got.Cost != want.Cost ||
+		got.NodesExpanded != want.NodesExpanded || got.NodesRefreshed != want.NodesRefreshed ||
+		got.NodesSaved != want.NodesSaved {
+		t.Fatalf("attempt %d: reused decoder from the root %+v differs from a fresh decoder %+v", attempt, *got, *want)
+	}
+}
+
 func caseSchedule(t *testing.T, tc incrementalCase) Schedule {
 	t.Helper()
 	nseg := tc.params.NumSegments()
@@ -127,150 +155,155 @@ func caseSchedule(t *testing.T, tc incrementalCase) Schedule {
 }
 
 // TestIncrementalMatchesFromScratchAWGN interleaves Observe and Decode over
-// an AWGN channel and checks every attempt against a from-scratch decode,
-// with the default cache bound and with lowered ones.
+// an AWGN channel under every search mode and checks every attempt against a
+// fresh decoder's from-scratch decode: the incremental decoder, one decoder
+// reused from the root on every attempt, and incremental decoders under
+// lowered cache bounds (smallCacheBound retains no level).
 func TestIncrementalMatchesFromScratchAWGN(t *testing.T) {
 	for _, tc := range incrementalCases() {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			p := tc.params
-			sched := caseSchedule(t, tc)
-			msg := RandomMessage(rng.New(p.Seed^0xf00d), p.MessageBits)
-			enc, err := NewEncoder(p, msg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ch, err := impair.NewAWGN(6, rng.New(p.Seed^0xbeef))
-			if err != nil {
-				t.Fatal(err)
-			}
+			forModes(t, func(t *testing.T, mode SearchMode) {
+				p := tc.params
+				sched := caseSchedule(t, tc)
+				msg := RandomMessage(rng.New(p.Seed^0xf00d), p.MessageBits)
+				enc, err := NewEncoder(p, msg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ch, err := impair.NewAWGN(6, rng.New(p.Seed^0xbeef))
+				if err != nil {
+					t.Fatal(err)
+				}
 
-			inc, err := NewBeamDecoder(p, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bounded := newBoundedDecoders(t, p)
-			obs, err := NewObservations(p.NumSegments())
-			if err != nil {
-				t.Fatal(err)
-			}
+				inc := newModeDecoder(t, p, mode)
+				root := newModeDecoder(t, p, mode)
+				bounded := newBoundedDecoders(t, p, mode)
+				obs, err := NewObservations(p.NumSegments())
+				if err != nil {
+					t.Fatal(err)
+				}
 
-			var incNodes, scratchNodes int
-			attempts := 0
-			total := tc.passes * p.NumSegments()
-			for i := 0; i < total; i++ {
-				pos := sched.Pos(i)
-				if err := obs.Add(pos, ch.Corrupt(enc.SymbolAt(pos))); err != nil {
-					t.Fatal(err)
+				var incNodes, scratchNodes int
+				attempts := 0
+				total := tc.passes * p.NumSegments()
+				for i := 0; i < total; i++ {
+					pos := sched.Pos(i)
+					if err := obs.Add(pos, ch.Corrupt(enc.SymbolAt(pos))); err != nil {
+						t.Fatal(err)
+					}
+					if (i+1)%tc.attemptEvery != 0 {
+						continue
+					}
+					got, err := inc.Decode(obs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// A fresh decoder with an empty workspace is the
+					// from-scratch baseline for the exact same observations.
+					want, err := newModeDecoder(t, p, mode).Decode(obs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !EqualMessages(got.Message, want.Message, p.MessageBits) {
+						t.Fatalf("attempt at %d symbols: incremental message %x differs from from-scratch %x",
+							i+1, got.Message, want.Message)
+					}
+					if got.Cost != want.Cost {
+						t.Fatalf("attempt at %d symbols: incremental cost %v differs from from-scratch %v",
+							i+1, got.Cost, want.Cost)
+					}
+					fromRoot, err := decodeAttempt(root, obs, true)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkFromRoot(t, p, i+1, fromRoot, want)
+					for _, b := range bounded {
+						b.check(t, p, i+1, want, func(d *BeamDecoder) (*DecodeResult, error) { return d.Decode(obs) })
+					}
+					incNodes += got.NodesExpanded
+					scratchNodes += want.NodesExpanded
+					attempts++
 				}
-				if (i+1)%tc.attemptEvery != 0 {
-					continue
+				if attempts < 2 {
+					t.Fatal("scenario exercised fewer than two attempts")
 				}
-				got, err := inc.Decode(obs)
-				if err != nil {
-					t.Fatal(err)
+				if incNodes >= scratchNodes {
+					t.Fatalf("incremental expanded %d nodes, from-scratch %d: no savings", incNodes, scratchNodes)
 				}
-				// A fresh decoder with an empty workspace is the from-scratch
-				// baseline for the exact same observations.
-				fresh, err := NewBeamDecoder(p, 8)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := fresh.Decode(obs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !EqualMessages(got.Message, want.Message, p.MessageBits) {
-					t.Fatalf("attempt at %d symbols: incremental message %x differs from from-scratch %x",
-						i+1, got.Message, want.Message)
-				}
-				if got.Cost != want.Cost {
-					t.Fatalf("attempt at %d symbols: incremental cost %v differs from from-scratch %v",
-						i+1, got.Cost, want.Cost)
-				}
-				for _, b := range bounded {
-					b.check(t, p, i+1, want, func(d *BeamDecoder) (*DecodeResult, error) { return d.Decode(obs) })
-				}
-				incNodes += got.NodesExpanded
-				scratchNodes += want.NodesExpanded
-				attempts++
-			}
-			if attempts < 2 {
-				t.Fatal("scenario exercised fewer than two attempts")
-			}
-			if incNodes >= scratchNodes {
-				t.Fatalf("incremental expanded %d nodes, from-scratch %d: no savings", incNodes, scratchNodes)
-			}
+			})
 		})
 	}
 }
 
-// TestIncrementalMatchesFromScratchBSC is the binary-channel counterpart.
+// TestIncrementalMatchesFromScratchBSC is the binary-channel counterpart. The
+// BSC's Hamming metric produces integer costs, so cost ties are everywhere:
+// the regime where only the strict (cost, parent, seg) order keeps every
+// variant's selection in agreement.
 func TestIncrementalMatchesFromScratchBSC(t *testing.T) {
 	for _, tc := range incrementalCases() {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			p := tc.params
-			sched := caseSchedule(t, tc)
-			msg := RandomMessage(rng.New(p.Seed^0xabcd), p.MessageBits)
-			enc, err := NewEncoder(p, msg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bsc, err := channel.NewBSC(0.08, rng.New(p.Seed^0x1234))
-			if err != nil {
-				t.Fatal(err)
-			}
+			forModes(t, func(t *testing.T, mode SearchMode) {
+				p := tc.params
+				sched := caseSchedule(t, tc)
+				msg := RandomMessage(rng.New(p.Seed^0xabcd), p.MessageBits)
+				enc, err := NewEncoder(p, msg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bsc, err := channel.NewBSC(0.08, rng.New(p.Seed^0x1234))
+				if err != nil {
+					t.Fatal(err)
+				}
 
-			inc, err := NewBeamDecoder(p, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bounded := newBoundedDecoders(t, p)
-			obs, err := NewBitObservations(p.NumSegments())
-			if err != nil {
-				t.Fatal(err)
-			}
+				inc := newModeDecoder(t, p, mode)
+				root := newModeDecoder(t, p, mode)
+				bounded := newBoundedDecoders(t, p, mode)
+				obs, err := NewBitObservations(p.NumSegments())
+				if err != nil {
+					t.Fatal(err)
+				}
 
-			var incNodes, scratchNodes int
-			total := (tc.passes + 6) * p.NumSegments() // bits carry less, give more passes
-			for i := 0; i < total; i++ {
-				pos := sched.Pos(i)
-				if err := obs.Add(pos, bsc.CorruptBit(enc.CodedBit(pos.Spine, pos.Pass))); err != nil {
-					t.Fatal(err)
+				var incNodes, scratchNodes int
+				total := (tc.passes + 6) * p.NumSegments() // bits carry less, give more passes
+				for i := 0; i < total; i++ {
+					pos := sched.Pos(i)
+					if err := obs.Add(pos, bsc.CorruptBit(enc.CodedBit(pos.Spine, pos.Pass))); err != nil {
+						t.Fatal(err)
+					}
+					if (i+1)%tc.attemptEvery != 0 {
+						continue
+					}
+					got, err := inc.DecodeBits(obs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := newModeDecoder(t, p, mode).DecodeBits(obs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !EqualMessages(got.Message, want.Message, p.MessageBits) {
+						t.Fatalf("attempt at %d bits: incremental message %x differs from from-scratch %x",
+							i+1, got.Message, want.Message)
+					}
+					if got.Cost != want.Cost {
+						t.Fatalf("attempt at %d bits: incremental cost %v differs from from-scratch %v",
+							i+1, got.Cost, want.Cost)
+					}
+					fromRoot, err := decodeBitsAttempt(root, obs, true)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkFromRoot(t, p, i+1, fromRoot, want)
+					for _, b := range bounded {
+						b.check(t, p, i+1, want, func(d *BeamDecoder) (*DecodeResult, error) { return d.DecodeBits(obs) })
+					}
+					incNodes += got.NodesExpanded
+					scratchNodes += want.NodesExpanded
 				}
-				if (i+1)%tc.attemptEvery != 0 {
-					continue
+				if incNodes >= scratchNodes {
+					t.Fatalf("incremental expanded %d nodes, from-scratch %d: no savings", incNodes, scratchNodes)
 				}
-				got, err := inc.DecodeBits(obs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fresh, err := NewBeamDecoder(p, 8)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := fresh.DecodeBits(obs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !EqualMessages(got.Message, want.Message, p.MessageBits) {
-					t.Fatalf("attempt at %d bits: incremental message %x differs from from-scratch %x",
-						i+1, got.Message, want.Message)
-				}
-				if got.Cost != want.Cost {
-					t.Fatalf("attempt at %d bits: incremental cost %v differs from from-scratch %v",
-						i+1, got.Cost, want.Cost)
-				}
-				for _, b := range bounded {
-					b.check(t, p, i+1, want, func(d *BeamDecoder) (*DecodeResult, error) { return d.DecodeBits(obs) })
-				}
-				incNodes += got.NodesExpanded
-				scratchNodes += want.NodesExpanded
-			}
-			if incNodes >= scratchNodes {
-				t.Fatalf("incremental expanded %d nodes, from-scratch %d: no savings", incNodes, scratchNodes)
-			}
+			})
 		})
 	}
 }
@@ -310,7 +343,6 @@ func TestIncrementalNodeSavings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(inc.Close)
 		obs, err := NewObservations(nseg)
 		if err != nil {
 			t.Fatal(err)
@@ -335,7 +367,6 @@ func TestIncrementalNodeSavings(t *testing.T) {
 				t.Fatal(err)
 			}
 			want, err := fresh.Decode(obs)
-			fresh.Close()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,8 +8,8 @@ import (
 // DecoderPool caches fully constructed (BeamDecoder, Observations) pairs
 // keyed by code parameters and beam width, so that a serving path handling
 // many concurrent messages — the flow-multiplexed link receiver in
-// particular — reuses decoders (and their incremental workspaces and worker
-// pools) across messages and flows instead of rebuilding them per message.
+// particular — reuses decoders (and their incremental workspaces) across
+// messages and flows instead of rebuilding them per message.
 //
 // The pool hands decoders out as leases: Lease returns an idle decoder for
 // the requested parameters (or builds a fresh one on a miss) and
@@ -18,13 +18,12 @@ import (
 // decoder's next Decode to rebuild from the root, and any per-lease tuning
 // (the unobserved-level cap, the search strategy) is reverted to
 // construction defaults — so a pooled decoder is bit-identical in behaviour
-// to a freshly constructed one; only allocations and goroutine pools are
-// recycled. The total number of idle decoders is bounded by the pool
-// capacity: releases beyond it close the decoder and drop it instead of
-// caching it.
+// to a freshly constructed one; only allocations are recycled. The total
+// number of idle decoders is bounded by the pool capacity: releases beyond it
+// drop the decoder instead of caching it.
 //
 // All methods are safe for concurrent use. A capacity of zero or less
-// disables caching entirely (every Lease builds, every Release closes),
+// disables caching entirely (every Lease builds, every Release drops),
 // which keeps the "pool off" configuration on the exact same code path.
 type DecoderPool struct {
 	mu       sync.Mutex
@@ -57,7 +56,7 @@ type PoolStats struct {
 	// Misses is the number of leases that had to build a fresh decoder.
 	Misses uint64 `json:"misses"`
 	// Discards is the number of releases dropped because the pool was at
-	// capacity (the decoder is closed, not cached).
+	// capacity (the decoder is dropped, not cached).
 	Discards uint64 `json:"discards"`
 	// Idle is the number of decoders currently cached.
 	Idle int `json:"idle"`
@@ -100,8 +99,6 @@ func (l *LeasedDecoder) Bits() (*BitObservations, error) {
 // to construction defaults. A caller holding one lease across many trials
 // (the experiment runner's per-worker reuse) therefore gets bit-identical
 // results to leasing a fresh decoder per trial.
-// Parallelism is left alone — it never changes decode results, and every
-// pooled consumer sets it explicitly.
 func (l *LeasedDecoder) Reset() {
 	l.Obs.Reset()
 	if l.bitObs != nil {
@@ -195,8 +192,8 @@ func (p *DecoderPool) Lease(params Params, beamWidth int) (*LeasedDecoder, error
 
 // Release returns the lease to its pool. The observation container is reset
 // (bumping its epoch, which invalidates the decoder's incremental workspace
-// for the next user); if the pool is at capacity the decoder is closed and
-// dropped instead. Release is idempotent: returning the same lease twice is
+// for the next user); if the pool is at capacity the decoder is dropped
+// instead. Release is idempotent: returning the same lease twice is
 // a no-op, so eviction races in callers cannot double-cache a decoder.
 func (l *LeasedDecoder) Release() {
 	if l == nil || l.pool == nil {
@@ -213,8 +210,6 @@ func (l *LeasedDecoder) Release() {
 	if p.idleN >= p.capacity {
 		p.stats.Discards++
 		p.mu.Unlock()
-		l.Reset()
-		l.Dec.Close()
 		return
 	}
 	p.mu.Unlock()
@@ -225,7 +220,6 @@ func (l *LeasedDecoder) Release() {
 	if p.idleN >= p.capacity {
 		p.stats.Discards++
 		p.mu.Unlock()
-		l.Dec.Close()
 		return
 	}
 	p.idle[l.key] = append(p.idle[l.key], l)
@@ -242,21 +236,14 @@ func (p *DecoderPool) Stats() PoolStats {
 	return s
 }
 
-// Drain closes and drops every idle decoder. Leased decoders are unaffected;
-// they are closed (not cached) when released only if the pool is full, so a
-// drained pool simply refills as leases come back.
+// Drain drops every idle decoder. Leased decoders are unaffected; they are
+// dropped (not cached) when released only if the pool is full, so a drained
+// pool simply refills as leases come back.
 func (p *DecoderPool) Drain() {
 	p.mu.Lock()
-	var all []*LeasedDecoder
-	for key, list := range p.idle {
-		all = append(all, list...)
-		delete(p.idle, key)
-	}
+	clear(p.idle)
 	p.idleN = 0
 	p.mu.Unlock()
-	for _, ld := range all {
-		ld.Dec.Close()
-	}
 }
 
 // String renders the pool state for logs.

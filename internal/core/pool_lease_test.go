@@ -27,16 +27,13 @@ func TestLeaseResetReuseAcrossTrials(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh.SetParallelism(1)
 		freshObs, err := NewObservations(p.NumSegments())
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := decodeThrough(t, fresh, freshObs, p, msg, 3)
-		fresh.Close()
 
 		lease.Reset()
-		lease.Dec.SetParallelism(1)
 		got := decodeThrough(t, lease.Dec, lease.Obs, p, msg, 3)
 
 		if len(got) != len(want) {
@@ -123,7 +120,7 @@ func TestSessionPoolEquivalence(t *testing.T) {
 	pool := NewDecoderPool(2)
 	for trial := 0; trial < 3; trial++ {
 		msg := RandomMessage(rng.New(uint64(trial+1)*131), p.MessageBits)
-		cfg := SessionConfig{Params: p, BeamWidth: 8, MaxSymbols: 60 * p.NumSegments(), Parallelism: 1}
+		cfg := SessionConfig{Params: p, BeamWidth: 8, MaxSymbols: 60 * p.NumSegments()}
 
 		// 7.45 dB: about 0.3 noise standard deviation per dimension.
 		mk := func() *impair.Pipeline {

@@ -22,8 +22,7 @@ type SearchMode uint8
 
 const (
 	// SearchExact is the full beam search of the HotNets'11 paper —
-	// bit-identical to the decoder as it existed before approximate modes,
-	// at every worker count.
+	// bit-identical to the decoder as it existed before approximate modes.
 	SearchExact SearchMode = iota
 	// SearchApprox is the exact search plus the bubble cap: an unobserved
 	// level keeps only the children of its W = max(2, B/8) cheapest parents.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"runtime"
 	"testing"
 
 	"spinal/internal/rng"
@@ -13,8 +12,8 @@ import (
 // This file pins the exact-search decoder to golden fingerprints recorded
 // from the decoder as it stood before the approximate-search modes landed.
 // SearchExact must remain bit-identical to that decoder — same messages, same
-// costs, same NodesExpanded/NodesRefreshed — at every worker count,
-// resuming incrementally or decoding every attempt from the root. Any engine
+// costs, same NodesExpanded/NodesRefreshed — resuming incrementally or
+// decoding every attempt from the root. Any engine
 // change that perturbs the exact path trips these constants.
 
 // exactPinParams is the fixed operating point the fingerprints are recorded
@@ -29,12 +28,6 @@ const (
 	exactPinPasses = 4
 	exactPinBeam   = 16
 )
-
-// exactPinWorkers returns the worker counts the matrix sweeps: the serial
-// path, an uneven shard count, and the GOMAXPROCS default.
-func exactPinWorkers() []int {
-	return []int{1, 3, runtime.GOMAXPROCS(0)}
-}
 
 // awgnPinObservations writes the per-trial received symbols for the AWGN
 // fingerprint: a seeded message sent over seeded Gaussian noise, one decode
@@ -89,18 +82,16 @@ func bscPinStream(t *testing.T, trial int) (msg []byte, byPass [][]byte) {
 
 // exactFingerprints decodes the fixed trial set under one configuration and
 // returns two FNV-1a fingerprints: one over the decode results (message bytes
-// and exact cost bits — identical across worker counts AND incremental
-// on/off) and one over the work counters (NodesExpanded/NodesRefreshed —
-// identical across worker counts, different between incremental on/off).
-func exactFingerprints(t *testing.T, workers int, incremental, bits bool) (result, work uint64) {
+// and exact cost bits — identical across incremental on/off) and one over the
+// work counters (NodesExpanded/NodesRefreshed — different between
+// incremental on/off).
+func exactFingerprints(t *testing.T, incremental, bits bool) (result, work uint64) {
 	t.Helper()
 	p := exactPinParams()
 	dec, err := NewBeamDecoder(p, exactPinBeam)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dec.Close()
-	dec.SetParallelism(workers)
 
 	hr, hw := fnv.New64a(), fnv.New64a()
 	record := func(trial, pass int, out *DecodeResult) {
@@ -165,10 +156,9 @@ var exactPinWorkGolden = map[string]uint64{
 	"bsc/float64/scratch":  0x9e2c2d02c5e24b85,
 }
 
-// TestExactSearchPinnedToPreApproxDecoder is the satellite-3 pin: exact-mode
-// decodes across workers {1,3,GOMAXPROCS} × incremental {on,off} × channel
-// {AWGN,BSC} must reproduce the golden
-// fingerprints recorded before the approximate-search engine changes.
+// TestExactSearchPinnedToPreApproxDecoder pins exact-mode decodes across
+// incremental {on,off} × channel {AWGN,BSC} to the golden fingerprints
+// recorded before the approximate-search engine changes.
 func TestExactSearchPinnedToPreApproxDecoder(t *testing.T) {
 	for _, bits := range []bool{false, true} {
 		kind := "awgn"
@@ -180,18 +170,15 @@ func TestExactSearchPinnedToPreApproxDecoder(t *testing.T) {
 			if !incremental {
 				mode = "scratch"
 			}
-			for _, workers := range exactPinWorkers() {
-				result, work := exactFingerprints(t, workers, incremental, bits)
-				rKey := kind + "/float64"
-				wKey := rKey + "/" + mode
-				if want := exactPinResultGolden[rKey]; result != want {
-					t.Errorf("result fingerprint %s (workers=%d inc=%v) = %#016x, want %#016x",
-						rKey, workers, incremental, result, want)
-				}
-				if want := exactPinWorkGolden[wKey]; work != want {
-					t.Errorf("work fingerprint %s (workers=%d) = %#016x, want %#016x",
-						wKey, workers, work, want)
-				}
+			result, work := exactFingerprints(t, incremental, bits)
+			rKey := kind + "/float64"
+			wKey := rKey + "/" + mode
+			if want := exactPinResultGolden[rKey]; result != want {
+				t.Errorf("result fingerprint %s (inc=%v) = %#016x, want %#016x",
+					rKey, incremental, result, want)
+			}
+			if want := exactPinWorkGolden[wKey]; work != want {
+				t.Errorf("work fingerprint %s = %#016x, want %#016x", wKey, work, want)
 			}
 		}
 	}

@@ -54,7 +54,6 @@ func TestSetSearchModeValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dec.Close()
 	if err := dec.SetSearchMode(SearchApprox); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +96,6 @@ func TestApproxModesRoundTripNoiseless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dec.Close()
 	if err := dec.SetSearchMode(SearchApprox); err != nil {
 		t.Fatal(err)
 	}
@@ -130,17 +128,15 @@ func capParams() Params { return Params{K: 4, C: 8, MessageBits: 48, Seed: Defau
 const capBeam = 16
 
 // newCapDecoder returns a capParams decoder configured for one test case.
-func newCapDecoder(t *testing.T, mode SearchMode, workers int) *BeamDecoder {
+func newCapDecoder(t *testing.T, mode SearchMode) *BeamDecoder {
 	t.Helper()
 	dec, err := NewBeamDecoder(capParams(), capBeam)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(dec.Close)
 	if err := dec.SetSearchMode(mode); err != nil {
 		t.Fatal(err)
 	}
-	dec.SetParallelism(workers)
 	return dec
 }
 
@@ -173,11 +169,11 @@ func capStream(t *testing.T, seed uint64, sigma float64, passes int, obs []*Obse
 }
 
 // pinSearchTranscript decodes two seeded capParams transmissions symbol by
-// symbol under one (mode, incremental, workers) configuration and returns
-// every attempt's result.
-func pinSearchTranscript(t *testing.T, mode SearchMode, incremental bool, workers int) []DecodeResult {
+// symbol under one (mode, incremental) configuration and returns every
+// attempt's result.
+func pinSearchTranscript(t *testing.T, mode SearchMode, incremental bool) []DecodeResult {
 	t.Helper()
-	dec := newCapDecoder(t, mode, workers)
+	dec := newCapDecoder(t, mode)
 	var outs []DecodeResult
 	for trial := uint64(1); trial <= 2; trial++ {
 		obs, err := NewObservations(capParams().NumSegments())
@@ -201,42 +197,14 @@ func sameResult(a, b *DecodeResult) bool {
 	return string(a.Message) == string(b.Message) && a.Cost == b.Cost
 }
 
-// TestApproxDeterministicAcrossWorkers checks that decodes are bit-identical
-// — results and every work counter — at every worker count, under search
-// mode × incremental on/off: the bubble cap is decided in the
-// single-threaded section of the level loop.
-func TestApproxDeterministicAcrossWorkers(t *testing.T) {
-	forceParallel(t)
-	for _, mode := range searchModes {
-		for _, incremental := range []bool{true, false} {
-			var ref []DecodeResult
-			for _, workers := range exactPinWorkers() {
-				got := pinSearchTranscript(t, mode, incremental, workers)
-				if ref == nil {
-					ref = got
-					continue
-				}
-				for i := range got {
-					g, r := &got[i], &ref[i]
-					if !sameResult(g, r) || g.NodesExpanded != r.NodesExpanded ||
-						g.NodesRefreshed != r.NodesRefreshed || g.NodesSaved != r.NodesSaved {
-						t.Fatalf("%v incremental=%v: workers=%d diverged at attempt %d:\n%+v\nvs\n%+v",
-							mode, incremental, workers, i, *g, *r)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestApproxIncrementalMatchesScratch checks that the bubble cap composes
 // with incremental reuse exactly: resumed attempts produce the same
 // messages and costs as from-scratch ones, for both modes. (The work
 // counters legitimately differ.)
 func TestApproxIncrementalMatchesScratch(t *testing.T) {
 	for _, mode := range searchModes {
-		inc := pinSearchTranscript(t, mode, true, 1)
-		scratch := pinSearchTranscript(t, mode, false, 1)
+		inc := pinSearchTranscript(t, mode, true)
+		scratch := pinSearchTranscript(t, mode, false)
 		for i := range inc {
 			if !sameResult(&inc[i], &scratch[i]) {
 				t.Fatalf("%v: incremental diverged from scratch at attempt %d: %+v vs %+v",
@@ -250,9 +218,8 @@ func TestApproxIncrementalMatchesScratch(t *testing.T) {
 // bubble cap: symbols arrive one at a time in striped order, and on every
 // attempt where each level has at least one observation the approximate
 // decode returns the exact decode's message and cost while expanding no more
-// nodes. It sweeps noise levels, incremental on/off and two worker counts.
+// nodes. It sweeps noise levels and incremental on/off.
 func TestApproxEqualsExactOnceObserved(t *testing.T) {
-	forceParallel(t)
 	nseg := capParams().NumSegments()
 	sigmas := []float64{0.1, 0.22, 0.4, 0.7}
 	trials, passes := 4, 5
@@ -261,39 +228,37 @@ func TestApproxEqualsExactOnceObserved(t *testing.T) {
 	}
 	compared, saved := 0, 0
 	for _, incremental := range []bool{true, false} {
-		for _, workers := range []int{1, 3} {
-			exactDec := newCapDecoder(t, SearchExact, workers)
-			approxDec := newCapDecoder(t, SearchApprox, workers)
-			for si, sigma := range sigmas {
-				for trial := 0; trial < trials; trial++ {
-					var obs [2]*Observations
-					for i := range obs {
-						var err error
-						if obs[i], err = NewObservations(nseg); err != nil {
-							t.Fatal(err)
-						}
+		exactDec := newCapDecoder(t, SearchExact)
+		approxDec := newCapDecoder(t, SearchApprox)
+		for si, sigma := range sigmas {
+			for trial := 0; trial < trials; trial++ {
+				var obs [2]*Observations
+				for i := range obs {
+					var err error
+					if obs[i], err = NewObservations(nseg); err != nil {
+						t.Fatal(err)
 					}
-					seed := uint64(si*trials+trial+1) * 0x9e3779b97f4a7c15
-					capStream(t, seed, sigma, passes, obs[:], func(sent int) {
-						exact, err := decodeAttempt(exactDec, obs[0], !incremental)
-						if err != nil {
-							t.Fatal(err)
-						}
-						approx, err := decodeAttempt(approxDec, obs[1], !incremental)
-						if err != nil {
-							t.Fatal(err)
-						}
-						saved += approx.NodesSaved
-						if sent < nseg {
-							return // some level is still unobserved
-						}
-						compared++
-						if !sameResult(exact, approx) || approx.NodesExpanded > exact.NodesExpanded {
-							t.Fatalf("inc=%v workers=%d sigma=%v trial %d symbol %d: approx %+v, exact %+v",
-								incremental, workers, sigma, trial, sent, *approx, *exact)
-						}
-					})
 				}
+				seed := uint64(si*trials+trial+1) * 0x9e3779b97f4a7c15
+				capStream(t, seed, sigma, passes, obs[:], func(sent int) {
+					exact, err := decodeAttempt(exactDec, obs[0], !incremental)
+					if err != nil {
+						t.Fatal(err)
+					}
+					approx, err := decodeAttempt(approxDec, obs[1], !incremental)
+					if err != nil {
+						t.Fatal(err)
+					}
+					saved += approx.NodesSaved
+					if sent < nseg {
+						return // some level is still unobserved
+					}
+					compared++
+					if !sameResult(exact, approx) || approx.NodesExpanded > exact.NodesExpanded {
+						t.Fatalf("inc=%v sigma=%v trial %d symbol %d: approx %+v, exact %+v",
+							incremental, sigma, trial, sent, *approx, *exact)
+					}
+				})
 			}
 		}
 	}
@@ -319,7 +284,7 @@ func runApproxSession(t *testing.T, trial, passes int, search SearchMode) *Resul
 		t.Fatal(err)
 	}
 	cfg := SessionConfig{
-		Params: p, BeamWidth: exactPinBeam, Parallelism: 1, Schedule: sched,
+		Params: p, BeamWidth: exactPinBeam, Schedule: sched,
 		MaxSymbols: passes * p.NumSegments(), Search: search,
 		Attempts: AttemptEverySymbol{},
 	}
@@ -369,7 +334,6 @@ func TestLeasedDecoderMatchesFreshAcrossSearch(t *testing.T) {
 		if err := lease.Dec.SetSearchMode(search); err != nil {
 			t.Fatal(err)
 		}
-		lease.Dec.SetParallelism(1)
 
 		fresh, err := NewBeamDecoder(p, exactPinBeam)
 		if err != nil {
@@ -378,7 +342,6 @@ func TestLeasedDecoderMatchesFreshAcrossSearch(t *testing.T) {
 		if err := fresh.SetSearchMode(search); err != nil {
 			t.Fatal(err)
 		}
-		fresh.SetParallelism(1)
 		freshObs, err := NewObservations(p.NumSegments())
 		if err != nil {
 			t.Fatal(err)
@@ -409,7 +372,6 @@ func TestLeasedDecoderMatchesFreshAcrossSearch(t *testing.T) {
 					search, pass, got, want)
 			}
 		}
-		fresh.Close()
 		lease.Release()
 	}
 }

@@ -151,11 +151,6 @@ type SessionConfig struct {
 	// MaxSymbols bounds the number of channel uses before the sender gives up
 	// on the message. Zero selects 400 passes worth of symbols.
 	MaxSymbols int
-	// Parallelism is the number of worker goroutines the decoder shards each
-	// level expansion across. Zero keeps the decoder default
-	// (runtime.GOMAXPROCS); 1 forces the serial path. Results are
-	// bit-identical at any setting.
-	Parallelism int
 	// Search selects the decoder's tree-search strategy: the exact beam
 	// search (the zero value) or the approximate mode (see
 	// BeamDecoder.SetSearchMode).
@@ -296,9 +291,10 @@ func nextAttempt(att AttemptPolicy, sent, minUses, nseg, maxSymbols int) (int, b
 
 // sessionDecoder acquires and configures the decoder of a session: a lease
 // from cfg.Pool when one is configured (lease is nil otherwise), or a freshly
-// built decoder. The returned release func returns the lease to the pool or
-// closes the private decoder. Every tuning knob is applied explicitly in both
-// paths, so a pooled session behaves exactly like an unpooled one.
+// built decoder. The returned release func returns the lease to the pool
+// (it does nothing for a private decoder). Every tuning knob is applied
+// explicitly in both paths, so a pooled session behaves exactly like an
+// unpooled one.
 func sessionDecoder(cfg SessionConfig) (dec *BeamDecoder, lease *LeasedDecoder, release func(), err error) {
 	if cfg.Pool != nil {
 		lease, err = cfg.Pool.Lease(cfg.Params, cfg.BeamWidth)
@@ -311,7 +307,7 @@ func sessionDecoder(cfg SessionConfig) (dec *BeamDecoder, lease *LeasedDecoder, 
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		release = dec.Close
+		release = func() {}
 	}
 	if cfg.MaxCandidates > 0 {
 		if err := dec.SetMaxCandidates(cfg.MaxCandidates); err != nil {
@@ -323,7 +319,6 @@ func sessionDecoder(cfg SessionConfig) (dec *BeamDecoder, lease *LeasedDecoder, 
 		release()
 		return nil, nil, nil, err
 	}
-	dec.SetParallelism(cfg.Parallelism) // <= 0 selects the GOMAXPROCS default
 	return dec, lease, release, nil
 }
 

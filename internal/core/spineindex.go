@@ -6,10 +6,7 @@ package core
 // table directly — no re-hashing, no bucket chasing, and reset is O(1) via
 // generation stamps instead of clearing (or reallocating) the table. The
 // table is sized to stay at most half full, so linear probes terminate
-// quickly.
-//
-// Like the map it replaces, the index is written single-threaded before a
-// level expansion and read concurrently (read-only) by the expansion shards.
+// quickly. It is written before a level expansion and read during it.
 type spineIndex struct {
 	spines []uint64
 	idxs   []int32

@@ -190,7 +190,6 @@ func FixedRateSpinal(cfg SpinalConfig, snrsDB []float64, passes int) ([]FixedRat
 			if err != nil {
 				return false, err
 			}
-			lease.Dec.SetParallelism(trialParallelism(cfg))
 			msgSrc := rng.New(cfg.Seed ^ (0x9e3779b97f4a7c15 * uint64(trial+1)))
 			msg := core.RandomMessage(msgSrc, cfg.MessageBits)
 			block, err := codec.Encode(msg)

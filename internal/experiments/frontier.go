@@ -103,13 +103,12 @@ func frontierAtSNR(cfg SpinalConfig, params core.Params, sched core.Schedule, sn
 			return frontierTrial{}, err
 		}
 		out, err := core.RunChannelSession(core.SessionConfig{
-			Params:      params,
-			BeamWidth:   cfg.BeamWidth,
-			Schedule:    sched,
-			MaxSymbols:  cfg.MaxPasses * params.NumSegments(),
-			Parallelism: trialParallelism(cfg),
-			Search:      sc,
-			Pool:        w.Pool(),
+			Params:     params,
+			BeamWidth:  cfg.BeamWidth,
+			Schedule:   sched,
+			MaxSymbols: cfg.MaxPasses * params.NumSegments(),
+			Search:     sc,
+			Pool:       w.Pool(),
 		}, msg, radio, core.GenieVerifier(msg, cfg.MessageBits))
 		if err != nil {
 			return frontierTrial{}, err

@@ -63,11 +63,6 @@ func spinalRateOverSpec(cfg SpinalConfig, spec *impair.Spec) (ImpairPoint, error
 		if err != nil {
 			return genieTrial{}, err
 		}
-		if cfg.Workers > 0 {
-			lease.Dec.SetParallelism(cfg.Workers)
-		} else {
-			lease.Dec.SetParallelism(1)
-		}
 		pl, err := spec.Build(pipelineSeed(cfg.Seed, uint64(trial)))
 		if err != nil {
 			return genieTrial{}, err

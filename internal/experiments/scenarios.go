@@ -19,7 +19,7 @@ import (
 
 // Flag-name groups shared by the scenario declarations.
 var (
-	codeFlags  = []string{"trials", "beam", "k", "c", "m", "adc", "seed", "mapper", "schedule", "workers", "trial-workers", "search"}
+	codeFlags  = []string{"trials", "beam", "k", "c", "m", "adc", "seed", "mapper", "schedule", "trial-workers", "search"}
 	sweepFlags = append([]string{"snr-min", "snr-max", "snr-step"}, codeFlags...)
 	pointFlags = append([]string{"snr"}, codeFlags...)
 )
@@ -57,7 +57,6 @@ func spinalConfigFrom(req sim.Request) (SpinalConfig, error) {
 	if req.Seed != 0 {
 		cfg.Seed = req.Seed
 	}
-	cfg.Workers = req.Workers
 	cfg.TrialWorkers = req.TrialWorkers
 	search, err := core.ParseSearchMode(req.Search)
 	if err != nil {

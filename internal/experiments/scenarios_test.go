@@ -42,9 +42,9 @@ func TestRegistryComplete(t *testing.T) {
 // TestRegistryDeterministicAcrossTrialWorkers is the registry-wide property
 // test of the sharded runner: every scenario, run at trial-worker counts
 // {1, 3, GOMAXPROCS}, must produce bit-identical point values (volatile
-// wall-clock columns excluded via Result.Fingerprint). This is the same
-// guarantee the decoder makes for its shard workers, lifted to the whole
-// experiments stack.
+// wall-clock columns excluded via Result.Fingerprint). Each decode runs on
+// one goroutine, so concurrency enters only across trials (here) and across
+// messages (the link receiver's TestReceiverConcurrentMatchesSingleWorker).
 func TestRegistryDeterministicAcrossTrialWorkers(t *testing.T) {
 	workerCounts := []int{1, 3, runtime.GOMAXPROCS(0)}
 	for _, name := range registryNames {

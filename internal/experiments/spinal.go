@@ -41,12 +41,6 @@ type SpinalConfig struct {
 	Mapper      string // "linear", "uniform" or "gaussian"
 	Schedule    string // "striped" or "sequential"
 	MaxPasses   int
-	// Workers is the decoder's per-level parallelism (see
-	// core.BeamDecoder.SetParallelism). Zero means automatic: experiments
-	// that already parallelize across trials use serial per-trial decoders,
-	// while single-session experiments keep the decoder's GOMAXPROCS
-	// default. Results are bit-identical at any setting.
-	Workers int
 	// TrialWorkers is the sim.Run worker-pool size trials are sharded
 	// across. Zero means GOMAXPROCS. Results are bit-identical at any
 	// setting.
@@ -207,15 +201,6 @@ func SpinalRateAtSNR(cfg SpinalConfig, snrDB float64) (RatePoint, error) {
 		// per-lease tuning to the exact defaults).
 		if err := lease.Dec.SetSearchMode(cfg.Search); err != nil {
 			return genieTrial{}, err
-		}
-		// Trials already fan out across the runner's workers, so the
-		// per-trial decoder defaults to serial — nesting a GOMAXPROCS shard
-		// pool inside the trial workers would oversubscribe. An explicit
-		// cfg.Workers still applies for scaling studies.
-		if cfg.Workers > 0 {
-			lease.Dec.SetParallelism(cfg.Workers)
-		} else {
-			lease.Dec.SetParallelism(1)
 		}
 		symbols, ok := runGenieTrial(cfg, params, sched, lease, snrDB, uint64(trial))
 		return genieTrial{symbols: symbols, ok: ok}, nil
@@ -381,16 +366,6 @@ func scheduleFor(cfg SpinalConfig, nseg int) (core.Schedule, error) {
 	}
 }
 
-// trialParallelism is the decoder parallelism used inside runner-sharded
-// session trials: serial unless the configuration asks for decoder workers
-// explicitly, because the runner already fans trials out across CPUs.
-func trialParallelism(cfg SpinalConfig) int {
-	if cfg.Workers > 0 {
-		return cfg.Workers
-	}
-	return 1
-}
-
 // BeamPoint is one point of the beam-width (scale-down) ablation.
 type BeamPoint struct {
 	BeamWidth int
@@ -548,13 +523,12 @@ func SpinalBSCCurve(cfg SpinalConfig, crossovers []float64) ([]BSCPoint, error) 
 				return bscTrial{}, err
 			}
 			sessionCfg := core.SessionConfig{
-				Params:      params,
-				BeamWidth:   cfg.BeamWidth,
-				Attempts:    core.AttemptEveryPass{},
-				MaxSymbols:  cfg.MaxPasses * params.NumSegments(),
-				Parallelism: trialParallelism(cfg),
-				Search:      cfg.Search,
-				Pool:        w.Pool(),
+				Params:     params,
+				BeamWidth:  cfg.BeamWidth,
+				Attempts:   core.AttemptEveryPass{},
+				MaxSymbols: cfg.MaxPasses * params.NumSegments(),
+				Search:     cfg.Search,
+				Pool:       w.Pool(),
 			}
 			res, err := core.RunBitChannelSession(sessionCfg, msg, bsc, core.GenieVerifier(msg, cfg.MessageBits))
 			if err != nil {

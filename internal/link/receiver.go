@@ -40,8 +40,8 @@ import (
 //
 // Decoders are not built per message: they are leased from a shared
 // core.DecoderPool keyed by code parameters, so the (expensive) incremental
-// workspaces and goroutine pools are recycled across messages and across
-// flows. The pool keeps up to core.DefaultDecoderPoolCapacity idle decoders.
+// workspaces are recycled across messages and across flows. The pool keeps
+// up to core.DefaultDecoderPoolCapacity idle decoders.
 //
 // Bounded state, three ways: MaxTrackedPerFlow caps the in-flight messages
 // of each flow (oldest evicted first, delivered before in-flight), MaxTracked
@@ -577,10 +577,6 @@ func (r *Receiver) stateFor(v *FrameView) (*msgState, error) {
 		lease.Release()
 		return nil, err
 	}
-	// Per-message decodes run serially: the receiver's parallelism comes
-	// from decoding distinct messages concurrently, and a goroutine pool per
-	// tracked message would mostly add churn.
-	lease.Dec.SetParallelism(1)
 	// The first attempt waits for the flow's learned threshold, capped at
 	// the MaxPasses budget so a history that outgrew the channel can never
 	// hold back a message past the last symbol its sender emits.

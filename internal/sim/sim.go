@@ -48,10 +48,6 @@ type Request struct {
 	Mapper string
 	// Schedule names the transmission schedule (-schedule).
 	Schedule string
-	// Workers is the decoder's per-level parallelism (-workers); zero means
-	// each experiment's automatic choice. Results are bit-identical at any
-	// setting.
-	Workers int
 	// TrialWorkers is the trial runner's worker-pool size (-trial-workers);
 	// zero means GOMAXPROCS. Results are bit-identical at any setting.
 	TrialWorkers int

@@ -72,11 +72,6 @@ type Config struct {
 	// plain sequential order instead, where every spine value is sent in
 	// every pass. Default false (striped).
 	Sequential bool
-	// Workers is the number of goroutines the decoder shards each tree
-	// level across. Zero selects runtime.GOMAXPROCS; 1 forces the serial
-	// path. Decoding results are bit-identical at any setting — the knob
-	// trades goroutines for wall-clock time only.
-	Workers int
 	// Search selects the decoder's tree-search strategy: the exact beam
 	// search (the zero value, bit-identical to the decoder before the
 	// approximate mode existed) or SearchApprox, which caps the breadth of
@@ -278,8 +273,8 @@ func (s *SymbolStream) Emitted() int { return s.next }
 
 // DecoderPool shares decoders across many concurrent messages — the serving
 // pattern of a receiver handling many flows. Leasing a decoder from the pool
-// returns a ready-to-use Decoder whose (expensive) incremental workspace and
-// goroutine pool are recycled from earlier messages with the same code;
+// returns a ready-to-use Decoder whose (expensive) incremental workspace is
+// recycled from earlier messages with the same code;
 // Decoder.Release puts it back. Pooled decoders are bit-identical in
 // behaviour to freshly constructed ones. The pool is safe for concurrent
 // use; each leased Decoder still belongs to one goroutine at a time.
@@ -303,16 +298,12 @@ func (p *DecoderPool) Lease(c *Code) (*Decoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Always set parallelism: a cached decoder carries its previous
-	// lessee's setting, and Workers == 0 must mean the fresh-decoder
-	// default (GOMAXPROCS), not whatever came before. (Release resets the
-	// search strategy to its default, so only a non-default value needs
-	// applying here.)
+	// Release resets the search strategy to its default, so a cached
+	// decoder needs the code's strategy installed again.
 	if err := lease.Dec.SetSearchMode(c.cfg.Search); err != nil {
 		lease.Release()
 		return nil, err
 	}
-	lease.Dec.SetParallelism(c.cfg.Workers)
 	return &Decoder{dec: lease.Dec, obs: lease.Obs, n: c.cfg.MessageBits, lease: lease}, nil
 }
 
@@ -345,24 +336,12 @@ func (c *Code) NewDecoder() (*Decoder, error) {
 	if err := dec.SetSearchMode(c.cfg.Search); err != nil {
 		return nil, err
 	}
-	if c.cfg.Workers > 0 {
-		dec.SetParallelism(c.cfg.Workers)
-	}
 	obs, err := core.NewObservations(c.params.NumSegments())
 	if err != nil {
 		return nil, err
 	}
 	return &Decoder{dec: dec, obs: obs, n: c.cfg.MessageBits}, nil
 }
-
-// SetParallelism overrides the number of worker goroutines used per decode
-// (see Config.Workers). Values <= 0 restore the GOMAXPROCS default.
-func (d *Decoder) SetParallelism(n int) { d.dec.SetParallelism(n) }
-
-// Close releases the decoder's worker goroutines. The decoder remains
-// usable; the pool is recreated on demand. Calling Close when a decoder is
-// retired simply frees its helpers earlier than the garbage collector would.
-func (d *Decoder) Close() { d.dec.Close() }
 
 // Observe records the received value of the symbol at pos.
 func (d *Decoder) Observe(pos SymbolPos, received complex128) error {
@@ -444,12 +423,11 @@ func (c *Code) sessionConfig(message []byte, verify func([]byte) bool, maxSymbol
 		return core.SessionConfig{}, nil, err
 	}
 	return core.SessionConfig{
-		Params:      c.params,
-		BeamWidth:   c.cfg.BeamWidth,
-		Schedule:    sched,
-		MaxSymbols:  maxSymbols,
-		Parallelism: c.cfg.Workers,
-		Search:      c.cfg.Search,
+		Params:     c.params,
+		BeamWidth:  c.cfg.BeamWidth,
+		Schedule:   sched,
+		MaxSymbols: maxSymbols,
+		Search:     c.cfg.Search,
 	}, core.Verifier(verify), nil
 }
 
