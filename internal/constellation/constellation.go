@@ -8,11 +8,17 @@
 // Gaussian mapping the paper proposes as future work. All mappers are
 // normalized to unit average symbol energy assuming uniformly distributed
 // input bits, so that SNR = 1/sigma^2 throughout the repository.
+//
+// Mappers are immutable. NewLinear and NewUniform return one shared mapper
+// per c, built on first use, so every encoder and decoder of a code shares
+// its table; the slice a TableMapper's DimTable returns is that shared table
+// and must never be written.
 package constellation
 
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"spinal/internal/mathx"
 )
@@ -55,7 +61,8 @@ func (m *dimMapper) C() int       { return m.c }
 func (m *dimMapper) Name() string { return m.name }
 
 // DimTable exposes the normalized per-dimension coordinate table. The slice
-// is owned by the mapper and must not be modified.
+// is owned by the mapper, possibly shared by every user of it, and must not
+// be modified.
 func (m *dimMapper) DimTable() []float64 { return m.table }
 
 func (m *dimMapper) Map(word uint32) complex128 {
@@ -89,33 +96,61 @@ func newDimMapper(c int, name string, raw func(v uint32) float64) (*dimMapper, e
 	return &dimMapper{c: c, name: name, table: table}, nil
 }
 
+// sharedMapper is one lazily built entry of a per-c mapper cache.
+type sharedMapper struct {
+	once sync.Once
+	m    *dimMapper
+	err  error
+}
+
+// get returns the entry's mapper, building it on the first call.
+func (e *sharedMapper) get(build func() (*dimMapper, error)) (Mapper, error) {
+	e.once.Do(func() { e.m, e.err = build() })
+	if e.err != nil {
+		return nil, e.err
+	}
+	return e.m, nil
+}
+
+// linearMappers and uniformMappers hold the shared mappers of NewLinear and
+// NewUniform, indexed by c.
+var linearMappers, uniformMappers [17]sharedMapper
+
 // NewLinear returns the linear sign/magnitude mapper of Eq. 3 in the paper:
 // the first of the c bits selects the sign and the remaining c-1 bits select
 // the magnitude on a uniform grid. Requires c >= 2 (with c = 1 the magnitude
-// is always zero).
+// is always zero). Every call with the same c returns the same shared mapper.
 func NewLinear(c int) (Mapper, error) {
-	if c < 2 {
-		return nil, fmt.Errorf("constellation: linear mapping requires c >= 2, got %d", c)
+	if c < 2 || c > 16 {
+		return nil, fmt.Errorf("constellation: linear mapping requires c in [2,16], got %d", c)
 	}
-	den := float64(int(1)<<uint(c-1) - 1)
-	return newDimMapper(c, fmt.Sprintf("linear(c=%d)", c), func(v uint32) float64 {
-		sign := 1.0
-		if v>>uint(c-1)&1 == 1 {
-			sign = -1
-		}
-		mag := float64(v & (1<<uint(c-1) - 1))
-		return sign * mag / den
+	return linearMappers[c].get(func() (*dimMapper, error) {
+		den := float64(int(1)<<uint(c-1) - 1)
+		return newDimMapper(c, fmt.Sprintf("linear(c=%d)", c), func(v uint32) float64 {
+			sign := 1.0
+			if v>>uint(c-1)&1 == 1 {
+				sign = -1
+			}
+			mag := float64(v & (1<<uint(c-1) - 1))
+			return sign * mag / den
+		})
 	})
 }
 
 // NewUniform returns a natural-binary uniform grid mapping: the c bits are
 // interpreted as an unsigned integer and mapped to 2^c equally spaced levels
 // centered at zero. This is the mapping used by later spinal-code work and is
-// included for comparison experiments.
+// included for comparison experiments. Every call with the same c returns the
+// same shared mapper.
 func NewUniform(c int) (Mapper, error) {
-	offset := float64(int64(1)<<uint(c)-1) / 2
-	return newDimMapper(c, fmt.Sprintf("uniform(c=%d)", c), func(v uint32) float64 {
-		return float64(v) - offset
+	if c < 1 || c > 16 {
+		return nil, fmt.Errorf("constellation: c must be in [1,16], got %d", c)
+	}
+	return uniformMappers[c].get(func() (*dimMapper, error) {
+		offset := float64(int64(1)<<uint(c)-1) / 2
+		return newDimMapper(c, fmt.Sprintf("uniform(c=%d)", c), func(v uint32) float64 {
+			return float64(v) - offset
+		})
 	})
 }
 

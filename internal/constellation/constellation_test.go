@@ -2,6 +2,7 @@ package constellation
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -142,6 +143,45 @@ func TestInvalidParameters(t *testing.T) {
 	}
 	if _, err := NewTruncatedGaussian(8, -1); err == nil {
 		t.Error("NewTruncatedGaussian with negative beta should fail")
+	}
+}
+
+// TestSharedMappers pins that NewLinear and NewUniform hand out one mapper
+// per c: repeated calls, and calls racing from many goroutines (run under
+// -race), all return the same instance.
+func TestSharedMappers(t *testing.T) {
+	for _, ctor := range []struct {
+		name string
+		fn   func(int) (Mapper, error)
+	}{{"linear", NewLinear}, {"uniform", NewUniform}} {
+		for _, c := range []int{2, 4, 10, 16} {
+			const goroutines = 8
+			got := make([]Mapper, goroutines)
+			var wg sync.WaitGroup
+			for g := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					m, err := ctor.fn(c)
+					if err != nil {
+						t.Errorf("%s(%d): %v", ctor.name, c, err)
+					}
+					got[g] = m
+				}()
+			}
+			wg.Wait()
+			again, _ := ctor.fn(c)
+			for g, m := range got {
+				if m != again {
+					t.Fatalf("%s(%d): goroutine %d got a different mapper than a later call", ctor.name, c, g)
+				}
+			}
+		}
+	}
+	lin, _ := NewLinear(8)
+	uni, _ := NewUniform(8)
+	if lin == uni {
+		t.Fatal("linear and uniform mappers share an instance")
 	}
 }
 

@@ -246,7 +246,7 @@ func TestReplayPastPassWrap(t *testing.T) {
 	}
 }
 
-// TestCostFoldAllocs guards the kernels' stack-resident chunk buffers: a
+// TestCostFoldAllocs guards the kernels' coster-resident chunk buffers: a
 // fold on a warmed coster allocates nothing, on every branch.
 func TestCostFoldAllocs(t *testing.T) {
 	r := rng.New(5)

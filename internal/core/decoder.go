@@ -240,8 +240,8 @@ func (d *BeamDecoder) DecodeBits(obs *BitObservations) (*DecodeResult, error) {
 }
 
 // foldChunk is the number of spines the cost kernels walk together. A
-// chunk's expansion words live in a stack buffer of this size, so a fold
-// allocates nothing.
+// chunk's expansion words live in a buffer of this size on the coster, so a
+// fold allocates nothing.
 const foldChunk = 64
 
 // noWord marks a chunk whose word buffer holds no expansion word yet; word
@@ -280,6 +280,10 @@ type awgnCoster struct {
 	yI     []float64
 	yQ     []float64
 	starts []uint
+
+	// w and nw are costTailMany's expansion-word buffers. They live here,
+	// not on its stack, so a call does not zero 1 KiB per parent block.
+	w, nw [foldChunk]uint64
 }
 
 func (c *awgnCoster) numObs(level int) int { return len(c.obs.spines[level]) }
@@ -305,10 +309,9 @@ func (c *awgnCoster) costTailMany(locals []float64, spines []uint64, level, from
 	if from >= len(c.starts) {
 		return
 	}
-	var w, nw [foldChunk]uint64
 	for lo := 0; lo < len(spines); lo += foldChunk {
 		hi := min(lo+foldChunk, len(spines))
-		c.foldChunk(locals[lo:hi], spines[lo:hi], w[:hi-lo], nw[:hi-lo], from)
+		c.foldChunk(locals[lo:hi], spines[lo:hi], c.w[:hi-lo], c.nw[:hi-lo], from)
 	}
 }
 
@@ -387,6 +390,10 @@ func (c *awgnCoster) foldChunk(loc []float64, spines, w, nw []uint64, from int) 
 type bscCoster struct {
 	d   *BeamDecoder
 	obs *BitObservations
+
+	// w is costTailMany's expansion-word buffer, kept off its stack like
+	// awgnCoster's.
+	w [foldChunk]uint64
 }
 
 func (c *bscCoster) numObs(level int) int { return len(c.obs.spines[level]) }
@@ -403,10 +410,9 @@ func (c *bscCoster) costTailMany(locals []float64, spines []uint64, level, from 
 	}
 	tail := obs[from:]
 	fam := c.d.family
-	var w [foldChunk]uint64
 	for lo := 0; lo < len(spines); lo += foldChunk {
 		hi := min(lo+foldChunk, len(spines))
-		ws, loc, sp := w[:hi-lo], locals[lo:hi], spines[lo:hi]
+		ws, loc, sp := c.w[:hi-lo], locals[lo:hi], spines[lo:hi]
 		loc = loc[:len(ws)]
 		wi := noWord
 		for i := range tail {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"testing"
 
@@ -431,7 +433,7 @@ func TestNodesExpandedBounded(t *testing.T) {
 }
 
 func TestSelectorKeepsLowestCosts(t *testing.T) {
-	sel := newSelector(3)
+	sel := newSelector(3, 7)
 	costs := []float64{5, 1, 9, 3, 7, 2, 8}
 	for i, c := range costs {
 		sel.offer(cand{cost: c, key: packKey(0, uint16(i))})
@@ -448,7 +450,7 @@ func TestSelectorKeepsLowestCosts(t *testing.T) {
 }
 
 func TestSelectorFewerThanKeep(t *testing.T) {
-	sel := newSelector(10)
+	sel := newSelector(10, 4)
 	for i := 0; i < 4; i++ {
 		sel.offer(cand{cost: float64(i), key: packKey(0, uint16(i))})
 	}
@@ -462,7 +464,7 @@ func TestSelectorManyOffersExactMembership(t *testing.T) {
 	// exactly the keep-smallest, in canonical key order.
 	const keep = 32
 	const n = 10000
-	sel := newSelector(keep)
+	sel := newSelector(keep, n)
 	src := rng.New(7)
 	type ref struct {
 		cost float64
@@ -495,6 +497,55 @@ func TestSelectorManyOffersExactMembership(t *testing.T) {
 		}
 		if i > 0 && items[i-1].key >= n.key {
 			t.Fatalf("canonical order violated at %d", i)
+		}
+	}
+}
+
+// TestSelectorWarmupSizes offers random candidate streams, with many ties in
+// cost, to selectors sized for levels of every shape, and requires exactly
+// the keep smallest under candLess, in key order. The need values cover every
+// warm-up branch: an eighth of the level below twice the beam, between it and
+// 128, and at or above 128; keep = 4096 is above 128 on its own.
+func TestSelectorWarmupSizes(t *testing.T) {
+	src := rng.New(11)
+	needs := []int{1, 2, 3, 7, 8, 15, 16, 17, 31, 32, 63, 64, 100, 127, 128, 129,
+		255, 256, 511, 1000, 1023, 1024, 1025, 2047, 4095, 4096, 8191, 8192}
+	for i := 0; i < 8; i++ {
+		needs = append(needs, 1+src.Intn(8192))
+	}
+	var sel selector
+	for _, keep := range []int{1, 2, 8, 16, 4096} {
+		for _, need := range needs {
+			cands := make([]cand, need)
+			for i := range cands {
+				// Costs drawn from a few values tie often, so the key
+				// tie-break decides membership; keys are the level's
+				// (parent, seg) pairs, offered in a random order.
+				cands[i] = cand{cost: float64(src.Intn(5)), key: packKey(int32(i/16), uint16(i%16)), spine: uint64(i)}
+			}
+			for i := len(cands) - 1; i > 0; i-- {
+				j := src.Intn(i + 1)
+				cands[i], cands[j] = cands[j], cands[i]
+			}
+			sel.reset(keep, need)
+			for _, c := range cands {
+				sel.offer(c)
+			}
+			got := sel.canonical()
+
+			want := slices.Clone(cands)
+			slices.SortFunc(want, func(a, b cand) int {
+				if candLess(&a, &b) {
+					return -1
+				}
+				return 1
+			})
+			want = want[:min(keep, need)]
+			slices.SortFunc(want, func(a, b cand) int { return cmp.Compare(a.key, b.key) })
+			if !slices.Equal(got, want) {
+				t.Fatalf("keep=%d need=%d: selector kept %d candidates that differ from the %d smallest",
+					keep, need, len(got), len(want))
+			}
 		}
 	}
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"spinal/internal/constellation"
 	"spinal/internal/rng"
 )
 
@@ -248,4 +250,36 @@ func BenchmarkEncoderSymbols(b *testing.B) {
 		acc += e.Symbol(i%nseg, i/nseg)
 	}
 	_ = acc
+}
+
+// TestSharedMapperUnchanged pins that encoding and decoding leave the shared
+// default mapper's table as they found it: every code with the same C reads
+// that one table, so a write through DimTable would corrupt them all.
+func TestSharedMapperUnchanged(t *testing.T) {
+	p := DefaultParams()
+	m, err := constellation.NewLinear(p.C)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := m.(constellation.TableMapper).DimTable()
+	want := slices.Clone(tab)
+	msg := testMessage(3, p.MessageBits)
+	e, err := NewEncoder(p, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := observeNoiseless(t, e, 2)
+	d, err := NewBeamDecoder(p, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Decode(obs); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := constellation.NewLinear(p.C); again != m {
+		t.Fatal("NewLinear returned a different mapper after coding")
+	}
+	if !slices.Equal(tab, want) {
+		t.Fatal("encode and decode changed the shared mapper's table")
+	}
 }

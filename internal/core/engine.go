@@ -1,6 +1,9 @@
 package core
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
 // This file is the beam decoder's search engine. The data layout is
 // structure-of-arrays end to end: frontiers are parallel slices of spine
@@ -53,39 +56,44 @@ func candLess(a, b *cand) bool {
 // a single compare — and compaction quickselects the buffer down to the
 // keep-smallest set. Buffers are reused across levels and attempts.
 type selector struct {
-	keep    int
-	limit   int
-	nodes   []cand
-	bounded bool
-	bound   cand
+	keep  int
+	limit int
+	nodes []cand
+	// boundCost and boundKey are the cost and key of the keep-th smallest
+	// candidate of the last compaction. Before the first one they are +Inf
+	// and math.MaxInt64, which reject nothing: no cost exceeds +Inf, and the
+	// one key they reject at equal cost is above every packKey.
+	boundCost float64
+	boundKey  int64
 }
 
-func newSelector(keep int) *selector {
+func newSelector(keep, need int) *selector {
 	s := &selector{}
-	s.reset(keep)
+	s.reset(keep, need)
 	return s
 }
 
-// reset empties the selector and sets its retention bound, keeping the
-// underlying buffer.
-func (s *selector) reset(keep int) {
+// reset empties the selector for a level that will offer need candidates and
+// sets its retention bound, keeping the underlying buffer.
+//
+// The compaction threshold is the warm-up: until the first compaction there
+// is no rejection bound, so every offer is pushed. It is twice the beam,
+// raised to an eighth of the level so small beams amortize compaction, and
+// that eighth is capped at 128: a floor of 1024 pushed a quarter of a
+// 4096-child level before any candidate could be rejected, and at 128
+// linkbench awgn-link (K=8, B=16, 2 vCPUs) fell from 13.2 to 11.5 ms per
+// message, 10 of 12 alternating pairs. Sizing it to the level matters on
+// small ones: a K=4, B=1 level of 16 children gets its bound after 2 of them
+// instead of pushing all 16 and sorting them at the end.
+func (s *selector) reset(keep, need int) {
 	s.keep = keep
-	limit := 2 * keep
-	if limit < 128 {
-		// Amortize compaction for small beams. Until the first compaction
-		// there is no rejection bound, so every offer is pushed: a floor of
-		// 1024 pushed a quarter of a 4096-child level before any candidate
-		// could be rejected. At 128, on linkbench awgn-link (K=8, B=16, 2
-		// vCPUs), cpu_ms_per_msg fell from 13.2 to 11.5 ms, 10 of 12
-		// alternating pairs.
-		limit = 128
-	}
+	limit := max(2*keep, min(128, need/8))
 	if keep >= unlimited {
 		limit = int(^uint(0) >> 1) // ML decoder: never compact
 	}
 	s.limit = limit
 	s.nodes = s.nodes[:0]
-	s.bounded = false
+	s.boundCost, s.boundKey = math.Inf(1), math.MaxInt64
 }
 
 // offer considers one candidate. The bound test is exact, not heuristic: a
@@ -94,9 +102,9 @@ func (s *selector) reset(keep int) {
 // into the expansion loops — at steady state most candidates die on this one
 // predictable compare — with the accept path split into push.
 func (s *selector) offer(n cand) {
-	// The condition is !candLess(&n, &s.bound), expanded so the rejection
-	// path fits the inlining budget.
-	if s.bounded && (n.cost > s.bound.cost || (n.cost == s.bound.cost && n.key >= s.bound.key)) {
+	// The condition is !candLess(n, bound), expanded so the rejection path
+	// fits the inlining budget.
+	if n.cost > s.boundCost || (n.cost == s.boundCost && n.key >= s.boundKey) {
 		return
 	}
 	s.push(n)
@@ -122,8 +130,7 @@ func (s *selector) compact() {
 	}
 	selectSmallest(s.nodes, s.keep)
 	s.nodes = s.nodes[:s.keep]
-	s.bound = s.nodes[s.keep-1]
-	s.bounded = true
+	s.boundCost, s.boundKey = s.nodes[s.keep-1].cost, s.nodes[s.keep-1].key
 }
 
 // canonical compacts to the final keep-smallest set and sorts it by key —
@@ -488,9 +495,8 @@ func (e *engine) run(coster levelCoster, obs any, gen, epoch, cleanGen uint64, d
 				keep = min(keep, bubbleParents(d.b)*nSeg)
 			}
 		}
-		ws.sel.reset(keep)
-
 		need := parent.len() * nSeg
+		ws.sel.reset(keep, need)
 		j := &levelJob{coster: coster, lv: lv, parent: parent, t: t, nObs: nObs, nSeg: nSeg}
 		switch {
 		case parentOK && lv.valid:
@@ -652,18 +658,12 @@ func (e *engine) expandLevel(j *levelJob) (expanded, refreshed int) {
 			expanded += nSeg
 		}
 		// Reconstitute each child's path cost (parent cost + local sum) and
-		// offer it. The selector's rejection test is replicated inline (see
-		// selector.offer) so the common rejected candidate costs one compare,
-		// no call.
+		// offer it. offer inlines, so the common rejected candidate costs one
+		// compare, no call.
 		base := j.parent.cost[pi]
 		keyBase := int64(pi) << 16
 		for seg, local := range blockL {
-			cost := base + local
-			key := keyBase | int64(seg)
-			if sel.bounded && (cost > sel.bound.cost || (cost == sel.bound.cost && key >= sel.bound.key)) {
-				continue
-			}
-			sel.push(cand{cost: cost, key: key, spine: blockS[seg]})
+			sel.offer(cand{cost: base + local, key: keyBase | int64(seg), spine: blockS[seg]})
 		}
 	}
 	return expanded, refreshed

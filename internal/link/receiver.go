@@ -77,6 +77,9 @@ type Receiver struct {
 	// goroutine only): positions and impaired values, index-aligned.
 	scratchPos []core.SymbolPos
 	scratchY   []complex128
+	// scheds holds the schedules of the code shapes seen (ingest goroutine
+	// only).
+	scheds scheduleCache
 	// rxBufs/rxAddrs are the ingest batch: ingestBatch full-capacity frame
 	// buffers and their source addresses. view is the reused in-place frame
 	// parse.
@@ -260,8 +263,7 @@ func (r *Receiver) Close() error {
 		for _, st := range fs.states {
 			st.mu.Lock()
 			st.evicted = true
-			reclaim := st.lease
-			st.lease = nil
+			reclaim := r.eng.handBackLocked(st)
 			st.mu.Unlock()
 			reclaim.Release()
 		}
@@ -548,7 +550,7 @@ func (r *Receiver) stateFor(v *FrameView) (*msgState, error) {
 		return nil, fmt.Errorf("link: frame advertises decode cost %d (k=%d, %d segments) beyond cap %d",
 			cost, v.K, params.NumSegments(), maxDecodeCost)
 	}
-	sched, err := scheduleFor(v.Schedule, params.NumSegments())
+	sched, err := r.scheds.get(v.Schedule, params.NumSegments())
 	if err != nil {
 		return nil, err
 	}
@@ -596,6 +598,7 @@ func (r *Receiver) stateFor(v *FrameView) (*msgState, error) {
 		minUses: minUses,
 		lease:   lease,
 	}
+	st.pending, st.draining = r.eng.spareBatch(), r.eng.spareBatch()
 	fs.states[v.MsgID] = st
 	r.nmsgs++
 	return st, nil
@@ -609,8 +612,7 @@ func (r *Receiver) dropState(fs *flowState, st *msgState) {
 	st.evicted = true
 	var reclaim *core.LeasedDecoder
 	if !st.queued && !st.attempting {
-		reclaim = st.lease
-		st.lease = nil
+		reclaim = r.eng.handBackLocked(st)
 	}
 	st.mu.Unlock()
 	reclaim.Release()
@@ -914,6 +916,11 @@ type flowEngine struct {
 	histCap   int
 	histClock uint64
 	skips     atomic.Uint64
+	// spareMu guards spare, the symbol buffers of finished message states,
+	// which new states take up instead of growing their own (see
+	// handBackLocked).
+	spareMu sync.Mutex
+	spare   []rxBatch
 	// outstanding counts attempt tokens submitted but not yet fully
 	// processed (result recorded); while it is zero, Receive can block for
 	// its whole timeout instead of polling for worker results.
@@ -925,11 +932,15 @@ type flowEngine struct {
 	wg          sync.WaitGroup
 }
 
-// flowQueue is the FIFO of attempt tokens of one flow.
+// flowQueue is the FIFO of attempt tokens of one flow. It lives from the
+// flow's first token until the receiver forgets the flow, so a flow that
+// alternates between one token and none does not rebuild it; gone marks a
+// forgotten flow whose queue still held tokens, deleted once they drain.
 type flowQueue struct {
 	id     uint32
 	msgs   []*msgState
 	inRing bool
+	gone   bool
 }
 
 func newFlowEngine(tr Transport, workers int, budget int64, base core.SearchMode, adaptive bool, histCap int) *flowEngine {
@@ -983,13 +994,14 @@ func (e *flowEngine) worker() {
 		// flows catch up. The least-spent flow always qualifies, so a pick
 		// always exists and deferral can never livelock.
 		fq := e.pickLocked()
-		st := fq.msgs[0]
-		fq.msgs = fq.msgs[1:]
+		st := popFront(&fq.msgs)
 		if len(fq.msgs) > 0 {
 			e.ring = append(e.ring, fq)
 		} else {
 			fq.inRing = false
-			delete(e.flowQ, fq.id)
+			if fq.gone {
+				delete(e.flowQ, fq.id)
+			}
 		}
 		e.mu.Unlock()
 
@@ -1114,13 +1126,21 @@ func (e *flowEngine) noteSpend(flow uint32, nodes int64) {
 	e.mu.Unlock()
 }
 
-// forgetFlow drops a flow's spend ledger and search pressure when the
-// receiver stops tracking the flow, so both stay bounded by the live-flow
-// cap. The flow's decode history is kept: the history table bounds itself.
+// forgetFlow drops a flow's spend ledger, search pressure and token queue
+// when the receiver stops tracking the flow, so all three stay bounded by the
+// live-flow cap. A queue that still holds tokens goes when they drain. The
+// flow's decode history is kept: the history table bounds itself.
 func (e *flowEngine) forgetFlow(flow uint32) {
 	e.mu.Lock()
 	delete(e.spent, flow)
 	delete(e.pressure, flow)
+	if fq := e.flowQ[flow]; fq != nil {
+		if fq.inRing {
+			fq.gone = true
+		} else {
+			delete(e.flowQ, flow)
+		}
+	}
 	e.mu.Unlock()
 }
 
@@ -1265,6 +1285,7 @@ func (e *flowEngine) submit(st *msgState) {
 		fq = &flowQueue{id: st.flow}
 		e.flowQ[st.flow] = fq
 	}
+	fq.gone = false
 	fq.msgs = append(fq.msgs, st)
 	if !fq.inRing {
 		fq.inRing = true
@@ -1296,9 +1317,71 @@ func (e *flowEngine) take() (*Delivered, error) {
 		}
 		return nil, nil
 	}
-	d := e.ready[0]
-	e.ready = e.ready[1:]
+	d := popFront(&e.ready)
 	return &d, nil
+}
+
+// popFront removes and returns the first element of a non-empty queue.
+// Removing the last element keeps the slot it held, so a queue that keeps
+// emptying appends into the same backing array instead of sliding off its
+// end and regrowing.
+func popFront[T any](q *[]T) T {
+	s := *q
+	v := s[0]
+	var zero T
+	s[0] = zero // drop the reference for the collector
+	if len(s) == 1 {
+		*q = s[:0]
+	} else {
+		*q = s[1:]
+	}
+	return v
+}
+
+// Recycled symbol buffers. A message state's pending and draining batches
+// go back to the engine where its decoder lease does, under the same
+// attempting/evicted handshake, and new states take them up. The msgState
+// itself is not recycled: a queued attempt token may still point at it.
+const (
+	// maxSpareBatches bounds how many batches the engine keeps.
+	maxSpareBatches = 64
+	// maxSpareSymbols is the largest batch capacity worth keeping; a
+	// bigger one (a decode backlog's) is left to the collector.
+	maxSpareSymbols = 1024
+)
+
+// handBackLocked detaches a state's decoder lease and returns it, for the
+// caller to release after unlocking, and recycles its symbol buffers. The
+// caller holds st.mu and has established that no attempt is using them. A
+// state whose buffers went back still takes frames into fresh ones (ingest
+// may append between its done check and its append), never into recycled
+// ones.
+func (e *flowEngine) handBackLocked(st *msgState) *core.LeasedDecoder {
+	lease := st.lease
+	st.lease = nil
+	e.spareMu.Lock()
+	for _, b := range [2]*rxBatch{&st.pending, &st.draining} {
+		if c := cap(b.pos); c > 0 && c <= maxSpareSymbols && len(e.spare) < maxSpareBatches {
+			b.reset()
+			e.spare = append(e.spare, *b)
+		}
+		*b = rxBatch{}
+	}
+	e.spareMu.Unlock()
+	return lease
+}
+
+// spareBatch returns a recycled symbol batch, or an empty one.
+func (e *flowEngine) spareBatch() rxBatch {
+	e.spareMu.Lock()
+	defer e.spareMu.Unlock()
+	if len(e.spare) == 0 {
+		return rxBatch{}
+	}
+	b := e.spare[len(e.spare)-1]
+	e.spare[len(e.spare)-1] = rxBatch{}
+	e.spare = e.spare[:len(e.spare)-1]
+	return b
 }
 
 // attempt runs one decode attempt for a message: drain its pending symbols
@@ -1314,8 +1397,7 @@ func (e *flowEngine) attempt(st *msgState) (*Delivered, error) {
 	if st.done || st.evicted {
 		// Orphaned token: the state was delivered or dropped after this
 		// token was queued. Reclaim the lease if eviction left it behind.
-		reclaim := st.lease
-		st.lease = nil
+		reclaim := e.handBackLocked(st)
 		st.mu.Unlock()
 		reclaim.Release()
 		return nil, nil
@@ -1373,8 +1455,7 @@ func (e *flowEngine) attempt(st *msgState) (*Delivered, error) {
 		// Ownership moved to a recreated state while we were decoding; it
 		// will deliver (and ack) instead, so stay silent to keep delivery
 		// single-copy — but the lease is ours to return.
-		reclaim = st.lease
-		st.lease = nil
+		reclaim = e.handBackLocked(st)
 	}
 	st.mu.Unlock()
 	if out != nil {
@@ -1396,17 +1477,15 @@ func (e *flowEngine) attempt(st *msgState) (*Delivered, error) {
 		// dropState may have reclaimed the lease itself): ownership moved to
 		// a recreated state, which will deliver and ack instead — stay
 		// silent to keep delivery single-copy.
-		reclaim = st.lease
-		st.lease = nil
+		reclaim = e.handBackLocked(st)
 		st.mu.Unlock()
 		reclaim.Release()
 		return nil, nil
 	}
 	st.done = true
-	st.payload = append([]byte(nil), payload...)
+	st.payload = payload // out.Message is this attempt's own
 	symbols := st.symbols
-	reclaim = st.lease
-	st.lease = nil
+	reclaim = e.handBackLocked(st)
 	// Recorded under st.mu with evicted clear, so a message whose state was
 	// dropped never records; the history table holds at most MaxFlows flows.
 	e.noteDecoded(st.flow, st.code, float64(count)/float64(st.params.NumSegments()),

@@ -269,6 +269,10 @@ type Sender struct {
 	leases []*ArenaBuf
 	ackBuf []byte
 	view   FrameView
+	// msg is the CRC'd message buffer and scheds the schedules, both reused
+	// across Send calls.
+	msg    []byte
+	scheds scheduleCache
 	// jit drives the deterministic ack-backoff jitter (seeded from the
 	// config, so a run's pacing replays exactly).
 	jit *rng.Rand
@@ -337,14 +341,14 @@ func (s *Sender) Send(msgID uint32, payload []byte) (*SendReport, error) {
 
 	// The CRC-32 appended here is what lets the receiver detect a successful
 	// decode without a genie (§3.2 of the paper).
-	message := crc.Append32(append([]byte(nil), payload...))
-	messageBits := len(message) * 8
+	s.msg = crc.Append32(append(s.msg[:0], payload...))
+	messageBits := len(s.msg) * 8
 	params := core.Params{K: s.cfg.K, C: s.cfg.C, MessageBits: messageBits, Seed: s.cfg.Seed}
-	enc, err := core.NewEncoder(params, message)
+	enc, err := core.NewEncoder(params, s.msg)
 	if err != nil {
 		return nil, err
 	}
-	sched, err := scheduleFor(s.cfg.Schedule, params.NumSegments())
+	sched, err := s.scheds.get(s.cfg.Schedule, params.NumSegments())
 	if err != nil {
 		return nil, err
 	}
@@ -663,4 +667,35 @@ func scheduleFor(id uint8, nseg int) (core.Schedule, error) {
 	default:
 		return nil, fmt.Errorf("link: unknown schedule id %d", id)
 	}
+}
+
+// scheduleCache memoizes scheduleFor for one goroutine. A schedule depends
+// only on its id and segment count and is immutable, so every message of a
+// given size shares one. The cache starts over when it holds
+// maxCachedSchedules, which bounds what hostile frames can make it retain.
+type scheduleCache struct {
+	m map[scheduleKey]core.Schedule
+}
+
+type scheduleKey struct {
+	id   uint8
+	nseg int
+}
+
+const maxCachedSchedules = 16
+
+func (c *scheduleCache) get(id uint8, nseg int) (core.Schedule, error) {
+	k := scheduleKey{id: id, nseg: nseg}
+	if sched, ok := c.m[k]; ok {
+		return sched, nil
+	}
+	sched, err := scheduleFor(id, nseg)
+	if err != nil {
+		return nil, err
+	}
+	if c.m == nil || len(c.m) >= maxCachedSchedules {
+		c.m = make(map[scheduleKey]core.Schedule)
+	}
+	c.m[k] = sched
+	return sched, nil
 }

@@ -301,7 +301,7 @@ func (p *Pipe) Close() error {
 // recvmmsg/sendmmsg syscalls, elsewhere to a portable receive/send loop (see
 // udp_batch_*.go).
 type UDP struct {
-	conn net.PacketConn
+	conn *net.UDPConn
 	peer net.Addr
 	mu   sync.Mutex
 
@@ -314,10 +314,11 @@ type UDP struct {
 // ":0") and directed at peerAddr. If peerAddr is empty, the peer is learned
 // from the first received frame (server style).
 func NewUDP(localAddr, peerAddr string) (*UDP, error) {
-	conn, err := net.ListenPacket("udp", localAddr)
+	pc, err := net.ListenPacket("udp", localAddr)
 	if err != nil {
 		return nil, fmt.Errorf("link: listen %q: %w", localAddr, err)
 	}
+	conn := pc.(*net.UDPConn) // a "udp" listener is always one
 	u := &UDP{conn: conn}
 	if peerAddr != "" {
 		addr, err := net.ResolveUDPAddr("udp", peerAddr)
@@ -349,10 +350,23 @@ func (u *UDP) Send(frame []byte) error {
 }
 
 // Receive implements Transport. The peer address is learned from incoming
-// frames when it was not configured explicitly.
+// frames when it was not configured explicitly. The source is read as a
+// netip.AddrPort, so a receive (a sender's ack, say) allocates no address
+// once the peer is known.
 func (u *UDP) Receive(buf []byte, timeout time.Duration) (int, error) {
-	n, _, err := u.ReceiveFrom(buf, timeout)
-	return n, err
+	if err := u.setReadTimeout(timeout); err != nil {
+		return 0, err
+	}
+	n, from, err := u.conn.ReadFromUDPAddrPort(buf)
+	if err != nil {
+		return 0, readErr(err)
+	}
+	u.mu.Lock()
+	if u.peer == nil {
+		u.peer = net.UDPAddrFromAddrPort(from)
+	}
+	u.mu.Unlock()
+	return n, nil
 }
 
 // ReceiveFrom implements PacketTransport: one frame plus its source address,
@@ -360,19 +374,12 @@ func (u *UDP) Receive(buf []byte, timeout time.Duration) (int, error) {
 // belongs to. The first source also becomes the default Send peer when none
 // was configured.
 func (u *UDP) ReceiveFrom(buf []byte, timeout time.Duration) (int, net.Addr, error) {
-	if timeout <= 0 {
-		timeout = time.Millisecond
-	}
-	if err := u.conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
+	if err := u.setReadTimeout(timeout); err != nil {
 		return 0, nil, err
 	}
 	n, from, err := u.conn.ReadFrom(buf)
 	if err != nil {
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			return 0, nil, ErrTimeout
-		}
-		return 0, nil, err
+		return 0, nil, readErr(err)
 	}
 	u.mu.Lock()
 	if u.peer == nil {
@@ -380,6 +387,24 @@ func (u *UDP) ReceiveFrom(buf []byte, timeout time.Duration) (int, net.Addr, err
 	}
 	u.mu.Unlock()
 	return n, from, nil
+}
+
+// setReadTimeout arms the read deadline of a one-frame receive; a zero
+// timeout polls for a millisecond.
+func (u *UDP) setReadTimeout(timeout time.Duration) error {
+	if timeout <= 0 {
+		timeout = time.Millisecond
+	}
+	return u.conn.SetReadDeadline(time.Now().Add(timeout))
+}
+
+// readErr maps a socket read deadline to ErrTimeout.
+func readErr(err error) error {
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		return ErrTimeout
+	}
+	return err
 }
 
 // ReceiveBatch implements BatchTransport.

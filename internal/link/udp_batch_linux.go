@@ -47,6 +47,14 @@ type udpBatch struct {
 	riov   []syscall.Iovec
 	rnames []byte // one syscall.SizeofSockaddrAny slot per message
 	acache map[string]*net.UDPAddr
+	// recvFn is recvmmsg bound to this batch once, so a receive passes
+	// RawConn.Read no fresh closure. rcount and rpoll are its arguments,
+	// rgot and rerr its results, all guarded by rmu.
+	recvFn func(fd uintptr) bool
+	rcount int
+	rpoll  bool
+	rgot   int
+	rerr   error
 
 	smu   sync.Mutex
 	smsgs []mmsghdr
@@ -54,20 +62,72 @@ type udpBatch struct {
 	sname []byte // encoded sockaddr of speer
 	snlen uint32
 	speer net.Addr
+	// sendFn is sendmmsg bound the same way: scount is its argument, sdone
+	// and serr its results, all guarded by smu.
+	sendFn func(fd uintptr) bool
+	scount int
+	sdone  int
+	serr   error
 }
 
-// rawConn returns the socket's RawConn, resolved once.
+// rawConn returns the socket's RawConn, resolved once, and binds the batch's
+// syscall callbacks.
 func (u *UDP) rawConn() (syscall.RawConn, error) {
 	b := &u.batch
 	b.rawOnce.Do(func() {
-		sc, ok := u.conn.(syscall.Conn)
-		if !ok {
-			b.rawErr = fmt.Errorf("link: %T does not expose a raw connection", u.conn)
-			return
-		}
-		b.raw, b.rawErr = sc.SyscallConn()
+		b.raw, b.rawErr = u.conn.SyscallConn()
+		b.recvFn, b.sendFn = b.recvmmsg, b.sendmmsg
 	})
 	return b.raw, b.rawErr
+}
+
+// recvmmsg is RawConn.Read's callback: one non-blocking recvmmsg into the
+// first rcount headers. It reports false (park until readable) only when
+// nothing is queued and the call may block.
+func (b *udpBatch) recvmmsg(fd uintptr) bool {
+	for {
+		r1, _, errno := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
+			uintptr(unsafe.Pointer(&b.rmsgs[0])), uintptr(b.rcount),
+			syscall.MSG_DONTWAIT, 0, 0)
+		switch errno {
+		case 0:
+			b.rgot = int(r1)
+			return true
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			if b.rpoll {
+				b.rerr = ErrTimeout
+				return true
+			}
+			return false // park until readable or the deadline fires
+		default:
+			b.rerr = errno
+			return true
+		}
+	}
+}
+
+// sendmmsg is RawConn.Write's callback: one non-blocking sendmmsg of the
+// first scount headers, parking while the socket is not writable.
+func (b *udpBatch) sendmmsg(fd uintptr) bool {
+	for {
+		r1, _, errno := syscall.Syscall6(sysSendmmsg, fd,
+			uintptr(unsafe.Pointer(&b.smsgs[0])), uintptr(b.scount),
+			syscall.MSG_DONTWAIT, 0, 0)
+		switch errno {
+		case 0:
+			b.sdone = int(r1)
+			return true
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			return false // park until the socket is writable
+		default:
+			b.serr = errno
+			return true
+		}
+	}
 }
 
 func (b *udpBatch) growRecv(n int) {
@@ -121,31 +181,9 @@ func (u *UDP) ReceiveBatchFrom(bufs [][]byte, addrs []net.Addr, timeout time.Dur
 			return 0, err
 		}
 	}
-	got := 0
-	var opErr error
-	rerr := raw.Read(func(fd uintptr) bool {
-		for {
-			r1, _, errno := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
-				uintptr(unsafe.Pointer(&b.rmsgs[0])), uintptr(len(bufs)),
-				syscall.MSG_DONTWAIT, 0, 0)
-			switch errno {
-			case 0:
-				got = int(r1)
-				return true
-			case syscall.EINTR:
-				continue
-			case syscall.EAGAIN:
-				if timeout <= 0 {
-					opErr = ErrTimeout
-					return true
-				}
-				return false // park until readable or the deadline fires
-			default:
-				opErr = errno
-				return true
-			}
-		}
-	})
+	b.rcount, b.rpoll, b.rgot, b.rerr = len(bufs), timeout <= 0, 0, nil
+	rerr := raw.Read(b.recvFn)
+	got, opErr := b.rgot, b.rerr
 	if rerr != nil {
 		var ne net.Error
 		if errors.As(rerr, &ne) && ne.Timeout() {
@@ -316,27 +354,9 @@ func (u *UDP) sendBatchTo(frames [][]byte, to net.Addr) (int, error) {
 				Iovlen:  1,
 			}}
 		}
-		done := 0
-		var opErr error
-		werr := raw.Write(func(fd uintptr) bool {
-			for {
-				r1, _, errno := syscall.Syscall6(sysSendmmsg, fd,
-					uintptr(unsafe.Pointer(&b.smsgs[0])), uintptr(cnt),
-					syscall.MSG_DONTWAIT, 0, 0)
-				switch errno {
-				case 0:
-					done = int(r1)
-					return true
-				case syscall.EINTR:
-					continue
-				case syscall.EAGAIN:
-					return false // park until the socket is writable
-				default:
-					opErr = errno
-					return true
-				}
-			}
-		})
+		b.scount, b.sdone, b.serr = cnt, 0, nil
+		werr := raw.Write(b.sendFn)
+		done, opErr := b.sdone, b.serr
 		if werr != nil {
 			return sent, werr
 		}

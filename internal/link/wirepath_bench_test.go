@@ -26,8 +26,9 @@ func (t unbatchedPipe) Close() error { return t.p.Close() }
 // the unbatched baseline. The udp variants time 32-frame loopback bursts at
 // the transport level: one Send/ReceiveFrom per frame against the
 // SendBatch/ReceiveBatchFrom path (sendmmsg/recvmmsg on Linux) that the
-// receiver and a flushing sender use. Run with -benchmem: the pipe steady
-// state allocates nothing per frame.
+// receiver and a flushing sender use. Run with -benchmem: pipe/unbatched,
+// pipe/batch=32 and udp/batch=32 read 0 allocs/op; udp/unbatched allocates
+// the source address each ReceiveFrom returns (2 allocs per frame).
 func BenchmarkWirePath(b *testing.B) {
 	b.Run("pipe/unbatched", func(b *testing.B) { benchPipeWirePath(b, false) })
 	b.Run(fmt.Sprintf("pipe/batch=%d", ingestBatch), func(b *testing.B) { benchPipeWirePath(b, true) })

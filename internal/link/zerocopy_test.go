@@ -218,3 +218,98 @@ func TestSteadyStateAckAllocs(t *testing.T) {
 		t.Fatalf("ack-repeat path allocated %.2f times per frame, want 0", allocs)
 	}
 }
+
+// TestHandleFramesAllocsPerMessage pins what the deterministic HandleFrames
+// path allocates per delivered message once the receiver is warm (the flow,
+// its decode history, pooled decoders and recycled symbol buffers exist):
+// tiny-udp's shape, K=4, B=1, 16-byte payloads, 4 passes in 48-symbol
+// frames. What is left is the message state, the decode result and its
+// message, the Delivered and HandleFrames' result slice.
+func TestHandleFramesAllocsPerMessage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under the race detector")
+	}
+	const warm, runs = 200, 100
+	cfg := Config{K: 4, BeamWidth: 1, SymbolsPerFrame: 48}
+	r, peer := newTestReceiver(t, cfg)
+	msgs := make([][][]byte, warm+runs+1)
+	payload := make([]byte, 16)
+	for i := range msgs {
+		payload[0], payload[1] = byte(i), byte(i>>8)
+		frames, err := EncodeFrames(cfg, 3, uint32(i), payload, cfg.SymbolsPerFrame, 4, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msgs[i] = frames
+	}
+	ackBuf := make([]byte, MaxFrameSize)
+	next := 0
+	deliver := func() {
+		ds, err := r.HandleFrames(msgs[next])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ds) != 1 {
+			t.Fatalf("message %d: delivered %d packets, want 1", next, len(ds))
+		}
+		next++
+		// Drain the acks so the pipe's buffers return to its pool.
+		for {
+			if _, err := peer.Receive(ackBuf, 0); err != nil {
+				break
+			}
+		}
+	}
+	for next < warm {
+		deliver()
+	}
+	allocs := testing.AllocsPerRun(runs, deliver)
+	t.Logf("%.2f allocations per delivered message", allocs)
+	if allocs > 6 {
+		t.Fatalf("HandleFrames allocated %.2f times per delivered message, want <= 6", allocs)
+	}
+}
+
+// silentTransport discards every frame and never delivers one, so a Sender
+// over it runs each message to its MaxPasses bound without an ack.
+type silentTransport struct{}
+
+func (silentTransport) Send([]byte) error { return nil }
+func (silentTransport) Receive([]byte, time.Duration) (int, error) {
+	return 0, ErrTimeout
+}
+func (silentTransport) Close() error { return nil }
+
+// TestSendAllocsPerMessage pins what Sender.Send allocates per message over
+// a transport that never acks (4 passes of K=4, 16-byte messages): the
+// report and the encoder with its spine. The CRC'd message buffer, the
+// constellation table and the schedule are reused across messages.
+func TestSendAllocsPerMessage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under the race detector")
+	}
+	cfg := Config{K: 4, SymbolsPerFrame: 48, FlushFrames: 4, MaxPasses: 4,
+		AckPoll: time.Nanosecond, FinalWait: time.Nanosecond}
+	s, err := NewSender(silentTransport{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 16)
+	id := uint32(0)
+	send := func() {
+		id++
+		rep, err := s.Send(id, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Acked || rep.SymbolsSent != 4*40 {
+			t.Fatalf("message %d: acked=%v after %d symbols, want unacked after %d", id, rep.Acked, rep.SymbolsSent, 4*40)
+		}
+	}
+	send()
+	allocs := testing.AllocsPerRun(100, send)
+	t.Logf("%.2f allocations per message", allocs)
+	if allocs > 3 {
+		t.Fatalf("Send allocated %.2f times per message, want <= 3", allocs)
+	}
+}
