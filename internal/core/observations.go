@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math/cmplx"
+)
 
 // validatePositions rejects any position outside a code with nseg spine
 // values. It is the shared up-front check of every batch entry point
@@ -13,6 +16,19 @@ func validatePositions(poss []SymbolPos, nseg int) error {
 		}
 		if pos.Pass < 0 {
 			return fmt.Errorf("core: negative pass %d", pos.Pass)
+		}
+	}
+	return nil
+}
+
+// validateValues rejects a NaN or infinite received value. Such a value
+// would give every path through its spine value a non-finite cost, which
+// stays in the decoder's cached sums and breaks the strict (cost, parent,
+// seg) order the beam search selects by.
+func validateValues(ys []complex128) error {
+	for i, y := range ys {
+		if cmplx.IsNaN(y) || cmplx.IsInf(y) {
+			return fmt.Errorf("core: received value %d is not finite: %v", i, y)
 		}
 	}
 	return nil
@@ -59,29 +75,19 @@ func NewObservations(nseg int) (*Observations, error) {
 	return &Observations{spines: make([][]symbolObs, nseg)}, nil
 }
 
-// Add records the received value y for the symbol at pos.
+// Add records the received value y for the symbol at pos: AddBatch of one
+// symbol, so a NaN or infinite y is rejected the same way.
 func (o *Observations) Add(pos SymbolPos, y complex128) error {
-	if pos.Spine < 0 || pos.Spine >= len(o.spines) {
-		return fmt.Errorf("core: spine index %d out of range [0,%d)", pos.Spine, len(o.spines))
-	}
-	if pos.Pass < 0 {
-		return fmt.Errorf("core: negative pass %d", pos.Pass)
-	}
-	o.spines[pos.Spine] = append(o.spines[pos.Spine], symbolObs{pass: pos.Pass, y: y})
-	o.count++
-	o.gen++
-	if pos.Spine < o.dirty {
-		o.dirty = pos.Spine
-	}
-	return nil
+	return o.AddBatch([]SymbolPos{pos}, []complex128{y})
 }
 
 // AddBatch records one received value per position — a whole frame or pass at
 // a time. The batch is validated before anything is recorded (an invalid
-// position leaves the container untouched), appends happen in slice order (so
-// a batch add is indistinguishable, observation for observation, from the
-// equivalent sequence of Adds), and the whole batch costs one generation bump
-// and one dirty-level update instead of one per symbol.
+// position or a NaN or infinite value leaves the container untouched),
+// appends happen in slice order (so a batch add is indistinguishable,
+// observation for observation, from the equivalent sequence of Adds), and
+// the whole batch costs one generation bump and one dirty-level update
+// instead of one per symbol.
 func (o *Observations) AddBatch(poss []SymbolPos, ys []complex128) error {
 	if len(poss) != len(ys) {
 		return fmt.Errorf("core: AddBatch positions length %d != values length %d", len(poss), len(ys))
@@ -90,6 +96,9 @@ func (o *Observations) AddBatch(poss []SymbolPos, ys []complex128) error {
 		return nil
 	}
 	if err := validatePositions(poss, len(o.spines)); err != nil {
+		return err
+	}
+	if err := validateValues(ys); err != nil {
 		return err
 	}
 	for i, pos := range poss {

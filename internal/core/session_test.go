@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"spinal/internal/channel"
@@ -117,6 +118,47 @@ func TestSessionGiveUpOnHopelessChannel(t *testing.T) {
 	}
 	if res.Rate(p.MessageBits) != 0 {
 		t.Fatal("failed session should report zero rate")
+	}
+}
+
+// poisonChannel is a noiseless BlockChannel that replaces one received
+// value of its first block with bad.
+type poisonChannel struct {
+	bad   complex128
+	calls int
+}
+
+func (c *poisonChannel) CorruptBlock(dst, src []complex128) {
+	copy(dst, src)
+	if c.calls == 0 {
+		dst[len(dst)/2] = c.bad
+	}
+	c.calls++
+}
+
+// TestSessionRejectsNonFiniteValues runs a session over a channel that
+// emits NaN, +Inf or -Inf: the session must fail before any decode.
+func TestSessionRejectsNonFiniteValues(t *testing.T) {
+	p := DefaultParams()
+	msg := testMessage(62, p.MessageBits)
+	for _, bad := range []complex128{
+		complex(math.NaN(), 0),
+		complex(0, math.Inf(1)),
+		complex(math.Inf(-1), 1),
+	} {
+		decodes := 0
+		verify := func(m []byte) bool {
+			decodes++
+			return EqualMessages(m, msg, p.MessageBits)
+		}
+		cfg := SessionConfig{Params: p, BeamWidth: 16}
+		res, err := RunChannelSession(cfg, msg, &poisonChannel{bad: bad}, verify)
+		if err == nil {
+			t.Fatalf("%v: session succeeded (%+v)", bad, res)
+		}
+		if decodes != 0 {
+			t.Fatalf("%v: %d decode attempts ran on a poisoned block", bad, decodes)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package link
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -74,8 +75,9 @@ func (s *testStream) frame(t *testing.T, cfg Config, flow uint32, count int) []b
 // TestReceiverDecodesInterleavedMessagesConcurrently feeds frames of several
 // in-flight messages interleaved symbol-chunk by symbol-chunk through the
 // transport and checks that a multi-worker receiver delivers every payload
-// intact — the per-message decoder affinity must keep results correct even
-// though distinct messages decode concurrently with ingest.
+// intact — the per-message decode mutex must keep results correct even
+// though distinct messages decode on different workers (Receive's goroutine
+// and the helpers).
 func TestReceiverDecodesInterleavedMessagesConcurrently(t *testing.T) {
 	far, near, err := NewPipePair(0, 71)
 	if err != nil {
@@ -144,10 +146,11 @@ func TestReceiverDecodesInterleavedMessagesConcurrently(t *testing.T) {
 }
 
 // TestReceiverConcurrentMatchesSingleWorker runs the same interleaved frame
-// sequence through a 1-worker and a 4-worker receiver and checks the
-// delivered payloads agree — concurrency must not change per-message
-// results. The sequence mixes several messages of one flow with several
-// flows of two messages each, so the decode workers also interleave flows.
+// sequence through 1-, 2- and 4-worker receivers and checks the delivered
+// payloads agree — concurrency must not change per-message results. One
+// worker is Receive's goroutine alone; two add one helper beside it. The
+// sequence mixes several messages of one flow with several flows of two
+// messages each, so the decode workers also interleave flows.
 func TestReceiverConcurrentMatchesSingleWorker(t *testing.T) {
 	type key struct{ flow, msg uint32 }
 	var keys []key
@@ -196,14 +199,147 @@ func TestReceiverConcurrentMatchesSingleWorker(t *testing.T) {
 		return got
 	}
 	serial := run(1)
-	concurrent := run(4)
 	if len(serial) != len(keys) {
 		t.Fatalf("single-worker receiver delivered %d/%d messages", len(serial), len(keys))
 	}
-	for k, want := range serial {
-		if !bytes.Equal(concurrent[k], want) {
-			t.Fatalf("flow %d message %d: 4-worker payload differs from 1-worker payload", k.flow, k.msg)
+	for _, workers := range []int{2, 4} {
+		concurrent := run(workers)
+		for k, want := range serial {
+			if !bytes.Equal(concurrent[k], want) {
+				t.Fatalf("flow %d message %d: %d-worker payload differs from 1-worker payload", k.flow, k.msg, workers)
+			}
 		}
+	}
+}
+
+// TestReceiveDecodesOnCallerGoroutine pins the single-worker receiver:
+// NewReceiver starts no goroutine, so Receive decodes on its caller, and it
+// delivers what HandleFrames delivers on the same frames. Close with tokens
+// still queued must run them itself, returning the lease of an evicted
+// message whose orphaned token only that run hands back.
+func TestReceiveDecodesOnCallerGoroutine(t *testing.T) {
+	type key struct{ flow, msg uint32 }
+	cfg := Config{K: 4, DecodeWorkers: 1}
+	// Four messages over two flows, two noiseless passes each, interleaved
+	// one 16-symbol frame at a time.
+	var frames [][]byte
+	want := map[key][]byte{}
+	var streams []*testStream
+	var flows []uint32
+	for i := uint32(0); i < 4; i++ {
+		k := key{flow: 1 + i%2, msg: 10 + i}
+		want[k] = []byte(fmt.Sprintf("inline payload %d of flow %d", k.msg, k.flow))
+		streams = append(streams, newTestStream(t, cfg, k.msg, want[k]))
+		flows = append(flows, k.flow)
+	}
+	for more := true; more; {
+		more = false
+		for i, s := range streams {
+			if rest := 2*s.params.NumSegments() - s.next; rest > 0 {
+				frames = append(frames, s.frame(t, cfg, flows[i], min(16, rest)))
+				more = true
+			}
+		}
+	}
+
+	_, ackSink, err := NewPipePair(0, 78)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ackSink.Close()
+	direct, err := NewReceiver(ackSink, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer direct.Close()
+	handled, err := direct.HandleFrames(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(handled) != len(want) {
+		t.Fatalf("HandleFrames delivered %d/%d messages", len(handled), len(want))
+	}
+
+	far, near, err := NewPipePair(0, 79)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer far.Close()
+	before := runtime.NumGoroutine()
+	recv, err := NewReceiver(near, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("a 1-worker receiver started %d goroutines", after-before)
+	}
+	defer recv.Close()
+	for _, f := range frames {
+		if err := far.Send(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := map[key][]byte{}
+	deadline := time.Now().Add(5 * time.Second)
+	for len(got) < len(want) && time.Now().Before(deadline) {
+		d, err := recv.Receive(100 * time.Millisecond)
+		if err == ErrTimeout {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[key{d.FlowID, d.MsgID}] = d.Payload
+	}
+	for _, d := range handled {
+		if !bytes.Equal(got[key{d.FlowID, d.MsgID}], d.Payload) {
+			t.Fatalf("flow %d message %d: Receive and HandleFrames delivered different payloads", d.FlowID, d.MsgID)
+		}
+	}
+
+	// Close with queued tokens. Under MaxTracked 2, message C evicts B (the
+	// stalest in flight) while B's token is queued behind A's; Receive runs
+	// A's and returns its delivery, leaving B's orphaned token and C's.
+	far, near, err = NewPipePair(0, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer far.Close()
+	capped, err := NewReceiver(near, Config{K: 4, DecodeWorkers: 1, MaxTracked: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := newTestStream(t, cfg, 1, []byte("decodes before close"))
+	b := newTestStream(t, cfg, 2, []byte("evicted with its token queued"))
+	c := newTestStream(t, cfg, 3, []byte("queued at close"))
+	seq := [][]byte{a.frame(t, cfg, 0, 16), b.frame(t, cfg, 0, 8)}
+	for rest := 2*a.params.NumSegments() - a.next; rest > 0; rest = 2*a.params.NumSegments() - a.next {
+		seq = append(seq, a.frame(t, cfg, 0, min(16, rest)))
+	}
+	seq = append(seq, c.frame(t, cfg, 0, 8))
+	for _, f := range seq {
+		if err := far.Send(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := capped.Receive(time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.MsgID != 1 {
+		t.Fatalf("delivered message %d, want 1", d.MsgID)
+	}
+	if queued, _ := capped.eng.load(); queued != 2 {
+		t.Fatalf("%d tokens queued before Close, want 2", queued)
+	}
+	if err := capped.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := capped.PoolStats().Outstanding; n != 0 {
+		t.Errorf("%d decoder leases outstanding after Close", n)
+	}
+	if n := capped.EngineStats().AckArena.Outstanding; n != 0 {
+		t.Errorf("%d ack buffers outstanding after Close", n)
 	}
 }
 

@@ -29,14 +29,16 @@ import (
 // the source address of that flow's frames, which is what lets one UDP
 // socket serve many independent sender processes.
 //
-// Decoding runs on a bounded pool of worker goroutines so that attempts for
-// distinct in-flight messages proceed concurrently with frame ingest: the
-// caller's Receive loop only parses frames and appends symbols to the
-// per-message pending buffers. Pending attempts are scheduled round-robin
-// over the flows that have work — not FIFO over frames — so one chatty flow
-// cannot starve the others; within a flow, attempts run oldest-first. A
-// message's decoder is serialized by a per-message mutex, which keeps its
-// incremental workspace valid no matter which worker runs the attempt.
+// Decoding runs on a bounded set of workers. The goroutine that calls
+// Receive is worker 0: after each drain of the transport it runs one queued
+// decode attempt and sends its ack, so a small packet is parsed, decoded and
+// acknowledged on one thread. Config.DecodeWorkers − 1 helper goroutines run
+// the attempts queued beyond that one, concurrently with ingest. Pending
+// attempts are scheduled round-robin over the flows that have work — not
+// FIFO over frames — so one chatty flow cannot starve the others; within a
+// flow, attempts run oldest-first. A message's decoder is serialized by a
+// per-message mutex, which keeps its incremental workspace valid no matter
+// which worker runs the attempt.
 //
 // Decoders are not built per message: they are leased from a shared
 // core.DecoderPool keyed by code parameters, so the (expensive) incremental
@@ -196,9 +198,9 @@ const doneGraceFrames = 64
 // sweeps delivered states past their grace period.
 const evictSweepEvery = 32
 
-// receivePoll is the slice Receive blocks on the transport per iteration, so
-// packets decoded by the workers are surfaced promptly even while frames
-// keep arriving.
+// receivePoll is the slice Receive blocks on the transport per iteration
+// while helpers are decoding, so the packets they complete are surfaced
+// promptly even while frames keep arriving.
 const receivePoll = 2 * time.Millisecond
 
 // NewReceiver returns a receiver that reads frames from tr and corrupts each
@@ -244,20 +246,23 @@ func NewReceiver(tr Transport, cfg Config, impairment channel.SymbolChannel) (*R
 	}
 	r.rxAddrs = make([]net.Addr, batch)
 	// Backstop for receivers dropped without Close (benchmarks and tests
-	// build them freely): stop the workers once the receiver is unreachable.
+	// build them freely): stop the helpers once the receiver is unreachable.
 	// The engine never references the receiver, so this cleanup can run.
-	runtime.AddCleanup(r, func(e *flowEngine) { e.stop() }, r.eng)
+	if workers > 1 {
+		runtime.AddCleanup(r, func(e *flowEngine) { e.stop() }, r.eng)
+	}
 	return r, nil
 }
 
-// Close stops the decode workers (waiting for queued attempts to finish) and
-// then returns every tracked message's decoder lease to the pool, so a
-// receiver closed after a chaotic run leaves the pool's Outstanding counter
-// at zero, and empties the decode-history table. It must not be called
-// concurrently with Receive. The receiver must not be used afterwards.
+// Close runs every queued decode attempt to its end (on the helpers, or on
+// the caller when there are none), stops the helpers and then returns every
+// tracked message's decoder lease to the pool, so a receiver closed after a
+// chaotic run leaves the pool's Outstanding counter at zero, and empties
+// the decode-history table. It must not be called concurrently with
+// Receive. The receiver must not be used afterwards.
 func (r *Receiver) Close() error {
 	r.eng.stop()
-	// The workers have drained: no attempt is in flight, so every surviving
+	// The queues have drained: no attempt is in flight, so every surviving
 	// lease is owned by its state and can be reclaimed directly.
 	for id, fs := range r.flows {
 		for _, st := range fs.states {
@@ -280,18 +285,20 @@ func (r *Receiver) Close() error {
 // Receive blocks until one new packet is decoded (returning it) or the
 // timeout elapses (returning ErrTimeout).
 //
-// To keep the decoders from falling behind fast senders, Receive drains
-// every frame queued on the transport into the per-message pending buffers
-// and hands decode attempts to the worker pool; it never decodes inline.
-// On a BatchTransport the drain moves up to ingestBatch frames per
-// transport call.
+// Receive drains every frame queued on the transport into the per-message
+// pending buffers, then decodes inline: its goroutine is decode worker 0
+// and runs one queued attempt, acknowledging the packet if it decodes,
+// before it drains the transport again. Attempts queued beyond that one go
+// to the helpers. An attempt, once started, runs to its end, so one long
+// decode may overrun timeout. On a BatchTransport the drain moves up to
+// ingestBatch frames per transport call.
 func (r *Receiver) Receive(timeout time.Duration) (*Delivered, error) {
 	deadline := time.Now().Add(timeout)
 	for {
-		// Read busy before take: if no attempt is outstanding afterwards,
+		// Read the load before take: if no attempt is outstanding afterwards,
 		// every finished attempt's result was already visible to take, so
 		// blocking for the full remaining time cannot strand a delivery.
-		busy := r.eng.busy()
+		queued, outstanding := r.eng.load()
 		if d, err := r.eng.take(); d != nil || err != nil {
 			return d, err
 		}
@@ -299,11 +306,16 @@ func (r *Receiver) Receive(timeout time.Duration) (*Delivered, error) {
 		if remaining <= 0 {
 			return nil, ErrTimeout
 		}
-		// While decode attempts are in flight, block in short slices so
-		// packets completed by the workers are returned promptly; on an idle
-		// link with no outstanding work, block the whole timeout.
+		// With an attempt queued, only poll the transport: this goroutine
+		// runs the attempt right after the drain. While only helpers have
+		// attempts in flight, block in short slices so the packets they
+		// complete are returned promptly; on an idle link, block the whole
+		// timeout.
 		slice := remaining
-		if busy && slice > receivePoll {
+		switch {
+		case queued > 0:
+			slice = 0
+		case outstanding > 0 && slice > receivePoll:
 			slice = receivePoll
 		}
 		// Idle expiry runs on this loop (no timer goroutine), so while
@@ -316,21 +328,18 @@ func (r *Receiver) Receive(timeout time.Duration) (*Delivered, error) {
 			}
 		}
 		got, err := r.ingest(slice)
-		if errors.Is(err, ErrTimeout) {
-			continue
-		}
-		if err != nil {
+		if err != nil && !errors.Is(err, ErrTimeout) {
 			return nil, err
 		}
-		r.processIngested(got)
 		// Drain whatever else is queued without blocking.
-		for {
-			got, err = r.ingest(0)
-			if err != nil || got == 0 {
+		for got > 0 {
+			r.processIngested(got)
+			if got, err = r.ingest(0); err != nil {
 				break
 			}
-			r.processIngested(got)
 		}
+		// Worker 0: run one queued attempt, then drain again before the next.
+		r.eng.runOne()
 	}
 }
 
@@ -382,8 +391,8 @@ func (r *Receiver) receiveFrom(buf []byte, timeout time.Duration) (int, net.Addr
 // HandleFrame processes one raw frame synchronously and, if it completes a
 // packet, returns the delivered payload. It is the deterministic
 // single-frame path used by tests and replay-style experiments; live
-// receivers use Receive, which batches ingest and hands decoding to the
-// worker pool. HandleFrame must not be called concurrently with Receive.
+// receivers use Receive, which batches ingest and schedules decoding over
+// the workers. HandleFrame must not be called concurrently with Receive.
 func (r *Receiver) HandleFrame(raw []byte) (*Delivered, error) {
 	st, fresh, err := r.addFrame(raw, nil)
 	if err != nil || !fresh {
@@ -500,7 +509,7 @@ func (r *Receiver) addFrame(raw []byte, from net.Addr) (*msgState, bool, error) 
 	return st, true, nil
 }
 
-// enqueue hands a message with fresh symbols to the worker pool's fair
+// enqueue hands a message with fresh symbols to the workers' fair
 // scheduler, unless an attempt token for it is already queued.
 func (r *Receiver) enqueue(st *msgState) {
 	st.mu.Lock()
@@ -858,12 +867,13 @@ func (r *Receiver) EngineStats() EngineStats {
 	}
 }
 
-// flowEngine owns the decode worker goroutines and the fair scheduler.
-// Attempt tokens are queued per flow, and workers pick the next token by
-// round-robin over the flows that have pending work, so every active flow
-// gets decode attempts at the same rate regardless of how many frames each
-// pushes. The engine deliberately holds no reference to the Receiver so an
-// abandoned receiver can be reclaimed.
+// flowEngine owns the fair scheduler and the decode helper goroutines.
+// Attempt tokens are queued per flow, and the workers (Receive's goroutine
+// and the helpers) pick the next token by round-robin over the flows that
+// have pending work, so every active flow gets decode attempts at the same
+// rate regardless of how many frames each pushes. The engine deliberately
+// holds no reference to the Receiver so an abandoned receiver can be
+// reclaimed.
 type flowEngine struct {
 	tr Transport
 	pt PacketTransport // tr when addressable, else nil
@@ -921,9 +931,11 @@ type flowEngine struct {
 	// handBackLocked).
 	spareMu sync.Mutex
 	spare   []rxBatch
-	// outstanding counts attempt tokens submitted but not yet fully
-	// processed (result recorded); while it is zero, Receive can block for
-	// its whole timeout instead of polling for worker results.
+	// queued counts the tokens in flowQ; outstanding counts tokens submitted
+	// but not yet fully processed (result recorded). While outstanding is
+	// zero, Receive can block for its whole timeout instead of polling for
+	// helper results.
+	queued      int
 	outstanding int
 	ready       []Delivered
 	err         error
@@ -965,15 +977,16 @@ func newFlowEngine(tr Transport, workers int, budget int64, base core.SearchMode
 		e.pt = pt
 	}
 	e.cond = sync.NewCond(&e.mu)
-	e.wg.Add(workers)
-	for i := 0; i < workers; i++ {
+	// Receive's goroutine is worker 0; the rest are helpers.
+	e.wg.Add(workers - 1)
+	for i := 1; i < workers; i++ {
 		go e.worker()
 	}
 	return e
 }
 
-// worker pulls tokens off the fair scheduler until the engine closes and
-// the queues drain.
+// worker is a helper's loop: it runs tokens until the engine closes and the
+// queues drain.
 func (e *flowEngine) worker() {
 	defer e.wg.Done()
 	for {
@@ -981,43 +994,57 @@ func (e *flowEngine) worker() {
 		for len(e.ring) == 0 && !e.closed {
 			e.cond.Wait()
 		}
-		if len(e.ring) == 0 {
-			// closed and drained
-			e.mu.Unlock()
+		closed := e.closed
+		e.mu.Unlock()
+		if !e.runOne() && closed {
 			return
 		}
-		// Budget-aware round-robin: take the first flow in the ring whose
-		// decode spend is within FlowDecodeBudget of the least-spent flow
-		// that has work, pop one of its tokens, and move it to the back of
-		// the ring if it still has work. Skipped flows are deferred, not
-		// dropped: their tokens stay queued and run as soon as the cheaper
-		// flows catch up. The least-spent flow always qualifies, so a pick
-		// always exists and deferral can never livelock.
-		fq := e.pickLocked()
-		st := popFront(&fq.msgs)
-		if len(fq.msgs) > 0 {
-			e.ring = append(e.ring, fq)
-		} else {
-			fq.inRing = false
-			if fq.gone {
-				delete(e.flowQ, fq.id)
-			}
-		}
-		e.mu.Unlock()
-
-		d, err := e.attempt(st)
-		e.mu.Lock()
-		if d != nil {
-			e.ready = append(e.ready, *d)
-		}
-		if err != nil && e.err == nil {
-			e.err = err
-		}
-		// Decrement after recording the result: a zero outstanding count
-		// guarantees every finished attempt is visible in ready/err.
-		e.outstanding--
-		e.mu.Unlock()
 	}
+}
+
+// runOne pops the next token off the fair scheduler, runs its attempt and
+// records the outcome; it reports false, running nothing, when no token is
+// queued. It is the one decode path of every worker: Receive's goroutine
+// calls it after each transport drain, the helpers in their loop.
+func (e *flowEngine) runOne() bool {
+	e.mu.Lock()
+	if len(e.ring) == 0 {
+		e.mu.Unlock()
+		return false
+	}
+	// Budget-aware round-robin: take the first flow in the ring whose
+	// decode spend is within FlowDecodeBudget of the least-spent flow that
+	// has work, pop one of its tokens, and move it to the back of the ring
+	// if it still has work. Skipped flows are deferred, not dropped: their
+	// tokens stay queued and run as soon as the cheaper flows catch up. The
+	// least-spent flow always qualifies, so a pick always exists and
+	// deferral can never livelock.
+	fq := e.pickLocked()
+	st := popFront(&fq.msgs)
+	e.queued--
+	if len(fq.msgs) > 0 {
+		e.ring = append(e.ring, fq)
+	} else {
+		fq.inRing = false
+		if fq.gone {
+			delete(e.flowQ, fq.id)
+		}
+	}
+	e.mu.Unlock()
+
+	d, err := e.attempt(st)
+	e.mu.Lock()
+	if d != nil {
+		e.ready = append(e.ready, *d)
+	}
+	if err != nil && e.err == nil {
+		e.err = err
+	}
+	// Decrement after recording the result: a zero outstanding count
+	// guarantees every finished attempt is visible in ready/err.
+	e.outstanding--
+	e.mu.Unlock()
+	return true
 }
 
 // pickLocked removes and returns the next schedulable flow queue from the
@@ -1291,18 +1318,24 @@ func (e *flowEngine) submit(st *msgState) {
 		fq.inRing = true
 		e.ring = append(e.ring, fq)
 	}
+	e.queued++
 	e.outstanding++
-	e.cond.Signal()
+	// Receive's goroutine runs one token after each drain; wake a helper
+	// only for the tokens beyond it.
+	if e.queued > 1 {
+		e.cond.Signal()
+	}
 	e.mu.Unlock()
 }
 
-// busy reports whether any submitted attempt has not finished yet. When it
-// returns false, every completed attempt's outcome is already visible to
-// take (the workers decrement outstanding only after recording results).
-func (e *flowEngine) busy() bool {
+// load reports how many tokens are queued and how many submitted attempts
+// have not finished yet. When outstanding is zero, every completed
+// attempt's outcome is already visible to take (runOne decrements it only
+// after recording the result).
+func (e *flowEngine) load() (queued, outstanding int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.outstanding > 0
+	return e.queued, e.outstanding
 }
 
 // take pops one delivered packet, or — only once the delivery queue is
@@ -1529,7 +1562,9 @@ func (e *flowEngine) sendAckFor(st *msgState, decoded bool) error {
 // ackLen (11) bytes.
 const ackMarshalCap = 32
 
-// stop shuts the workers down, letting them drain queued attempts first.
+// stop shuts the helpers down, letting them drain queued attempts first.
+// Without helpers the tokens wait for Receive's goroutine, so the caller
+// runs them instead: every orphaned token must return its state's lease.
 func (e *flowEngine) stop() {
 	e.once.Do(func() {
 		e.mu.Lock()
@@ -1537,6 +1572,8 @@ func (e *flowEngine) stop() {
 		e.cond.Broadcast()
 		e.mu.Unlock()
 		e.wg.Wait()
+		for e.runOne() {
+		}
 		// Every ack lease is released before its send returns, so a clean
 		// engine shutdown cannot leak; Close just drops the free list.
 		_ = e.acks.Close()

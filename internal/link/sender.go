@@ -53,10 +53,12 @@ type Config struct {
 	// acknowledgement after it has emitted its last frame, covering the time
 	// the receiver needs to catch up on decoding; zero selects one second.
 	FinalWait time.Duration
-	// DecodeWorkers is the size of the receiver's decode worker pool:
-	// attempts for that many distinct in-flight messages can run
-	// concurrently with frame ingest. Each message has affinity to one
-	// worker, which keeps its incremental decode workspace valid. Zero
+	// DecodeWorkers is how many decode attempts the receiver runs at once.
+	// The goroutine that calls Receive is worker 0: it decodes between
+	// transport drains. DecodeWorkers − 1 helper goroutines run beside it,
+	// concurrently with ingest, so one worker starts no goroutine at all.
+	// Attempts for one message are serialized by a per-message mutex, which
+	// keeps its incremental decode workspace valid on any worker. Zero
 	// selects runtime.GOMAXPROCS.
 	DecodeWorkers int
 	// MaxTracked caps how many per-message decoding states the receiver

@@ -231,8 +231,8 @@ func TestDecodeThresholdCappedAtMaxPasses(t *testing.T) {
 
 // TestDecodeThresholdConcurrentFlows runs closed-loop flows through Receive
 // with four decode workers, so flows' histories are read by ingest while
-// workers record into them: every message must deliver intact, histories
-// must stay within MaxFlows, and Close must drop them all.
+// the three helpers record into them: every message must deliver intact,
+// histories must stay within MaxFlows, and Close must drop them all.
 func TestDecodeThresholdConcurrentFlows(t *testing.T) {
 	const flows, msgs = 4, 12
 	far, near, err := NewPipePair(0, 5)

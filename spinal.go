@@ -343,13 +343,15 @@ func (c *Code) NewDecoder() (*Decoder, error) {
 	return &Decoder{dec: dec, obs: obs, n: c.cfg.MessageBits}, nil
 }
 
-// Observe records the received value of the symbol at pos.
+// Observe records the received value of the symbol at pos. A NaN or
+// infinite value is rejected with an error and not recorded.
 func (d *Decoder) Observe(pos SymbolPos, received complex128) error {
 	return d.obs.Add(pos, received)
 }
 
 // ObserveBatch records one received value per position — a whole frame or
-// pass at a time. The batch is validated before anything is recorded, and
+// pass at a time. The batch is validated before anything is recorded (a
+// position out of range or a NaN or infinite value rejects it whole), and
 // the incremental decoder sees a single dirty-level update for the whole
 // batch instead of one per symbol. ObserveBatch followed by one Decode is
 // bit-identical — same message, same cost, same NodesExpanded — to observing

@@ -1,6 +1,7 @@
 package spinal_test
 
 import (
+	"math"
 	"testing"
 
 	"spinal"
@@ -68,6 +69,64 @@ func TestEncodeDecodeNoiselessRoundTrip(t *testing.T) {
 	}
 	if !code.Equal(got, msg) {
 		t.Fatal("noiseless round trip failed")
+	}
+}
+
+// TestDecoderRejectsNonFiniteValues feeds NaN, +Inf and -Inf through
+// Observe and ObserveBatch: each must fail and record nothing, so the clean
+// passes observed afterwards still decode the message.
+func TestDecoderRejectsNonFiniteValues(t *testing.T) {
+	code, err := spinal.NewCode(spinal.Config{MessageBits: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := spinal.RandomMessage(64, 2)
+	for _, bad := range []complex128{
+		complex(math.NaN(), 0),
+		complex(0, math.Inf(1)),
+		complex(math.Inf(-1), 1),
+	} {
+		stream, err := code.EncodeStream(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := code.NewDecoder()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pass := stream.EncodePass(nil)
+		poss := make([]spinal.SymbolPos, len(pass))
+		vals := make([]complex128, len(pass))
+		for i, sym := range pass {
+			poss[i], vals[i] = sym.Pos, sym.Value
+		}
+		if err := dec.Observe(poss[0], bad); err == nil {
+			t.Errorf("Observe(%v) accepted", bad)
+		}
+		clean := vals[len(vals)/2]
+		vals[len(vals)/2] = bad
+		if err := dec.ObserveBatch(poss, vals); err == nil {
+			t.Errorf("ObserveBatch with %v accepted", bad)
+		}
+		if n := dec.Observations(); n != 0 {
+			t.Fatalf("%v: %d observations recorded after rejected calls", bad, n)
+		}
+		vals[len(vals)/2] = clean
+		for p := 0; p < 2; p++ {
+			if err := dec.ObserveBatch(poss, vals); err != nil {
+				t.Fatal(err)
+			}
+			for i, sym := range stream.EncodePass(pass) {
+				poss[i], vals[i] = sym.Pos, sym.Value
+			}
+		}
+		got, err := dec.Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !code.Equal(got, msg) {
+			t.Fatalf("%v: clean passes after the rejected ones did not decode", bad)
+		}
 	}
 }
 
