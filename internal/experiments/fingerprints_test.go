@@ -1,0 +1,73 @@
+package experiments
+
+import (
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"testing"
+
+	"spinal/internal/sim"
+)
+
+var updateFingerprints = flag.Bool("update", false, "rewrite testdata/fingerprints.txt from the current code")
+
+const fingerprintsFile = "testdata/fingerprints.txt"
+
+// TestScenarioFingerprints pins every deterministic scenario to a committed
+// result: one sha256 of Result.Fingerprint() (every non-volatile cell) per
+// scenario at smokeRequest(). A change that moves a decode, a rate or a work
+// count moves a line of the file; rewrite it on purpose with
+//
+//	go test ./internal/experiments -run TestScenarioFingerprints -update
+//
+// so the diff shows which scenarios moved. The hashes are pinned on amd64
+// at the baseline GOAMD64 only: the Go spec lets a compiler fuse x*y+z into
+// one FMA instruction, which gc does on arm64 (and on amd64 from GOAMD64=v3),
+// and a fused multiply-add rounds differently.
+func TestScenarioFingerprints(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("fingerprints are pinned on amd64; GOARCH=%s may fuse multiply-adds", runtime.GOARCH)
+	}
+	if v := os.Getenv("GOAMD64"); v != "" && v != "v1" && v != "v2" {
+		t.Skipf("fingerprints are pinned at GOAMD64 v1/v2; GOAMD64=%s may fuse multiply-adds", v)
+	}
+	var got strings.Builder
+	for _, name := range registryNames {
+		sc, ok := sim.Lookup(name)
+		if !ok {
+			t.Fatalf("scenario %q not registered", name)
+		}
+		res, err := sc.Run(smokeRequest())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		fmt.Fprintf(&got, "%s %x\n", name, sha256.Sum256([]byte(res.Fingerprint())))
+	}
+	if *updateFingerprints {
+		if err := os.MkdirAll(filepath.Dir(fingerprintsFile), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(fingerprintsFile, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(fingerprintsFile)
+	if err != nil {
+		t.Fatalf("%v (rewrite it with -update)", err)
+	}
+	wantLines := strings.Split(strings.TrimSpace(string(want)), "\n")
+	gotLines := strings.Split(strings.TrimSpace(got.String()), "\n")
+	if len(wantLines) != len(gotLines) {
+		t.Fatalf("%s has %d scenarios, the registry runs %d (rewrite it with -update)", fingerprintsFile, len(wantLines), len(gotLines))
+	}
+	for i := range gotLines {
+		if gotLines[i] != wantLines[i] {
+			t.Errorf("fingerprint moved:\n got  %s\n want %s", gotLines[i], wantLines[i])
+		}
+	}
+}
