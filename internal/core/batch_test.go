@@ -122,9 +122,8 @@ func TestAddBatchMatchesAdd(t *testing.T) {
 	if err := batchObs.AddBatch(poss, rx); err != nil {
 		t.Fatal(err)
 	}
-	if scalarObs.Count() != batchObs.Count() || scalarObs.DirtyLevel() != batchObs.DirtyLevel() {
-		t.Fatalf("containers disagree: count %d/%d, dirty %d/%d",
-			scalarObs.Count(), batchObs.Count(), scalarObs.DirtyLevel(), batchObs.DirtyLevel())
+	if scalarObs.Count() != batchObs.Count() {
+		t.Fatalf("containers disagree: count %d/%d", scalarObs.Count(), batchObs.Count())
 	}
 
 	scalarDec, _ := NewBeamDecoder(p, 16)
@@ -143,9 +142,8 @@ func TestAddBatchMatchesAdd(t *testing.T) {
 	if a.Cost != b.Cost {
 		t.Fatalf("costs diverged: %v vs %v", a.Cost, b.Cost)
 	}
-	if a.NodesExpanded != b.NodesExpanded || a.NodesRefreshed != b.NodesRefreshed {
-		t.Fatalf("node accounting diverged: %d/%d vs %d/%d",
-			a.NodesExpanded, a.NodesRefreshed, b.NodesExpanded, b.NodesRefreshed)
+	if a.NodesExpanded != b.NodesExpanded {
+		t.Fatalf("node accounting diverged: %d vs %d", a.NodesExpanded, b.NodesExpanded)
 	}
 }
 
@@ -200,7 +198,7 @@ func TestBitAddBatchMatchesAdd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !EqualMessages(a.Message, b.Message, p.MessageBits) || a.Cost != b.Cost ||
-		a.NodesExpanded != b.NodesExpanded || a.NodesRefreshed != b.NodesRefreshed {
+		a.NodesExpanded != b.NodesExpanded {
 		t.Fatalf("BSC scalar/batch paths diverged: cost %v/%v, nodes %d/%d",
 			a.Cost, b.Cost, a.NodesExpanded, b.NodesExpanded)
 	}
@@ -210,8 +208,8 @@ func TestBitAddBatchMatchesAdd(t *testing.T) {
 }
 
 // TestAddBatchValidation pins the all-or-nothing contract: a bad position (or
-// a length mismatch) must leave the container untouched, and an empty batch
-// must not bump the generation.
+// a length mismatch) must leave the container untouched, an empty batch
+// records nothing, and a good batch records every position.
 func TestAddBatchValidation(t *testing.T) {
 	obs, err := NewObservations(4)
 	if err != nil {
@@ -220,8 +218,15 @@ func TestAddBatchValidation(t *testing.T) {
 	if err := obs.Add(SymbolPos{Spine: 2, Pass: 0}, 1+1i); err != nil {
 		t.Fatal(err)
 	}
-	obs.MarkClean()
-	gen, count := obs.Generation(), obs.Count()
+	// perSpine snapshots how many observations each spine value holds.
+	perSpine := func() [4]int {
+		var n [4]int
+		for i := range n {
+			n[i] = obs.PerSpine(i)
+		}
+		return n
+	}
+	before := perSpine()
 
 	bad := []SymbolPos{{Spine: 0, Pass: 0}, {Spine: 4, Pass: 0}}
 	if err := obs.AddBatch(bad, make([]complex128, 2)); err == nil {
@@ -230,37 +235,29 @@ func TestAddBatchValidation(t *testing.T) {
 	if err := obs.AddBatch(bad[:1], make([]complex128, 2)); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	if obs.Generation() != gen || obs.Count() != count || obs.DirtyLevel() != obs.NumSegments() {
-		t.Fatalf("failed batch mutated the container: gen %d→%d, count %d→%d, dirty %d",
-			gen, obs.Generation(), count, obs.Count(), obs.DirtyLevel())
-	}
 	if err := obs.AddBatch(nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if obs.Generation() != gen {
-		t.Fatal("empty batch bumped the generation")
+	if obs.Count() != 1 || perSpine() != before {
+		t.Fatalf("failed or empty batch mutated the container: count %d, per spine %v → %v",
+			obs.Count(), before, perSpine())
 	}
-	// One successful batch: one generation bump, dirty at the batch minimum.
 	poss := []SymbolPos{{Spine: 3, Pass: 0}, {Spine: 1, Pass: 0}}
 	if err := obs.AddBatch(poss, make([]complex128, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if obs.Generation() != gen+1 {
-		t.Fatalf("batch bumped generation by %d, want 1", obs.Generation()-gen)
-	}
-	if obs.DirtyLevel() != 1 {
-		t.Fatalf("dirty level = %d, want 1", obs.DirtyLevel())
+	if want := [4]int{0, 1, 1, 1}; obs.Count() != 3 || perSpine() != want {
+		t.Fatalf("after one batch: count %d, per spine %v, want 3 and %v", obs.Count(), perSpine(), want)
 	}
 
 	bobs, err := NewBitObservations(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bgen := bobs.Generation()
 	if err := bobs.AddBatch([]SymbolPos{{Spine: 0, Pass: 0}}, []byte{2}); err == nil {
 		t.Fatal("non-bit value accepted")
 	}
-	if bobs.Generation() != bgen || bobs.Count() != 0 {
+	if bobs.Count() != 0 || bobs.PerSpine(0) != 0 {
 		t.Fatal("failed bit batch mutated the container")
 	}
 }
@@ -310,7 +307,6 @@ func TestRunChannelSessionMatchesScalarReference(t *testing.T) {
 				}
 				if got.Success != want.Success || got.ChannelUses != want.ChannelUses ||
 					got.Attempts != want.Attempts || got.NodesExpanded != want.NodesExpanded ||
-					got.NodesRefreshed != want.NodesRefreshed ||
 					!EqualMessages(got.Decoded, want.Decoded, p.MessageBits) {
 					t.Fatalf("trial %d: batch session diverged from the scalar reference:\n got %+v\nwant %+v",
 						trial, got, want)
@@ -359,7 +355,6 @@ func scalarReferenceSession(cfg SessionConfig, message []byte, corrupt func(comp
 		}
 		res.Attempts++
 		res.NodesExpanded += int64(out.NodesExpanded)
-		res.NodesRefreshed += int64(out.NodesRefreshed)
 		res.Decoded = out.Message
 		if verify(out.Message) {
 			res.Success = true

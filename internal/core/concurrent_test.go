@@ -18,8 +18,7 @@ import (
 // message decoded that way must produce the DecodeResult the same message
 // gets when all messages are decoded one after another on one goroutine
 // with fresh decoders — same message, same cost, same
-// NodesExpanded/NodesRefreshed/NodesSaved accounting — resuming
-// incrementally and decoding from the root, over both channel kinds and both
+// NodesExpanded/NodesSaved accounting — over both channel kinds and both
 // search modes.
 
 const (
@@ -31,17 +30,16 @@ const (
 	messagesPerWorker = 2
 )
 
-// flowDecoders is what one message is decoded with: an incremental decoder,
-// a decoder that decodes every attempt from the root, and the observation
-// containers both read.
+// flowDecoders is what one message is decoded with: a decoder and the
+// observation containers it reads.
 type flowDecoders struct {
-	inc, root *BeamDecoder
-	obs       *Observations
-	bits      *BitObservations
+	dec  *BeamDecoder
+	obs  *Observations
+	bits *BitObservations
 }
 
 // decodeFlow feeds message j's symbol stream into fd and returns every
-// attempt's incremental and from-root results, in order.
+// attempt's result, in order.
 type decodeFlow func(j int, fd flowDecoders) ([]DecodeResult, error)
 
 // snapshot copies r so that a later decode cannot alter it.
@@ -54,17 +52,13 @@ func snapshot(r *DecodeResult) DecodeResult {
 // freshFlowDecoders builds the serial reference's decoders for p.
 func freshFlowDecoders(p Params, mode SearchMode) (flowDecoders, error) {
 	var fd flowDecoders
-	for _, d := range []**BeamDecoder{&fd.inc, &fd.root} {
-		dec, err := NewBeamDecoder(p, 8)
-		if err != nil {
-			return fd, err
-		}
-		if err := dec.SetSearchMode(mode); err != nil {
-			return fd, err
-		}
-		*d = dec
-	}
 	var err error
+	if fd.dec, err = NewBeamDecoder(p, 8); err != nil {
+		return fd, err
+	}
+	if err := fd.dec.SetSearchMode(mode); err != nil {
+		return fd, err
+	}
 	if fd.obs, err = NewObservations(p.NumSegments()); err != nil {
 		return fd, err
 	}
@@ -72,29 +66,19 @@ func freshFlowDecoders(p Params, mode SearchMode) (flowDecoders, error) {
 	return fd, err
 }
 
-// leaseFlowDecoders leases both decoders of one message from pool; release
-// returns them.
+// leaseFlowDecoders leases one message's decoder from pool; release
+// returns it.
 func leaseFlowDecoders(pool *DecoderPool, p Params, mode SearchMode) (fd flowDecoders, release func(), err error) {
-	var leases []*LeasedDecoder
-	release = func() {
-		for _, l := range leases {
-			l.Release()
-		}
+	l, err := pool.Lease(p, 8)
+	if err != nil {
+		return fd, func() {}, err
 	}
-	for _, d := range []**BeamDecoder{&fd.inc, &fd.root} {
-		l, err := pool.Lease(p, 8)
-		if err != nil {
-			return fd, release, err
-		}
-		leases = append(leases, l)
-		if err := l.Dec.SetSearchMode(mode); err != nil {
-			return fd, release, err
-		}
-		*d = l.Dec
+	if err := l.Dec.SetSearchMode(mode); err != nil {
+		return fd, l.Release, err
 	}
-	fd.obs = leases[0].Obs
-	fd.bits, err = leases[0].Bits()
-	return fd, release, err
+	fd.dec, fd.obs = l.Dec, l.Obs
+	fd.bits, err = l.Bits()
+	return fd, l.Release, err
 }
 
 // checkParallelMatchesSerial decodes parallelWorkers·messagesPerWorker
@@ -113,12 +97,12 @@ func checkParallelMatchesSerial(t *testing.T, p Params, mode SearchMode, decode 
 		if serial[j], err = decode(j, fd); err != nil {
 			t.Fatal(err)
 		}
-		if len(serial[j]) < 4 {
+		if len(serial[j]) < 2 {
 			t.Fatalf("message %d: scenario exercised fewer than two attempts", j)
 		}
 	}
 
-	pool := NewDecoderPool(2 * parallelWorkers)
+	pool := NewDecoderPool(parallelWorkers)
 	parallel := make([][]DecodeResult, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -153,21 +137,20 @@ func checkParallelMatchesSerial(t *testing.T, p Params, mode SearchMode, decode 
 		for a, want := range serial[j] {
 			got := parallel[j][a]
 			if !EqualMessages(got.Message, want.Message, p.MessageBits) || got.Cost != want.Cost ||
-				got.NodesExpanded != want.NodesExpanded || got.NodesRefreshed != want.NodesRefreshed ||
-				got.NodesSaved != want.NodesSaved {
+				got.NodesExpanded != want.NodesExpanded || got.NodesSaved != want.NodesSaved {
 				t.Fatalf("message %d, result %d: parallel %+v differs from serial %+v", j, a, got, want)
 			}
 		}
 	}
 
-	// At most 2·parallelWorkers decoders are ever leased at once and none is
-	// discarded, so every lease beyond the first 2·parallelWorkers reuses a
+	// At most parallelWorkers decoders are ever leased at once and none is
+	// discarded, so every lease beyond the first parallelWorkers reuses a
 	// released decoder.
 	st := pool.Stats()
 	if st.Outstanding != 0 || st.Discards != 0 {
 		t.Fatalf("pool after the run: %+v, want no outstanding leases and no discards", st)
 	}
-	if minHits := uint64(2 * parallelWorkers * (messagesPerWorker - 1)); st.Hits < minHits {
+	if minHits := uint64(parallelWorkers * (messagesPerWorker - 1)); st.Hits < minHits {
 		t.Fatalf("pool served %d leases from its idle cache, want at least %d", st.Hits, minHits)
 	}
 }
@@ -175,7 +158,7 @@ func checkParallelMatchesSerial(t *testing.T, p Params, mode SearchMode, decode 
 // TestParallelMatchesSerialAWGN checks concurrent decoding of different
 // messages against serial decoding over an AWGN channel.
 func TestParallelMatchesSerialAWGN(t *testing.T) {
-	for _, tc := range incrementalCases() {
+	for _, tc := range streamCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			forModes(t, func(t *testing.T, mode SearchMode) {
 				p := tc.params
@@ -199,15 +182,11 @@ func TestParallelMatchesSerialAWGN(t *testing.T) {
 						if (i+1)%tc.attemptEvery != 0 {
 							continue
 						}
-						got, err := fd.inc.Decode(fd.obs)
+						got, err := fd.dec.Decode(fd.obs)
 						if err != nil {
 							return nil, fmt.Errorf("attempt at %d symbols: %w", i+1, err)
 						}
-						fromRoot, err := decodeAttempt(fd.root, fd.obs, true)
-						if err != nil {
-							return nil, fmt.Errorf("attempt at %d symbols from the root: %w", i+1, err)
-						}
-						results = append(results, snapshot(got), snapshot(fromRoot))
+						results = append(results, snapshot(got))
 					}
 					return results, nil
 				})
@@ -219,7 +198,7 @@ func TestParallelMatchesSerialAWGN(t *testing.T) {
 // TestParallelMatchesSerialBSC is the binary-channel counterpart, where the
 // Hamming metric's integer costs make ties common.
 func TestParallelMatchesSerialBSC(t *testing.T) {
-	for _, tc := range incrementalCases() {
+	for _, tc := range streamCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			forModes(t, func(t *testing.T, mode SearchMode) {
 				p := tc.params
@@ -243,15 +222,11 @@ func TestParallelMatchesSerialBSC(t *testing.T) {
 						if (i+1)%tc.attemptEvery != 0 {
 							continue
 						}
-						got, err := fd.inc.DecodeBits(fd.bits)
+						got, err := fd.dec.DecodeBits(fd.bits)
 						if err != nil {
 							return nil, fmt.Errorf("attempt at %d bits: %w", i+1, err)
 						}
-						fromRoot, err := decodeBitsAttempt(fd.root, fd.bits, true)
-						if err != nil {
-							return nil, fmt.Errorf("attempt at %d bits from the root: %w", i+1, err)
-						}
-						results = append(results, snapshot(got), snapshot(fromRoot))
+						results = append(results, snapshot(got))
 					}
 					return results, nil
 				})

@@ -9,13 +9,12 @@ import (
 	"spinal/internal/rng"
 )
 
-// costTail folds the terms of observations idx >= from of the level into
-// one spine's local cost through the batched kernel; from == 0 starts from
-// zero and ignores local.
-func (c *awgnCoster) costTail(local float64, spine uint64, level, from int) float64 {
-	loc := [1]float64{local}
+// cost folds the level's observations into one spine's local cost through
+// the batched kernel.
+func (c *awgnCoster) cost(spine uint64, level int) float64 {
+	var loc [1]float64
 	sp := [1]uint64{spine}
-	c.costTailMany(loc[:], sp[:], level, from)
+	c.costMany(loc[:], sp[:], level)
 	return loc[0]
 }
 
@@ -34,15 +33,12 @@ func (o opaqueMapper) Name() string               { return "opaque-" + o.m.Name(
 
 // scalarAWGNFold is the kernel's oracle: each spine's observations replayed
 // one at a time through symbolFor and added in recording order, starting
-// from zero (from == 0) or from the spine's cached local.
-func scalarAWGNFold(d *BeamDecoder, obs *Observations, level, from int, locals []float64, spines []uint64) []float64 {
+// from zero.
+func scalarAWGNFold(d *BeamDecoder, obs *Observations, level int, spines []uint64) []float64 {
 	out := make([]float64, len(spines))
 	for j, s := range spines {
 		var local float64
-		if from > 0 {
-			local = locals[j]
-		}
-		for _, o := range obs.spines[level][min(from, len(obs.spines[level])):] {
+		for _, o := range obs.spines[level] {
 			x := symbolFor(d.family, d.mapper, d.p.C, s, o.pass)
 			dI := real(o.y) - real(x)
 			dQ := imag(o.y) - imag(x)
@@ -54,14 +50,11 @@ func scalarAWGNFold(d *BeamDecoder, obs *Observations, level, from int, locals [
 }
 
 // scalarBSCFold is the Hamming-metric oracle over codedBitFor.
-func scalarBSCFold(d *BeamDecoder, obs *BitObservations, level, from int, locals []float64, spines []uint64) []float64 {
+func scalarBSCFold(d *BeamDecoder, obs *BitObservations, level int, spines []uint64) []float64 {
 	out := make([]float64, len(spines))
 	for j, s := range spines {
 		var local float64
-		if from > 0 {
-			local = locals[j]
-		}
-		for _, o := range obs.spines[level][min(from, len(obs.spines[level])):] {
+		for _, o := range obs.spines[level] {
 			if codedBitFor(d.family, s, o.pass) != o.bit {
 				local++
 			}
@@ -72,7 +65,7 @@ func scalarBSCFold(d *BeamDecoder, obs *BitObservations, level, from int, locals
 }
 
 // foldPassPatterns are the pass sequences a level's observations can carry:
-// none (a full fold still zeroes its output, a tail fold leaves it alone),
+// none (a fold still zeroes its output),
 // ascending passes (every in-word offset and straddle of the expansion),
 // punctured and out-of-order passes (the word index moves backwards and
 // skips), repeats, and passes past 2^32 coded bits.
@@ -114,7 +107,7 @@ func checkFold(t *testing.T, name string, got, want []float64) {
 // TestCostFoldMatchesScalarReplay pins the observation-major cost kernels to
 // a scalar replay of the encoder: every local cost, for every block length
 // around the kernel's chunk width, every C (so straddling passes fall at
-// every in-word offset), full and tail folds, the table and custom-mapper
+// every in-word offset), the table and custom-mapper
 // AWGN branches and the BSC, has exactly the bits of the sequential fold.
 func TestCostFoldMatchesScalarReplay(t *testing.T) {
 	r := rng.New(17)
@@ -155,39 +148,26 @@ func TestCostFoldMatchesScalarReplay(t *testing.T) {
 				ac.prepareLevel(1)
 				bc := &bscCoster{d: d, obs: bits}
 				bc.prepareLevel(1)
-				n := len(passes)
 				for _, nb := range blocks {
 					spines := make([]uint64, nb)
-					cached := make([]float64, nb)
 					for j := range spines {
 						spines[j] = r.Uint64()
-						cached[j] = float64(r.Intn(1000)) + r.Float64()
 					}
-					for _, from := range []int{0, 1, n / 2, n} {
-						name := fmt.Sprintf("C=%d/%s/%s/block=%d/from=%d", c, mname, pname, nb, from)
-						locals := make([]float64, nb)
-						if from == 0 {
-							for j := range locals {
-								locals[j] = math.NaN() // a full fold must overwrite
-							}
-						} else {
-							copy(locals, cached)
-						}
-						ac.costTailMany(locals, spines, 1, from)
-						checkFold(t, name+"/awgn", locals, scalarAWGNFold(d, obs, 1, from, cached, spines))
-						if mname == "opaque" {
-							continue // the BSC fold does not use the mapper
-						}
-						if from == 0 {
-							for j := range locals {
-								locals[j] = math.NaN()
-							}
-						} else {
-							copy(locals, cached)
-						}
-						bc.costTailMany(locals, spines, 1, from)
-						checkFold(t, name+"/bsc", locals, scalarBSCFold(d, bits, 1, from, cached, spines))
+					name := fmt.Sprintf("C=%d/%s/%s/block=%d", c, mname, pname, nb)
+					locals := make([]float64, nb)
+					for j := range locals {
+						locals[j] = math.NaN() // a fold must overwrite
 					}
+					ac.costMany(locals, spines, 1)
+					checkFold(t, name+"/awgn", locals, scalarAWGNFold(d, obs, 1, spines))
+					if mname == "opaque" {
+						continue // the BSC fold does not use the mapper
+					}
+					for j := range locals {
+						locals[j] = math.NaN()
+					}
+					bc.costMany(locals, spines, 1)
+					checkFold(t, name+"/bsc", locals, scalarBSCFold(d, bits, 1, spines))
 				}
 			}
 		}
@@ -230,7 +210,7 @@ func TestReplayPastPassWrap(t *testing.T) {
 		ac := awgnCosterFor(d, obs)
 		for s, sv := range e.Spine() {
 			ac.prepareLevel(s)
-			if got := ac.costTail(0, sv, s, 0); got != 0 {
+			if got := ac.cost(sv, s); got != 0 {
 				t.Fatalf("C=%d spine %d: own-spine replay cost %v over passes %d..%d, want 0",
 					c, s, got, wrap-span, wrap+span-1)
 			}
@@ -272,10 +252,10 @@ func TestCostFoldAllocs(t *testing.T) {
 		ac.prepareLevel(0)
 		bc := &bscCoster{d: d, obs: bits}
 		bc.prepareLevel(0)
-		if n := testing.AllocsPerRun(20, func() { ac.costTailMany(locals, spines, 0, 0) }); n != 0 {
+		if n := testing.AllocsPerRun(20, func() { ac.costMany(locals, spines, 0) }); n != 0 {
 			t.Errorf("%s awgn fold: %v allocs/op, want 0", tc.name, n)
 		}
-		if n := testing.AllocsPerRun(20, func() { bc.costTailMany(locals, spines, 0, 0) }); n != 0 {
+		if n := testing.AllocsPerRun(20, func() { bc.costMany(locals, spines, 0) }); n != 0 {
 			t.Errorf("%s bsc fold: %v allocs/op, want 0", tc.name, n)
 		}
 	}
@@ -283,11 +263,9 @@ func TestCostFoldAllocs(t *testing.T) {
 
 // BenchmarkCostFold measures the AWGN cost kernel, in ns per node (one
 // spine's fold), over a 256-spine range split into the engine's 2^K-child
-// blocks. A full fold (from = 0) replays the hash expansion of obs
-// observations; a fresh rebuild is what a freshly expanded node costs: the
-// parent's children are hashed (hash.Family.Children) and then given a full
-// fold; a tail fold adds one new observation to a level that already folded
-// obs of them, as a cached refresh does.
+// blocks. A full fold replays the hash expansion of obs observations; a
+// fresh rebuild is what an expanded node costs: the parent's children are
+// hashed (hash.Family.Children) and then given a full fold.
 func BenchmarkCostFold(b *testing.B) {
 	const nodes = 256
 	r := rng.New(9)
@@ -298,23 +276,19 @@ func BenchmarkCostFold(b *testing.B) {
 	locals := make([]float64, nodes)
 	for _, k := range []int{4, 8} {
 		for _, nObs := range []int{1, 4, 8} {
-			for _, mode := range []string{"fresh", "full", "tail"} {
+			for _, mode := range []string{"fresh", "full"} {
 				b.Run(fmt.Sprintf("K=%d/obs=%d/%s", k, nObs, mode), func(b *testing.B) {
 					p := Params{K: k, C: 10, MessageBits: 2 * k, Seed: 11}
 					d, _ := NewBeamDecoder(p, 16)
 					obs, _ := NewObservations(p.NumSegments())
-					total, from := nObs, 0
-					if mode == "tail" {
-						total, from = nObs+1, nObs
-					}
-					for pass := 0; pass < total; pass++ {
+					for pass := 0; pass < nObs; pass++ {
 						obs.Add(SymbolPos{Spine: 0, Pass: pass}, complex(r.NormFloat64(), r.NormFloat64()))
 					}
 					c := awgnCosterFor(d, obs)
 					c.prepareLevel(0)
 					block := 1 << k
 					// A fresh rebuild hashes each block from its own parent
-					// into kids; the other modes fold the fixed spines.
+					// into kids; a full fold folds the fixed spines.
 					kids := make([]uint64, nodes)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
@@ -324,7 +298,7 @@ func BenchmarkCostFold(b *testing.B) {
 								sp = kids[lo : lo+block]
 								d.family.Children(sp, spines[lo])
 							}
-							c.costTailMany(locals[lo:lo+block], sp, 0, from)
+							c.costMany(locals[lo:lo+block], sp, 0)
 						}
 					}
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nodes), "ns/node")

@@ -20,18 +20,11 @@ import (
 // observations can still disambiguate them; this is what allows decoding from
 // fewer than n/k symbols and therefore rates above k bits/symbol.
 //
-// The decoder is incremental across attempts: it keeps a workspace with the
-// per-level frontiers, the pre-pruning child expansions and their
-// per-level observation costs from the previous Decode call. When the same
-// observation container is decoded again after new symbols arrived, the beam
-// search resumes from the first dirty level, and levels whose parent frontier
-// is structurally unchanged refresh cached children with only the cost of the
-// new observations — no hash replay and no recomputation of symbols for
-// passes already folded in. A transmission that needs P passes therefore
-// costs O(P) total expansion work instead of the O(P²) of from-scratch
-// attempts, while producing bit-identical results (the refresh performs the
-// exact same floating-point additions, in the same order, that a full rerun
-// would). A container the decoder has not seen before decodes from the root.
+// Every Decode is a search from the root over the observations the
+// container holds at that moment: the decoder carries nothing from one call
+// to the next but reusable buffers, so its result depends only on the
+// observations and the decoder's configuration, and decoding the same
+// container twice costs twice the work.
 //
 // A decode runs entirely on its caller's goroutine, and a decoder is not safe
 // for concurrent use. Concurrency comes from decoding different messages at
@@ -56,9 +49,8 @@ type BeamDecoder struct {
 	// the exact search.
 	search SearchMode
 
-	nodesExpanded  int
-	nodesRefreshed int
-	nodesSaved     int
+	nodesExpanded int
+	nodesSaved    int
 
 	eng *engine
 
@@ -154,27 +146,13 @@ func (d *BeamDecoder) SetMaxCandidates(n int) error {
 		return fmt.Errorf("core: max candidates %d must be at least the beam width %d", n, d.b)
 	}
 	d.maxCand = n
-	d.invalidateWorkspace()
 	return nil
 }
 
-// invalidateWorkspace discards the engine's cached incremental state.
-func (d *BeamDecoder) invalidateWorkspace() {
-	d.eng.ws.invalidate()
-}
-
-// NodesExpanded reports the number of tree nodes freshly expanded (one hash
+// NodesExpanded reports the number of tree nodes expanded (one hash
 // evaluation plus a full cost computation each) by the most recent Decode
 // call; it is the decoder's computational cost in the paper's unit of work.
-// Cached nodes whose costs were merely refreshed are counted separately by
-// NodesRefreshed.
 func (d *BeamDecoder) NodesExpanded() int { return d.nodesExpanded }
-
-// NodesRefreshed reports the number of cached tree nodes whose costs were
-// updated in place by the most recent Decode call — no hash replay, only the
-// cost terms of observations that arrived since the node's level was last
-// folded.
-func (d *BeamDecoder) NodesRefreshed() int { return d.nodesRefreshed }
 
 // NodesSaved reports the estimated number of child expansions the most
 // recent Decode call avoided through approximate search: each node the
@@ -189,21 +167,16 @@ type DecodeResult struct {
 	// Cost is the accumulated distance of the returned message's symbols to
 	// the observations (squared Euclidean for AWGN, Hamming for BSC).
 	Cost float64
-	// NodesExpanded is the number of decoding-tree nodes freshly evaluated
-	// (hash replay plus full cost) in this attempt.
+	// NodesExpanded is the number of decoding-tree nodes evaluated (hash
+	// replay plus full cost) in this attempt.
 	NodesExpanded int
-	// NodesRefreshed is the number of cached nodes reused from the previous
-	// attempt with an in-place cost update.
-	NodesRefreshed int
 	// NodesSaved is the estimated number of child expansions avoided by
 	// approximate search (see BeamDecoder.NodesSaved); zero in exact mode.
 	NodesSaved int
 }
 
 // Decode runs the beam search against AWGN-channel observations and returns
-// the most likely message under the received symbols so far. Repeated calls
-// with the same container resume incrementally from the first level whose
-// observations changed.
+// the most likely message under the received symbols so far.
 func (d *BeamDecoder) Decode(obs *Observations) (*DecodeResult, error) {
 	if obs == nil {
 		return nil, fmt.Errorf("core: nil observations")
@@ -214,15 +187,13 @@ func (d *BeamDecoder) Decode(obs *Observations) (*DecodeResult, error) {
 	}
 	c := &d.awgnC
 	c.d, c.obs, c.tab = d, obs, d.dimTab
-	out := d.eng.run(c, obs, obs.Generation(), obs.Epoch(), obs.cleanGen, obs.DirtyLevel())
+	out := d.eng.run(c)
 	c.obs = nil // do not pin the container between decodes
-	obs.MarkClean()
 	return out, nil
 }
 
 // DecodeBits runs the beam search against binary-channel observations using
-// the Hamming metric, which is the ML rule for the BSC (§3.2). It is
-// incremental in the same way as Decode.
+// the Hamming metric, which is the ML rule for the BSC (§3.2).
 func (d *BeamDecoder) DecodeBits(obs *BitObservations) (*DecodeResult, error) {
 	if obs == nil {
 		return nil, fmt.Errorf("core: nil observations")
@@ -233,9 +204,8 @@ func (d *BeamDecoder) DecodeBits(obs *BitObservations) (*DecodeResult, error) {
 	}
 	c := &d.bscC
 	c.d, c.obs = d, obs
-	out := d.eng.run(c, obs, obs.Generation(), obs.Epoch(), obs.cleanGen, obs.DirtyLevel())
+	out := d.eng.run(c)
 	c.obs = nil
-	obs.MarkClean()
 	return out, nil
 }
 
@@ -253,7 +223,7 @@ const noWord = ^uint64(0)
 // the bit offset 2c·pass at which each pass reads the spine expansion,
 // computed in 64 bits exactly as the encoder's BitRange computes it.
 //
-// costTailMany is observation-major: it walks its spines in chunks of
+// costMany is observation-major: it walks its spines in chunks of
 // foldChunk, and for each observation it runs one loop over the chunk that
 // extracts every spine's 2c-bit symbol word from the chunk's expansion
 // words and adds the observation's term dI²+dQ² to that spine's sum. The
@@ -265,11 +235,10 @@ const noWord = ^uint64(0)
 // runs over independent spines, so hash replay, table loads and adds of
 // different spines overlap instead of waiting on one another, as they would
 // in a walk of one spine through all its observations. Every spine still
-// receives its terms one at a time in recording order, starting from zero or
-// from its cached sum, so each cost has exactly the bits of the sequential
-// symbolFor replay. With the mapper's per-dimension table a symbol costs two
-// array loads; a custom mapper without one goes through Mapper.Map, in loops
-// of its own.
+// receives its terms one at a time in recording order, starting from zero,
+// so each cost has exactly the bits of the sequential symbolFor replay. With
+// the mapper's per-dimension table a symbol costs two array loads; a custom
+// mapper without one goes through Mapper.Map, in loops of its own.
 type awgnCoster struct {
 	d   *BeamDecoder
 	obs *Observations
@@ -281,7 +250,7 @@ type awgnCoster struct {
 	yQ     []float64
 	starts []uint
 
-	// w and nw are costTailMany's expansion-word buffers. They live here,
+	// w and nw are costMany's expansion-word buffers. They live here,
 	// not on its stack, so a call does not zero 1 KiB per parent block.
 	w, nw [foldChunk]uint64
 }
@@ -302,23 +271,21 @@ func (c *awgnCoster) prepareLevel(level int) {
 	}
 }
 
-func (c *awgnCoster) costTailMany(locals []float64, spines []uint64, level, from int) {
-	if from == 0 {
-		clear(locals) // a full fold owns its output
-	}
-	if from >= len(c.starts) {
+func (c *awgnCoster) costMany(locals []float64, spines []uint64, level int) {
+	clear(locals)
+	if len(c.starts) == 0 {
 		return
 	}
 	for lo := 0; lo < len(spines); lo += foldChunk {
 		hi := min(lo+foldChunk, len(spines))
-		c.foldChunk(locals[lo:hi], spines[lo:hi], c.w[:hi-lo], c.nw[:hi-lo], from)
+		c.foldChunk(locals[lo:hi], spines[lo:hi], c.w[:hi-lo], c.nw[:hi-lo])
 	}
 }
 
-// foldChunk adds the terms of observations from.. to the sums loc of one
+// foldChunk adds the terms of the level's observations to the sums loc of one
 // chunk of spines, with w as the chunk's expansion-word buffer and nw as the
 // buffer a straddling pass fetches the next words into.
-func (c *awgnCoster) foldChunk(loc []float64, spines, w, nw []uint64, from int) {
+func (c *awgnCoster) foldChunk(loc []float64, spines, w, nw []uint64) {
 	loc, spines, nw = loc[:len(w)], spines[:len(w)], nw[:len(w)]
 	fam, mapper, tab := c.d.family, c.d.mapper, c.tab
 	m := uint(len(tab) - 1) // len(tab) == 2^c, so m masks one dimension
@@ -326,7 +293,7 @@ func (c *awgnCoster) foldChunk(loc []float64, spines, w, nw []uint64, from int) 
 	width := 2 * cc
 	wmask := uint64(1)<<width - 1
 	wi := noWord // index of the expansion word held in w
-	for i := from; i < len(c.starts); i++ {
+	for i := range c.starts {
 		start := c.starts[i]
 		idx, off := uint32(start/64), start%64
 		if uint64(idx) != wi {
@@ -391,7 +358,7 @@ type bscCoster struct {
 	d   *BeamDecoder
 	obs *BitObservations
 
-	// w is costTailMany's expansion-word buffer, kept off its stack like
+	// w is costMany's expansion-word buffer, kept off its stack like
 	// awgnCoster's.
 	w [foldChunk]uint64
 }
@@ -400,29 +367,26 @@ func (c *bscCoster) numObs(level int) int { return len(c.obs.spines[level]) }
 
 func (c *bscCoster) prepareLevel(level int) {}
 
-func (c *bscCoster) costTailMany(locals []float64, spines []uint64, level, from int) {
-	if from == 0 {
-		clear(locals) // a full fold owns its output
-	}
+func (c *bscCoster) costMany(locals []float64, spines []uint64, level int) {
+	clear(locals)
 	obs := c.obs.spines[level]
-	if from >= len(obs) {
+	if len(obs) == 0 {
 		return
 	}
-	tail := obs[from:]
 	fam := c.d.family
 	for lo := 0; lo < len(spines); lo += foldChunk {
 		hi := min(lo+foldChunk, len(spines))
 		ws, loc, sp := c.w[:hi-lo], locals[lo:hi], spines[lo:hi]
 		loc = loc[:len(ws)]
 		wi := noWord
-		for i := range tail {
-			p := uint(tail[i].pass)
+		for i := range obs {
+			p := uint(obs[i].pass)
 			if idx := uint32(p / 64); uint64(idx) != wi {
 				fam.Words(ws, sp, idx)
 				wi = uint64(idx)
 			}
 			// A mismatch adds 1, a match adds 0: the same sums as counting.
-			sh, bit := 63-p%64, uint64(tail[i].bit)
+			sh, bit := 63-p%64, uint64(obs[i].bit)
 			for j, x := range ws {
 				loc[j] += float64(x>>sh&1 ^ bit)
 			}

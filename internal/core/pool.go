@@ -8,14 +8,13 @@ import (
 // DecoderPool caches fully constructed (BeamDecoder, Observations) pairs
 // keyed by code parameters and beam width, so that a serving path handling
 // many concurrent messages — the flow-multiplexed link receiver in
-// particular — reuses decoders (and their incremental workspaces) across
-// messages and flows instead of rebuilding them per message.
+// particular — reuses decoders (and their search buffers) across messages
+// and flows instead of rebuilding them per message.
 //
 // The pool hands decoders out as leases: Lease returns an idle decoder for
 // the requested parameters (or builds a fresh one on a miss) and
 // LeasedDecoder.Release puts it back. A released pair is reset before it is
-// cached — Observations.Reset bumps the container's epoch, which forces the
-// decoder's next Decode to rebuild from the root, and any per-lease tuning
+// cached — the observation containers are emptied and any per-lease tuning
 // (the unobserved-level cap, the search strategy) is reverted to
 // construction defaults — so a pooled decoder is bit-identical in behaviour
 // to a freshly constructed one; only allocations are recycled. The total
@@ -93,8 +92,7 @@ func (l *LeasedDecoder) Bits() (*BitObservations, error) {
 }
 
 // Reset returns the lease to fresh-decoder behaviour without returning it
-// to the pool: the observation containers are cleared (the epoch bump
-// forces the next Decode to rebuild from the root) and any per-lease
+// to the pool: the observation containers are cleared and any per-lease
 // decoder tuning — the unobserved-level cap, the search strategy — reverts
 // to construction defaults. A caller holding one lease across many trials
 // (the experiment runner's per-worker reuse) therefore gets bit-identical
@@ -105,11 +103,7 @@ func (l *LeasedDecoder) Reset() {
 		l.bitObs.Reset()
 	}
 	l.Dec.SetSearchMode(SearchExact) // cannot fail: exact is always valid
-	def := DefaultMaxCandidates(l.Dec.p, l.Dec.b)
-	if l.Dec.maxCand != def {
-		l.Dec.maxCand = def
-		l.Dec.invalidateWorkspace()
-	}
+	l.Dec.maxCand = DefaultMaxCandidates(l.Dec.p, l.Dec.b)
 }
 
 // NewDecoderPool returns a pool that caches up to capacity idle decoders
@@ -153,8 +147,7 @@ func LeaseKey(params Params, beamWidth int) string {
 
 // Lease checks a decoder for the given parameters out of the pool, building
 // one if no idle decoder matches. The returned lease's Obs container is
-// empty and its decoder workspace will rebuild from the root on the first
-// Decode, exactly like a fresh decoder.
+// empty and its decoder behaves exactly like a fresh one.
 func (p *DecoderPool) Lease(params Params, beamWidth int) (*LeasedDecoder, error) {
 	key := keyFor(params, beamWidth)
 	p.mu.Lock()
@@ -190,10 +183,8 @@ func (p *DecoderPool) Lease(params Params, beamWidth int) (*LeasedDecoder, error
 	return &LeasedDecoder{Dec: dec, Obs: obs, key: key, pool: p, leased: true}, nil
 }
 
-// Release returns the lease to its pool. The observation container is reset
-// (bumping its epoch, which invalidates the decoder's incremental workspace
-// for the next user); if the pool is at capacity the decoder is dropped
-// instead. Release is idempotent: returning the same lease twice is
+// Release returns the lease to its pool. The lease is Reset for the next
+// user; if the pool is at capacity the decoder is dropped instead. Release is idempotent: returning the same lease twice is
 // a no-op, so eviction races in callers cannot double-cache a decoder.
 func (l *LeasedDecoder) Release() {
 	if l == nil || l.pool == nil {

@@ -10,11 +10,10 @@ import "fmt"
 // symbol, and at those attempts the unobserved levels' full breadth — times
 // 2^k children each — dominates the expansion count.
 //
-// The cap cannot cost a decode that could succeed. A level that gains its
-// first observation is dirty, so the incremental resume re-selects it, and
-// every level below it, from evidence with no cap applied: once every level
-// has at least one observation an approximate decode returns exactly what
-// the exact search returns. Before that, some segment of the decoded message
+// The cap cannot cost a decode that could succeed. Every attempt searches
+// from the root and applies the cap only to levels that have no observation
+// yet: once every level has at least one observation an approximate decode
+// returns exactly what the exact search returns. Before that, some segment of the decoded message
 // is a blind guess, which the CRC rejects except by chance.
 
 // SearchMode selects the decoder's tree-search strategy.
@@ -62,22 +61,16 @@ func bubbleParents(b int) int {
 	return max(2, b/8)
 }
 
-// SetSearchMode installs a search strategy on the decoder. Switching
-// strategies invalidates the incremental workspace — frontiers capped under
-// one strategy do not describe another — so the next Decode rebuilds from
-// the root. SearchExact restores the exact search, which is bit-identical to
-// a decoder that never had the approximate mode installed.
+// SetSearchMode installs a search strategy for the decoder's next Decode.
+// SearchExact restores the exact search, which is bit-identical to a decoder
+// that never had the approximate mode installed.
 func (d *BeamDecoder) SetSearchMode(m SearchMode) error {
 	switch m {
 	case SearchExact, SearchApprox:
 	default:
 		return fmt.Errorf("core: unknown search mode %d", uint8(m))
 	}
-	if m == d.search {
-		return nil
-	}
 	d.search = m
-	d.invalidateWorkspace()
 	return nil
 }
 

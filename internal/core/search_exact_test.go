@@ -12,9 +12,8 @@ import (
 // This file pins the exact-search decoder to golden fingerprints recorded
 // from the decoder as it stood before the approximate-search modes landed.
 // SearchExact must remain bit-identical to that decoder — same messages, same
-// costs, same NodesExpanded/NodesRefreshed — resuming incrementally or
-// decoding every attempt from the root. Any engine
-// change that perturbs the exact path trips these constants.
+// costs, and the NodesExpanded of a decode from the root. Any engine change
+// that perturbs the exact path trips these constants.
 
 // exactPinParams is the fixed operating point the fingerprints are recorded
 // at: the Figure 2 code geometry with a shorter message so the matrix of
@@ -80,12 +79,11 @@ func bscPinStream(t *testing.T, trial int) (msg []byte, byPass [][]byte) {
 	return msg, byPass
 }
 
-// exactFingerprints decodes the fixed trial set under one configuration and
-// returns two FNV-1a fingerprints: one over the decode results (message bytes
-// and exact cost bits — identical across incremental on/off) and one over the
-// work counters (NodesExpanded/NodesRefreshed — different between
-// incremental on/off).
-func exactFingerprints(t *testing.T, incremental, bits bool) (result, work uint64) {
+// exactFingerprints decodes the fixed trial set over one channel kind with
+// one reused decoder and returns two FNV-1a fingerprints: one over the
+// decode results (message bytes and exact cost bits) and one over the work
+// counters.
+func exactFingerprints(t *testing.T, bits bool) (result, work uint64) {
 	t.Helper()
 	p := exactPinParams()
 	dec, err := NewBeamDecoder(p, exactPinBeam)
@@ -96,7 +94,9 @@ func exactFingerprints(t *testing.T, incremental, bits bool) (result, work uint6
 	hr, hw := fnv.New64a(), fnv.New64a()
 	record := func(trial, pass int, out *DecodeResult) {
 		fmt.Fprintf(hr, "%d/%d:%x:%x;", trial, pass, out.Message, math.Float64bits(out.Cost))
-		fmt.Fprintf(hw, "%d/%d:%d:%d;", trial, pass, out.NodesExpanded, out.NodesRefreshed)
+		// The trailing 0 is the refreshed-node count of the decoder the
+		// goldens were recorded from, which a decode from the root left at 0.
+		fmt.Fprintf(hw, "%d/%d:%d:0;", trial, pass, out.NodesExpanded)
 	}
 	for trial := 0; trial < exactPinTrials; trial++ {
 		if bits {
@@ -111,7 +111,7 @@ func exactFingerprints(t *testing.T, incremental, bits bool) (result, work uint6
 						t.Fatal(err)
 					}
 				}
-				out, err := decodeBitsAttempt(dec, obs, !incremental)
+				out, err := dec.DecodeBits(obs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -129,7 +129,7 @@ func exactFingerprints(t *testing.T, incremental, bits bool) (result, work uint6
 						t.Fatal(err)
 					}
 				}
-				out, err := decodeAttempt(dec, obs, !incremental)
+				out, err := dec.Decode(obs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -140,46 +140,36 @@ func exactFingerprints(t *testing.T, incremental, bits bool) (result, work uint6
 	return hr.Sum64(), hw.Sum64()
 }
 
-// Golden fingerprints recorded from the pre-approximate-search decoder.
-// Keyed by channel kind (results) plus incremental mode (work); "float64"
-// names the path-cost arithmetic they were recorded with.
+// Golden fingerprints recorded from the pre-approximate-search decoder,
+// keyed by channel kind; "float64" names the path-cost arithmetic they were
+// recorded with.
 var exactPinResultGolden = map[string]uint64{
 	"awgn/float64": 0x1268fe4ab3350bfd,
 	"bsc/float64":  0x4ecfefbb8904a834,
 }
 
 var exactPinWorkGolden = map[string]uint64{
-	// Every from-scratch run expands the same tree shape.
-	"awgn/float64/inc":     0x288650d93a80269c,
-	"awgn/float64/scratch": 0x9e2c2d02c5e24b85,
-	"bsc/float64/inc":      0x84105db0776089b8,
-	"bsc/float64/scratch":  0x9e2c2d02c5e24b85,
+	// Every decode from the root expands the same tree shape.
+	"awgn/float64": 0x9e2c2d02c5e24b85,
+	"bsc/float64":  0x9e2c2d02c5e24b85,
 }
 
-// TestExactSearchPinnedToPreApproxDecoder pins exact-mode decodes across
-// incremental {on,off} × channel {AWGN,BSC} to the golden fingerprints
-// recorded before the approximate-search engine changes.
+// TestExactSearchPinnedToPreApproxDecoder pins exact-mode decodes over
+// channel {AWGN,BSC} to the golden fingerprints recorded before the
+// approximate-search engine changes.
 func TestExactSearchPinnedToPreApproxDecoder(t *testing.T) {
 	for _, bits := range []bool{false, true} {
 		kind := "awgn"
 		if bits {
 			kind = "bsc"
 		}
-		for _, incremental := range []bool{true, false} {
-			mode := "inc"
-			if !incremental {
-				mode = "scratch"
-			}
-			result, work := exactFingerprints(t, incremental, bits)
-			rKey := kind + "/float64"
-			wKey := rKey + "/" + mode
-			if want := exactPinResultGolden[rKey]; result != want {
-				t.Errorf("result fingerprint %s (inc=%v) = %#016x, want %#016x",
-					rKey, incremental, result, want)
-			}
-			if want := exactPinWorkGolden[wKey]; work != want {
-				t.Errorf("work fingerprint %s = %#016x, want %#016x", wKey, work, want)
-			}
+		result, work := exactFingerprints(t, bits)
+		key := kind + "/float64"
+		if want := exactPinResultGolden[key]; result != want {
+			t.Errorf("result fingerprint %s = %#016x, want %#016x", key, result, want)
+		}
+		if want := exactPinWorkGolden[key]; work != want {
+			t.Errorf("work fingerprint %s = %#016x, want %#016x", key, work, want)
 		}
 	}
 }

@@ -169,9 +169,10 @@ func capStream(t *testing.T, seed uint64, sigma float64, passes int, obs []*Obse
 }
 
 // pinSearchTranscript decodes two seeded capParams transmissions symbol by
-// symbol under one (mode, incremental) configuration and returns every
-// attempt's result.
-func pinSearchTranscript(t *testing.T, mode SearchMode, incremental bool) []DecodeResult {
+// symbol under one search mode and returns every attempt's result. With
+// reuse set one decoder runs every attempt; otherwise each attempt gets a
+// fresh decoder.
+func pinSearchTranscript(t *testing.T, mode SearchMode, reuse bool) []DecodeResult {
 	t.Helper()
 	dec := newCapDecoder(t, mode)
 	var outs []DecodeResult
@@ -181,7 +182,10 @@ func pinSearchTranscript(t *testing.T, mode SearchMode, incremental bool) []Deco
 			t.Fatal(err)
 		}
 		capStream(t, trial*0x9e3779b9, 0.22, 4, []*Observations{obs}, func(int) {
-			out, err := decodeAttempt(dec, obs, !incremental)
+			if !reuse {
+				dec = newCapDecoder(t, mode)
+			}
+			out, err := dec.Decode(obs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -197,18 +201,19 @@ func sameResult(a, b *DecodeResult) bool {
 	return string(a.Message) == string(b.Message) && a.Cost == b.Cost
 }
 
-// TestApproxIncrementalMatchesScratch checks that the bubble cap composes
-// with incremental reuse exactly: resumed attempts produce the same
-// messages and costs as from-scratch ones, for both modes. (The work
-// counters legitimately differ.)
+// TestApproxIncrementalMatchesScratch checks that the bubble cap leaves
+// nothing behind in a reused decoder: one decoder attempting after every
+// symbol produces the same messages, costs and work counters as a fresh
+// decoder per attempt, for both modes.
 func TestApproxIncrementalMatchesScratch(t *testing.T) {
 	for _, mode := range searchModes {
-		inc := pinSearchTranscript(t, mode, true)
-		scratch := pinSearchTranscript(t, mode, false)
-		for i := range inc {
-			if !sameResult(&inc[i], &scratch[i]) {
-				t.Fatalf("%v: incremental diverged from scratch at attempt %d: %+v vs %+v",
-					mode, i, inc[i], scratch[i])
+		reused := pinSearchTranscript(t, mode, true)
+		fresh := pinSearchTranscript(t, mode, false)
+		for i := range reused {
+			r, f := &reused[i], &fresh[i]
+			if !sameResult(r, f) || r.NodesExpanded != f.NodesExpanded || r.NodesSaved != f.NodesSaved {
+				t.Fatalf("%v: reused decoder diverged from a fresh one at attempt %d: %+v vs %+v",
+					mode, i, *r, *f)
 			}
 		}
 	}
@@ -218,7 +223,7 @@ func TestApproxIncrementalMatchesScratch(t *testing.T) {
 // bubble cap: symbols arrive one at a time in striped order, and on every
 // attempt where each level has at least one observation the approximate
 // decode returns the exact decode's message and cost while expanding no more
-// nodes. It sweeps noise levels and incremental on/off.
+// nodes. It sweeps noise levels.
 func TestApproxEqualsExactOnceObserved(t *testing.T) {
 	nseg := capParams().NumSegments()
 	sigmas := []float64{0.1, 0.22, 0.4, 0.7}
@@ -227,39 +232,37 @@ func TestApproxEqualsExactOnceObserved(t *testing.T) {
 		trials, passes = 2, 4
 	}
 	compared, saved := 0, 0
-	for _, incremental := range []bool{true, false} {
-		exactDec := newCapDecoder(t, SearchExact)
-		approxDec := newCapDecoder(t, SearchApprox)
-		for si, sigma := range sigmas {
-			for trial := 0; trial < trials; trial++ {
-				var obs [2]*Observations
-				for i := range obs {
-					var err error
-					if obs[i], err = NewObservations(nseg); err != nil {
-						t.Fatal(err)
-					}
+	exactDec := newCapDecoder(t, SearchExact)
+	approxDec := newCapDecoder(t, SearchApprox)
+	for si, sigma := range sigmas {
+		for trial := 0; trial < trials; trial++ {
+			var obs [2]*Observations
+			for i := range obs {
+				var err error
+				if obs[i], err = NewObservations(nseg); err != nil {
+					t.Fatal(err)
 				}
-				seed := uint64(si*trials+trial+1) * 0x9e3779b97f4a7c15
-				capStream(t, seed, sigma, passes, obs[:], func(sent int) {
-					exact, err := decodeAttempt(exactDec, obs[0], !incremental)
-					if err != nil {
-						t.Fatal(err)
-					}
-					approx, err := decodeAttempt(approxDec, obs[1], !incremental)
-					if err != nil {
-						t.Fatal(err)
-					}
-					saved += approx.NodesSaved
-					if sent < nseg {
-						return // some level is still unobserved
-					}
-					compared++
-					if !sameResult(exact, approx) || approx.NodesExpanded > exact.NodesExpanded {
-						t.Fatalf("inc=%v sigma=%v trial %d symbol %d: approx %+v, exact %+v",
-							incremental, sigma, trial, sent, *approx, *exact)
-					}
-				})
 			}
+			seed := uint64(si*trials+trial+1) * 0x9e3779b97f4a7c15
+			capStream(t, seed, sigma, passes, obs[:], func(sent int) {
+				exact, err := exactDec.Decode(obs[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				approx, err := approxDec.Decode(obs[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				saved += approx.NodesSaved
+				if sent < nseg {
+					return // some level is still unobserved
+				}
+				compared++
+				if !sameResult(exact, approx) || approx.NodesExpanded > exact.NodesExpanded {
+					t.Fatalf("sigma=%v trial %d symbol %d: approx %+v, exact %+v",
+						sigma, trial, sent, *approx, *exact)
+				}
+			})
 		}
 	}
 	if compared == 0 || saved == 0 {
@@ -366,7 +369,7 @@ func TestLeasedDecoderMatchesFreshAcrossSearch(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got.Cost != want.Cost || got.NodesExpanded != want.NodesExpanded ||
-				got.NodesRefreshed != want.NodesRefreshed || got.NodesSaved != want.NodesSaved ||
+				got.NodesSaved != want.NodesSaved ||
 				!EqualMessages(got.Message, want.Message, p.MessageBits) {
 				t.Fatalf("search %v pass %d: leased diverged from fresh: %+v vs %+v",
 					search, pass, got, want)

@@ -36,13 +36,13 @@ import (
 // the attempts queued beyond that one, concurrently with ingest. Pending
 // attempts are scheduled round-robin over the flows that have work — not
 // FIFO over frames — so one chatty flow cannot starve the others; within a
-// flow, attempts run oldest-first. A message's decoder is serialized by a
-// per-message mutex, which keeps its incremental workspace valid no matter
-// which worker runs the attempt.
+// flow, attempts run oldest-first. A message's attempts are serialized by a
+// per-message mutex, since its decoder and observations are not safe for
+// concurrent use; any worker may run any attempt.
 //
 // Decoders are not built per message: they are leased from a shared
-// core.DecoderPool keyed by code parameters, so the (expensive) incremental
-// workspaces are recycled across messages and across flows. The pool keeps
+// core.DecoderPool keyed by code parameters, so their search buffers are
+// recycled across messages and across flows. The pool keeps
 // up to core.DefaultDecoderPoolCapacity idle decoders.
 //
 // Bounded state, three ways: MaxTrackedPerFlow caps the in-flight messages
@@ -145,9 +145,8 @@ type flowState struct {
 
 // msgState tracks the decoding progress of one packet of one flow. The
 // decoder lease lives for the whole packet; attempts are serialized by
-// decodeMu, so every attempt after the first resumes the beam search
-// incrementally from the first spine value that received new symbols. The
-// ingest goroutine communicates with the workers through the mu-guarded
+// decodeMu, and each runs the beam search from the root over every symbol
+// received so far. The ingest goroutine communicates with the workers through the mu-guarded
 // pending buffer.
 type msgState struct {
 	flow   uint32
@@ -765,11 +764,11 @@ func (r *Receiver) FlowSymbolsReceived(flowID, msgID uint32) int {
 	return 0
 }
 
-// FlowNodesExpanded reports the total decoding-tree nodes freshly expanded
-// across all decode attempts for a message of a flow — the receiver's
+// FlowNodesExpanded reports the total decoding-tree nodes expanded across
+// all decode attempts for a message of a flow — the receiver's
 // computational cost for the packet. Every attempt counts: an attempt that
 // fails its CRC check costs about as much as the one that succeeds, because
-// most nodes of a resumed decode are fresh, which is why the flow's decode
+// every attempt searches from the root, which is why the flow's decode
 // threshold holds back attempts that cannot succeed yet.
 func (r *Receiver) FlowNodesExpanded(flowID, msgID uint32) int64 {
 	fs, ok := r.flows[flowID]
@@ -1418,9 +1417,8 @@ func (e *flowEngine) spareBatch() rxBatch {
 }
 
 // attempt runs one decode attempt for a message: drain its pending symbols
-// into the observations, resume the (incremental) beam search, and on a CRC
-// match mark it delivered, release its decoder lease back to the pool, and
-// send the ack.
+// into the observations, run the beam search, and on a CRC match mark it
+// delivered, release its decoder lease back to the pool, and send the ack.
 func (e *flowEngine) attempt(st *msgState) (*Delivered, error) {
 	st.decodeMu.Lock()
 	defer st.decodeMu.Unlock()
@@ -1447,8 +1445,7 @@ func (e *flowEngine) attempt(st *msgState) (*Delivered, error) {
 	var count int
 	err := func() error {
 		// The whole drained batch lands in the observations through one
-		// AddBatch: one generation bump and one dirty-level update per
-		// attempt instead of one per symbol.
+		// AddBatch.
 		if err := lease.Obs.AddBatch(pending.pos, pending.y); err != nil {
 			return err
 		}
@@ -1463,10 +1460,7 @@ func (e *flowEngine) attempt(st *msgState) (*Delivered, error) {
 		}
 		if e.adaptive {
 			// Load-adaptive mode selection: re-pick from this flow's budget
-			// pressure on every attempt. SetSearchMode is a no-op when the
-			// mode is unchanged; a genuine switch invalidates the incremental
-			// workspace (frontiers capped under one strategy do not describe
-			// another), which the next Decode absorbs as a from-root rebuild.
+			// pressure on every attempt.
 			if err := lease.Dec.SetSearchMode(e.searchFor(st.flow)); err != nil {
 				return err
 			}

@@ -57,9 +57,8 @@ type Config struct {
 	// The goroutine that calls Receive is worker 0: it decodes between
 	// transport drains. DecodeWorkers − 1 helper goroutines run beside it,
 	// concurrently with ingest, so one worker starts no goroutine at all.
-	// Attempts for one message are serialized by a per-message mutex, which
-	// keeps its incremental decode workspace valid on any worker. Zero
-	// selects runtime.GOMAXPROCS.
+	// Attempts for one message are serialized by a per-message mutex, so any
+	// worker may run any of them. Zero selects runtime.GOMAXPROCS.
 	DecodeWorkers int
 	// MaxTracked caps how many per-message decoding states the receiver
 	// retains at once across all flows; the oldest (delivered first) are

@@ -119,7 +119,7 @@ func TestDecodeThresholdWorkGate(t *testing.T) {
 	if st.DecodeSkips == 0 {
 		t.Error("threshold never held back an attempt")
 	}
-	const wantNodes = 39135488
+	const wantNodes = 39925248
 	if f.nodes != wantNodes {
 		t.Errorf("decode work %d nodes over %d messages, want exactly %d", f.nodes, msgs, wantNodes)
 	}
@@ -419,8 +419,8 @@ func TestDecodeThresholdInterleavedWorkGate(t *testing.T) {
 	if want := uint64(flows * (msgs - historyMin)); st.DecodeThresholded != want {
 		t.Errorf("%d messages used a learned threshold, want %d", st.DecodeThresholded, want)
 	}
-	// Without histories that outlive the flows: 1515 attempts, 55073952 nodes.
-	const wantAttempts, wantNodes = 902, 28293856
+	// Without histories that outlive the flows: 1515 attempts, 63810480 nodes.
+	const wantAttempts, wantNodes = 902, 33350240
 	if st.DecodeAttempts != wantAttempts {
 		t.Errorf("%d decode attempts, want exactly %d", st.DecodeAttempts, wantAttempts)
 	}

@@ -273,8 +273,8 @@ func (s *SymbolStream) Emitted() int { return s.next }
 
 // DecoderPool shares decoders across many concurrent messages — the serving
 // pattern of a receiver handling many flows. Leasing a decoder from the pool
-// returns a ready-to-use Decoder whose (expensive) incremental workspace is
-// recycled from earlier messages with the same code;
+// returns a ready-to-use Decoder whose search buffers and observation
+// container are recycled from earlier messages with the same code;
 // Decoder.Release puts it back. Pooled decoders are bit-identical in
 // behaviour to freshly constructed ones. The pool is safe for concurrent
 // use; each leased Decoder still belongs to one goroutine at a time.
@@ -313,13 +313,11 @@ func (p *DecoderPool) Stats() PoolStats { return p.pool.Stats() }
 // Decoder accumulates received symbols for one message and produces the most
 // likely message on demand using the B-bounded beam decoder of §3.2.
 //
-// Decoding is incremental: the decoder keeps the pruned tree of the previous
-// Decode call and, on the next call, resumes from the first level whose
-// observations changed instead of rebuilding from the root. Interleaving
-// Observe and Decode — the natural rateless receive loop — is therefore
-// cheap: the attempts of a whole transmission cost about one full decode in
-// total rather than one per attempt, with bit-identical results. Reset
-// reuses the decoder (and its allocations) for a new message.
+// Every Decode searches from the root over the symbols observed so far, so
+// each attempt of the rateless receive loop — interleaving Observe and
+// Decode — costs a full decode; attempt when a decode can succeed, not
+// after every symbol. Reset reuses the decoder (and its allocations) for a
+// new message.
 type Decoder struct {
 	dec   *core.BeamDecoder
 	obs   *core.Observations
@@ -351,10 +349,8 @@ func (d *Decoder) Observe(pos SymbolPos, received complex128) error {
 
 // ObserveBatch records one received value per position — a whole frame or
 // pass at a time. The batch is validated before anything is recorded (a
-// position out of range or a NaN or infinite value rejects it whole), and
-// the incremental decoder sees a single dirty-level update for the whole
-// batch instead of one per symbol. ObserveBatch followed by one Decode is
-// bit-identical — same message, same cost, same NodesExpanded — to observing
+// position out of range or a NaN or infinite value rejects it whole).
+// ObserveBatch followed by one Decode is bit-identical — same message, same cost, same NodesExpanded — to observing
 // the same symbols one Observe call at a time.
 func (d *Decoder) ObserveBatch(poss []SymbolPos, received []complex128) error {
 	return d.obs.AddBatch(poss, received)
@@ -388,10 +384,10 @@ func (d *Decoder) Release() {
 	d.lease.Release()
 }
 
-// NodesExpanded reports the number of decoding-tree nodes freshly expanded by
-// the most recent Decode call — the cost of the attempt in the paper's unit
-// of one hash evaluation plus one cost computation. Thanks to incremental
-// reuse this is typically far below the size of the full tree.
+// NodesExpanded reports the number of decoding-tree nodes expanded by the
+// most recent Decode call — the cost of the attempt in the paper's unit of
+// one hash evaluation plus one cost computation. The beam bounds it far
+// below the size of the full tree.
 func (d *Decoder) NodesExpanded() int { return d.dec.NodesExpanded() }
 
 // Equal reports whether two packed messages of this code's length are
