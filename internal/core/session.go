@@ -49,13 +49,12 @@ func (AttemptEveryPass) Name() string { return "every-pass" }
 // The default fine-grained window of 8 passes buys fine rate granularity
 // through the SNR range where most messages complete, and the rate columns
 // of the experiments are recorded with it. Every attempt is a full decode,
-// so the window has a measured cost: at 0 dB with the Figure 2 code
-// (BenchmarkRatelessDecode) a message takes 218240 nodes, 3.9 times the
-// 55680 of a decoder that resumed the previous attempt's tree. On a 2-vCPU
-// VM the default-scale bsc scenario takes 2.7 s against 0.7 s with
-// resumption, while spinal and figure2 take the same time either way. The
-// link layer does not use these policies: its receiver attempts from a
-// learned threshold, about once per message.
+// so the window is paid in decode work: at 0 dB with the Figure 2 code a
+// message takes 218240 nodes over its attempts (BenchmarkRatelessDecode),
+// and on a 2-vCPU VM the default-scale bsc scenario takes about 2.7 s, the
+// spinal scenario 2.6 s and figure2 10 s. The link layer does not use
+// these policies: its receiver attempts from a learned threshold, about
+// once per message.
 type AttemptAdaptive struct {
 	// FinePasses is the number of initial passes decoded at per-symbol
 	// granularity. Zero means 8.

@@ -355,8 +355,7 @@ func TestDecoderResetReuse(t *testing.T) {
 }
 
 func TestDecoderIncrementalObserveDecodeLoop(t *testing.T) {
-	// The natural rateless loop: observe one symbol, try a decode. Later
-	// attempts must cost less tree work than the first full ones, and the
+	// The natural rateless loop: observe one symbol, try a decode. The
 	// final answer must be the message.
 	code, err := spinal.NewCode(spinal.Config{MessageBits: 64, Sequential: true})
 	if err != nil {
