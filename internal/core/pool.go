@@ -102,7 +102,7 @@ func (l *LeasedDecoder) Reset() {
 	if l.bitObs != nil {
 		l.bitObs.Reset()
 	}
-	l.Dec.SetSearchMode(SearchExact) // cannot fail: exact is always valid
+	l.Dec.search = SearchExact
 	l.Dec.maxCand = DefaultMaxCandidates(l.Dec.p, l.Dec.b)
 }
 

@@ -108,16 +108,41 @@ var (
 	bscKind = channelKind{extraPasses: 6, newStream: newBSCStream}
 )
 
-// awgnStream sends seeded messages over 6 dB AWGN.
-type awgnStream struct {
+// messageStream is what both channel kinds' streams share: the code, the
+// schedule and the seeded message in flight.
+type messageStream struct {
 	p     Params
 	sched Schedule
 	seed  uint64
 	msgs  uint64
 	enc   *Encoder
-	ch    *impair.Pipeline
-	obs   *Observations
 	sent  int
+}
+
+// nextMessage starts the stream's next message, drawn with salt.
+func (m *messageStream) nextMessage(t *testing.T, salt uint64) {
+	t.Helper()
+	var err error
+	m.enc, err = NewEncoder(m.p, RandomMessage(rng.New(m.seed^salt^m.msgs<<32), m.p.MessageBits))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.msgs++
+	m.sent = 0
+}
+
+// nextPos returns the position of the message's next symbol.
+func (m *messageStream) nextPos() SymbolPos {
+	pos := m.sched.Pos(m.sent)
+	m.sent++
+	return pos
+}
+
+// awgnStream sends seeded messages over 6 dB AWGN.
+type awgnStream struct {
+	messageStream
+	ch  *impair.Pipeline
+	obs *Observations
 }
 
 func newAWGNStream(t *testing.T, p Params, sched Schedule, seed uint64) stream {
@@ -130,27 +155,20 @@ func newAWGNStream(t *testing.T, p Params, sched Schedule, seed uint64) stream {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &awgnStream{p: p, sched: sched, seed: seed, ch: ch, obs: obs}
+	s := &awgnStream{messageStream: messageStream{p: p, sched: sched, seed: seed}, ch: ch, obs: obs}
 	s.next(t)
 	return s
 }
 
 func (s *awgnStream) next(t *testing.T) {
 	t.Helper()
-	var err error
-	s.enc, err = NewEncoder(s.p, RandomMessage(rng.New(s.seed^0xf00d^s.msgs<<32), s.p.MessageBits))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.msgs++
+	s.nextMessage(t, 0xf00d)
 	s.obs.Reset()
-	s.sent = 0
 }
 
 func (s *awgnStream) observe(t *testing.T) {
 	t.Helper()
-	pos := s.sched.Pos(s.sent)
-	s.sent++
+	pos := s.nextPos()
 	if err := s.obs.Add(pos, s.ch.Corrupt(s.enc.SymbolAt(pos))); err != nil {
 		t.Fatal(err)
 	}
@@ -178,14 +196,9 @@ func (s *awgnStream) decodeCopy(t *testing.T, dec *BeamDecoder) *DecodeResult {
 // Hamming metric's integer costs make ties common: the regime where only
 // the strict (cost, parent, seg) order keeps selections in agreement.
 type bscStream struct {
-	p     Params
-	sched Schedule
-	seed  uint64
-	msgs  uint64
-	enc   *Encoder
-	ch    *channel.BSC
-	obs   *BitObservations
-	sent  int
+	messageStream
+	ch  *channel.BSC
+	obs *BitObservations
 }
 
 func newBSCStream(t *testing.T, p Params, sched Schedule, seed uint64) stream {
@@ -198,27 +211,20 @@ func newBSCStream(t *testing.T, p Params, sched Schedule, seed uint64) stream {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &bscStream{p: p, sched: sched, seed: seed, ch: ch, obs: obs}
+	s := &bscStream{messageStream: messageStream{p: p, sched: sched, seed: seed}, ch: ch, obs: obs}
 	s.next(t)
 	return s
 }
 
 func (s *bscStream) next(t *testing.T) {
 	t.Helper()
-	var err error
-	s.enc, err = NewEncoder(s.p, RandomMessage(rng.New(s.seed^0xabcd^s.msgs<<32), s.p.MessageBits))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.msgs++
+	s.nextMessage(t, 0xabcd)
 	s.obs.Reset()
-	s.sent = 0
 }
 
 func (s *bscStream) observe(t *testing.T) {
 	t.Helper()
-	pos := s.sched.Pos(s.sent)
-	s.sent++
+	pos := s.nextPos()
 	if err := s.obs.Add(pos, s.ch.CorruptBit(s.enc.CodedBit(pos.Spine, pos.Pass))); err != nil {
 		t.Fatal(err)
 	}
