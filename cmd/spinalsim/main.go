@@ -56,7 +56,6 @@ type options struct {
 	trialWorkers int
 	short        bool
 	search       string
-	impair       string
 	cpuProfile   string
 	memProfile   string
 	csv          bool
@@ -88,8 +87,6 @@ func run(args []string, out io.Writer) error {
 		"run the scenario's abbreviated configuration (CI smoke); scenarios that do not declare it ignore it")
 	fs.StringVar(&opt.search, "search", "",
 		"decoder search strategy: exact|approx (empty = exact); scenarios that do not declare it ignore it")
-	fs.StringVar(&opt.impair, "impair", "",
-		"impairment-pipeline spec, e.g. \"ge(good=16,bad=3)|spike(prob=0.02)|erase(p=0.01)\" or its JSON form; scenarios that do not declare it ignore it")
 	fs.StringVar(&opt.cpuProfile, "cpuprofile", "", "write a CPU profile of the scenario run to this file")
 	fs.StringVar(&opt.memProfile, "memprofile", "", "write a heap profile taken after the scenario run to this file")
 	fs.BoolVar(&opt.csv, "csv", false, "emit CSV instead of aligned tables")
@@ -174,7 +171,6 @@ func (o options) request() (sim.Request, error) {
 		TrialWorkers: o.trialWorkers,
 		Short:        o.short,
 		Search:       o.search,
-		Impair:       o.impair,
 		CPUProfile:   o.cpuProfile,
 		MemProfile:   o.memProfile,
 	}, err

@@ -62,9 +62,10 @@ func TestRunUnknownExperiment(t *testing.T) {
 
 // TestRunRejectsRetiredFlags checks that flags whose knobs were deleted are
 // unknown, not silently ignored: -workers set the decoder's per-level
-// worker goroutines, -metric its path-cost arithmetic.
+// worker goroutines, -metric its path-cost arithmetic, -impair the channel
+// stack of the impairment scenarios.
 func TestRunRejectsRetiredFlags(t *testing.T) {
-	for _, args := range [][]string{{"-workers", "2"}, {"-metric", "int32"}} {
+	for _, args := range [][]string{{"-workers", "2"}, {"-metric", "int32"}, {"-impair", "awgn(snr=10)"}} {
 		var out strings.Builder
 		err := run(append([]string{"-exp", "bounds"}, args...), &out)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {

@@ -56,6 +56,30 @@ func TestAdaptationComparisonStaticOnly(t *testing.T) {
 	}
 }
 
+// TestAdaptationRatelessBeatsReactive gates the adapt scenario on the
+// paper's §1 claim: over every default channel, static or time-varying, the
+// rateless code delivers more bits per symbol than reactive rate adaptation
+// driven by a delayed, noisy SNR estimate, and it never fails a message.
+func TestAdaptationRatelessBeatsReactive(t *testing.T) {
+	pts, err := AdaptationComparison(AdaptationConfig{SymbolBudget: 3000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != len(DefaultAdaptationScenarios()) {
+		t.Fatalf("points = %d, want one per default scenario", len(pts))
+	}
+	for _, p := range pts {
+		t.Logf("%s: rateless %.3f, reactive %.3f bits/symbol", p.Scenario, p.RatelessThroughput, p.AdaptiveThroughput)
+		if p.RatelessThroughput <= p.AdaptiveThroughput {
+			t.Errorf("%s: rateless %.3f bits/symbol does not beat reactive %.3f",
+				p.Scenario, p.RatelessThroughput, p.AdaptiveThroughput)
+		}
+		if p.RatelessFailures != 0 {
+			t.Errorf("%s: rateless failed %d messages", p.Scenario, p.RatelessFailures)
+		}
+	}
+}
+
 func TestAdaptationComparisonPropagatesTraceErrors(t *testing.T) {
 	scenarios := []AdaptationScenario{{
 		Name: "broken",

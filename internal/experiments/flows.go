@@ -6,9 +6,9 @@ import (
 	"spinal/internal/rng"
 )
 
-// Helpers shared by the multi-flow link scenarios (saturate, chaossoak,
-// churnload): precomputed per-(flow, message) transmissions and the
-// per-flow fairness measures.
+// Helpers shared by the multi-flow link scenarios (saturate, chaossoak):
+// precomputed per-(flow, message) transmissions and the per-flow fairness
+// measures.
 
 // multiFlowFrameBudget is the per-message pass budget of a precomputed
 // transmission.

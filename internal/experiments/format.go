@@ -248,77 +248,6 @@ func ChaosSoakColumns() []sim.Column {
 	}
 }
 
-// ImpairSweepColumns is the point schema of the impairment sweep. Every
-// column is deterministic: the genie search over the pipeline depends only
-// on seeds.
-func ImpairSweepColumns() []sim.Column {
-	return []sim.Column{
-		sim.Col("profile", "%s"),
-		sim.Col("rate_bits_per_sym", "%.3f"),
-		sim.Col("conf95", "%.3f"),
-		sim.Col("failures", "%d"),
-		sim.Col("trials", "%d"),
-	}
-}
-
-// FormatImpairSweep renders the impairment sweep.
-func FormatImpairSweep(pts []ImpairPoint) *sim.Table {
-	t := sim.NewTable("", ImpairSweepColumns()...)
-	for _, p := range pts {
-		t.AddRow(p.Profile, p.Rate, p.Conf95, p.Failures, p.Trials)
-	}
-	return t
-}
-
-// BakeoffColumns is the point schema of the cross-code bake-off. Every
-// column is deterministic: identical per-trial pipeline seeds across
-// schemes, folded in trial order.
-func BakeoffColumns() []sim.Column {
-	return []sim.Column{
-		sim.Col("profile", "%s"),
-		sim.Col("scheme", "%s"),
-		sim.Col("goodput_bits_per_sym", "%.3f"),
-		sim.Col("conf95", "%.3f"),
-		sim.Col("delivered", "%d"),
-		sim.Col("trials", "%d"),
-	}
-}
-
-// FormatBakeoff renders the cross-code bake-off.
-func FormatBakeoff(pts []BakeoffPoint) *sim.Table {
-	t := sim.NewTable("", BakeoffColumns()...)
-	for _, p := range pts {
-		t.AddRow(p.Profile, p.Scheme, p.Goodput, p.Conf95, p.Delivered, p.Trials)
-	}
-	return t
-}
-
-// ChurnLoadColumns is the point schema of the churn-load experiment. The
-// replay is a single-threaded deterministic loop, so even the frame and
-// shed counters are reproducible.
-func ChurnLoadColumns() []sim.Column {
-	return []sim.Column{
-		sim.Col("mode", "%s"),
-		sim.Col("flows", "%d"),
-		sim.Col("messages", "%d"),
-		sim.Col("frames_sent", "%d"),
-		sim.Col("delivered", "%d"),
-		sim.Col("rejected", "%d"),
-		sim.Col("shed", "%d"),
-		sim.Col("fairness", "%.3f"),
-	}
-}
-
-// FormatChurnLoad renders the churn-load experiment.
-func FormatChurnLoad(pts []ChurnPoint) *sim.Table {
-	t := sim.NewTable("", ChurnLoadColumns()...)
-	for _, p := range pts {
-		t.AddRow(p.Mode, p.Flows, p.Messages, p.FramesSent, p.Delivered,
-			p.Rejected, p.Shed, p.Fairness)
-	}
-	return t
-}
-
 // FormatChaosSoak renders the chaos soak.
 func FormatChaosSoak(pts []ChaosSoakPoint) *sim.Table {
 	t := sim.NewTable("", ChaosSoakColumns()...)

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"spinal/internal/core"
-	"spinal/internal/impair"
 	"spinal/internal/ldpc"
 	"spinal/internal/sim"
 )
@@ -491,125 +490,6 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return res, nil
-		},
-	})
-	sim.Register(sim.Scenario{
-		Name:        "impairsweep",
-		Description: "spinal rate over a stacked impairment pipeline versus each stage alone (-impair overrides the stack)",
-		Flags:       append([]string{"impair", "short"}, codeFlags...),
-		Schema:      ImpairSweepColumns(),
-		Run: func(req sim.Request) (*sim.Result, error) {
-			cfg, err := spinalConfigFrom(req)
-			if err != nil {
-				return nil, err
-			}
-			if req.K == 0 || req.K == 8 {
-				cfg.K = 4 // decode many profiles quickly; override with -k
-			}
-			cfg.Trials = capTrials(req.Trials, 40)
-			if req.Short {
-				cfg.Trials = capTrials(cfg.Trials, 6)
-				cfg.MaxPasses = 150
-			}
-			specStr := req.Impair
-			if specStr == "" {
-				specStr = DefaultImpairStack
-			}
-			spec, err := impair.ParseAny(specStr)
-			if err != nil {
-				return nil, err
-			}
-			pts, err := ImpairSweep(cfg, spec)
-			if err != nil {
-				return nil, err
-			}
-			res := sim.NewResult("impairsweep")
-			res.Notef("stack: %s", spec.String())
-			res.Notef("each stage alone first, the full stack last; identical per-trial message streams throughout")
-			res.Notef("effective config: k=%d, %d trials (this experiment defaults k to 4 and caps trials at 40)",
-				cfg.K, cfg.Trials)
-			res.Add(FormatImpairSweep(pts))
-			return res, nil
-		},
-	})
-	sim.Register(sim.Scenario{
-		Name:        "churnload",
-		Description: "trace-driven workload (MMPP arrivals, size mix, flow churn) driving the multi-flow link engine under impairment and frame faults",
-		Flags:       []string{"trials", "seed", "k", "c", "beam", "trial-workers", "impair", "short"},
-		Schema:      ChurnLoadColumns(),
-		Run: func(req sim.Request) (*sim.Result, error) {
-			cfg := ChurnConfig{
-				Spinal: SpinalConfig{
-					K: req.K, C: req.C, BeamWidth: req.Beam, Seed: req.Seed,
-				},
-				Impair:       req.Impair,
-				TrialWorkers: req.TrialWorkers,
-			}
-			if req.K == 0 || req.K == 8 {
-				cfg.Spinal.K = 4 // many concurrent decodes; override with -k
-			}
-			if req.Trials > 0 && req.Trials < 100 {
-				cfg.Workload.Messages = req.Trials * 3 // let -trials scale the trace
-			}
-			if req.Short {
-				cfg.Workload.Flows = 6
-				cfg.Workload.Messages = 8
-			}
-			pts, err := ChurnLoad(cfg)
-			if err != nil {
-				return nil, err
-			}
-			cfg = cfg.withDefaults()
-			res := sim.NewResult("churnload")
-			res.Notef("workload: %d flows, %d messages, %s arrivals, %d size classes, on/off churn",
-				cfg.Workload.Flows, cfg.Workload.Messages, cfg.Workload.Arrival, len(cfg.Workload.Sizes))
-			res.Notef("impaired mode: %s + frame faults %s", cfg.Impair, cfg.Faults)
-			res.Notef("receiver tracks at most %d of %d flows; payloads verified bit-identical",
-				cfg.MaxFlows, cfg.Workload.Flows)
-			res.Add(FormatChurnLoad(pts))
-			return res, nil
-		},
-	})
-	sim.Register(sim.Scenario{
-		Name:        "bakeoff",
-		Description: "spinal vs LDPC/conv/HARQ/LT-fountain over stacked impairment profiles on identical per-trial seeds (-impair adds a custom profile)",
-		Flags:       append([]string{"impair", "short"}, codeFlags...),
-		Schema:      BakeoffColumns(),
-		Run: func(req sim.Request) (*sim.Result, error) {
-			scfg, err := spinalConfigFrom(req)
-			if err != nil {
-				return nil, err
-			}
-			if req.K == 0 || req.K == 8 {
-				scfg.K = 4 // many profiles; override with -k
-			}
-			cfg := BakeoffConfig{
-				Spinal:       scfg,
-				Trials:       capTrials(req.Trials, 40),
-				TrialWorkers: req.TrialWorkers,
-			}
-			if req.Short {
-				cfg.Trials = capTrials(cfg.Trials, 8)
-				cfg.Spinal.MaxPasses = 150
-			}
-			cfg.Profiles = DefaultBakeoffProfiles()
-			if req.Impair != "" {
-				cfg.Profiles = append(cfg.Profiles, BakeoffProfile{Name: "custom", Spec: req.Impair})
-			}
-			pts, err := Bakeoff(cfg)
-			if err != nil {
-				return nil, err
-			}
-			res := sim.NewResult("bakeoff")
-			res.Notef("every scheme faces the same per-trial pipeline seeds: same fading, spikes and erasures")
-			res.Notef("fixed-rate schemes demodulate with the variance estimate sampled at frame start (stale by design)")
-			for _, p := range cfg.Profiles {
-				res.Notef("profile %s: %s", p.Name, p.Spec)
-			}
-			res.Notef("effective config: k=%d, %d trials per cell (this experiment defaults k to 4 and caps trials at 40)",
-				cfg.Spinal.K, cfg.Trials)
-			res.Add(FormatBakeoff(pts))
 			return res, nil
 		},
 	})

@@ -244,16 +244,6 @@ func runGenieTrial(cfg SpinalConfig, params core.Params, sched core.Schedule, le
 	if err != nil {
 		return 0, false
 	}
-	return runGenieTrialOver(cfg, params, sched, lease, radio, trial)
-}
-
-// runGenieTrialOver is runGenieTrial over an arbitrary block channel — the
-// genie methodology is channel-agnostic, so impairment-pipeline experiments
-// reuse the same search with the same per-trial message streams. The caller
-// owns the radio's seeding; the message stream still derives from cfg.Seed
-// and the trial index, so every scheme facing this radio sends the same
-// messages.
-func runGenieTrialOver(cfg SpinalConfig, params core.Params, sched core.Schedule, lease *core.LeasedDecoder, radio channel.BlockChannel, trial uint64) (int, bool) {
 	msgSrc := rng.New(cfg.Seed ^ (0x9e3779b97f4a7c15 * (trial + 1)))
 	msg := core.RandomMessage(msgSrc, cfg.MessageBits)
 	enc, err := core.NewEncoder(params, msg)
@@ -275,11 +265,10 @@ func runGenieTrialOver(cfg SpinalConfig, params core.Params, sched core.Schedule
 	radio.CorruptBlock(received, received)
 
 	decodes := func(prefix int) bool {
-		// Reset clears the leased container and bumps its epoch, so every
-		// prefix decodes from the root exactly as a fresh container would.
-		// It also reverts the search strategy, so a non-default one is
-		// re-applied (the caller already validated it against the
-		// decoder).
+		// Reset clears the leased container, so every prefix decodes from
+		// an empty container exactly as a fresh lease would. It also
+		// reverts the search strategy, so a non-default one is re-applied
+		// (the caller already validated it against the decoder).
 		lease.Reset()
 		if lease.Dec.SetSearchMode(cfg.Search) != nil {
 			return false
@@ -294,10 +283,12 @@ func runGenieTrialOver(cfg SpinalConfig, params core.Params, sched core.Schedule
 		return core.EqualMessages(out.Message, msg, cfg.MessageBits)
 	}
 
-	// The receiver attempts a decode after every symbol during the first two
-	// passes (where each extra symbol changes the rate substantially) and
-	// once per pass afterwards — the same adaptive policy a real receiver
-	// uses. The candidate stopping points are therefore:
+	// The simulated receiver attempts a decode after every symbol during the
+	// first two passes (where each extra symbol changes the rate
+	// substantially) and once per pass afterwards. This is a measurement
+	// grid, not the link receiver's policy: that one waits for a threshold
+	// learned from its flow's recent decodes. The candidate stopping points
+	// are therefore:
 	attempts := attemptPoints(cfg, nseg, maxSymbols)
 
 	// Exponential-then-binary search over the attempt points for the

@@ -162,9 +162,3 @@ func (s *Spec) Build(seed uint64) (*Pipeline, error) {
 	}
 	return NewPipeline(stages...), nil
 }
-
-// Single returns the one-stage spec for stage i, used by sweeps that compare
-// a stack against each of its stages alone.
-func (s *Spec) Single(i int) *Spec {
-	return &Spec{Stages: []StageSpec{s.Stages[i]}}
-}

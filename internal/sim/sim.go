@@ -59,12 +59,6 @@ type Request struct {
 	// (default) or "approx" (core.ParseSearchMode spellings). Scenarios
 	// that declare the flag pass it to their decoders; the rest ignore it.
 	Search string
-	// Impair is an impairment-pipeline spec (-impair) in the
-	// internal/impair syntax: stages joined by '|', e.g.
-	// "ge(good=16,bad=3)|spike(prob=0.02,db=-3)", or the JSON form.
-	// Scenarios that declare the flag build their channel stack from it;
-	// empty keeps each scenario's default stack.
-	Impair string
 	// CPUProfile and MemProfile are file paths for pprof output
 	// (-cpuprofile/-memprofile); empty disables. The profiles cover the
 	// scenario run, not flag parsing or output rendering — see Profile.
