@@ -265,12 +265,24 @@ func TestAddBatchValidation(t *testing.T) {
 // TestRunChannelSessionMatchesScalarReference pins the batched transmission
 // loop against a from-first-principles reimplementation of the historical
 // per-symbol session: same attempt points, same noise stream, bit-identical
-// results — on AWGN with both the adaptive and the backoff policy.
+// results — on AWGN (RunChannelSession) and on the BSC
+// (RunBitChannelSession), each with both the adaptive and the backoff policy.
 func TestRunChannelSessionMatchesScalarReference(t *testing.T) {
 	p := DefaultParams()
 	sched, err := NewStripedSchedule(p.NumSegments(), 8)
 	if err != nil {
 		t.Fatal(err)
+	}
+	bp := Params{K: 4, C: 10, MessageBits: 24, Seed: 79}
+	bitSched, err := NewStripedSchedule(bp.NumSegments(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// same reports whether a session transcript equals the reference's.
+	same := func(got, want *Result, messageBits int) bool {
+		return got.Success == want.Success && got.ChannelUses == want.ChannelUses &&
+			got.Attempts == want.Attempts && got.NodesExpanded == want.NodesExpanded &&
+			EqualMessages(got.Decoded, want.Decoded, messageBits)
 	}
 	for _, tc := range []struct {
 		name     string
@@ -280,46 +292,103 @@ func TestRunChannelSessionMatchesScalarReference(t *testing.T) {
 		{"backoff", AttemptBackoff{DensePasses: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			for trial := 0; trial < 4; trial++ {
-				msg := RandomMessage(rng.New(uint64(trial)*31+5), p.MessageBits)
-				cfg := SessionConfig{
-					Params:     p,
-					BeamWidth:  16,
-					Schedule:   sched,
-					Attempts:   tc.attempts,
-					MaxSymbols: 40 * p.NumSegments(),
+			t.Run("awgn", func(t *testing.T) {
+				for trial := 0; trial < 4; trial++ {
+					msg := RandomMessage(rng.New(uint64(trial)*31+5), p.MessageBits)
+					cfg := SessionConfig{
+						Params:     p,
+						BeamWidth:  16,
+						Schedule:   sched,
+						Attempts:   tc.attempts,
+						MaxSymbols: 40 * p.NumSegments(),
+					}
+					ch, err := impair.NewAWGN(6, rng.New(uint64(trial)*37+7))
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := RunChannelSession(cfg, msg, ch, GenieVerifier(msg, p.MessageBits))
+					if err != nil {
+						t.Fatal(err)
+					}
+					refCh, err := impair.NewAWGN(6, rng.New(uint64(trial)*37+7))
+					if err != nil {
+						t.Fatal(err)
+					}
+					obs, err := NewObservations(p.NumSegments())
+					if err != nil {
+						t.Fatal(err)
+					}
+					// 2c coded bits per symbol.
+					minUses := (p.MessageBits + 2*p.C - 1) / (2 * p.C)
+					want, err := scalarReferenceSession(cfg, msg, minUses,
+						func(enc *Encoder, pos SymbolPos) error {
+							return obs.Add(pos, refCh.Corrupt(enc.SymbolAt(pos)))
+						},
+						func(dec *BeamDecoder) (*DecodeResult, error) { return dec.Decode(obs) },
+						GenieVerifier(msg, p.MessageBits))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !same(got, want, p.MessageBits) {
+						t.Fatalf("trial %d: batch session diverged from the scalar reference:\n got %+v\nwant %+v",
+							trial, got, want)
+					}
 				}
-				ch, err := impair.NewAWGN(6, rng.New(uint64(trial)*37+7))
-				if err != nil {
-					t.Fatal(err)
+			})
+			t.Run("bsc", func(t *testing.T) {
+				for trial := 0; trial < 4; trial++ {
+					msg := RandomMessage(rng.New(uint64(trial)*41+11), bp.MessageBits)
+					cfg := SessionConfig{
+						Params:     bp,
+						BeamWidth:  16,
+						Schedule:   bitSched,
+						Attempts:   tc.attempts,
+						MaxSymbols: 40 * bp.NumSegments(),
+					}
+					ch, err := channel.NewBSC(0.05, rng.New(uint64(trial)*43+13))
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := RunBitChannelSession(cfg, msg, ch, GenieVerifier(msg, bp.MessageBits))
+					if err != nil {
+						t.Fatal(err)
+					}
+					refCh, err := channel.NewBSC(0.05, rng.New(uint64(trial)*43+13))
+					if err != nil {
+						t.Fatal(err)
+					}
+					obs, err := NewBitObservations(bp.NumSegments())
+					if err != nil {
+						t.Fatal(err)
+					}
+					// At most one message bit per coded bit.
+					want, err := scalarReferenceSession(cfg, msg, bp.MessageBits,
+						func(enc *Encoder, pos SymbolPos) error {
+							return obs.Add(pos, refCh.CorruptBit(enc.CodedBit(pos.Spine, pos.Pass)))
+						},
+						func(dec *BeamDecoder) (*DecodeResult, error) { return dec.DecodeBits(obs) },
+						GenieVerifier(msg, bp.MessageBits))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !same(got, want, bp.MessageBits) {
+						t.Fatalf("trial %d: batch bit session diverged from the scalar reference:\n got %+v\nwant %+v",
+							trial, got, want)
+					}
 				}
-				got, err := RunChannelSession(cfg, msg, ch, GenieVerifier(msg, p.MessageBits))
-				if err != nil {
-					t.Fatal(err)
-				}
-				refCh, err := impair.NewAWGN(6, rng.New(uint64(trial)*37+7))
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := scalarReferenceSession(cfg, msg, refCh.Corrupt, GenieVerifier(msg, p.MessageBits))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Success != want.Success || got.ChannelUses != want.ChannelUses ||
-					got.Attempts != want.Attempts || got.NodesExpanded != want.NodesExpanded ||
-					!EqualMessages(got.Decoded, want.Decoded, p.MessageBits) {
-					t.Fatalf("trial %d: batch session diverged from the scalar reference:\n got %+v\nwant %+v",
-						trial, got, want)
-				}
-			}
+			})
 		})
 	}
 }
 
 // scalarReferenceSession is a line-for-line reimplementation of the
 // pre-batch per-symbol session loop, kept in the tests as the equivalence
-// reference for the batched transmission path.
-func scalarReferenceSession(cfg SessionConfig, message []byte, corrupt func(complex128) complex128, verify Verifier) (*Result, error) {
+// reference for the batched transmission path. observe sends one symbol (or
+// coded bit) through the channel and records it; decode runs one attempt on
+// what was recorded; minUses is the noiseless bound below which no attempt
+// runs.
+func scalarReferenceSession(cfg SessionConfig, message []byte, minUses int, observe func(enc *Encoder, pos SymbolPos) error,
+	decode func(dec *BeamDecoder) (*DecodeResult, error), verify Verifier) (*Result, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -328,28 +397,24 @@ func scalarReferenceSession(cfg SessionConfig, message []byte, corrupt func(comp
 	if err != nil {
 		return nil, err
 	}
-	dec, _, release, err := sessionDecoder(cfg)
+	dec, err := NewBeamDecoder(cfg.Params, cfg.BeamWidth)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	obs, err := NewObservations(cfg.Params.NumSegments())
-	if err != nil {
+	if err := dec.SetSearchMode(cfg.Search); err != nil {
 		return nil, err
 	}
 	res := &Result{}
 	nseg := cfg.Params.NumSegments()
-	minUses := (cfg.Params.MessageBits + 2*cfg.Params.C - 1) / (2 * cfg.Params.C)
 	for i := 0; i < cfg.MaxSymbols; i++ {
-		pos := cfg.Schedule.Pos(i)
-		if err := obs.Add(pos, corrupt(enc.SymbolAt(pos))); err != nil {
+		if err := observe(enc, cfg.Schedule.Pos(i)); err != nil {
 			return nil, err
 		}
 		received := i + 1
 		if received < minUses || !cfg.Attempts.ShouldAttempt(received, nseg) {
 			continue
 		}
-		out, err := dec.Decode(obs)
+		out, err := decode(dec)
 		if err != nil {
 			return nil, err
 		}
