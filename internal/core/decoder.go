@@ -16,7 +16,7 @@ import (
 // of Eq. 4.
 //
 // Levels for which no symbols have been received (punctured spine values) are
-// expanded without pruning, up to MaxCandidates nodes, so that later
+// expanded without pruning, up to B·2^k nodes (clamped), so that later
 // observations can still disambiguate them; this is what allows decoding from
 // fewer than n/k symbols and therefore rates above k bits/symbol.
 //
@@ -63,31 +63,21 @@ type BeamDecoder struct {
 // unlimited is the beam width used by the ML decoder.
 const unlimited = math.MaxInt32
 
-// maxCandCap clamps the derived MaxCandidates value B·2^k for practical
-// decoders: an unobserved (punctured) level is expanded without pruning, and
-// without the clamp a wide beam with a large k would retain millions of
-// nodes. SetMaxCandidates overrides the clamp when a caller really wants
-// more; NewMLDecoder bypasses it entirely.
+// maxCandCap clamps the unobserved-level cap B·2^k of practical decoders:
+// an unobserved (punctured) level is expanded without pruning, and without
+// the clamp a wide beam with a large k would retain millions of nodes.
+// NewMLDecoder bypasses it.
 const maxCandCap = 1 << 16
 
-// DefaultMaxCandidates returns the unobserved-level retention cap
-// NewBeamDecoder installs for the given parameters and beam width: B·2^k,
-// clamped to an implementation bound. DecoderPool.Release uses it to restore
-// a decoder whose cap was overridden, so pooled decoders always come back
-// configured exactly like freshly constructed ones.
-func DefaultMaxCandidates(p Params, beamWidth int) int {
+// NewBeamDecoder returns a decoder with the given beam width B (the maximum
+// number of tree nodes retained per level). The cap on retained nodes at
+// unobserved levels is B·2^k, clamped to maxCandCap.
+func NewBeamDecoder(p Params, beamWidth int) (*BeamDecoder, error) {
 	maxCand := beamWidth << uint(p.K)
 	if maxCand > maxCandCap || maxCand <= 0 {
 		maxCand = maxCandCap
 	}
-	return maxCand
-}
-
-// NewBeamDecoder returns a decoder with the given beam width B (the maximum
-// number of tree nodes retained per level). The cap on retained nodes at
-// unobserved levels defaults to B·2^k, clamped to maxCandCap.
-func NewBeamDecoder(p Params, beamWidth int) (*BeamDecoder, error) {
-	return newBeamDecoder(p, beamWidth, DefaultMaxCandidates(p, beamWidth))
+	return newBeamDecoder(p, beamWidth, maxCand)
 }
 
 // NewMLDecoder returns the exact maximum-likelihood decoder: a beam decoder
@@ -134,20 +124,6 @@ func (d *BeamDecoder) SetParallelism(int) {}
 
 // BeamWidth returns the configured beam width B.
 func (d *BeamDecoder) BeamWidth() int { return d.b }
-
-// MaxCandidates returns the cap on retained nodes at punctured levels.
-func (d *BeamDecoder) MaxCandidates() int { return d.maxCand }
-
-// SetMaxCandidates overrides the cap on nodes retained at levels with no
-// observations. Larger values make decoding from heavily punctured streams
-// more reliable at the cost of more work.
-func (d *BeamDecoder) SetMaxCandidates(n int) error {
-	if n < d.b {
-		return fmt.Errorf("core: max candidates %d must be at least the beam width %d", n, d.b)
-	}
-	d.maxCand = n
-	return nil
-}
 
 // NodesExpanded reports the number of tree nodes expanded (one hash
 // evaluation plus a full cost computation each) by the most recent Decode

@@ -399,23 +399,6 @@ func TestDecoderInputValidation(t *testing.T) {
 	}
 }
 
-func TestSetMaxCandidates(t *testing.T) {
-	p := DefaultParams()
-	dec, _ := NewBeamDecoder(p, 16)
-	if dec.MaxCandidates() < dec.BeamWidth() {
-		t.Fatal("default max candidates below beam width")
-	}
-	if err := dec.SetMaxCandidates(8); err == nil {
-		t.Error("max candidates below beam width accepted")
-	}
-	if err := dec.SetMaxCandidates(1024); err != nil {
-		t.Errorf("valid max candidates rejected: %v", err)
-	}
-	if dec.MaxCandidates() != 1024 {
-		t.Errorf("MaxCandidates = %d", dec.MaxCandidates())
-	}
-}
-
 func TestNodesExpandedBounded(t *testing.T) {
 	p := DefaultParams()
 	msg := testMessage(55, p.MessageBits)

@@ -78,9 +78,9 @@ func (f *FixedRateCode) Decode(received []complex128) ([]byte, error) {
 }
 
 // DecodeWith is Decode on a caller-supplied decoder/observation pair — e.g.
-// a DecoderPool lease reused across trials — which must be empty (a pooled
-// lease after Reset qualifies). Pooled and fresh pairs decode
-// bit-identically, so the choice only affects allocations.
+// a DecoderPool lease — which must be empty (a new lease qualifies). Pooled
+// and fresh pairs decode bit-identically, so the choice only affects
+// allocations.
 func (f *FixedRateCode) DecodeWith(dec *BeamDecoder, obs *Observations, received []complex128) ([]byte, error) {
 	if len(received) != f.BlockSymbols() {
 		return nil, fmt.Errorf("core: fixed-rate block has %d symbols, want %d",

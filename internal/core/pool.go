@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // DecoderPool caches fully constructed (BeamDecoder, Observations) pairs
 // keyed by code parameters and beam width, so that a serving path handling
@@ -14,12 +11,11 @@ import (
 // The pool hands decoders out as leases: Lease returns an idle decoder for
 // the requested parameters (or builds a fresh one on a miss) and
 // LeasedDecoder.Release puts it back. A released pair is reset before it is
-// cached — the observation containers are emptied and any per-lease tuning
-// (the unobserved-level cap, the search strategy) is reverted to
-// construction defaults — so a pooled decoder is bit-identical in behaviour
-// to a freshly constructed one; only allocations are recycled. The total
-// number of idle decoders is bounded by the pool capacity: releases beyond it
-// drop the decoder instead of caching it.
+// cached — the observation containers are emptied and the search strategy
+// reverts to the exact search — so a pooled decoder is bit-identical in
+// behaviour to a freshly constructed one; only allocations are recycled. The
+// total number of idle decoders is bounded by the pool capacity: releases
+// beyond it drop the decoder instead of caching it.
 //
 // All methods are safe for concurrent use. A capacity of zero or less
 // disables caching entirely (every Lease builds, every Release drops),
@@ -92,18 +88,14 @@ func (l *LeasedDecoder) Bits() (*BitObservations, error) {
 }
 
 // Reset returns the lease to fresh-decoder behaviour without returning it
-// to the pool: the observation containers are cleared and any per-lease
-// decoder tuning — the unobserved-level cap, the search strategy — reverts
-// to construction defaults. A caller holding one lease across many trials
-// (the experiment runner's per-worker reuse) therefore gets bit-identical
-// results to leasing a fresh decoder per trial.
+// to the pool: the observation containers are cleared and the search
+// strategy reverts to the exact search.
 func (l *LeasedDecoder) Reset() {
 	l.Obs.Reset()
 	if l.bitObs != nil {
 		l.bitObs.Reset()
 	}
 	l.Dec.search = SearchExact
-	l.Dec.maxCand = DefaultMaxCandidates(l.Dec.p, l.Dec.b)
 }
 
 // NewDecoderPool returns a pool that caches up to capacity idle decoders
@@ -114,9 +106,6 @@ func NewDecoderPool(capacity int) *DecoderPool {
 		idle:     map[poolKey][]*LeasedDecoder{},
 	}
 }
-
-// Capacity returns the configured idle-decoder bound.
-func (p *DecoderPool) Capacity() int { return p.capacity }
 
 // keyFor derives the pool key for a parameter set. Params with a nil Mapper
 // use the default linear mapping, which is what the key records.
@@ -133,16 +122,6 @@ func keyFor(params Params, beamWidth int) poolKey {
 		mapper:      mapper,
 		beamWidth:   beamWidth,
 	}
-}
-
-// LeaseKey returns a canonical string identifying the decoder-compatibility
-// class of (params, beamWidth) — the exact discrimination the pool's
-// internal key makes. Callers that cache leases themselves (the sim
-// runner's per-worker cache) key on it, so their caches can never conflate
-// decoders the pool distinguishes.
-func LeaseKey(params Params, beamWidth int) string {
-	k := keyFor(params, beamWidth)
-	return fmt.Sprintf("%d/%d/%d/%x/%s/%d", k.k, k.c, k.messageBits, k.seed, k.mapper, k.beamWidth)
 }
 
 // Lease checks a decoder for the given parameters out of the pool, building
@@ -235,11 +214,4 @@ func (p *DecoderPool) Drain() {
 	clear(p.idle)
 	p.idleN = 0
 	p.mu.Unlock()
-}
-
-// String renders the pool state for logs.
-func (p *DecoderPool) String() string {
-	s := p.Stats()
-	return fmt.Sprintf("DecoderPool{idle=%d cap=%d hits=%d misses=%d discards=%d}",
-		s.Idle, p.capacity, s.Hits, s.Misses, s.Discards)
 }

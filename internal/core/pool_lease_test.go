@@ -8,7 +8,7 @@ import (
 	"spinal/internal/rng"
 )
 
-// TestLeaseResetReuseAcrossTrials checks the trial-scoped reuse helper: one
+// TestLeaseResetReuseAcrossTrials checks LeasedDecoder.Reset: one
 // lease Reset between messages must decode exactly like a fresh decoder and
 // container per message.
 func TestLeaseResetReuseAcrossTrials(t *testing.T) {
@@ -78,35 +78,6 @@ func TestLeaseBitsContainer(t *testing.T) {
 	if bits.Count() != 0 || bits.PerSpine(0) != 0 {
 		t.Fatalf("Reset did not clear the bit container (count=%d, spine 0 holds %d)",
 			bits.Count(), bits.PerSpine(0))
-	}
-}
-
-// TestReleaseRestoresDecoderDefaults checks that per-lease tuning does not
-// leak through the pool: a lease whose decoder had the candidate cap
-// overridden must come back configured like a fresh decoder.
-func TestReleaseRestoresDecoderDefaults(t *testing.T) {
-	p := poolTestParams(32)
-	pool := NewDecoderPool(2)
-	lease, err := pool.Lease(p, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec := lease.Dec
-	if err := dec.SetMaxCandidates(DefaultMaxCandidates(p, 8) * 2); err != nil {
-		t.Fatal(err)
-	}
-	lease.Release()
-
-	again, err := pool.Lease(p, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer again.Release()
-	if again.Dec != dec {
-		t.Fatal("expected the cached decoder back")
-	}
-	if got, want := again.Dec.MaxCandidates(), DefaultMaxCandidates(p, 8); got != want {
-		t.Fatalf("max candidates after release = %d, want default %d", got, want)
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 // used before. The cases cover both channel kinds, both search modes, the
 // sequential and striped schedules at several attempt spacings, a Reset
 // between messages, one decoder alternating between two containers, two
-// decoders alternating on one container, and SetSearchMode and
-// SetMaxCandidates between attempts.
+// decoders alternating on one container, and SetSearchMode between
+// attempts.
 
 // streamCase is one code, schedule and attempt spacing.
 type streamCase struct {
@@ -359,20 +359,6 @@ func testRepeatedDecodes(t *testing.T, kind channelKind) {
 				t.Fatal(err)
 			}
 			checkStateless(t, dec, s, fmt.Sprintf("%v at %d symbols", dec.SearchMode(), i))
-		}
-	})
-	t.Run("set-max-candidates", func(t *testing.T) {
-		// The unobserved-level cap cycles through the default, the beam
-		// width and four times the default before every attempt.
-		dec := newModeDecoder(t, p, SearchExact)
-		caps := []int{dec.MaxCandidates(), dec.BeamWidth(), 4 * dec.MaxCandidates()}
-		s := kind.newStream(t, p, sched, p.Seed)
-		for i := 1; i <= n; i++ {
-			s.observe(t)
-			if err := dec.SetMaxCandidates(caps[i%len(caps)]); err != nil {
-				t.Fatal(err)
-			}
-			checkStateless(t, dec, s, fmt.Sprintf("max candidates %d at %d symbols", dec.MaxCandidates(), i))
 		}
 	})
 }

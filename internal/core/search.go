@@ -5,7 +5,7 @@ import "fmt"
 // This file is the knob surface of the approximate search (engine.go holds
 // the mechanics). There is one approximation, the bubble cap: a level with
 // no observations yet keeps only the children of the W cheapest parents
-// instead of every candidate up to MaxCandidates. Because the code is
+// instead of every candidate up to the B·2^k cap. Because the code is
 // rateless the receiver decodes many times before every spine value has a
 // symbol, and at those attempts the unobserved levels' full breadth — times
 // 2^k children each — dominates the expansion count.

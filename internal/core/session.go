@@ -1,6 +1,6 @@
 package core
 
-import "fmt"
+import "errors"
 
 // This file implements the rateless transmission loop of §3.2: the sender
 // keeps emitting symbols (in schedule order) and the receiver keeps feeding
@@ -16,8 +16,6 @@ type AttemptPolicy interface {
 	// ShouldAttempt reports whether to run the decoder after `received`
 	// symbols (1-based) have arrived, for a code with nseg spine values.
 	ShouldAttempt(received, nseg int) bool
-	// Name identifies the policy in experiment output.
-	Name() string
 }
 
 // AttemptEverySymbol attempts a decode after every received symbol.
@@ -25,9 +23,6 @@ type AttemptEverySymbol struct{}
 
 // ShouldAttempt implements AttemptPolicy.
 func (AttemptEverySymbol) ShouldAttempt(received, nseg int) bool { return true }
-
-// Name implements AttemptPolicy.
-func (AttemptEverySymbol) Name() string { return "every-symbol" }
 
 // AttemptEveryPass attempts a decode only when a whole pass worth of symbols
 // (n/k of them) has arrived.
@@ -38,23 +33,21 @@ func (AttemptEveryPass) ShouldAttempt(received, nseg int) bool {
 	return nseg > 0 && received%nseg == 0
 }
 
-// Name implements AttemptPolicy.
-func (AttemptEveryPass) Name() string { return "every-pass" }
-
 // AttemptAdaptive attempts after every symbol for the first few passes (where
 // each extra symbol can change the achieved rate substantially) and once per
 // pass afterwards (where rates are low and per-symbol attempts are wasted
-// work). This is the default policy of the experiment harness.
+// work). It is the sessions' default policy.
 //
 // The default fine-grained window of 8 passes buys fine rate granularity
-// through the SNR range where most messages complete, and the rate columns
-// of the experiments are recorded with it. Every attempt is a full decode,
-// so the window is paid in decode work: at 0 dB with the Figure 2 code a
-// message takes 218240 nodes over its attempts (BenchmarkRatelessDecode),
-// and on a 2-vCPU VM the default-scale bsc scenario takes about 2.7 s, the
-// spinal scenario 2.6 s and figure2 10 s. The link layer does not use
-// these policies: its receiver attempts from a learned threshold, about
-// once per message.
+// through the SNR range where most messages complete. Every attempt is a
+// full decode, so the window is paid in decode work: at 0 dB with the
+// Figure 2 code a message takes 218240 nodes over its attempts. The users
+// that run it are the frontier scenario, spinal.Code.TransmitOver and
+// TransmitBitsOver, and BenchmarkRatelessDecode. The bsc scenario attempts
+// once per pass, the spinal and figure2 scenarios search a grid of
+// AttemptAdaptive{FinePasses: 2} for the first decodable prefix, and the
+// link layer does not use these policies: its receiver attempts from a
+// learned threshold, about once per message.
 type AttemptAdaptive struct {
 	// FinePasses is the number of initial passes decoded at per-symbol
 	// granularity. Zero means 8.
@@ -76,9 +69,6 @@ func (a AttemptAdaptive) ShouldAttempt(received, nseg int) bool {
 	}
 	return nseg > 0 && received%nseg == 0
 }
-
-// Name implements AttemptPolicy.
-func (a AttemptAdaptive) Name() string { return "adaptive" }
 
 // AttemptBackoff attempts after every pass for the first several passes and
 // then backs off geometrically (every 2nd pass, then every 4th, ...). It
@@ -119,9 +109,6 @@ func (a AttemptBackoff) ShouldAttempt(received, nseg int) bool {
 	}
 }
 
-// Name implements AttemptPolicy.
-func (a AttemptBackoff) Name() string { return "backoff" }
-
 // Verifier reports whether a decoded message should be accepted, ending the
 // rateless transmission. GenieVerifier compares against the true message (the
 // paper's simulation methodology); link-layer deployments verify a CRC
@@ -143,9 +130,6 @@ type SessionConfig struct {
 	// BeamWidth is the decoder's B. Values below 1 default to 16 (the value
 	// used for Figure 2).
 	BeamWidth int
-	// MaxCandidates optionally overrides the decoder's cap on unpruned
-	// expansion at punctured levels (0 keeps the decoder default).
-	MaxCandidates int
 	// Schedule is the symbol transmission order; nil means the unpunctured
 	// sequential schedule.
 	Schedule Schedule
@@ -158,11 +142,12 @@ type SessionConfig struct {
 	// search (the zero value) or the approximate mode (see
 	// BeamDecoder.SetSearchMode).
 	Search SearchMode
-	// Pool, when non-nil, supplies the session's decoder and observation
-	// containers as a DecoderPool lease (released when the session returns)
-	// instead of constructing them, so callers running many sessions — the
-	// experiment trial runner in particular — reuse decoder buffers across
-	// trials. Pooled and freshly built decoders are bit-identical.
+	// Pool supplies the session's decoder and observation containers as a
+	// lease, released when the session returns, so callers running many
+	// sessions — the experiment trial runner in particular — reuse decoder
+	// buffers across them. Nil leases from NewDecoderPool(0), which builds
+	// a decoder per session. Pooled and freshly built decoders are
+	// bit-identical.
 	Pool *DecoderPool
 }
 
@@ -186,6 +171,9 @@ func (c SessionConfig) withDefaults() (SessionConfig, error) {
 	}
 	if c.MaxSymbols <= 0 {
 		c.MaxSymbols = 400 * nseg
+	}
+	if c.Pool == nil {
+		c.Pool = NewDecoderPool(0)
 	}
 	return c, nil
 }
@@ -241,39 +229,6 @@ type BlockBitChannel interface {
 // are emitted in sub-batches of at most this many symbols.
 const maxSessionBatch = 4096
 
-// sessionBuffers holds the reusable batch scratch of one transmission.
-type sessionBuffers struct {
-	poss []SymbolPos
-	tx   []complex128
-	rx   []complex128
-	txb  []byte
-	rxb  []byte
-}
-
-// sized returns the buffers resliced to n elements, growing them as needed.
-func (b *sessionBuffers) sized(n int) ([]SymbolPos, []complex128, []complex128) {
-	if cap(b.poss) < n {
-		b.poss = make([]SymbolPos, n)
-	}
-	if cap(b.tx) < n {
-		b.tx = make([]complex128, n)
-		b.rx = make([]complex128, n)
-	}
-	return b.poss[:n], b.tx[:n], b.rx[:n]
-}
-
-// sizedBits is the bit-session counterpart of sized.
-func (b *sessionBuffers) sizedBits(n int) ([]SymbolPos, []byte, []byte) {
-	if cap(b.poss) < n {
-		b.poss = make([]SymbolPos, n)
-	}
-	if cap(b.txb) < n {
-		b.txb = make([]byte, n)
-		b.rxb = make([]byte, n)
-	}
-	return b.poss[:n], b.txb[:n], b.rxb[:n]
-}
-
 // nextAttempt scans forward from `sent` transmitted symbols to the next
 // symbol count at which the receiver runs the decoder, or to maxSymbols if no
 // attempt point remains in the budget. The boolean reports whether the
@@ -288,37 +243,62 @@ func nextAttempt(att AttemptPolicy, sent, minUses, nseg, maxSymbols int) (int, b
 	return maxSymbols, false
 }
 
-// sessionDecoder acquires and configures the decoder of a session: a lease
-// from cfg.Pool when one is configured (lease is nil otherwise), or a freshly
-// built decoder. The returned release func returns the lease to the pool
-// (it does nothing for a private decoder). Every tuning knob is applied
-// explicitly in both paths, so a pooled session behaves exactly like an
-// unpooled one.
-func sessionDecoder(cfg SessionConfig) (dec *BeamDecoder, lease *LeasedDecoder, release func(), err error) {
-	if cfg.Pool != nil {
-		lease, err = cfg.Pool.Lease(cfg.Params, cfg.BeamWidth)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		dec, release = lease.Dec, lease.Release
-	} else {
-		dec, err = NewBeamDecoder(cfg.Params, cfg.BeamWidth)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		release = func() {}
+// sessionChannel is what the rateless loop needs to know about one kind of
+// channel, whose channel uses carry values of type T.
+type sessionChannel[T complex128 | byte] interface {
+	// minUses is the noiseless bound: no decode from fewer channel uses can
+	// carry the whole message, so the loop makes no attempt before it.
+	minUses(p Params) int
+	// send encodes the channel uses at poss into tx, passes them through
+	// the channel into rx and folds rx into the lease's container.
+	send(enc *Encoder, l *LeasedDecoder, poss []SymbolPos, tx, rx []T) error
+	// decode runs one attempt over the lease's container.
+	decode(l *LeasedDecoder) (*DecodeResult, error)
+}
+
+// symbolChannel carries complex symbols and decodes with the Euclidean
+// metric.
+type symbolChannel struct{ ch BlockChannel }
+
+// minUses implements sessionChannel: a symbol carries at most 2c coded bits.
+func (symbolChannel) minUses(p Params) int { return (p.MessageBits + 2*p.C - 1) / (2 * p.C) }
+
+func (s symbolChannel) send(enc *Encoder, l *LeasedDecoder, poss []SymbolPos, tx, rx []complex128) error {
+	if err := enc.EncodeBatch(tx, poss); err != nil {
+		return err
 	}
-	if cfg.MaxCandidates > 0 {
-		if err := dec.SetMaxCandidates(cfg.MaxCandidates); err != nil {
-			release()
-			return nil, nil, nil, err
-		}
+	s.ch.CorruptBlock(rx, tx)
+	return l.Obs.AddBatch(poss, rx)
+}
+
+func (symbolChannel) decode(l *LeasedDecoder) (*DecodeResult, error) { return l.Dec.Decode(l.Obs) }
+
+// bitChannel carries one coded bit per channel use and decodes with the
+// Hamming metric, the ML rule for the BSC.
+type bitChannel struct{ ch BlockBitChannel }
+
+// minUses implements sessionChannel: the BSC carries at most one bit per
+// channel use.
+func (bitChannel) minUses(p Params) int { return p.MessageBits }
+
+func (b bitChannel) send(enc *Encoder, l *LeasedDecoder, poss []SymbolPos, tx, rx []byte) error {
+	obs, err := l.Bits()
+	if err != nil {
+		return err
 	}
-	if err := dec.SetSearchMode(cfg.Search); err != nil {
-		release()
-		return nil, nil, nil, err
+	if err := enc.CodedBitBatch(tx, poss); err != nil {
+		return err
 	}
-	return dec, lease, release, nil
+	b.ch.CorruptBits(rx, tx)
+	return obs.AddBatch(poss, rx)
+}
+
+func (bitChannel) decode(l *LeasedDecoder) (*DecodeResult, error) {
+	obs, err := l.Bits()
+	if err != nil {
+		return nil, err
+	}
+	return l.Dec.DecodeBits(obs)
 }
 
 // RunChannelSession transmits message over a BlockChannel until verify
@@ -330,127 +310,65 @@ func sessionDecoder(cfg SessionConfig) (dec *BeamDecoder, lease *LeasedDecoder, 
 // instead of four calls per symbol. Attempt points, channel noise stream and
 // decode results are identical to the per-symbol loop this replaces.
 func RunChannelSession(cfg SessionConfig, message []byte, ch BlockChannel, verify Verifier) (*Result, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
+	if ch == nil {
+		return nil, errNilChannel
 	}
-	if ch == nil || verify == nil {
-		return nil, fmt.Errorf("core: nil channel or verifier")
-	}
-	enc, err := NewEncoder(cfg.Params, message)
-	if err != nil {
-		return nil, err
-	}
-	dec, lease, release, err := sessionDecoder(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	var obs *Observations
-	if lease != nil {
-		obs = lease.Obs
-	} else if obs, err = NewObservations(cfg.Params.NumSegments()); err != nil {
-		return nil, err
-	}
-
-	res := &Result{}
-	nseg := cfg.Params.NumSegments()
-	// No decode attempt can succeed before the received symbols could even in
-	// principle carry the whole message (2c coded bits per symbol), so skip
-	// the earliest attempts outright.
-	minUses := (cfg.Params.MessageBits + 2*cfg.Params.C - 1) / (2 * cfg.Params.C)
-	var bufs sessionBuffers
-	sent := 0
-	for sent < cfg.MaxSymbols {
-		stop, attempt := nextAttempt(cfg.Attempts, sent, minUses, nseg, cfg.MaxSymbols)
-		for sent < stop {
-			n := stop - sent
-			if n > maxSessionBatch {
-				n = maxSessionBatch
-			}
-			poss, tx, rx := bufs.sized(n)
-			PositionsInto(cfg.Schedule, sent, poss)
-			if err := enc.EncodeBatch(tx, poss); err != nil {
-				return nil, err
-			}
-			ch.CorruptBlock(rx, tx)
-			if err := obs.AddBatch(poss, rx); err != nil {
-				return nil, err
-			}
-			sent += n
-		}
-		if !attempt {
-			break
-		}
-		out, err := dec.Decode(obs)
-		if err != nil {
-			return nil, err
-		}
-		res.Attempts++
-		res.NodesExpanded += int64(out.NodesExpanded)
-		res.NodesSaved += int64(out.NodesSaved)
-		res.Decoded = out.Message
-		if verify(out.Message) {
-			res.Success = true
-			res.ChannelUses = sent
-			return res, nil
-		}
-	}
-	res.ChannelUses = cfg.MaxSymbols
-	return res, nil
+	return runSession(cfg, message, symbolChannel{ch}, verify)
 }
 
 // RunBitChannelSession is the binary-channel counterpart of
 // RunChannelSession: the encoder emits one coded bit per (spine value, pass)
 // and the decoder uses the Hamming metric, which is the ML rule for the BSC.
 func RunBitChannelSession(cfg SessionConfig, message []byte, ch BlockBitChannel, verify Verifier) (*Result, error) {
+	if ch == nil {
+		return nil, errNilChannel
+	}
+	return runSession(cfg, message, bitChannel{ch}, verify)
+}
+
+var errNilChannel = errors.New("core: nil channel or verifier")
+
+// runSession is the rateless loop of both entry points. It leases the
+// session's decoder from cfg.Pool, then sends every channel use up to the
+// next attempt point in batches, decodes, and stops when verify accepts or
+// the budget is spent.
+func runSession[T complex128 | byte](cfg SessionConfig, message []byte, ch sessionChannel[T], verify Verifier) (*Result, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	if ch == nil || verify == nil {
-		return nil, fmt.Errorf("core: nil channel or verifier")
+	if verify == nil {
+		return nil, errNilChannel
 	}
 	enc, err := NewEncoder(cfg.Params, message)
 	if err != nil {
 		return nil, err
 	}
-	dec, lease, release, err := sessionDecoder(cfg)
+	lease, err := cfg.Pool.Lease(cfg.Params, cfg.BeamWidth)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	var obs *BitObservations
-	if lease != nil {
-		if obs, err = lease.Bits(); err != nil {
-			return nil, err
-		}
-	} else if obs, err = NewBitObservations(cfg.Params.NumSegments()); err != nil {
+	defer lease.Release()
+	if err := lease.Dec.SetSearchMode(cfg.Search); err != nil {
 		return nil, err
 	}
 
 	res := &Result{}
 	nseg := cfg.Params.NumSegments()
-	// A decode from fewer coded bits than message bits cannot be reliable
-	// (the BSC carries at most one bit per channel use), so skip those
-	// attempts.
-	minUses := cfg.Params.MessageBits
-	var bufs sessionBuffers
+	minUses := ch.minUses(cfg.Params)
+	var poss []SymbolPos
+	var tx, rx []T
 	sent := 0
 	for sent < cfg.MaxSymbols {
 		stop, attempt := nextAttempt(cfg.Attempts, sent, minUses, nseg, cfg.MaxSymbols)
 		for sent < stop {
-			n := stop - sent
-			if n > maxSessionBatch {
-				n = maxSessionBatch
+			n := min(stop-sent, maxSessionBatch)
+			if cap(poss) < n {
+				poss, tx, rx = make([]SymbolPos, n), make([]T, n), make([]T, n)
 			}
-			poss, tx, rx := bufs.sizedBits(n)
+			poss, tx, rx = poss[:n], tx[:n], rx[:n]
 			PositionsInto(cfg.Schedule, sent, poss)
-			if err := enc.CodedBitBatch(tx, poss); err != nil {
-				return nil, err
-			}
-			ch.CorruptBits(rx, tx)
-			if err := obs.AddBatch(poss, rx); err != nil {
+			if err := ch.send(enc, lease, poss, tx, rx); err != nil {
 				return nil, err
 			}
 			sent += n
@@ -458,7 +376,7 @@ func RunBitChannelSession(cfg SessionConfig, message []byte, ch BlockBitChannel,
 		if !attempt {
 			break
 		}
-		out, err := dec.DecodeBits(obs)
+		out, err := ch.decode(lease)
 		if err != nil {
 			return nil, err
 		}

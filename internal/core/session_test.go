@@ -221,11 +221,10 @@ func TestSessionPuncturedScheduleBeatsMaxRateAtHighSNR(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		msg := RandomMessage(msgSrc, p.MessageBits)
 		cfg := SessionConfig{
-			Params:        p,
-			BeamWidth:     16,
-			Schedule:      sched,
-			Attempts:      AttemptEverySymbol{},
-			MaxCandidates: 4096,
+			Params:    p,
+			BeamWidth: 16,
+			Schedule:  sched,
+			Attempts:  AttemptEverySymbol{},
 		}
 		res, err := RunChannelSession(cfg, msg, ch, GenieVerifier(msg, p.MessageBits))
 		if err != nil {
@@ -273,11 +272,6 @@ func TestAttemptPolicies(t *testing.T) {
 	}
 	if bo.ShouldAttempt(7, 3) {
 		t.Error("backoff policy should only attempt at pass boundaries")
-	}
-	for _, pol := range []AttemptPolicy{AttemptEverySymbol{}, AttemptEveryPass{}, AttemptAdaptive{}, AttemptBackoff{}} {
-		if pol.Name() == "" {
-			t.Error("empty policy name")
-		}
 	}
 }
 

@@ -186,10 +186,11 @@ func FixedRateSpinal(cfg SpinalConfig, snrsDB []float64, passes int) ([]FixedRat
 	out := make([]FixedRatePoint, 0, len(snrsDB))
 	for _, snr := range snrsDB {
 		results, err := sim.Run(cfg.runner(), cfg.Trials, func(w *sim.Worker, trial int) (bool, error) {
-			lease, err := w.Decoder(params, cfg.BeamWidth)
+			lease, err := w.Pool().Lease(params, cfg.BeamWidth)
 			if err != nil {
 				return false, err
 			}
+			defer lease.Release()
 			msgSrc := rng.New(cfg.Seed ^ (0x9e3779b97f4a7c15 * uint64(trial+1)))
 			msg := core.RandomMessage(msgSrc, cfg.MessageBits)
 			block, err := codec.Encode(msg)

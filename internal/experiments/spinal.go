@@ -177,9 +177,8 @@ type genieTrial struct {
 }
 
 // SpinalRateAtSNR measures the achieved rate at a single SNR point. Trials
-// run on the shared sim runner: each sim worker leases one decoder from the
-// run's pool and reuses it (reset between trials) for every trial it
-// executes.
+// run on the shared sim runner, each on a decoder leased from the run's
+// pool for the length of the trial.
 func SpinalRateAtSNR(cfg SpinalConfig, snrDB float64) (RatePoint, error) {
 	cfg = cfg.withDefaults()
 	params, err := cfg.params()
@@ -192,13 +191,11 @@ func SpinalRateAtSNR(cfg SpinalConfig, snrDB float64) (RatePoint, error) {
 	}
 
 	results, err := sim.Run(cfg.runner(), cfg.Trials, func(w *sim.Worker, trial int) (genieTrial, error) {
-		lease, err := w.Decoder(params, cfg.BeamWidth)
+		lease, err := w.Pool().Lease(params, cfg.BeamWidth)
 		if err != nil {
 			return genieTrial{}, err
 		}
-		// Validate the search strategy against the decoder once up front;
-		// runGenieTrial re-applies it after every lease.Reset (which reverts
-		// per-lease tuning to the exact defaults).
+		defer lease.Release()
 		if err := lease.Dec.SetSearchMode(cfg.Search); err != nil {
 			return genieTrial{}, err
 		}
@@ -265,14 +262,9 @@ func runGenieTrial(cfg SpinalConfig, params core.Params, sched core.Schedule, le
 	radio.CorruptBlock(received, received)
 
 	decodes := func(prefix int) bool {
-		// Reset clears the leased container, so every prefix decodes from
-		// an empty container exactly as a fresh lease would. It also
-		// reverts the search strategy, so a non-default one is re-applied
-		// (the caller already validated it against the decoder).
-		lease.Reset()
-		if lease.Dec.SetSearchMode(cfg.Search) != nil {
-			return false
-		}
+		// Every prefix decodes from an emptied container, exactly as a
+		// fresh lease would.
+		lease.Obs.Reset()
 		if lease.Obs.AddBatch(positions[:prefix], received[:prefix]) != nil {
 			return false
 		}
@@ -283,13 +275,22 @@ func runGenieTrial(cfg SpinalConfig, params core.Params, sched core.Schedule, le
 		return core.EqualMessages(out.Message, msg, cfg.MessageBits)
 	}
 
-	// The simulated receiver attempts a decode after every symbol during the
-	// first two passes (where each extra symbol changes the rate
-	// substantially) and once per pass afterwards. This is a measurement
-	// grid, not the link receiver's policy: that one waits for a threshold
-	// learned from its flow's recent decodes. The candidate stopping points
-	// are therefore:
-	attempts := attemptPoints(cfg, nseg, maxSymbols)
+	// The candidate stopping points are those of AttemptAdaptive with two
+	// fine passes: every symbol during the first two passes (where each
+	// extra symbol changes the rate substantially), then every full pass,
+	// none below the noiseless bound of 2c coded bits per symbol. This is a
+	// measurement grid, not the link receiver's policy: that one waits for
+	// a threshold learned from its flow's recent decodes.
+	grid := core.AttemptAdaptive{FinePasses: 2}
+	var attempts []int
+	for m := (cfg.MessageBits + 2*cfg.C - 1) / (2 * cfg.C); m <= maxSymbols; m++ {
+		if grid.ShouldAttempt(m, nseg) {
+			attempts = append(attempts, m)
+		}
+	}
+	if len(attempts) == 0 {
+		return maxSymbols, false
+	}
 
 	// Exponential-then-binary search over the attempt points for the
 	// earliest one from which the message decodes; decodability is
@@ -318,31 +319,6 @@ func runGenieTrial(cfg SpinalConfig, params core.Params, sched core.Schedule, le
 		}
 	}
 	return attempts[hi], true
-}
-
-// attemptPoints lists the symbol counts at which the receiver attempts a
-// decode: every symbol for the first two passes (starting from the smallest
-// prefix that could carry the message at all), then every full pass.
-func attemptPoints(cfg SpinalConfig, nseg, maxSymbols int) []int {
-	minUses := (cfg.MessageBits + 2*cfg.C - 1) / (2 * cfg.C)
-	if minUses < 1 {
-		minUses = 1
-	}
-	var pts []int
-	fine := 2 * nseg
-	if fine > maxSymbols {
-		fine = maxSymbols
-	}
-	for m := minUses; m <= fine; m++ {
-		pts = append(pts, m)
-	}
-	for m := ((fine / nseg) + 1) * nseg; m <= maxSymbols; m += nseg {
-		pts = append(pts, m)
-	}
-	if len(pts) == 0 || pts[len(pts)-1] != maxSymbols {
-		pts = append(pts, maxSymbols)
-	}
-	return pts
 }
 
 // scheduleFor builds the configured transmission schedule.

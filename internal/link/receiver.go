@@ -261,20 +261,11 @@ func NewReceiver(tr Transport, cfg Config, impairment channel.SymbolChannel) (*R
 // Receive. The receiver must not be used afterwards.
 func (r *Receiver) Close() error {
 	r.eng.stop()
-	// The queues have drained: no attempt is in flight, so every surviving
-	// lease is owned by its state and can be reclaimed directly.
-	for id, fs := range r.flows {
-		for _, st := range fs.states {
-			st.mu.Lock()
-			st.evicted = true
-			reclaim := r.eng.handBackLocked(st)
-			st.mu.Unlock()
-			reclaim.Release()
-		}
-		delete(r.flows, id)
-		r.eng.forgetFlow(id)
+	// The queues have drained: no attempt is queued or in flight, so
+	// dropping each state reclaims its lease directly.
+	for _, fs := range r.flows {
+		r.dropFlow(fs, false)
 	}
-	r.nmsgs = 0
 	r.eng.mu.Lock()
 	clear(r.eng.hist)
 	r.eng.mu.Unlock()
@@ -433,8 +424,8 @@ func (r *Receiver) addFrame(raw []byte, from net.Addr) (*msgState, bool, error) 
 		return nil, false, nil // stray ack: ignore
 	}
 	// A NaN or infinite sample would give every child at its level a
-	// non-finite cost that spreads to every path below it and stays in the
-	// cached sums, so the message could never decode; finite costs are also
+	// non-finite cost that spreads to every path below it on every later
+	// attempt, so the message could never decode; finite costs are also
 	// what makes the beam's candidate order a strict total order. Drop the
 	// frame before it creates or touches any state.
 	if !v.symbolsFinite() {
@@ -628,11 +619,30 @@ func (r *Receiver) dropState(fs *flowState, st *msgState) {
 	r.nmsgs--
 }
 
+// dropFlow tears a flow down: it NACKs the flow's undelivered messages when
+// nack is set (best effort; an unreachable sender just times out), drops
+// every message state and forgets the flow.
+func (r *Receiver) dropFlow(fs *flowState, nack bool) {
+	for _, st := range fs.states {
+		if nack {
+			st.mu.Lock()
+			done := st.done
+			st.mu.Unlock()
+			if !done {
+				_ = r.eng.sendAckFor(st, false)
+			}
+		}
+		r.dropState(fs, st)
+	}
+	delete(r.flows, fs.id)
+	r.eng.forgetFlow(fs.id)
+}
+
 // evictDelivered drops delivered states whose sender has been silent for the
 // grace period — the ack evidently arrived, so the state is done repeating
 // it — and forgets flows that no longer track any message.
 func (r *Receiver) evictDelivered() {
-	for id, fs := range r.flows {
+	for _, fs := range r.flows {
 		for _, st := range fs.states {
 			st.mu.Lock()
 			stale := st.done && r.seq-st.lastSeq > doneGraceFrames
@@ -642,8 +652,7 @@ func (r *Receiver) evictDelivered() {
 			}
 		}
 		if len(fs.states) == 0 {
-			delete(r.flows, id)
-			r.eng.forgetFlow(id)
+			r.dropFlow(fs, false)
 		}
 	}
 }
@@ -685,8 +694,7 @@ func (r *Receiver) evictForCap(scope, keep *flowState) {
 	}
 	r.dropState(victimFlow, victim)
 	if len(victimFlow.states) == 0 && victimFlow != keep {
-		delete(r.flows, victimFlow.id)
-		r.eng.forgetFlow(victimFlow.id)
+		r.dropFlow(victimFlow, false)
 	}
 }
 
@@ -705,18 +713,7 @@ func (r *Receiver) shedOldestFlow() {
 	if victim == nil {
 		return
 	}
-	for _, st := range victim.states {
-		st.mu.Lock()
-		done := st.done
-		st.mu.Unlock()
-		if !done {
-			// Best-effort NACK; an unreachable sender just times out.
-			_ = r.eng.sendAckFor(st, false)
-		}
-		r.dropState(victim, st)
-	}
-	delete(r.flows, victim.id)
-	r.eng.forgetFlow(victim.id)
+	r.dropFlow(victim, true)
 	r.shed++
 }
 
@@ -730,21 +727,11 @@ func (r *Receiver) expireIdle() {
 		return
 	}
 	now := time.Now()
-	for id, fs := range r.flows {
+	for _, fs := range r.flows {
 		if now.Sub(fs.lastFrame) <= r.cfg.IdleExpiry {
 			continue
 		}
-		for _, st := range fs.states {
-			st.mu.Lock()
-			done := st.done
-			st.mu.Unlock()
-			if !done {
-				_ = r.eng.sendAckFor(st, false)
-			}
-			r.dropState(fs, st)
-		}
-		delete(r.flows, id)
-		r.eng.forgetFlow(id)
+		r.dropFlow(fs, true)
 		r.expired++
 	}
 }

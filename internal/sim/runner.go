@@ -21,47 +21,23 @@ type Runner struct {
 }
 
 // Worker is the per-goroutine context handed to every trial. It carries the
-// state a worker reuses across the trials it executes: decoder leases from
-// the run's pool and arbitrary stashed values (an LDPC decoder, a HARQ
-// scheme). Reused state must never change trial results — which trials land
-// on which worker depends on scheduling, and the runner's determinism
-// guarantee depends on the trial index alone.
+// run's decoder pool, which trials lease from and release to within the
+// trial, and arbitrary stashed values a worker reuses across the trials it
+// executes (an LDPC decoder, a HARQ scheme). Reused state must never change
+// trial results — which trials land on which worker depends on scheduling,
+// and the runner's determinism guarantee depends on the trial index alone.
 type Worker struct {
 	// Index identifies the worker within the run, 0..workers-1.
 	Index int
 
-	pool   *core.DecoderPool
-	leases map[string]*core.LeasedDecoder
-	stash  map[string]any
+	pool  *core.DecoderPool
+	stash map[string]any
 }
 
-// Decoder returns a (BeamDecoder, Observations) lease for the given code
-// parameters, reset to fresh-decoder behaviour: the observation containers
-// are cleared, per-lease tuning reverts to construction defaults and the
-// decoder will rebuild from the root, exactly like a freshly constructed
-// pair (core.LeasedDecoder.Reset). The first call per parameter set leases
-// from the run's pool; later calls on the same worker reuse the lease, so a
-// worker running hundreds of trials builds at most one decoder per
-// parameter set.
-func (w *Worker) Decoder(params core.Params, beamWidth int) (*core.LeasedDecoder, error) {
-	key := core.LeaseKey(params, beamWidth)
-	if ld, ok := w.leases[key]; ok {
-		ld.Reset()
-		return ld, nil
-	}
-	ld, err := w.pool.Lease(params, beamWidth)
-	if err != nil {
-		return nil, err
-	}
-	if w.leases == nil {
-		w.leases = map[string]*core.LeasedDecoder{}
-	}
-	w.leases[key] = ld
-	return ld, nil
-}
-
-// Pool exposes the run's shared decoder pool, for trials that run whole
-// sessions (core.SessionConfig.Pool) rather than driving a decoder directly.
+// Pool returns the run's decoder pool. A trial leases its decoder from it
+// (directly, or through core.SessionConfig.Pool) and releases the lease
+// before it returns, so a worker running many trials reuses one idle
+// decoder per parameter set.
 func (w *Worker) Pool() *core.DecoderPool { return w.pool }
 
 // Stash returns the worker-scoped value under key, building it on first
@@ -80,14 +56,6 @@ func (w *Worker) Stash(key string, build func() (any, error)) (any, error) {
 	}
 	w.stash[key] = v
 	return v, nil
-}
-
-// release returns every decoder lease the worker accumulated to the pool.
-func (w *Worker) release() {
-	for _, ld := range w.leases {
-		ld.Release()
-	}
-	w.leases = nil
 }
 
 // Run executes fn for trials 0..trials-1, distributed across the runner's
@@ -126,7 +94,6 @@ func Run[T any](r Runner, trials int, fn func(w *Worker, trial int) (T, error)) 
 		go func(idx int) {
 			defer wg.Done()
 			w := &Worker{Index: idx, pool: pool}
-			defer w.release()
 			for trial := range trialCh {
 				out, err := fn(w, trial)
 				if err != nil {

@@ -85,19 +85,22 @@ func TestRunZeroTrialsAndNilFn(t *testing.T) {
 	}
 }
 
-// TestWorkerDecoderReuse checks the per-worker lease cache: a single-worker
-// run leases one decoder for many trials (the pool sees exactly one miss per
-// parameter set) and every trial receives it reset to empty.
+// TestWorkerDecoderReuse checks per-trial leasing from the run's pool: a
+// single-worker run that leases and releases once per trial builds one
+// decoder for many trials (the pool sees exactly one miss per parameter
+// set), every trial receives it reset to empty, and the run ends with the
+// decoder idle in the pool.
 func TestWorkerDecoderReuse(t *testing.T) {
 	params := core.Params{K: 4, C: 8, MessageBits: 32, Seed: core.DefaultSeed}
 	pool := core.NewDecoderPool(4)
 	var distinct atomic.Int64
 	seen := make(map[*core.BeamDecoder]bool)
 	_, err := Run(Runner{Workers: 1, Pool: pool}, 10, func(w *Worker, i int) (int, error) {
-		ld, err := w.Decoder(params, 8)
+		ld, err := w.Pool().Lease(params, 8)
 		if err != nil {
 			return 0, err
 		}
+		defer ld.Release()
 		if ld.Obs.Count() != 0 {
 			return 0, fmt.Errorf("trial %d: observations not reset (%d symbols)", i, ld.Obs.Count())
 		}
@@ -116,10 +119,11 @@ func TestWorkerDecoderReuse(t *testing.T) {
 	if distinct.Load() != 1 {
 		t.Fatalf("single worker used %d decoders over 10 trials, want 1", distinct.Load())
 	}
-	if s := pool.Stats(); s.Misses != 1 {
-		t.Fatalf("pool misses = %d, want 1 (one lease per worker per key)", s.Misses)
+	s := pool.Stats()
+	if s.Misses != 1 {
+		t.Fatalf("pool misses = %d, want 1 (one decoder per parameter set)", s.Misses)
 	}
-	if s := pool.Stats(); s.Idle != 1 {
+	if s.Idle != 1 || s.Outstanding != 0 {
 		t.Fatalf("lease not returned to the pool at end of run: %+v", s)
 	}
 }

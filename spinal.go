@@ -371,8 +371,8 @@ func (d *Decoder) Decode() ([]byte, error) {
 	return out.Message, nil
 }
 
-// Reset discards all observations and the cached decode state so the decoder
-// (and its buffers) can be reused for a new message of the same code.
+// Reset discards all observations so the decoder (and its buffers) can be
+// reused for a new message of the same code.
 func (d *Decoder) Reset() {
 	d.obs.Reset()
 }
