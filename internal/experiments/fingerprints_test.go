@@ -13,7 +13,7 @@ import (
 	"spinal/internal/sim"
 )
 
-var updateFingerprints = flag.Bool("update", false, "rewrite testdata/fingerprints.txt from the current code")
+var update = flag.Bool("update", false, "rewrite the testdata records (fingerprints.txt, figure2.txt) from the current code")
 
 const fingerprintsFile = "testdata/fingerprints.txt"
 
@@ -25,15 +25,10 @@ const fingerprintsFile = "testdata/fingerprints.txt"
 //	go test ./internal/experiments -run TestScenarioFingerprints -update
 //
 // so the diff shows which scenarios moved. The hashes are pinned on amd64
-// at the baseline GOAMD64 only: the Go spec lets a compiler fuse x*y+z into
-// one FMA instruction, which gc does on arm64 (and on amd64 from GOAMD64=v3),
-// and a fused multiply-add rounds differently.
+// at the baseline GOAMD64 only (see unfusedFloat).
 func TestScenarioFingerprints(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skipf("fingerprints are pinned on amd64; GOARCH=%s may fuse multiply-adds", runtime.GOARCH)
-	}
-	if v := os.Getenv("GOAMD64"); v != "" && v != "v1" && v != "v2" {
-		t.Skipf("fingerprints are pinned at GOAMD64 v1/v2; GOAMD64=%s may fuse multiply-adds", v)
+	if why, ok := unfusedFloat(); !ok {
+		t.Skip("fingerprints are pinned on amd64 at GOAMD64 v1/v2; " + why)
 	}
 	var got strings.Builder
 	for _, name := range registryNames {
@@ -47,7 +42,7 @@ func TestScenarioFingerprints(t *testing.T) {
 		}
 		fmt.Fprintf(&got, "%s %x\n", name, sha256.Sum256([]byte(res.Fingerprint())))
 	}
-	if *updateFingerprints {
+	if *update {
 		if err := os.MkdirAll(filepath.Dir(fingerprintsFile), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -70,4 +65,19 @@ func TestScenarioFingerprints(t *testing.T) {
 			t.Errorf("fingerprint moved:\n got  %s\n want %s", gotLines[i], wantLines[i])
 		}
 	}
+}
+
+// unfusedFloat reports whether the build rounds floating point like the
+// committed records. The Go spec lets a compiler fuse x*y+z into one FMA
+// instruction, which gc does on arm64 (and on amd64 from GOAMD64=v3), and a
+// fused multiply-add rounds differently; when it may, the reason is
+// returned.
+func unfusedFloat() (string, bool) {
+	if runtime.GOARCH != "amd64" {
+		return fmt.Sprintf("GOARCH=%s may fuse multiply-adds", runtime.GOARCH), false
+	}
+	if v := os.Getenv("GOAMD64"); v != "" && v != "v1" && v != "v2" {
+		return fmt.Sprintf("GOAMD64=%s may fuse multiply-adds", v), false
+	}
+	return "", true
 }
