@@ -43,11 +43,12 @@ func (AttemptEveryPass) ShouldAttempt(received, nseg int) bool {
 // full decode, so the window is paid in decode work: at 0 dB with the
 // Figure 2 code a message takes 218240 nodes over its attempts. The users
 // that run it are the frontier scenario, spinal.Code.TransmitOver and
-// TransmitBitsOver, and BenchmarkRatelessDecode. The bsc scenario attempts
-// once per pass, the spinal and figure2 scenarios search a grid of
-// AttemptAdaptive{FinePasses: 2} for the first decodable prefix, and the
-// link layer does not use these policies: its receiver attempts from a
-// learned threshold, about once per message.
+// TransmitBitsOver, and BenchmarkRatelessDecode. Every spinal rate trial of
+// the simulator (the spinal and figure2 scenarios and their ablations) runs
+// a session with FinePasses: 2 and stops at the first decode its genie
+// accepts. The bsc scenario attempts once per pass, and the link layer does
+// not use these policies: its receiver attempts from a learned threshold,
+// about once per message.
 type AttemptAdaptive struct {
 	// FinePasses is the number of initial passes decoded at per-symbol
 	// granularity. Zero means 8.

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"spinal/internal/core"
-	"spinal/internal/impair"
-	"spinal/internal/rng"
 	"spinal/internal/sim"
 )
 
@@ -44,14 +42,6 @@ type FrontierPoint struct {
 	Trials    int
 }
 
-// frontierTrial is the per-trial outcome of one mode's run.
-type frontierTrial struct {
-	uses  int
-	nodes int64
-	saved int64
-	ok    bool
-}
-
 // FrontierComparison runs the same rateless transmissions under every
 // search mode and reports rate and tree-expansion work per (SNR, mode).
 // Message and channel randomness derive from the configured seed and the
@@ -59,14 +49,6 @@ type frontierTrial struct {
 // ratios are deterministic.
 func FrontierComparison(cfg SpinalConfig, snrsDB []float64) ([]FrontierPoint, error) {
 	cfg = cfg.withDefaults()
-	params, err := cfg.params()
-	if err != nil {
-		return nil, err
-	}
-	sched, err := scheduleFor(cfg, params.NumSegments())
-	if err != nil {
-		return nil, err
-	}
 	if cfg.Pool == nil {
 		cfg.Pool = core.NewDecoderPool(core.DefaultDecoderPoolCapacity)
 		defer cfg.Pool.Drain()
@@ -75,7 +57,7 @@ func FrontierComparison(cfg SpinalConfig, snrsDB []float64) ([]FrontierPoint, er
 	for _, snr := range snrsDB {
 		var exact FrontierPoint
 		for i, sc := range frontierModes {
-			pt, err := frontierAtSNR(cfg, params, sched, snr, sc)
+			pt, err := frontierAtSNR(cfg, snr, sc)
 			if err != nil {
 				return nil, err
 			}
@@ -94,32 +76,10 @@ func FrontierComparison(cfg SpinalConfig, snrsDB []float64) ([]FrontierPoint, er
 	return points, nil
 }
 
-// frontierAtSNR runs one (SNR, mode) cell over the sharded trial runner.
-func frontierAtSNR(cfg SpinalConfig, params core.Params, sched core.Schedule, snrDB float64, sc core.SearchMode) (FrontierPoint, error) {
-	results, err := sim.Run(cfg.runner(), cfg.Trials, func(w *sim.Worker, trial int) (frontierTrial, error) {
-		msg := core.RandomMessage(rng.New(cfg.Seed^(0x9e3779b97f4a7c15*uint64(trial+1))), cfg.MessageBits)
-		radio, err := impair.NewQuantizedAWGN(snrDB, cfg.ADCBits, rng.New(cfg.Seed^(0xbb67ae8584caa73b*uint64(trial+1))))
-		if err != nil {
-			return frontierTrial{}, err
-		}
-		out, err := core.RunChannelSession(core.SessionConfig{
-			Params:     params,
-			BeamWidth:  cfg.BeamWidth,
-			Schedule:   sched,
-			MaxSymbols: cfg.MaxPasses * params.NumSegments(),
-			Search:     sc,
-			Pool:       w.Pool(),
-		}, msg, radio, core.GenieVerifier(msg, cfg.MessageBits))
-		if err != nil {
-			return frontierTrial{}, err
-		}
-		return frontierTrial{
-			uses:  out.ChannelUses,
-			nodes: out.NodesExpanded,
-			saved: out.NodesSaved,
-			ok:    out.Success,
-		}, nil
-	})
+// frontierAtSNR runs one (SNR, mode) cell: the sessions' default attempt
+// policy on every trial.
+func frontierAtSNR(cfg SpinalConfig, snrDB float64, sc core.SearchMode) (FrontierPoint, error) {
+	results, err := runTrials(cfg, snrDB, core.AttemptAdaptive{}, sc)
 	if err != nil {
 		return FrontierPoint{}, err
 	}

@@ -170,38 +170,20 @@ func SpinalRateCurve(cfg SpinalConfig, snrsDB []float64) ([]RatePoint, error) {
 	return points, nil
 }
 
-// genieTrial is the per-trial outcome of the rate measurement.
-type genieTrial struct {
-	symbols int
-	ok      bool
-}
+// genieGrid is where a spinal rate trial attempts a decode: after every
+// symbol through the first two passes (where each extra symbol changes the
+// rate substantially), then after every pass, none below the noiseless
+// bound of 2c coded bits per symbol. With the genie verifier the session
+// stops at the first grid point that decodes, which is the paper's genie
+// ("the receiver informs the sender as soon as it is able to fully
+// decode") measured at this grid's granularity.
+var genieGrid = core.AttemptAdaptive{FinePasses: 2}
 
-// SpinalRateAtSNR measures the achieved rate at a single SNR point. Trials
-// run on the shared sim runner, each on a decoder leased from the run's
-// pool for the length of the trial.
+// SpinalRateAtSNR measures the achieved rate at a single SNR point. Each
+// trial is one rateless session over the genie grid (see runTrials).
 func SpinalRateAtSNR(cfg SpinalConfig, snrDB float64) (RatePoint, error) {
 	cfg = cfg.withDefaults()
-	params, err := cfg.params()
-	if err != nil {
-		return RatePoint{}, err
-	}
-	sched, err := scheduleFor(cfg, params.NumSegments())
-	if err != nil {
-		return RatePoint{}, err
-	}
-
-	results, err := sim.Run(cfg.runner(), cfg.Trials, func(w *sim.Worker, trial int) (genieTrial, error) {
-		lease, err := w.Pool().Lease(params, cfg.BeamWidth)
-		if err != nil {
-			return genieTrial{}, err
-		}
-		defer lease.Release()
-		if err := lease.Dec.SetSearchMode(cfg.Search); err != nil {
-			return genieTrial{}, err
-		}
-		symbols, ok := runGenieTrial(cfg, params, sched, lease, snrDB, uint64(trial))
-		return genieTrial{symbols: symbols, ok: ok}, nil
-	})
+	results, err := runTrials(cfg, snrDB, genieGrid, cfg.Search)
 	if err != nil {
 		return RatePoint{}, err
 	}
@@ -209,14 +191,13 @@ func SpinalRateAtSNR(cfg SpinalConfig, snrDB float64) (RatePoint, error) {
 	var meter stats.RateMeter
 	failures := 0
 	for _, r := range results {
-		if !r.ok {
-			failures++
-		}
 		bits := 0
 		if r.ok {
 			bits = cfg.MessageBits
+		} else {
+			failures++
 		}
-		meter.Record(bits, r.symbols)
+		meter.Record(bits, r.uses)
 	}
 	return RatePoint{
 		SNRdB:    snrDB,
@@ -228,97 +209,51 @@ func SpinalRateAtSNR(cfg SpinalConfig, snrDB float64) (RatePoint, error) {
 	}, nil
 }
 
-// runGenieTrial simulates one message: it precomputes the received symbols
-// for the whole transmission budget and then finds the smallest schedule
-// prefix from which the decoder recovers the message exactly (the paper's
-// genie methodology: "the receiver informs the sender as soon as it is able
-// to fully decode"). The search is exponential-then-binary, which is valid
-// because decodability is (essentially) monotone in the number of received
-// symbols.
-func runGenieTrial(cfg SpinalConfig, params core.Params, sched core.Schedule, lease *core.LeasedDecoder, snrDB float64, trial uint64) (int, bool) {
-	chSrc := rng.New(cfg.Seed ^ (0xbb67ae8584caa73b * (trial + 1)))
-	radio, err := impair.NewQuantizedAWGN(snrDB, cfg.ADCBits, chSrc)
+// trialResult is the outcome of one rateless trial.
+type trialResult struct {
+	uses  int
+	nodes int64
+	saved int64
+	ok    bool
+}
+
+// runTrials runs cfg.Trials rateless transmissions at one SNR on the
+// sharded trial runner. Each trial sends its own seeded message through its
+// own seeded quantized AWGN radio in one core.RunChannelSession, which
+// leases its decoder from the run's pool, attempts a decode where attempts
+// says, and stops when the genie verifier accepts or MaxPasses passes are
+// spent. Message and noise derive from the configured seed and the trial
+// index, so every attempt policy and search mode faces the same symbol
+// streams.
+func runTrials(cfg SpinalConfig, snrDB float64, attempts core.AttemptPolicy, search core.SearchMode) ([]trialResult, error) {
+	params, err := cfg.params()
 	if err != nil {
-		return 0, false
+		return nil, err
 	}
-	msgSrc := rng.New(cfg.Seed ^ (0x9e3779b97f4a7c15 * (trial + 1)))
-	msg := core.RandomMessage(msgSrc, cfg.MessageBits)
-	enc, err := core.NewEncoder(params, msg)
+	sched, err := scheduleFor(cfg, params.NumSegments())
 	if err != nil {
-		return 0, false
+		return nil, err
 	}
-
-	nseg := params.NumSegments()
-	maxSymbols := cfg.MaxPasses * nseg
-	// Precompute the whole received stream through the batch path: one
-	// schedule fill, one encoder fill and one block-channel call replace
-	// three per-symbol calls each, with an identical noise stream.
-	positions := make([]core.SymbolPos, maxSymbols)
-	core.PositionsInto(sched, 0, positions)
-	received := make([]complex128, maxSymbols)
-	if enc.EncodeBatch(received, positions) != nil {
-		return 0, false
-	}
-	radio.CorruptBlock(received, received)
-
-	decodes := func(prefix int) bool {
-		// Every prefix decodes from an emptied container, exactly as a
-		// fresh lease would.
-		lease.Obs.Reset()
-		if lease.Obs.AddBatch(positions[:prefix], received[:prefix]) != nil {
-			return false
+	return sim.Run(cfg.runner(), cfg.Trials, func(w *sim.Worker, trial int) (trialResult, error) {
+		msg := core.RandomMessage(rng.New(cfg.Seed^(0x9e3779b97f4a7c15*uint64(trial+1))), cfg.MessageBits)
+		radio, err := impair.NewQuantizedAWGN(snrDB, cfg.ADCBits, rng.New(cfg.Seed^(0xbb67ae8584caa73b*uint64(trial+1))))
+		if err != nil {
+			return trialResult{}, err
 		}
-		out, derr := lease.Dec.Decode(lease.Obs)
-		if derr != nil {
-			return false
+		out, err := core.RunChannelSession(core.SessionConfig{
+			Params:     params,
+			BeamWidth:  cfg.BeamWidth,
+			Schedule:   sched,
+			Attempts:   attempts,
+			MaxSymbols: cfg.MaxPasses * params.NumSegments(),
+			Search:     search,
+			Pool:       w.Pool(),
+		}, msg, radio, core.GenieVerifier(msg, cfg.MessageBits))
+		if err != nil {
+			return trialResult{}, err
 		}
-		return core.EqualMessages(out.Message, msg, cfg.MessageBits)
-	}
-
-	// The candidate stopping points are those of AttemptAdaptive with two
-	// fine passes: every symbol during the first two passes (where each
-	// extra symbol changes the rate substantially), then every full pass,
-	// none below the noiseless bound of 2c coded bits per symbol. This is a
-	// measurement grid, not the link receiver's policy: that one waits for
-	// a threshold learned from its flow's recent decodes.
-	grid := core.AttemptAdaptive{FinePasses: 2}
-	var attempts []int
-	for m := (cfg.MessageBits + 2*cfg.C - 1) / (2 * cfg.C); m <= maxSymbols; m++ {
-		if grid.ShouldAttempt(m, nseg) {
-			attempts = append(attempts, m)
-		}
-	}
-	if len(attempts) == 0 {
-		return maxSymbols, false
-	}
-
-	// Exponential-then-binary search over the attempt points for the
-	// earliest one from which the message decodes; decodability is
-	// (essentially) monotone in the prefix length, which is what makes the
-	// search equivalent to attempting at every point.
-	lo, hi := 0, 0
-	for {
-		if hi >= len(attempts) {
-			hi = len(attempts) - 1
-		}
-		if decodes(attempts[hi]) {
-			break
-		}
-		if hi == len(attempts)-1 {
-			return maxSymbols, false
-		}
-		lo = hi + 1
-		hi = 2*hi + 2
-	}
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if decodes(attempts[mid]) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return attempts[hi], true
+		return trialResult{uses: out.ChannelUses, nodes: out.NodesExpanded, saved: out.NodesSaved, ok: out.Success}, nil
+	})
 }
 
 // scheduleFor builds the configured transmission schedule.
