@@ -54,7 +54,9 @@ type SpinalConfig struct {
 	Pool *core.DecoderPool
 }
 
-// Figure2Config returns the exact configuration of Figure 2 in the paper.
+// Figure2Config returns the code configuration of Figure 2 in the paper,
+// with 100 trials per point: the count spinalsim runs and TestFigure2Record
+// pins.
 func Figure2Config() SpinalConfig {
 	return SpinalConfig{
 		MessageBits: 24,
@@ -62,7 +64,7 @@ func Figure2Config() SpinalConfig {
 		C:           10,
 		BeamWidth:   16,
 		ADCBits:     14,
-		Trials:      150,
+		Trials:      100,
 		Seed:        core.DefaultSeed,
 		Mapper:      "linear",
 		Schedule:    "striped",
