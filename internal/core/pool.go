@@ -87,10 +87,10 @@ func (l *LeasedDecoder) Bits() (*BitObservations, error) {
 	return l.bitObs, nil
 }
 
-// Reset returns the lease to fresh-decoder behaviour without returning it
-// to the pool: the observation containers are cleared and the search
-// strategy reverts to the exact search.
-func (l *LeasedDecoder) Reset() {
+// reset returns the lease to fresh-decoder behaviour: the observation
+// containers are cleared and the search strategy reverts to the exact
+// search.
+func (l *LeasedDecoder) reset() {
 	l.Obs.Reset()
 	if l.bitObs != nil {
 		l.bitObs.Reset()
@@ -101,10 +101,7 @@ func (l *LeasedDecoder) Reset() {
 // NewDecoderPool returns a pool that caches up to capacity idle decoders
 // across all parameter keys. A capacity <= 0 disables caching.
 func NewDecoderPool(capacity int) *DecoderPool {
-	return &DecoderPool{
-		capacity: capacity,
-		idle:     map[poolKey][]*LeasedDecoder{},
-	}
+	return &DecoderPool{capacity: capacity}
 }
 
 // keyFor derives the pool key for a parameter set. Params with a nil Mapper
@@ -162,9 +159,10 @@ func (p *DecoderPool) Lease(params Params, beamWidth int) (*LeasedDecoder, error
 	return &LeasedDecoder{Dec: dec, Obs: obs, key: key, pool: p, leased: true}, nil
 }
 
-// Release returns the lease to its pool. The lease is Reset for the next
-// user; if the pool is at capacity the decoder is dropped instead. Release is idempotent: returning the same lease twice is
-// a no-op, so eviction races in callers cannot double-cache a decoder.
+// Release returns the lease to its pool. The lease is reset for the next
+// user; if the pool is at capacity the decoder is dropped instead. Release
+// is idempotent: returning the same lease twice is a no-op, so eviction
+// races in callers cannot double-cache a decoder.
 func (l *LeasedDecoder) Release() {
 	if l == nil || l.pool == nil {
 		return
@@ -183,14 +181,17 @@ func (l *LeasedDecoder) Release() {
 		return
 	}
 	p.mu.Unlock()
-	// Reset outside the pool lock: clearing a large observation container is
+	// reset outside the pool lock: clearing a large observation container is
 	// not free, and the lease is not reachable from the pool yet.
-	l.Reset()
+	l.reset()
 	p.mu.Lock()
 	if p.idleN >= p.capacity {
 		p.stats.Discards++
 		p.mu.Unlock()
 		return
+	}
+	if p.idle == nil {
+		p.idle = map[poolKey][]*LeasedDecoder{}
 	}
 	p.idle[l.key] = append(p.idle[l.key], l)
 	p.idleN++

@@ -8,8 +8,8 @@ import (
 	"spinal/internal/rng"
 )
 
-// TestLeaseResetReuseAcrossTrials checks LeasedDecoder.Reset: one
-// lease Reset between messages must decode exactly like a fresh decoder and
+// TestLeaseResetReuseAcrossTrials checks LeasedDecoder.reset: one
+// lease reset between messages must decode exactly like a fresh decoder and
 // container per message.
 func TestLeaseResetReuseAcrossTrials(t *testing.T) {
 	p := poolTestParams(32)
@@ -33,7 +33,7 @@ func TestLeaseResetReuseAcrossTrials(t *testing.T) {
 		}
 		want := decodeThrough(t, fresh, freshObs, p, msg, 3)
 
-		lease.Reset()
+		lease.reset()
 		got := decodeThrough(t, lease.Dec, lease.Obs, p, msg, 3)
 
 		if len(got) != len(want) {
@@ -51,7 +51,7 @@ func TestLeaseResetReuseAcrossTrials(t *testing.T) {
 }
 
 // TestLeaseBitsContainer checks the lazily built BSC container: it matches
-// the decoder's segment count, survives Reset, and is reusable.
+// the decoder's segment count, survives reset, and is reusable.
 func TestLeaseBitsContainer(t *testing.T) {
 	p := poolTestParams(32)
 	pool := NewDecoderPool(2)
@@ -74,9 +74,9 @@ func TestLeaseBitsContainer(t *testing.T) {
 	if err := bits.Add(SymbolPos{Spine: 0, Pass: 0}, 1); err != nil {
 		t.Fatal(err)
 	}
-	lease.Reset()
+	lease.reset()
 	if bits.Count() != 0 || bits.PerSpine(0) != 0 {
-		t.Fatalf("Reset did not clear the bit container (count=%d, spine 0 holds %d)",
+		t.Fatalf("reset did not clear the bit container (count=%d, spine 0 holds %d)",
 			bits.Count(), bits.PerSpine(0))
 	}
 }

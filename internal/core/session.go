@@ -146,11 +146,15 @@ type SessionConfig struct {
 	// Pool supplies the session's decoder and observation containers as a
 	// lease, released when the session returns, so callers running many
 	// sessions — the experiment trial runner in particular — reuse decoder
-	// buffers across them. Nil leases from NewDecoderPool(0), which builds
-	// a decoder per session. Pooled and freshly built decoders are
-	// bit-identical.
+	// buffers across them. Nil leases from one shared capacity-0 pool,
+	// which builds a decoder per session. Pooled and freshly built
+	// decoders are bit-identical.
 	Pool *DecoderPool
 }
+
+// unpooled is the pool of sessions without one: capacity 0 caches nothing,
+// so it holds no decoder between sessions.
+var unpooled = NewDecoderPool(0)
 
 func (c SessionConfig) withDefaults() (SessionConfig, error) {
 	if err := c.Params.Validate(); err != nil {
@@ -174,7 +178,7 @@ func (c SessionConfig) withDefaults() (SessionConfig, error) {
 		c.MaxSymbols = 400 * nseg
 	}
 	if c.Pool == nil {
-		c.Pool = NewDecoderPool(0)
+		c.Pool = unpooled
 	}
 	return c, nil
 }
