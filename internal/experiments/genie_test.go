@@ -6,6 +6,7 @@ import (
 	"spinal/internal/core"
 	"spinal/internal/impair"
 	"spinal/internal/rng"
+	"spinal/internal/sim"
 )
 
 // TestSpinalRateMatchesLinearScan pins the spinal rate trials to the
@@ -16,7 +17,7 @@ import (
 // search, say) stops late on some of these trials and understates the rate.
 func TestSpinalRateMatchesLinearScan(t *testing.T) {
 	cfg := Figure2Config()
-	cfg.Trials = 16
+	cfg.Trials = 12
 	cfg.TrialWorkers = 2
 	const snrDB = -10.0
 	got, err := runTrials(cfg, snrDB, genieGrid, cfg.Search)
@@ -31,12 +32,16 @@ func TestSpinalRateMatchesLinearScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := core.NewDecoderPool(1)
-	for trial, r := range got {
-		uses, ok := linearScanTrial(t, cfg, params, sched, pool, snrDB, trial)
-		if r.uses != uses || r.ok != ok {
+	want, err := sim.Run(cfg.runner(), cfg.Trials, func(w *sim.Worker, trial int) (trialResult, error) {
+		return linearScanTrial(cfg, params, sched, w.Pool(), snrDB, trial)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := range got {
+		if got[trial].uses != want[trial].uses || got[trial].ok != want[trial].ok {
 			t.Errorf("trial %d: session stopped at %d symbols (delivered %v), the linear scan at %d (delivered %v)",
-				trial, r.uses, r.ok, uses, ok)
+				trial, got[trial].uses, got[trial].ok, want[trial].uses, want[trial].ok)
 		}
 	}
 }
@@ -46,16 +51,15 @@ func TestSpinalRateMatchesLinearScan(t *testing.T) {
 // as runTrials), then decodes every prefix on the AttemptAdaptive{
 // FinePasses: 2} grid in order, from the noiseless bound up, and returns
 // the first prefix that decodes to the message.
-func linearScanTrial(t *testing.T, cfg SpinalConfig, params core.Params, sched core.Schedule, pool *core.DecoderPool, snrDB float64, trial int) (int, bool) {
-	t.Helper()
+func linearScanTrial(cfg SpinalConfig, params core.Params, sched core.Schedule, pool *core.DecoderPool, snrDB float64, trial int) (trialResult, error) {
 	msg := core.RandomMessage(rng.New(cfg.Seed^(0x9e3779b97f4a7c15*uint64(trial+1))), cfg.MessageBits)
 	radio, err := impair.NewQuantizedAWGN(snrDB, cfg.ADCBits, rng.New(cfg.Seed^(0xbb67ae8584caa73b*uint64(trial+1))))
 	if err != nil {
-		t.Fatal(err)
+		return trialResult{}, err
 	}
 	enc, err := core.NewEncoder(params, msg)
 	if err != nil {
-		t.Fatal(err)
+		return trialResult{}, err
 	}
 	nseg := params.NumSegments()
 	maxSymbols := cfg.MaxPasses * nseg
@@ -63,13 +67,13 @@ func linearScanTrial(t *testing.T, cfg SpinalConfig, params core.Params, sched c
 	core.PositionsInto(sched, 0, positions)
 	received := make([]complex128, maxSymbols)
 	if err := enc.EncodeBatch(received, positions); err != nil {
-		t.Fatal(err)
+		return trialResult{}, err
 	}
 	radio.CorruptBlock(received, received)
 
 	lease, err := pool.Lease(params, cfg.BeamWidth)
 	if err != nil {
-		t.Fatal(err)
+		return trialResult{}, err
 	}
 	defer lease.Release()
 	grid := core.AttemptAdaptive{FinePasses: 2}
@@ -79,16 +83,16 @@ func linearScanTrial(t *testing.T, cfg SpinalConfig, params core.Params, sched c
 			continue
 		}
 		if err := lease.Obs.AddBatch(positions[added:m], received[added:m]); err != nil {
-			t.Fatal(err)
+			return trialResult{}, err
 		}
 		added = m
 		out, err := lease.Dec.Decode(lease.Obs)
 		if err != nil {
-			t.Fatal(err)
+			return trialResult{}, err
 		}
 		if core.EqualMessages(out.Message, msg, cfg.MessageBits) {
-			return m, true
+			return trialResult{uses: m, ok: true}, nil
 		}
 	}
-	return maxSymbols, false
+	return trialResult{uses: maxSymbols}, nil
 }
