@@ -578,13 +578,21 @@ func BenchmarkMappers(b *testing.B) {
 	}
 }
 
+// attemptEverySymbol attempts a decode after every received symbol, the
+// finest granularity BenchmarkAttemptPolicy compares against.
+type attemptEverySymbol struct{}
+
+func (attemptEverySymbol) FirstAttempt(minUses, nseg int) (int, bool) { return minUses, false }
+func (attemptEverySymbol) ShouldAttempt(received, nseg int) bool      { return true }
+func (attemptEverySymbol) Decoded(uses, nseg int, held bool)          {}
+
 // BenchmarkAttemptPolicy is the decode-attempt-policy ablation: how much rate
 // the receiver loses by attempting a decode only once per pass instead of
 // after every symbol, at 25 dB where attempts are frequent.
 func BenchmarkAttemptPolicy(b *testing.B) {
 	params := core.Params{K: 8, C: 10, MessageBits: 24, Seed: core.DefaultSeed}
 	policies := map[string]core.AttemptPolicy{
-		"every-symbol": core.AttemptEverySymbol{},
+		"every-symbol": attemptEverySymbol{},
 		"every-pass":   core.AttemptEveryPass{},
 	}
 	for name, policy := range policies {

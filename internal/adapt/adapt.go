@@ -276,18 +276,17 @@ func RunRateless(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	msgSrc := rng.New(cfg.Seed + 4)
+	// One decode history spans the messages, as the link keeps one per flow.
+	var hist core.DecodeHistory
 
 	res := &Result{Scheme: "spinal-rateless"}
 	for res.Symbols < cfg.SymbolBudget {
 		msg := core.RandomMessage(msgSrc, cfg.MessageBits)
 		session := core.SessionConfig{
-			Params:    params,
-			BeamWidth: cfg.BeamWidth,
-			Schedule:  sched,
-			// Per-pass attempts with geometric backoff keep the decoding work
-			// linear in the number of passes even when the packet straddles a
-			// deep fade.
-			Attempts:   core.AttemptBackoff{DensePasses: 6},
+			Params:     params,
+			BeamWidth:  cfg.BeamWidth,
+			Schedule:   sched,
+			Attempts:   &hist,
 			MaxSymbols: 40 * params.NumSegments(),
 		}
 		out, err := core.RunChannelSession(session, msg, ch, core.GenieVerifier(msg, cfg.MessageBits))

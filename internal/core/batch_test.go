@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"spinal/internal/channel"
@@ -266,7 +267,9 @@ func TestAddBatchValidation(t *testing.T) {
 // loop against a from-first-principles reimplementation of the historical
 // per-symbol session: same attempt points, same noise stream, bit-identical
 // results — on AWGN (RunChannelSession) and on the BSC
-// (RunBitChannelSession), each with both the adaptive and the backoff policy.
+// (RunBitChannelSession), each with the adaptive policy and with a learned
+// DecodeHistory, which must also record the same decode points on both
+// sides.
 func TestRunChannelSessionMatchesScalarReference(t *testing.T) {
 	p := DefaultParams()
 	sched, err := NewStripedSchedule(p.NumSegments(), 8)
@@ -284,22 +287,45 @@ func TestRunChannelSessionMatchesScalarReference(t *testing.T) {
 			got.Attempts == want.Attempts && got.NodesExpanded == want.NodesExpanded &&
 			EqualMessages(got.Decoded, want.Decoded, messageBits)
 	}
+	// policies returns the session's policy and the reference's: the default
+	// policy twice, or two copies of a history primed with four decode points
+	// (at nseg segments) whose threshold holds a message's first attempt at
+	// `hold` channel uses, above the noiseless bound and off the pass grid.
+	policies := func(t *testing.T, learned bool, points []int, nseg, minUses, hold int) (AttemptPolicy, AttemptPolicy) {
+		if !learned {
+			return AttemptAdaptive{}, AttemptAdaptive{}
+		}
+		var h DecodeHistory
+		for _, uses := range points {
+			h.Decoded(uses, nseg, false)
+		}
+		if probe := h; hold%nseg == 0 {
+			t.Fatalf("hold %d is on the pass grid", hold)
+		} else if got, held := probe.FirstAttempt(minUses, nseg); got != hold || !held {
+			t.Fatalf("primed history holds at %d channel uses (held %v), want %d", got, held, hold)
+		}
+		ref := h
+		return &h, &ref
+	}
 	for _, tc := range []struct {
-		name     string
-		attempts AttemptPolicy
+		name    string
+		learned bool
 	}{
-		{"adaptive", AttemptAdaptive{}},
-		{"backoff", AttemptBackoff{DensePasses: 2}},
+		{"adaptive", false},
+		{"history", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Run("awgn", func(t *testing.T) {
+				// 2c coded bits per symbol.
+				minUses := (p.MessageBits + 2*p.C - 1) / (2 * p.C)
+				policy, refPolicy := policies(t, tc.learned, []int{5, 7, 10, 11}, p.NumSegments(), minUses, 7)
 				for trial := 0; trial < 4; trial++ {
 					msg := RandomMessage(rng.New(uint64(trial)*31+5), p.MessageBits)
 					cfg := SessionConfig{
 						Params:     p,
 						BeamWidth:  16,
 						Schedule:   sched,
-						Attempts:   tc.attempts,
+						Attempts:   policy,
 						MaxSymbols: 40 * p.NumSegments(),
 					}
 					ch, err := impair.NewAWGN(6, rng.New(uint64(trial)*37+7))
@@ -318,9 +344,9 @@ func TestRunChannelSessionMatchesScalarReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					// 2c coded bits per symbol.
-					minUses := (p.MessageBits + 2*p.C - 1) / (2 * p.C)
-					want, err := scalarReferenceSession(cfg, msg, minUses,
+					refCfg := cfg
+					refCfg.Attempts = refPolicy
+					want, err := scalarReferenceSession(refCfg, msg, minUses,
 						func(enc *Encoder, pos SymbolPos) error {
 							return obs.Add(pos, refCh.Corrupt(enc.SymbolAt(pos)))
 						},
@@ -329,20 +355,22 @@ func TestRunChannelSessionMatchesScalarReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !same(got, want, p.MessageBits) {
-						t.Fatalf("trial %d: batch session diverged from the scalar reference:\n got %+v\nwant %+v",
-							trial, got, want)
+					if !same(got, want, p.MessageBits) || !reflect.DeepEqual(policy, refPolicy) {
+						t.Fatalf("trial %d: batch session diverged from the scalar reference:\n got %+v %+v\nwant %+v %+v",
+							trial, got, policy, want, refPolicy)
 					}
 				}
 			})
 			t.Run("bsc", func(t *testing.T) {
+				// At most one message bit per coded bit.
+				policy, refPolicy := policies(t, tc.learned, []int{27, 31, 45, 50}, bp.NumSegments(), bp.MessageBits, 31)
 				for trial := 0; trial < 4; trial++ {
 					msg := RandomMessage(rng.New(uint64(trial)*41+11), bp.MessageBits)
 					cfg := SessionConfig{
 						Params:     bp,
 						BeamWidth:  16,
 						Schedule:   bitSched,
-						Attempts:   tc.attempts,
+						Attempts:   policy,
 						MaxSymbols: 40 * bp.NumSegments(),
 					}
 					ch, err := channel.NewBSC(0.05, rng.New(uint64(trial)*43+13))
@@ -361,8 +389,9 @@ func TestRunChannelSessionMatchesScalarReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					// At most one message bit per coded bit.
-					want, err := scalarReferenceSession(cfg, msg, bp.MessageBits,
+					refCfg := cfg
+					refCfg.Attempts = refPolicy
+					want, err := scalarReferenceSession(refCfg, msg, bp.MessageBits,
 						func(enc *Encoder, pos SymbolPos) error {
 							return obs.Add(pos, refCh.CorruptBit(enc.CodedBit(pos.Spine, pos.Pass)))
 						},
@@ -371,9 +400,9 @@ func TestRunChannelSessionMatchesScalarReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !same(got, want, bp.MessageBits) {
-						t.Fatalf("trial %d: batch bit session diverged from the scalar reference:\n got %+v\nwant %+v",
-							trial, got, want)
+					if !same(got, want, bp.MessageBits) || !reflect.DeepEqual(policy, refPolicy) {
+						t.Fatalf("trial %d: batch bit session diverged from the scalar reference:\n got %+v %+v\nwant %+v %+v",
+							trial, got, policy, want, refPolicy)
 					}
 				}
 			})
@@ -385,8 +414,8 @@ func TestRunChannelSessionMatchesScalarReference(t *testing.T) {
 // pre-batch per-symbol session loop, kept in the tests as the equivalence
 // reference for the batched transmission path. observe sends one symbol (or
 // coded bit) through the channel and records it; decode runs one attempt on
-// what was recorded; minUses is the noiseless bound below which no attempt
-// runs.
+// what was recorded; minUses is the noiseless bound, from which the policy
+// places the first attempt.
 func scalarReferenceSession(cfg SessionConfig, message []byte, minUses int, observe func(enc *Encoder, pos SymbolPos) error,
 	decode func(dec *BeamDecoder) (*DecodeResult, error), verify Verifier) (*Result, error) {
 	cfg, err := cfg.withDefaults()
@@ -406,12 +435,14 @@ func scalarReferenceSession(cfg SessionConfig, message []byte, minUses int, obse
 	}
 	res := &Result{}
 	nseg := cfg.Params.NumSegments()
+	first, held := cfg.Attempts.FirstAttempt(minUses, nseg)
+	first = min(first, cfg.MaxSymbols)
 	for i := 0; i < cfg.MaxSymbols; i++ {
 		if err := observe(enc, cfg.Schedule.Pos(i)); err != nil {
 			return nil, err
 		}
 		received := i + 1
-		if received < minUses || !cfg.Attempts.ShouldAttempt(received, nseg) {
+		if received < first || received > first && !cfg.Attempts.ShouldAttempt(received, nseg) {
 			continue
 		}
 		out, err := decode(dec)
@@ -422,6 +453,7 @@ func scalarReferenceSession(cfg SessionConfig, message []byte, minUses int, obse
 		res.NodesExpanded += int64(out.NodesExpanded)
 		res.Decoded = out.Message
 		if verify(out.Message) {
+			cfg.Attempts.Decoded(received, nseg, held)
 			res.Success = true
 			res.ChannelUses = received
 			return res, nil

@@ -289,7 +289,7 @@ func runApproxSession(t *testing.T, trial, passes int, search SearchMode) *Resul
 	cfg := SessionConfig{
 		Params: p, BeamWidth: exactPinBeam, Schedule: sched,
 		MaxSymbols: passes * p.NumSegments(), Search: search,
-		Attempts: AttemptEverySymbol{},
+		Attempts: attemptEverySymbol{},
 	}
 	res, err := RunChannelSession(cfg, msg, noise, GenieVerifier(msg, p.MessageBits))
 	if err != nil {

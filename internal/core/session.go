@@ -1,6 +1,9 @@
 package core
 
-import "errors"
+import (
+	"errors"
+	"slices"
+)
 
 // This file implements the rateless transmission loop of §3.2: the sender
 // keeps emitting symbols (in schedule order) and the receiver keeps feeding
@@ -8,47 +11,53 @@ import "errors"
 // until the decoded message is verified (by a genie in the paper's
 // simulations, by a CRC in a deployed link layer) or a give-up bound is hit.
 
-// AttemptPolicy decides after which received symbols the receiver runs the
-// decoder. Attempting after every symbol gives the finest rate granularity
-// but costs the most computation; attempting once per pass is cheaper and
-// loses little at low SNR where many passes are needed anyway.
+// AttemptPolicy decides after which received channel uses the receiver runs
+// the decoder. Attempting after every symbol gives the finest rate
+// granularity but costs the most computation; attempting once per pass is
+// cheaper and loses little at low SNR where many passes are needed anyway. A
+// policy may learn across messages: a session asks it once where a message's
+// first attempt runs and tells it where the message decoded.
 type AttemptPolicy interface {
+	// FirstAttempt returns the channel-use count of a new message's first
+	// decode attempt, at least minUses (the noiseless bound), for a code with
+	// nseg spine values; held reports that the policy's memory, not its grid,
+	// placed it there.
+	FirstAttempt(minUses, nseg int) (first int, held bool)
 	// ShouldAttempt reports whether to run the decoder after `received`
-	// symbols (1-based) have arrived, for a code with nseg spine values.
+	// channel uses (1-based), past the first attempt.
 	ShouldAttempt(received, nseg int) bool
+	// Decoded records that the message decoded after `uses` channel uses;
+	// held is what FirstAttempt reported for it.
+	Decoded(uses, nseg int, held bool)
 }
-
-// AttemptEverySymbol attempts a decode after every received symbol.
-type AttemptEverySymbol struct{}
-
-// ShouldAttempt implements AttemptPolicy.
-func (AttemptEverySymbol) ShouldAttempt(received, nseg int) bool { return true }
 
 // AttemptEveryPass attempts a decode only when a whole pass worth of symbols
 // (n/k of them) has arrived.
 type AttemptEveryPass struct{}
+
+// FirstAttempt implements AttemptPolicy: the first pass boundary from minUses.
+func (AttemptEveryPass) FirstAttempt(minUses, nseg int) (int, bool) {
+	return (minUses + nseg - 1) / nseg * nseg, false
+}
 
 // ShouldAttempt implements AttemptPolicy.
 func (AttemptEveryPass) ShouldAttempt(received, nseg int) bool {
 	return nseg > 0 && received%nseg == 0
 }
 
+// Decoded implements AttemptPolicy; the policy keeps no memory.
+func (AttemptEveryPass) Decoded(uses, nseg int, held bool) {}
+
 // AttemptAdaptive attempts after every symbol for the first few passes (where
 // each extra symbol can change the achieved rate substantially) and once per
 // pass afterwards (where rates are low and per-symbol attempts are wasted
-// work). It is the sessions' default policy.
-//
-// The default fine-grained window of 8 passes buys fine rate granularity
-// through the SNR range where most messages complete. Every attempt is a
-// full decode, so the window is paid in decode work: at 0 dB with the
-// Figure 2 code a message takes 218240 nodes over its attempts. The users
-// that run it are the frontier scenario, spinal.Code.TransmitOver and
-// TransmitBitsOver, and BenchmarkRatelessDecode. Every spinal rate trial of
-// the simulator (the spinal and figure2 scenarios and their ablations) runs
-// a session with FinePasses: 2 and stops at the first decode its genie
-// accepts. The bsc scenario attempts once per pass, and the link layer does
-// not use these policies: its receiver attempts from a learned threshold,
-// about once per message.
+// work). It is the sessions' default policy, run by spinal.Code.TransmitOver
+// and TransmitBitsOver, the frontier scenario and BenchmarkRatelessDecode;
+// every attempt is a full decode, so the default window of 8 passes costs
+// 218240 nodes per message at 0 dB with the Figure 2 code. Every spinal rate
+// trial of the simulator runs FinePasses: 2 and stops at the first decode
+// its genie accepts. The bsc scenario attempts every pass; the link's
+// receiver and the adapt scenario's rateless sender run a DecodeHistory.
 type AttemptAdaptive struct {
 	// FinePasses is the number of initial passes decoded at per-symbol
 	// granularity. Zero means 8.
@@ -59,55 +68,84 @@ type AttemptAdaptive struct {
 // AttemptAdaptive.FinePasses is zero.
 const DefaultFinePasses = 8
 
+// FirstAttempt implements AttemptPolicy.
+func (a AttemptAdaptive) FirstAttempt(minUses, nseg int) (int, bool) {
+	if a.ShouldAttempt(minUses, nseg) {
+		return minUses, false
+	}
+	return AttemptEveryPass{}.FirstAttempt(minUses, nseg)
+}
+
 // ShouldAttempt implements AttemptPolicy.
 func (a AttemptAdaptive) ShouldAttempt(received, nseg int) bool {
 	fine := a.FinePasses
 	if fine <= 0 {
 		fine = DefaultFinePasses
 	}
-	if received <= fine*nseg {
-		return true
-	}
-	return nseg > 0 && received%nseg == 0
+	return received <= fine*nseg || AttemptEveryPass{}.ShouldAttempt(received, nseg)
 }
 
-// AttemptBackoff attempts after every pass for the first several passes and
-// then backs off geometrically (every 2nd pass, then every 4th, ...). It
-// bounds the total decoding work of very long transmissions — the cost of an
-// attempt grows with the number of passes received, so attempting every pass
-// forever makes the work quadratic — at the price of a small rate loss when a
-// message finally decodes between two attempt points.
-type AttemptBackoff struct {
-	// DensePasses is the number of initial passes attempted at per-pass
-	// granularity. Zero means 8.
-	DensePasses int
+// Decoded implements AttemptPolicy; the policy keeps no memory.
+func (AttemptAdaptive) Decoded(uses, nseg int, held bool) {}
+
+// The decode history's rule, in messages rather than time.
+const (
+	historyLen    = 16 // recent decode points remembered
+	historyMin    = 4  // records needed before the threshold applies
+	thresholdRank = 1  // the second-smallest record, so one lucky decode does not set it
+	probeEvery    = 64 // every probeEvery-th message attempts unheld, probing below it
+)
+
+// DecodeHistory is the attempt policy that learns when a stream of messages
+// under one code decodes (RateMore, Iannucci et al., MobiCom'12, learns the
+// same decode CDF). It keeps the stream's recent decode points in channel
+// uses per segment, so payload sizes share one history, and holds a new
+// message's first attempt at a low quantile of them; other attempts come
+// once per pass. The link's receiver keeps one per flow, and a session
+// stream passes one to each of its messages in turn. The zero value is
+// empty. It is not safe for concurrent use.
+type DecodeHistory struct {
+	AttemptEveryPass
+	passes [historyLen]float64
+	n      int    // records held, at most historyLen
+	next   int    // ring slot the next record overwrites
+	msgs   uint64 // messages that asked for a threshold; drives the probe
 }
 
-// ShouldAttempt implements AttemptPolicy.
-func (a AttemptBackoff) ShouldAttempt(received, nseg int) bool {
-	if nseg <= 0 || received%nseg != 0 {
-		return false
+// Threshold returns the thresholdRank-th smallest record, in channel uses per
+// segment, or 0 with fewer than historyMin records.
+func (h *DecodeHistory) Threshold() float64 {
+	if h.n < historyMin {
+		return 0
 	}
-	dense := a.DensePasses
-	if dense <= 0 {
-		dense = 8
+	sorted := h.passes
+	slices.Sort(sorted[:h.n])
+	return sorted[thresholdRank]
+}
+
+// FirstAttempt implements AttemptPolicy. It counts a new message and holds
+// it at the threshold, converted to channel uses rounding down, when that
+// lies past minUses, unless the message is the periodic probe.
+func (h *DecodeHistory) FirstAttempt(minUses, nseg int) (int, bool) {
+	h.msgs++
+	if first := int(h.Threshold() * float64(nseg)); first > minUses && h.msgs%probeEvery != 0 {
+		return first, true
 	}
-	pass := received / nseg
-	if pass <= dense {
-		return true
+	return h.AttemptEveryPass.FirstAttempt(minUses, nseg)
+}
+
+// Decoded implements AttemptPolicy: it records the message's decode point. A
+// held message decodes at or above the threshold whatever the channel does,
+// so only an unheld one can show the channel improved: one that decodes
+// below the threshold restarts the history from its own record.
+func (h *DecodeHistory) Decoded(uses, nseg int, held bool) {
+	passes := float64(uses) / float64(nseg)
+	if !held && passes < h.Threshold() {
+		*h = DecodeHistory{}
 	}
-	// Beyond the dense phase, attempt at passes dense*2, dense*4, ... and at
-	// every multiple of the current backoff interval in between.
-	interval := 2
-	for threshold := dense * 2; ; threshold *= 2 {
-		if pass <= threshold {
-			return pass%interval == 0
-		}
-		interval *= 2
-		if interval > 1<<20 {
-			return pass%interval == 0
-		}
-	}
+	h.passes[h.next] = passes
+	h.next = (h.next + 1) % historyLen
+	h.n = min(h.n+1, historyLen)
 }
 
 // Verifier reports whether a decoded message should be accepted, ending the
@@ -134,7 +172,8 @@ type SessionConfig struct {
 	// Schedule is the symbol transmission order; nil means the unpunctured
 	// sequential schedule.
 	Schedule Schedule
-	// Attempts is the decode-attempt policy; nil means AttemptAdaptive.
+	// Attempts is the decode-attempt policy; nil means AttemptAdaptive. A
+	// DecodeHistory learns from every session it is passed to.
 	Attempts AttemptPolicy
 	// MaxSymbols bounds the number of channel uses before the sender gives up
 	// on the message. Zero selects 400 passes worth of symbols.
@@ -230,18 +269,19 @@ type BlockBitChannel interface {
 }
 
 // maxSessionBatch bounds the scratch buffers of a session: stretches of the
-// stream with no decode attempt (the backoff policy skips whole pass ranges)
-// are emitted in sub-batches of at most this many symbols.
+// stream with no decode attempt (the longest runs up to a first attempt that
+// a DecodeHistory holds) are emitted in sub-batches of at most this many
+// symbols.
 const maxSessionBatch = 4096
 
-// nextAttempt scans forward from `sent` transmitted symbols to the next
-// symbol count at which the receiver runs the decoder, or to maxSymbols if no
-// attempt point remains in the budget. The boolean reports whether the
-// returned count is an attempt point.
-func nextAttempt(att AttemptPolicy, sent, minUses, nseg, maxSymbols int) (int, bool) {
+// nextAttempt scans forward from `sent` transmitted channel uses to the next
+// count at which the receiver runs the decoder (first, then wherever the
+// policy says), or to maxSymbols if no attempt point remains in the budget.
+// The boolean reports whether the returned count is an attempt point.
+func nextAttempt(att AttemptPolicy, sent, first, nseg, maxSymbols int) (int, bool) {
 	for sent < maxSymbols {
 		sent++
-		if sent >= minUses && att.ShouldAttempt(sent, nseg) {
+		if sent == first || sent > first && att.ShouldAttempt(sent, nseg) {
 			return sent, true
 		}
 	}
@@ -361,11 +401,15 @@ func runSession[T complex128 | byte](cfg SessionConfig, message []byte, ch sessi
 	res := &Result{}
 	nseg := cfg.Params.NumSegments()
 	minUses := ch.minUses(cfg.Params)
+	// A first attempt held past the budget runs on its last channel use, as
+	// the link caps its threshold at the sender's budget.
+	first, held := cfg.Attempts.FirstAttempt(minUses, nseg)
+	first = min(first, cfg.MaxSymbols)
 	var poss []SymbolPos
 	var tx, rx []T
 	sent := 0
 	for sent < cfg.MaxSymbols {
-		stop, attempt := nextAttempt(cfg.Attempts, sent, minUses, nseg, cfg.MaxSymbols)
+		stop, attempt := nextAttempt(cfg.Attempts, sent, first, nseg, cfg.MaxSymbols)
 		for sent < stop {
 			n := min(stop-sent, maxSessionBatch)
 			if cap(poss) < n {
@@ -390,6 +434,7 @@ func runSession[T complex128 | byte](cfg SessionConfig, message []byte, ch sessi
 		res.NodesSaved += int64(out.NodesSaved)
 		res.Decoded = out.Message
 		if verify(out.Message) {
+			cfg.Attempts.Decoded(sent, nseg, held)
 			res.Success = true
 			res.ChannelUses = sent
 			return res, nil

@@ -22,7 +22,7 @@ func TestSessionNoiselessAchievesMaxRate(t *testing.T) {
 	// the unpunctured maximum rate of k bits/symbol.
 	p := DefaultParams()
 	msg := testMessage(61, p.MessageBits)
-	cfg := SessionConfig{Params: p, BeamWidth: 16, Attempts: AttemptEverySymbol{}}
+	cfg := SessionConfig{Params: p, BeamWidth: 16, Attempts: attemptEverySymbol{}}
 	res, err := RunChannelSession(cfg, msg, impair.NewPipeline(), GenieVerifier(msg, p.MessageBits))
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestSessionHighSNRRate(t *testing.T) {
 	var bits, uses int
 	for i := 0; i < 10; i++ {
 		msg := RandomMessage(msgSrc, p.MessageBits)
-		cfg := SessionConfig{Params: p, BeamWidth: 16, Schedule: sched, Attempts: AttemptEverySymbol{}}
+		cfg := SessionConfig{Params: p, BeamWidth: 16, Schedule: sched, Attempts: attemptEverySymbol{}}
 		res, err := RunChannelSession(cfg, msg, ch, GenieVerifier(msg, p.MessageBits))
 		if err != nil {
 			t.Fatal(err)
@@ -165,7 +165,7 @@ func TestSessionRejectsNonFiniteValues(t *testing.T) {
 func TestSessionBitChannelNoiseless(t *testing.T) {
 	p := Params{K: 4, C: 10, MessageBits: 24, Seed: 69}
 	msg := testMessage(70, p.MessageBits)
-	cfg := SessionConfig{Params: p, BeamWidth: 16, Attempts: AttemptEverySymbol{}}
+	cfg := SessionConfig{Params: p, BeamWidth: 16, Attempts: attemptEverySymbol{}}
 	res, err := RunBitChannelSession(cfg, msg, noiselessBits(), GenieVerifier(msg, p.MessageBits))
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func TestSessionPuncturedScheduleBeatsMaxRateAtHighSNR(t *testing.T) {
 			Params:    p,
 			BeamWidth: 16,
 			Schedule:  sched,
-			Attempts:  AttemptEverySymbol{},
+			Attempts:  attemptEverySymbol{},
 		}
 		res, err := RunChannelSession(cfg, msg, ch, GenieVerifier(msg, p.MessageBits))
 		if err != nil {
@@ -242,13 +242,30 @@ func TestSessionPuncturedScheduleBeatsMaxRateAtHighSNR(t *testing.T) {
 	}
 }
 
+// attemptEverySymbol attempts a decode after every received symbol: the
+// finest rate granularity a session can measure, at the most decode work.
+type attemptEverySymbol struct{}
+
+func (attemptEverySymbol) FirstAttempt(minUses, nseg int) (int, bool) { return minUses, false }
+func (attemptEverySymbol) ShouldAttempt(received, nseg int) bool      { return true }
+func (attemptEverySymbol) Decoded(uses, nseg int, held bool)          {}
+
 func TestAttemptPolicies(t *testing.T) {
-	if !(AttemptEverySymbol{}).ShouldAttempt(1, 3) {
-		t.Error("every-symbol policy skipped an attempt")
+	// first is a stateless policy's first attempt point, which no memory
+	// holds.
+	first := func(p AttemptPolicy, minUses, nseg int) int {
+		at, held := p.FirstAttempt(minUses, nseg)
+		if held {
+			t.Errorf("%T held a first attempt", p)
+		}
+		return at
 	}
 	ep := AttemptEveryPass{}
 	if ep.ShouldAttempt(2, 3) || !ep.ShouldAttempt(3, 3) || !ep.ShouldAttempt(6, 3) {
 		t.Error("every-pass policy misfires")
+	}
+	if first(ep, 2, 3) != 3 || first(ep, 3, 3) != 3 || first(ep, 4, 3) != 6 {
+		t.Error("every-pass policy's first attempt is off the pass grid")
 	}
 	ad := AttemptAdaptive{FinePasses: 2}
 	if !ad.ShouldAttempt(1, 3) || !ad.ShouldAttempt(5, 3) {
@@ -257,21 +274,56 @@ func TestAttemptPolicies(t *testing.T) {
 	if ad.ShouldAttempt(7, 3) || !ad.ShouldAttempt(9, 3) {
 		t.Error("adaptive policy should be per-pass after the fine phase")
 	}
+	if first(ad, 5, 3) != 5 || first(ad, 7, 3) != 9 || first(ad, 9, 3) != 9 {
+		t.Error("adaptive policy's first attempt misplaced")
+	}
 	def := AttemptAdaptive{}
 	if !def.ShouldAttempt(3*DefaultFinePasses, 3) ||
 		def.ShouldAttempt(3*DefaultFinePasses+1, 3) ||
 		!def.ShouldAttempt(3*(DefaultFinePasses+1), 3) {
 		t.Error("default adaptive policy fine window misplaced")
 	}
-	bo := AttemptBackoff{DensePasses: 4}
-	if !bo.ShouldAttempt(3*4, 3) || bo.ShouldAttempt(3*5, 3) || !bo.ShouldAttempt(3*6, 3) {
-		t.Error("backoff policy misfires in the dense-to-sparse transition")
+
+	// A history attempts from the first pass boundary past the noiseless
+	// bound until it holds historyMin records, then holds first attempts at
+	// the second-smallest record, and attempts once per pass after that.
+	const nseg = 10
+	var h DecodeHistory
+	for i, uses := range []int{40, 25, 30, 35} {
+		if at, held := h.FirstAttempt(5, nseg); at != nseg || held {
+			t.Fatalf("message %d: first attempt at %d (held %v) with %d records, want unheld at the first pass boundary %d",
+				i, at, held, i, nseg)
+		}
+		h.Decoded(uses, nseg, false)
 	}
-	if bo.ShouldAttempt(3*17, 3) || !bo.ShouldAttempt(3*24, 3) {
-		t.Error("backoff policy misfires in the sparse phase")
+	if at, held := h.FirstAttempt(5, nseg); at != 30 || !held {
+		t.Fatalf("first attempt at %d (held %v), want held at the second-smallest record 30", at, held)
 	}
-	if bo.ShouldAttempt(7, 3) {
-		t.Error("backoff policy should only attempt at pass boundaries")
+	if h.ShouldAttempt(31, nseg) || !h.ShouldAttempt(40, nseg) {
+		t.Error("history attempts off the pass grid past its first attempt")
+	}
+	// A held message that decodes below the threshold cannot have measured
+	// the channel; an unheld one restarts the history from its own record.
+	h.Decoded(22, nseg, true)
+	if q := h.Threshold(); q != 2.5 {
+		t.Fatalf("threshold %.2f after a held record, want 2.5", q)
+	}
+	h.Decoded(12, nseg, false)
+	if q := h.Threshold(); q != 0 {
+		t.Fatalf("threshold %.2f after an unheld decode below it, want a restarted history", q)
+	}
+	// Every probeEvery-th message asks from the noiseless bound.
+	for i := 0; i < historyMin; i++ {
+		h.Decoded(30, nseg, false)
+	}
+	probes := 0
+	for i := 0; i < probeEvery; i++ {
+		if _, held := h.FirstAttempt(5, nseg); !held {
+			probes++
+		}
+	}
+	if probes != 1 {
+		t.Fatalf("%d probes in %d messages, want 1", probes, probeEvery)
 	}
 }
 

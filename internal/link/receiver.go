@@ -6,7 +6,6 @@ import (
 	"math"
 	"net"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -157,7 +156,7 @@ type msgState struct {
 	// minUses is the per-message attempt gate: no decode runs until the
 	// observations hold this many symbols. It is the noiseless bound
 	// ⌈n/2c⌉ raised to the flow's learned decode threshold (see
-	// decodeHistory), fixed when the state is created.
+	// core.DecodeHistory), fixed when the state is created.
 	minUses int
 
 	// decodeMu serializes decode attempts (any pool worker and the
@@ -582,10 +581,9 @@ func (r *Receiver) stateFor(v *FrameView) (*msgState, error) {
 	// the MaxPasses budget so a history that outgrew the channel can never
 	// hold back a message past the last symbol its sender emits.
 	code := codeKey{k: params.K, c: params.C, schedule: v.Schedule}
-	minUses := noiselessUses(params)
-	if q := r.eng.decodeThreshold(v.FlowID, code); q > 0 {
-		nseg := params.NumSegments()
-		minUses = max(minUses, min(int(q*float64(nseg)), r.cfg.MaxPasses*nseg))
+	minUses, nseg := noiselessUses(params), params.NumSegments()
+	if first, held := r.eng.firstAttempt(v.FlowID, code, minUses, nseg); held {
+		minUses = max(minUses, min(first, r.cfg.MaxPasses*nseg))
 		r.thresholded++
 	}
 	st := &msgState{
@@ -908,7 +906,7 @@ type flowEngine struct {
 	// threshold; a new flow in a full table evicts the least recently used
 	// entry. histClock stamps each entry's reads and writes. skips counts
 	// attempts the threshold held back.
-	hist      map[uint32]*decodeHistory
+	hist      map[uint32]*flowHistory
 	histCap   int
 	histClock uint64
 	skips     atomic.Uint64
@@ -953,7 +951,7 @@ func newFlowEngine(tr Transport, workers int, budget int64, base core.SearchMode
 		base:     base,
 		adaptive: adaptive,
 		spent:    map[uint32]int64{},
-		hist:     map[uint32]*decodeHistory{},
+		hist:     map[uint32]*flowHistory{},
 		histCap:  histCap,
 	}
 	if adaptive {
@@ -1157,28 +1155,6 @@ func (e *flowEngine) forgetFlow(flow uint32) {
 	e.mu.Unlock()
 }
 
-// The decode threshold. A message attempts a decode only once it holds
-// enough symbols to decode, which the flow's recent messages predict
-// (RateMore, Iannucci et al., MobiCom'12, learns the same decode CDF).
-// Each flow records the symbol count at which each of its messages
-// decoded, per segment so that payload sizes share one history, and a new
-// message's first attempt waits for a low quantile of those records.
-const (
-	// historyLen is how many recent decodes a flow remembers.
-	historyLen = 16
-	// historyMin is how many records a flow needs before the threshold
-	// applies; with fewer, messages attempt from the noiseless bound.
-	historyMin = 4
-	// thresholdRank picks the quantile: the second-smallest record, so one
-	// lucky early decode does not pull every later message back to
-	// attempts that fail.
-	thresholdRank = 1
-	// probeEvery is the probe period in messages: every probeEvery-th
-	// message of a flow attempts from the noiseless bound, measuring the
-	// channel below the threshold.
-	probeEvery = 64
-)
-
 // codeKey is the part of a flow's code configuration that its decode
 // history is valid for; messages under another key restart the history.
 type codeKey struct {
@@ -1186,58 +1162,37 @@ type codeKey struct {
 	schedule uint8
 }
 
-// decodeHistory is one flow's ring of recent decode points, in symbols per
-// segment, learned under one code configuration.
-type decodeHistory struct {
-	code   codeKey
-	passes [historyLen]float64
-	n      int    // records held, at most historyLen
-	next   int    // ring slot the next record overwrites
-	msgs   uint64 // messages that asked for a threshold; drives the probe
-	used   uint64 // histClock at the last read or write; the LRU order
+// flowHistory is one flow's decode history (core.DecodeHistory), learned
+// under one code configuration.
+type flowHistory struct {
+	core.DecodeHistory
+	code codeKey
+	used uint64 // histClock at the last read or write; the LRU order
 }
 
-// threshold returns the thresholdRank-th smallest record, or 0 with fewer
-// than historyMin records.
-func (h *decodeHistory) threshold() float64 {
-	if h.n < historyMin {
-		return 0
-	}
-	sorted := h.passes
-	slices.Sort(sorted[:h.n])
-	return sorted[thresholdRank]
-}
-
-// decodeThreshold returns the first-attempt threshold, in symbols per
-// segment, for a new message of flow under code, or 0 when the message
-// attempts from the noiseless bound: the flow has too few records under
-// code, or the message is the flow's periodic probe.
-func (e *flowEngine) decodeThreshold(flow uint32, code codeKey) float64 {
+// firstAttempt returns the symbol count at which the flow's decode history
+// holds the first attempt of a new message under code, from the noiseless
+// bound minUses at nseg segments; held is false when the flow has no
+// history under code or the history does not hold the message.
+func (e *flowEngine) firstAttempt(flow uint32, code codeKey, minUses, nseg int) (int, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	h := e.hist[flow]
 	if h == nil {
-		return 0
+		return minUses, false
 	}
 	e.histClock++
 	h.used = e.histClock
 	if h.code != code {
-		return 0
+		return minUses, false
 	}
-	h.msgs++
-	if h.msgs%probeEvery == 0 {
-		return 0
-	}
-	return h.threshold()
+	return h.FirstAttempt(minUses, nseg)
 }
 
-// noteDecoded records that a message of flow decoded at passes symbols per
-// segment; held reports whether the threshold delayed its first attempt.
-// A held message decodes at or above the threshold whatever the channel
-// does, so only unheld messages (probes, and messages of a flow without
-// enough history) can show the channel improved: one that decodes below
-// the threshold restarts the history from its own record.
-func (e *flowEngine) noteDecoded(flow uint32, code codeKey, passes float64, held bool) {
+// noteDecoded records that a message of flow under code decoded at count
+// symbols of nseg segments; held reports whether the threshold delayed its
+// first attempt. A decode under another code restarts the flow's history.
+func (e *flowEngine) noteDecoded(flow uint32, code codeKey, count, nseg int, held bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	h := e.hist[flow]
@@ -1245,17 +1200,15 @@ func (e *flowEngine) noteDecoded(flow uint32, code codeKey, passes float64, held
 		if len(e.hist) >= e.histCap {
 			e.evictHistoryLocked()
 		}
-		h = &decodeHistory{code: code}
+		h = &flowHistory{code: code}
 		e.hist[flow] = h
 	}
-	if h.code != code || (!held && passes < h.threshold()) {
-		*h = decodeHistory{code: code}
+	if h.code != code {
+		*h = flowHistory{code: code}
 	}
 	e.histClock++
 	h.used = e.histClock
-	h.passes[h.next] = passes
-	h.next = (h.next + 1) % historyLen
-	h.n = min(h.n+1, historyLen)
+	h.Decoded(count, nseg, held)
 }
 
 // evictHistoryLocked drops the least recently used decode history. Stamps
@@ -1502,8 +1455,7 @@ func (e *flowEngine) attempt(st *msgState) (*Delivered, error) {
 	reclaim = e.handBackLocked(st)
 	// Recorded under st.mu with evicted clear, so a message whose state was
 	// dropped never records; the history table holds at most MaxFlows flows.
-	e.noteDecoded(st.flow, st.code, float64(count)/float64(st.params.NumSegments()),
-		st.minUses > noiselessUses(st.params))
+	e.noteDecoded(st.flow, st.code, count, st.params.NumSegments(), st.minUses > noiselessUses(st.params))
 	st.mu.Unlock()
 	// Delivered: the decoder's job is done, return it to the pool for the
 	// next message (the ack-repeat path never decodes).

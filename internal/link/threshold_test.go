@@ -12,6 +12,15 @@ import (
 	"spinal/internal/rng"
 )
 
+// The shape of core.DecodeHistory's rule that these tests step through: a
+// ring of historyLen records, a threshold once historyMin are held, and a
+// probe every probeEvery-th message.
+const (
+	historyLen = 16
+	historyMin = 4
+	probeEvery = 64
+)
+
 // closedLoopFlow drives the messages of one flow through
 // Receiver.HandleFrames the way a closed-loop sender does: a message's
 // frames go in one at a time until it decodes, then the next message
@@ -77,7 +86,7 @@ func (f *closedLoopFlow) threshold() float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if h := e.hist[f.flow]; h != nil {
-		return h.threshold()
+		return h.Threshold()
 	}
 	return 0
 }
@@ -214,11 +223,11 @@ func TestDecodeThresholdCappedAtMaxPasses(t *testing.T) {
 	cfg.MaxPasses = 3
 	f := newClosedLoopFlow(t, cfg, 1)
 	code := codeKey{k: cfg.K, c: cfg.C, schedule: cfg.Schedule}
+	nseg := (stepPayload + 4) * 8 / cfg.K
 	for i := 0; i < historyLen; i++ {
-		f.r.eng.noteDecoded(f.flow, code, 100, true)
+		f.r.eng.noteDecoded(f.flow, code, 100*nseg, nseg, true)
 	}
 	ch := awgnPipeline(t, highSNR, 9)
-	nseg := (stepPayload + 4) * 8 / cfg.K
 	for i := 0; i < 5; i++ {
 		if got := f.send(t, ch, stepPayload); got != cfg.MaxPasses*nseg {
 			t.Errorf("message %d decoded at %d symbols, want the cap %d", i+1, got, cfg.MaxPasses*nseg)
