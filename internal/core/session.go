@@ -124,11 +124,13 @@ func (h *DecodeHistory) Threshold() float64 {
 }
 
 // FirstAttempt implements AttemptPolicy. It counts a new message and holds
-// it at the threshold, converted to channel uses rounding down, when that
-// lies past minUses, unless the message is the periodic probe.
+// it at the threshold when that lies past minUses, unless the message is the
+// periodic probe. The threshold converts to channel uses rounding down, but
+// the 1e-9 absorbs the float rounding of uses/nseg·nseg, so a record at this
+// size converts back to exactly its decode point.
 func (h *DecodeHistory) FirstAttempt(minUses, nseg int) (int, bool) {
 	h.msgs++
-	if first := int(h.Threshold() * float64(nseg)); first > minUses && h.msgs%probeEvery != 0 {
+	if first := int(h.Threshold()*float64(nseg) + 1e-9); first > minUses && h.msgs%probeEvery != 0 {
 		return first, true
 	}
 	return h.AttemptEveryPass.FirstAttempt(minUses, nseg)

@@ -327,6 +327,30 @@ func TestAttemptPolicies(t *testing.T) {
 	}
 }
 
+// TestDecodeHistoryHoldsAtTheRecordedPoint pins the conversion of a history
+// record back to channel uses: a message decoded at 61 symbols of 28
+// segments must hold the next 28-segment message to 61, not to the 60 that
+// truncating 61/28·28 = 60.99999999999999 gives (15 symbols at 104
+// segments likewise); a record from another size still rounds down.
+func TestDecodeHistoryHoldsAtTheRecordedPoint(t *testing.T) {
+	for _, tc := range []struct{ uses, nseg int }{{61, 28}, {15, 104}, {7, 3}, {144, 36}, {130, 40}} {
+		var h DecodeHistory
+		for i := 0; i < historyMin; i++ {
+			h.Decoded(tc.uses, tc.nseg, false)
+		}
+		if got, _ := h.FirstAttempt(1, tc.nseg); got != tc.uses {
+			t.Errorf("a record of %d symbols at %d segments holds the next message to %d", tc.uses, tc.nseg, got)
+		}
+	}
+	var h DecodeHistory
+	for i := 0; i < historyMin; i++ {
+		h.Decoded(61, 28, false)
+	}
+	if got, _ := h.FirstAttempt(1, 14); got != 30 {
+		t.Errorf("61/28 passes at 14 segments hold to %d symbols, want 30 (rounded down)", got)
+	}
+}
+
 func TestSessionEveryPassPolicyAlignsAttempts(t *testing.T) {
 	p := DefaultParams()
 	msg := testMessage(76, p.MessageBits)
