@@ -789,9 +789,12 @@ func BenchmarkFixedRateSpinal(b *testing.B) {
 	cfg := benchCfg()
 	cfg.Trials = 10
 	var pts []experiments.FixedRatePoint
-	var err error
 	for i := 0; i < b.N; i++ {
-		pts, err = experiments.FixedRateSpinal(cfg, []float64{12}, 4)
+		rateless, err := experiments.SpinalRateCurve(cfg, []float64{12})
+		if err != nil {
+			b.Fatal(err)
+		}
+		pts, err = experiments.FixedRateSpinal(cfg, rateless, 4)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -163,10 +163,11 @@ type FixedRatePoint struct {
 
 // FixedRateSpinal evaluates the fixed-rate instantiation of the spinal code
 // (§3: "It is straightforward to adapt the code to run at various fixed
-// rates") at each SNR, alongside the rateless rate, quantifying what the
-// feedback-free mode gives up. Trials shard across the sim runner, with
-// decoders leased from the run's pool (core.FixedRateCode.DecodeWith).
-func FixedRateSpinal(cfg SpinalConfig, snrsDB []float64, passes int) ([]FixedRatePoint, error) {
+// rates") at the SNRs of rateless, the curve SpinalRateCurve measured for
+// cfg, quantifying what the feedback-free mode gives up. Trials shard across
+// the sim runner, with decoders leased from the run's pool
+// (core.FixedRateCode.DecodeWith).
+func FixedRateSpinal(cfg SpinalConfig, rateless []RatePoint, passes int) ([]FixedRatePoint, error) {
 	cfg = cfg.withDefaults()
 	if passes < 1 {
 		return nil, fmt.Errorf("experiments: passes must be >= 1, got %d", passes)
@@ -183,8 +184,8 @@ func FixedRateSpinal(cfg SpinalConfig, snrsDB []float64, passes int) ([]FixedRat
 	}
 	nominalRate := codec.Rate()
 
-	out := make([]FixedRatePoint, 0, len(snrsDB))
-	for _, snr := range snrsDB {
+	out := make([]FixedRatePoint, 0, len(rateless))
+	for _, pt := range rateless {
 		results, err := sim.Run(cfg.runner(), cfg.Trials, func(w *sim.Worker, trial int) (bool, error) {
 			lease, err := w.Pool().Lease(params, cfg.BeamWidth)
 			if err != nil {
@@ -198,7 +199,7 @@ func FixedRateSpinal(cfg SpinalConfig, snrsDB []float64, passes int) ([]FixedRat
 				return false, err
 			}
 			chSrc := rng.New(cfg.Seed ^ (0xbb67ae8584caa73b * uint64(trial+1)))
-			radio, err := impair.NewQuantizedAWGN(snr, cfg.ADCBits, chSrc)
+			radio, err := impair.NewQuantizedAWGN(pt.SNRdB, cfg.ADCBits, chSrc)
 			if err != nil {
 				return false, err
 			}
@@ -217,17 +218,13 @@ func FixedRateSpinal(cfg SpinalConfig, snrsDB []float64, passes int) ([]FixedRat
 		for _, ok := range results {
 			errCount.RecordFrameResult(ok, cfg.MessageBits)
 		}
-		ratelessPt, err := SpinalRateAtSNR(cfg, snr)
-		if err != nil {
-			return nil, err
-		}
 		out = append(out, FixedRatePoint{
-			SNRdB:        snr,
+			SNRdB:        pt.SNRdB,
 			Passes:       passes,
 			Rate:         nominalRate,
 			Throughput:   nominalRate * (1 - errCount.FER()),
 			FER:          errCount.FER(),
-			RatelessRate: ratelessPt.Rate,
+			RatelessRate: pt.Rate,
 		})
 	}
 	return out, nil

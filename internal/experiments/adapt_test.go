@@ -95,7 +95,11 @@ func TestAdaptationComparisonPropagatesTraceErrors(t *testing.T) {
 func TestFixedRateSpinal(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Trials = 15
-	pts, err := FixedRateSpinal(cfg, []float64{6, 14}, 4) // rate 2 bits/symbol
+	rateless, err := SpinalRateCurve(cfg, []float64{6, 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := FixedRateSpinal(cfg, rateless, 4) // rate 2 bits/symbol
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +127,7 @@ func TestFixedRateSpinal(t *testing.T) {
 	if s := FormatFixedRate(pts).String(); !strings.Contains(s, "passes") {
 		t.Fatal("fixed-rate table missing header")
 	}
-	if _, err := FixedRateSpinal(cfg, []float64{10}, 0); err == nil {
+	if _, err := FixedRateSpinal(cfg, rateless, 0); err == nil {
 		t.Fatal("zero passes accepted")
 	}
 }

@@ -378,9 +378,13 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
+			rateless, err := SpinalRateCurve(cfg, snrsFrom(req))
+			if err != nil {
+				return nil, err
+			}
 			res := sim.NewResult("fixedrate")
 			for _, passes := range []int{2, 4, 8} {
-				pts, err := FixedRateSpinal(cfg, snrsFrom(req), passes)
+				pts, err := FixedRateSpinal(cfg, rateless, passes)
 				if err != nil {
 					return nil, err
 				}
