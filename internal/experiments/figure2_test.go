@@ -35,38 +35,44 @@ func TestFigure2Record(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkFigure2Claims(t, res)
+	matchRecord(t, figure2File, recordRows(res, figure2Curve))
+}
 
-	got := figure2Rows(res)
+// matchRecord compares a default-scale run's rows with the committed record
+// in file, or rewrites the record under -update. The record is compared on
+// amd64 at GOAMD64 v1/v2 only (see unfusedFloat).
+func matchRecord(t *testing.T, file string, got []string) {
+	t.Helper()
 	if *update {
-		if err := os.WriteFile(figure2File, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(file, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
 	if why, ok := unfusedFloat(); !ok {
-		t.Skip("the figure2 record is pinned on amd64 at GOAMD64 v1/v2; " + why)
+		t.Skip("the " + file + " record is pinned on amd64 at GOAMD64 v1/v2; " + why)
 	}
-	want, err := os.ReadFile(figure2File)
+	want, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatalf("%v (rewrite it with -update)", err)
 	}
 	wantRows := strings.Split(strings.TrimSpace(string(want)), "\n")
 	if len(wantRows) != len(got) {
-		t.Fatalf("%s has %d rows, the run produced %d (rewrite it with -update)", figure2File, len(wantRows), len(got))
+		t.Fatalf("%s has %d rows, the run produced %d (rewrite it with -update)", file, len(wantRows), len(got))
 	}
 	for i := range got {
 		if got[i] != wantRows[i] {
-			t.Errorf("figure2 point moved:\n got  %s\n want %s", got[i], wantRows[i])
+			t.Errorf("%s point moved:\n got  %s\n want %s", file, got[i], wantRows[i])
 		}
 	}
 }
 
-// figure2Rows renders a figure2 result as the record's rows, one per
-// (curve, SNR): the curve's name, then every cell as column=value.
-func figure2Rows(res *sim.Result) []string {
+// recordRows renders a result as a record's rows, one per table row: the
+// table's curve name, then every cell as column=value.
+func recordRows(res *sim.Result, curveOf func(*sim.Table) string) []string {
 	var rows []string
 	for _, tb := range res.Tables {
-		curve := figure2Curve(tb)
+		curve := curveOf(tb)
 		for r := range tb.Rows {
 			row := curve
 			for c, col := range tb.Columns {

@@ -13,7 +13,7 @@ import (
 	"spinal/internal/sim"
 )
 
-var update = flag.Bool("update", false, "rewrite the testdata records (fingerprints.txt, figure2.txt) from the current code")
+var update = flag.Bool("update", false, "rewrite the testdata records (fingerprints.txt, figure2.txt, bsc.txt) from the current code")
 
 const fingerprintsFile = "testdata/fingerprints.txt"
 
