@@ -109,7 +109,7 @@ type DecodeHistory struct {
 	passes [historyLen]float64
 	n      int    // records held, at most historyLen
 	next   int    // ring slot the next record overwrites
-	msgs   uint64 // messages that asked for a threshold; drives the probe
+	msgs   uint64 // messages FirstAttempt counted; drives the probe
 }
 
 // Threshold returns the thresholdRank-th smallest record, in channel uses per
